@@ -38,12 +38,12 @@ item = split.cold_items[0]
 print(f"\ncold item {item}: simulated users {sims[item].users[:10]}...")
 print(f"adoption rate across all cold items: {adoption_rate(log).rate:.1%}")
 
-from coldsim.filtering import map_item
 from coldsim.refiner import build_context
 
+# every item's coupled-filter vector, computed once; contexts index into it
+item_vectors = pipe.item_vectors(pipe.filter_l)
 user = sims[item].users[0]
-ctx = build_context(user, map_item(pipe.filter_l, pipe.content_matrix[item]),
-                    pipe.filter_l, pipe.content_matrix,
+ctx = build_context(user, item_vectors[item], item_vectors,
                     pipe.train_items[user], data.catalog, top_l=3)
 print(f"\nprompt sent to the oracle for user {user}:")
 print(" ", render_prompt(ctx, data.catalog.title(item)))

@@ -531,11 +531,14 @@ def train_coupled_filter(filt: TwoTowerFilter, backbone: BackboneModel,
     """Train the L variant against oracle labels.
 
     ``labeler(user, item) -> 0 or 1`` supplies the oracle decision for each
-    pool pair (failures skip the pair and are counted).  The loss is
+    pool pair (an :class:`~coldsim.refiner.OracleError` skips the pair and is
+    counted; any other exception propagates).  The loss is
     cross-entropy of sigmoid(dot) against the labels plus
     ``coupled_weight`` times the BPR term over warm-train triples.
     Returns (filter, history).
     """
+    from .refiner import OracleError  # refiner imports this module
+
     if not split.warm_train:
         raise ValueError("warm-train split is empty")
     sampler = pair_sampler or (lambda: sample_label_pairs(
@@ -547,7 +550,7 @@ def train_coupled_filter(filt: TwoTowerFilter, backbone: BackboneModel,
     for u, i in pool:
         try:
             labeled.append((u, i, int(labeler(u, i))))
-        except Exception as exc:  # noqa: BLE001 - oracle errors skip the pair
+        except OracleError as exc:
             failures += 1
             logger.debug("labeler failed for (%d, %d): %s", u, i, exc)
     if failures:

@@ -44,6 +44,10 @@ class Pipeline:
         return filtering.user_filter_vectors(filt, self.backbone.user_emb,
                                              self.hist_means)
 
+    def item_vectors(self, filt: TwoTowerFilter) -> np.ndarray:
+        """Every item's filter vector; rows align with item ids."""
+        return filt.item_tower.forward(self.content_matrix)
+
 
 def backbone_config_from(cfg: dict) -> BackboneConfig:
     b = cfg["backbone"]
@@ -100,12 +104,18 @@ def make_oracle(cfg: dict, content_matrix: np.ndarray,
 
 
 def oracle_labeler(pipe: Pipeline, oracle, top_l: int):
-    """Adapter giving the coupled-filter trainer per-pair oracle labels."""
+    """Adapter giving the coupled-filter trainer per-pair oracle labels.
+
+    Contexts come from the coupled filter when present, otherwise from the
+    behavior filter; its item vectors are computed once, here.
+    """
     context_filter = pipe.filter_l if pipe.filter_l is not None else pipe.filter_b
+    if context_filter is None:
+        raise ValueError("oracle labels need a trained filter to build contexts")
+    item_vectors = pipe.item_vectors(context_filter)
 
     def label(u: int, i: int) -> int:
-        fvec = filtering.map_item(context_filter, pipe.content_matrix[i])
-        ctx = refiner.build_context(u, fvec, context_filter, pipe.content_matrix,
+        ctx = refiner.build_context(u, item_vectors[i], item_vectors,
                                     pipe.train_items[u], pipe.catalog, top_l)
         decision = refiner.query_oracle(oracle, ctx, pipe.catalog.title(i), i)
         return decision.value
@@ -168,10 +178,13 @@ def simulate_all(pipe: Pipeline, cfg: dict, use_b: bool = True,
         raise ValueError("simulation needs at least one filter")
     users_b = pipe.user_vectors(filt_b) if filt_b is not None else None
     users_l = pipe.user_vectors(filt_l) if filt_l is not None else None
+    # contexts come from the coupled filter when present, else the behavior one
+    item_vectors = None if skip_refine else pipe.item_vectors(
+        filt_l if filt_l is not None else filt_b)
     results = {}
     for item in sorted(pipe.split.cold_items):
         results[item] = refiner.simulate_for_item(
-            item, pipe.content_matrix[item], pipe.oracle, pipe.content_matrix,
+            item, pipe.content_matrix[item], pipe.oracle, item_vectors,
             pipe.train_items, pipe.catalog, sim_cfg,
             filter_b=filt_b, filter_l=filt_l, users_b=users_b, users_l=users_l,
             decision_log=decision_log, skip_refine=skip_refine)

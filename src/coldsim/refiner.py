@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import ColdWarmSplit, ItemCatalog
-from .filtering import CandidateSet, TwoTowerFilter, funnel_filter, map_item
+from .filtering import CandidateSet, TwoTowerFilter, funnel_filter
 
 logger = logging.getLogger(__name__)
 
@@ -61,21 +61,22 @@ class FinetuneRecord(NamedTuple):
     completion: str
 
 
-def build_context(user: int, item_fvec: np.ndarray, filt: TwoTowerFilter,
-                  content_matrix: np.ndarray, history: list[int],
-                  catalog: ItemCatalog, top_l: int = 10) -> UserContext:
+def build_context(user: int, item_fvec: np.ndarray, item_vectors: np.ndarray,
+                  history: list[int], catalog: ItemCatalog,
+                  top_l: int = 10) -> UserContext:
     """Pick the user's ``top_l`` history items most similar to the query item.
 
-    Similarity is the dot product of filter vectors; ties break by
+    ``item_vectors`` holds every item's filter vector, one row per item id:
+    the context filter's item tower applied once to the whole content
+    matrix.  Similarity is the dot product of filter vectors; ties break by
     ascending item id.  An empty history yields an empty context.
     """
     if top_l < 1:
         raise ValueError(f"top_l must be >= 1, got {top_l}")
     if not history:
         return UserContext(user=user, items=[], texts=[])
-    hist_vecs = filt.item_tower.forward(content_matrix[history])
-    sims = hist_vecs @ np.asarray(item_fvec, dtype=np.float64)
     hist_ids = np.asarray(history)
+    sims = item_vectors[hist_ids] @ np.asarray(item_fvec, dtype=np.float64)
     order = np.lexsort((hist_ids, -sims))[:top_l]
     items = hist_ids[order].tolist()
     return UserContext(user=user, items=items,
@@ -222,18 +223,16 @@ class DecisionLog:
         return len(self.records)
 
     @staticmethod
-    def _key(user, item, oracle_kind, prompt):
-        ph = hashlib.sha1(prompt.encode("utf-8")).hexdigest()[:16]
-        return (user, item, oracle_kind, ph), ph
+    def prompt_hash(prompt: str) -> str:
+        """The short prompt hash that keys the cache and is persisted as ``ph``."""
+        return hashlib.sha1(prompt.encode("utf-8")).hexdigest()[:16]
 
-    def lookup(self, user, item, oracle_kind, prompt) -> OracleDecision | None:
-        key, _ = self._key(user, item, oracle_kind, prompt)
-        return self._cache.get(key)
+    def lookup(self, user, item, oracle_kind, ph: str) -> OracleDecision | None:
+        return self._cache.get((user, item, oracle_kind, ph))
 
-    def record(self, user, item, oracle_kind, prompt,
+    def record(self, user, item, oracle_kind, ph: str,
                decision: OracleDecision) -> None:
-        key, ph = self._key(user, item, oracle_kind, prompt)
-        self._cache[key] = decision
+        self._cache[(user, item, oracle_kind, ph)] = decision
         self.records.append({"user": int(user), "item": int(item),
                              "z": int(decision.value), "raw": decision.raw,
                              "oracle": oracle_kind, "ph": ph})
@@ -264,7 +263,6 @@ class SimulateConfig:
     context_len: int = 10
     fallback_to_top1: bool = True
     max_inflight: int = 8
-    seed: int = 0
 
 
 @dataclass
@@ -275,55 +273,70 @@ class SimulationResult:
     failures: int = 0
 
 
-def refine(candidates: CandidateSet, client, filt: TwoTowerFilter,
-           content_matrix: np.ndarray, train_items: list[list[int]],
-           catalog: ItemCatalog, top_l: int = 10,
+def _decide_all(client, item: int, item_text: str,
+                contexts: list[UserContext], max_inflight: int) -> list:
+    """Each context's decision, or the :class:`OracleError` it raised, in order.
+
+    In-process oracles run on the calling thread; only the HTTP oracle,
+    which waits on the network, gets a pool of ``max_inflight`` workers.
+    """
+    def decide(ctx):
+        try:
+            return query_oracle(client, ctx, item_text, item)
+        except OracleError as exc:
+            return exc
+
+    if client.kind != "http":
+        return [decide(ctx) for ctx in contexts]
+    with ThreadPoolExecutor(max_workers=max(1, max_inflight)) as pool:
+        return list(pool.map(decide, contexts))
+
+
+def refine(candidates: CandidateSet, client, item_vectors: np.ndarray,
+           train_items: list[list[int]], catalog: ItemCatalog, top_l: int = 10,
            decision_log: DecisionLog | None = None,
            max_inflight: int = 8) -> tuple[list[int], int]:
     """Keep the candidates the oracle accepts, preserving rank order.
 
-    Returns (accepted users, oracle failure count).  Raises
+    ``item_vectors`` are the context filter's item vectors, one row per
+    item id (see :func:`build_context`).  Decisions are logged in candidate
+    order.  Returns (accepted users, oracle failure count).  Raises
     :class:`OracleError` when every single call fails; partial failures
     drop those users with a warning.
     """
     if not candidates.users:
         raise ValueError("refine requires a non-empty candidate set")
     item = candidates.item
-    item_fvec = None
-    if any(train_items[u] for u in candidates.users):
-        item_fvec = map_item(filt, content_matrix[item])
+    item_fvec = item_vectors[item]
     item_text = catalog.title(item)
 
-    prompts = {}
-    contexts = {}
-    for u in candidates.users:
-        ctx = build_context(u, item_fvec, filt, content_matrix,
-                            train_items[u], catalog, top_l) \
-            if train_items[u] else UserContext(user=u, items=[], texts=[])
-        contexts[u] = ctx
-        prompts[u] = render_prompt(ctx, item_text)
-
-    def ask(u):
-        cached = (decision_log.lookup(u, item, client.kind, prompts[u])
-                  if decision_log is not None else None)
-        if cached is not None:
-            return u, cached, True
-        return u, query_oracle(client, contexts[u], item_text, item), False
-
     decisions: dict[int, OracleDecision] = {}
-    failures = 0
-    workers = max(1, max_inflight) if client.kind == "http" else 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for future in [pool.submit(ask, u) for u in candidates.users]:
-            try:
-                u, decision, was_cached = future.result()
-            except OracleError as exc:
-                failures += 1
-                logger.warning("oracle call failed: %s", exc)
+    pending: list[tuple[UserContext, str | None]] = []
+    for u in candidates.users:
+        ctx = build_context(u, item_fvec, item_vectors, train_items[u],
+                            catalog, top_l) \
+            if train_items[u] else UserContext(user=u, items=[], texts=[])
+        prompt = render_prompt(ctx, item_text)
+        ph = None
+        if decision_log is not None:
+            ph = DecisionLog.prompt_hash(prompt)
+            cached = decision_log.lookup(u, item, client.kind, ph)
+            if cached is not None:
+                decisions[u] = cached
                 continue
-            decisions[u] = decision
-            if decision_log is not None and not was_cached:
-                decision_log.record(u, item, client.kind, prompts[u], decision)
+        pending.append((ctx, ph))
+
+    failures = 0
+    outcomes = _decide_all(client, item, item_text,
+                           [ctx for ctx, _ in pending], max_inflight)
+    for (ctx, ph), outcome in zip(pending, outcomes):
+        if isinstance(outcome, OracleError):
+            failures += 1
+            logger.warning("oracle call failed: %s", outcome)
+            continue
+        decisions[ctx.user] = outcome
+        if decision_log is not None:
+            decision_log.record(ctx.user, item, client.kind, ph, outcome)
     if not decisions:
         raise OracleError(f"every oracle call failed for item {item}")
     if failures:
@@ -335,7 +348,8 @@ def refine(candidates: CandidateSet, client, filt: TwoTowerFilter,
 
 
 def simulate_for_item(item: int, raw_item: np.ndarray, client,
-                      content_matrix: np.ndarray, train_items: list[list[int]],
+                      item_vectors: np.ndarray | None,
+                      train_items: list[list[int]],
                       catalog: ItemCatalog, config: SimulateConfig,
                       filter_b: TwoTowerFilter | None = None,
                       filter_l: TwoTowerFilter | None = None,
@@ -347,17 +361,17 @@ def simulate_for_item(item: int, raw_item: np.ndarray, client,
 
     When refinement empties the candidate list the top-ranked filtered
     candidate is kept (configurable; the alternative leaves the item cold
-    with an empty simulation).  Context building uses the coupled filter
-    when present, otherwise the behavior filter.
+    with an empty simulation).  ``item_vectors`` are the item vectors of the
+    filter that builds the contexts: the coupled filter when present,
+    otherwise the behavior filter.  They are unused with ``skip_refine``.
     """
     candidates = funnel_filter(raw_item, config.k, filter_b=filter_b,
                                filter_l=filter_l, users_b=users_b,
                                users_l=users_l, item=item)
     if skip_refine or not candidates.users:
         return SimulationResult(item=item, users=list(candidates.users))
-    context_filter = filter_l if filter_l is not None else filter_b
-    kept, failures = refine(candidates, client, context_filter, content_matrix,
-                            train_items, catalog, top_l=config.context_len,
+    kept, failures = refine(candidates, client, item_vectors, train_items,
+                            catalog, top_l=config.context_len,
                             decision_log=decision_log,
                             max_inflight=config.max_inflight)
     if kept:
@@ -412,9 +426,10 @@ def prepare_finetune_data(split: ColdWarmSplit, catalog: ItemCatalog,
         for u, i in sorted(negatives):
             neg_by_user.setdefault(u, []).append(i)
 
+    item_vectors = filt.item_tower.forward(content_matrix)
+
     def make_record(user, item, completion):
-        fvec = map_item(filt, content_matrix[item])
-        ctx = build_context(user, fvec, filt, content_matrix,
+        ctx = build_context(user, item_vectors[item], item_vectors,
                             train_items[user], catalog, top_l)
         return FinetuneRecord(prompt=render_prompt(ctx, catalog.title(item)),
                               completion=completion)

@@ -134,9 +134,16 @@ def warm_all_cold(split: ColdWarmSplit, simulations: dict[int, SimulationResult]
     when ``skip_missing`` is set, otherwise raised.  Items whose simulation
     fell back to the top filtered candidate use the filter-map
     initialization when the behavior filter is available.
+
+    Every cold item runs the item-side BPR of
+    :func:`optimize_cold_embedding` at once, as one (items x dim) block.
+    Each item keeps its own stream seeded with (seed, item) and draws the
+    same users in the same order, so each row equals the per-item result up
+    to floating-point summation order.
     """
     model = backbone.copy()
     report = []
+    warmed, inits, pos_ids, neg_ids = [], [], [], []
     for item in sorted(split.cold_items):
         sim = simulations.get(item)
         if sim is None or not sim.users:
@@ -152,12 +159,47 @@ def warm_all_cold(split: ColdWarmSplit, simulations: dict[int, SimulationResult]
                 and filt_b is not None and raw is not None):
             init = init_cold_embedding(item, sim.users, backbone, "filter-map",
                                        filt_b=filt_b, raw=raw)
-        result = optimize_cold_embedding(item, sim.users, backbone, config,
-                                         init=init, filt_b=filt_b, raw=raw)
-        model.item_emb[item] = result.embedding
-        report.append({"item": item, "n_users": len(sim.users),
-                       "final_loss": result.final_loss,
+        users = sorted(int(u) for u in sim.users)
+        user_set = set(users)
+        if len(user_set) >= backbone.n_users:
+            raise ValueError(f"item {item}: simulated users cover every user, "
+                             f"cannot sample negatives")
+        if init is None:
+            init = init_cold_embedding(item, users, backbone, config.init,
+                                       filt_b=filt_b, raw=raw)
+        # the draws never depend on the embedding, so they all come first
+        integers = np.random.default_rng((config.seed, item)).integers
+        for _ in range(config.steps):
+            pos_ids.append(users[integers(len(users))])
+            drawn = 0
+            while drawn < config.negatives_per_positive:
+                cand = int(integers(backbone.n_users))
+                if cand not in user_set:
+                    neg_ids.append(cand)
+                    drawn += 1
+        inits.append(np.asarray(init, dtype=np.float64))
+        warmed.append({"item": item, "n_users": len(users), "final_loss": 0.0,
                        "fallback_used": bool(sim.fallback_used)})
+        report.append(warmed[-1])
+    if not warmed:
+        return model, report
+
+    n_items, n_negs = len(warmed), config.negatives_per_positive
+    pos_ids = np.asarray(pos_ids, dtype=np.int64).reshape(n_items, config.steps)
+    neg_ids = np.asarray(neg_ids, dtype=np.int64).reshape(
+        n_items, config.steps, n_negs)
+    emb = np.stack(inits)
+    loss = np.zeros(n_items)
+    for step in range(config.steps):
+        diff = (backbone.user_emb[pos_ids[:, step]][:, None, :]
+                - backbone.user_emb[neg_ids[:, step]])
+        margin = np.einsum("cnd,cd->cn", diff, emb)
+        loss = np.logaddexp(0.0, -margin).mean(axis=1)
+        coef = -expit(-margin) / n_negs
+        emb -= config.lr * (coef[:, :, None] * diff).sum(axis=1)
+    model.item_emb[[entry["item"] for entry in warmed]] = emb
+    for entry, final_loss in zip(warmed, loss.tolist()):
+        entry["final_loss"] = final_loss
     return model, report
 
 

@@ -211,7 +211,7 @@ def test_criterion_4_funnel_invariants():
             content = rng.normal(size=(2, 3))
             from coldsim.corpus import ItemCatalog
             got, _ = refine(cand, PlantedOracle({(u, 0) for u in accept}),
-                            filt_b, np.vstack([raw, raw]),
+                            filt_b.item_tower.forward(np.vstack([raw, raw])),
                             [[] for _ in range(n_users)],
                             ItemCatalog(content={0: "x", 1: "y"}), top_l=2) \
                 if cand.users else ([], 0)

@@ -11,6 +11,7 @@ from coldsim.filtering import (FilterTrainConfig,
                                map_user, sample_label_pairs, topk_candidates,
                                train_behavior_filter, train_coupled_filter,
                                user_filter_vectors)
+from coldsim.refiner import OracleError
 from coldsim.synthetic import make_two_cluster_dataset, make_planted_split
 
 from conftest import tiny_cluster_setup
@@ -385,12 +386,25 @@ class TestTraining:
         def flaky(u, i):
             calls["n"] += 1
             if calls["n"] % 3 == 0:
-                raise RuntimeError("oracle down")
+                raise OracleError("oracle down")
             return 1
 
         cfg = FilterTrainConfig(lr=1e-4, max_epochs=1, batch_size=32, seed=7,
                                 label_pairs=30)
         train_coupled_filter(filt, backbone, content, split, flaky, cfg)
+
+    def test_labeler_bug_propagates(self):
+        # only oracle faults skip a pair; a programming error is raised
+        data, split, backbone, content = self.setup_inputs(seed=7)
+        filt = TwoTowerFilter.init("L", 8, 6, hidden=5, out=4, seed=7)
+
+        def buggy(u, i):
+            raise IndexError("context built from a bad row")
+
+        cfg = FilterTrainConfig(lr=1e-4, max_epochs=1, batch_size=32, seed=7,
+                                label_pairs=30)
+        with pytest.raises(IndexError, match="bad row"):
+            train_coupled_filter(filt, backbone, content, split, buggy, cfg)
 
 
 class TestPersistence:

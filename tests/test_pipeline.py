@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from coldsim import evaluation, pipeline
@@ -108,6 +110,13 @@ class TestAblations:
             train_items=pipe.train_items, hist_means=pipe.hist_means)
         with pytest.raises(ValueError, match="coupled filter"):
             pipeline.run_ablation("no-bf", stripped, cfg)
+
+    def test_labeler_without_filters_rejected(self, small_pipe):
+        _, _, cfg, pipe = small_pipe
+        bare = dataclasses.replace(pipe, filter_b=None, filter_l=None)
+        with pytest.raises(ValueError, match="trained filter"):
+            pipeline.oracle_labeler(bare, pipe.oracle,
+                                    cfg["refiner"]["context_len"])
 
     def test_full_refinement_not_worse_than_no_r(self, small_pipe):
         data, split, cfg, pipe = small_pipe

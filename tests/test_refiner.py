@@ -1,5 +1,7 @@
+import hashlib
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -20,14 +22,26 @@ def make_filter(seed=0, content_dim=6, out=5):
     return TwoTowerFilter.init("B", 4, content_dim, hidden=6, out=out, seed=seed)
 
 
+def reference_context(user, item_fvec, filt, content_matrix, history, catalog,
+                      top_l):
+    """The per-call path: forward the user's history through the item tower."""
+    hist_vecs = filt.item_tower.forward(content_matrix[history])
+    sims = hist_vecs @ item_fvec
+    hist_ids = np.asarray(history)
+    items = hist_ids[np.lexsort((hist_ids, -sims))[:top_l]].tolist()
+    return UserContext(user=user, items=items,
+                       texts=[catalog.title(i) for i in items])
+
+
 class TestBuildContext:
     def test_small_history_keeps_everything(self):
         rng = np.random.default_rng(0)
         filt = make_filter()
         content = rng.normal(size=(10, 6))
         catalog = ItemCatalog(content={i: f"t{i}" for i in range(10)})
-        fvec = map_item(filt, content[9])
-        ctx = build_context(0, fvec, filt, content, [2, 5, 7], catalog, top_l=10)
+        vectors = filt.item_tower.forward(content)
+        fvec = vectors[9]
+        ctx = build_context(0, fvec, vectors, [2, 5, 7], catalog, top_l=10)
         assert sorted(ctx.items) == [2, 5, 7]
         sims = [filt.item_tower.forward(content[i]) @ fvec for i in ctx.items]
         assert sims == sorted(sims, reverse=True)
@@ -35,7 +49,8 @@ class TestBuildContext:
     def test_empty_history(self):
         filt = make_filter()
         catalog = ItemCatalog(content={})
-        ctx = build_context(3, np.zeros(5), filt, np.zeros((1, 6)), [],
+        ctx = build_context(3, np.zeros(5),
+                            filt.item_tower.forward(np.zeros((1, 6))), [],
                             catalog, top_l=4)
         assert ctx.items == [] and ctx.texts == []
 
@@ -45,18 +60,45 @@ class TestBuildContext:
         content = rng.normal(size=(40, 6))
         catalog = ItemCatalog(content={i: f"t{i}" for i in range(40)})
         history = list(rng.choice(40, size=30, replace=False))
-        fvec = map_item(filt, content[0])
-        ctx = build_context(0, fvec, filt, content, history, catalog, top_l=10)
+        vectors = filt.item_tower.forward(content)
+        fvec = vectors[0]
+        ctx = build_context(0, fvec, vectors, history, catalog, top_l=10)
         sims = {i: filt.item_tower.forward(content[i]) @ fvec for i in history}
         expected = sorted(history, key=lambda i: (-sims[i], i))[:10]
         assert ctx.items == expected
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_precomputed_vectors_match_per_call_forward(self, seed):
+        # duplicated content rows give exact similarity ties, which must
+        # break by ascending item id on both paths
+        rng = np.random.default_rng(seed)
+        filt = make_filter(seed=seed)
+        content = rng.normal(size=(60, 6))
+        content[30:] = content[rng.integers(30, size=30)]
+        catalog = ItemCatalog(content={i: f"t{i}" for i in range(60)})
+        vectors = filt.item_tower.forward(content)
+        n_ties = 0
+        for user in range(40):
+            size = int(rng.integers(1, 40))
+            history = [int(i) for i in rng.choice(60, size=size, replace=False)]
+            item = int(rng.integers(60))
+            top_l = int(rng.integers(1, 12))
+            got = build_context(user, vectors[item], vectors, history, catalog,
+                                top_l)
+            want = reference_context(user, map_item(filt, content[item]), filt,
+                                     content, history, catalog, top_l)
+            assert got == want
+            sims = vectors[history] @ vectors[item]
+            n_ties += len(sims) - len(np.unique(sims))
+        assert n_ties > 0
 
     def test_texts_use_titles(self):
         filt = make_filter()
         content = np.ones((3, 6))
         catalog = ItemCatalog(content={i: f"body{i}" for i in range(3)},
                               titles={i: f"Title {i}" for i in range(3)})
-        ctx = build_context(0, np.ones(5), filt, content, [1], catalog, top_l=2)
+        ctx = build_context(0, np.ones(5), filt.item_tower.forward(content), [1],
+                            catalog, top_l=2)
         assert ctx.texts == ["Title 1"]
 
 
@@ -178,7 +220,55 @@ def oracle_server():
     server.shutdown()
 
 
+class _SlowCountingHandler(BaseHTTPRequestHandler):
+    """Answers Yes after a delay, tracking how many requests overlap."""
+
+    lock = threading.Lock()
+    in_flight = 0
+    peak = 0
+
+    def do_POST(self):
+        cls = type(self)
+        self.rfile.read(int(self.headers["Content-Length"]))
+        with cls.lock:
+            cls.in_flight += 1
+            cls.peak = max(cls.peak, cls.in_flight)
+        time.sleep(0.05)
+        with cls.lock:
+            cls.in_flight -= 1
+        payload = json.dumps({"answer": "Yes"}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
 class TestHttpOracle:
+    def test_refine_never_exceeds_max_inflight(self):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _SlowCountingHandler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        _SlowCountingHandler.in_flight = _SlowCountingHandler.peak = 0
+        try:
+            url = f"http://127.0.0.1:{server.server_address[1]}/simulate"
+            vectors, catalog, train_items = refine_setup(seed=8)
+            cand = CandidateSet(item=1, users=[9, 2, 11, 0, 6, 4, 8, 3, 10])
+            log = DecisionLog()
+            kept, failures = refine(cand, HttpOracle(url, timeout=5), vectors,
+                                    train_items, catalog, decision_log=log,
+                                    max_inflight=3)
+        finally:
+            server.shutdown()
+            server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert 1 < _SlowCountingHandler.peak <= 3
+        assert kept == cand.users and failures == 0
+        assert [r["user"] for r in log.records] == cand.users
+
     def test_yes_round_trip(self, oracle_server):
         oracle = HttpOracle(oracle_server, timeout=5)
         ctx = UserContext(user=0, items=[], texts=[])
@@ -225,38 +315,38 @@ def refine_setup(seed=0, n_users=12, n_items=8):
     catalog = ItemCatalog(content={i: f"thing {i}" for i in range(n_items)})
     train_items = [[int(x) for x in rng.choice(n_items, size=2, replace=False)]
                    for _ in range(n_users)]
-    return filt, content, catalog, train_items
+    return filt.item_tower.forward(content), catalog, train_items
 
 
 class TestRefine:
     def test_always_no_empties(self):
-        filt, content, catalog, train_items = refine_setup()
+        vectors, catalog, train_items = refine_setup()
         cand = CandidateSet(item=3, users=[0, 1, 2])
-        kept, failures = refine(cand, PlantedOracle(set()), filt, content,
+        kept, failures = refine(cand, PlantedOracle(set()), vectors,
                                 train_items, catalog)
         assert kept == [] and failures == 0
 
     def test_always_yes_keeps_all(self):
-        filt, content, catalog, train_items = refine_setup()
+        vectors, catalog, train_items = refine_setup()
         truth = {(u, 3) for u in range(12)}
         cand = CandidateSet(item=3, users=[5, 1, 9])
-        kept, _ = refine(cand, PlantedOracle(truth), filt, content,
+        kept, _ = refine(cand, PlantedOracle(truth), vectors,
                          train_items, catalog)
         assert kept == [5, 1, 9]
 
     def test_subset_and_order_preserved(self):
-        filt, content, catalog, train_items = refine_setup(seed=3)
+        vectors, catalog, train_items = refine_setup(seed=3)
         truth = {(1, 4), (7, 4), (2, 4)}
         cand = CandidateSet(item=4, users=[7, 3, 1, 2, 8])
-        kept, _ = refine(cand, PlantedOracle(truth), filt, content,
+        kept, _ = refine(cand, PlantedOracle(truth), vectors,
                          train_items, catalog)
         assert kept == [7, 1, 2]
 
     def test_empty_candidates_rejected(self):
-        filt, content, catalog, train_items = refine_setup()
+        vectors, catalog, train_items = refine_setup()
         with pytest.raises(ValueError):
             refine(CandidateSet(item=0, users=[]), PlantedOracle(set()),
-                   filt, content, train_items, catalog)
+                   vectors, train_items, catalog)
 
     def test_planted_clusters_keep_same_cluster_users(self):
         data, split = tiny_cluster_setup(seed=8)
@@ -266,14 +356,15 @@ class TestRefine:
         train_items = split.train_items_of(data.log.n_users)
         item = data.cold_items[0]
         candidates = CandidateSet(item=item, users=list(range(data.log.n_users)))
-        kept, _ = refine(candidates, PlantedOracle(data.truth), filt, content,
-                         train_items, data.catalog)
+        kept, _ = refine(candidates, PlantedOracle(data.truth),
+                         filt.item_tower.forward(content), train_items,
+                         data.catalog)
         own = {u for u in range(data.log.n_users)
                if data.user_group[u] == data.item_group[item]}
         assert set(kept) == own
 
     def test_decision_log_and_cache(self):
-        filt, content, catalog, train_items = refine_setup(seed=4)
+        vectors, catalog, train_items = refine_setup(seed=4)
         truth = {(0, 2)}
         log = DecisionLog()
         cand = CandidateSet(item=2, users=[0, 1])
@@ -286,20 +377,20 @@ class TestRefine:
                 return super().decide(*args, **kwargs)
 
         oracle = CountingPlanted(truth)
-        refine(cand, oracle, filt, content, train_items, catalog,
+        refine(cand, oracle, vectors, train_items, catalog,
                decision_log=log)
         assert calls["n"] == 2
         assert [r["z"] for r in log.records] == [1, 0]
         # rerun is served from the cache
-        refine(cand, oracle, filt, content, train_items, catalog,
+        refine(cand, oracle, vectors, train_items, catalog,
                decision_log=log)
         assert calls["n"] == 2
 
     def test_log_round_trip(self, tmp_path):
-        filt, content, catalog, train_items = refine_setup(seed=5)
+        vectors, catalog, train_items = refine_setup(seed=5)
         log = DecisionLog()
         cand = CandidateSet(item=1, users=[0, 2, 4])
-        refine(cand, PlantedOracle({(2, 1)}), filt, content, train_items,
+        refine(cand, PlantedOracle({(2, 1)}), vectors, train_items,
                catalog, decision_log=log)
         log.save(tmp_path / "decisions.jsonl")
         loaded = DecisionLog.load(tmp_path / "decisions.jsonl")
@@ -308,16 +399,58 @@ class TestRefine:
                            .read_text().splitlines()[0])
         assert {"user", "item", "z", "raw", "oracle"} <= set(first)
 
+    def test_prompt_hashed_once_per_decision(self, tmp_path, monkeypatch):
+        vectors, catalog, train_items = refine_setup(seed=6)
+        cand = CandidateSet(item=3, users=[4, 0, 7])
+        hashed = []
+        real_hash = DecisionLog.prompt_hash
+        monkeypatch.setattr(DecisionLog, "prompt_hash", staticmethod(
+            lambda prompt: hashed.append(prompt) or real_hash(prompt)))
+        log = DecisionLog()
+        refine(cand, PlantedOracle({(0, 3)}), vectors, train_items, catalog,
+               decision_log=log)
+        assert len(hashed) == len(cand.users)
+        # the persisted line layout: sorted keys, ph = sha1 of the prompt
+        log.save(tmp_path / "decisions.jsonl")
+        expected = []
+        for u, prompt in zip(cand.users, hashed):
+            ph = hashlib.sha1(prompt.encode("utf-8")).hexdigest()[:16]
+            z = int(u == 0)
+            expected.append(json.dumps(
+                {"user": u, "item": 3, "z": z, "raw": "Yes" if z else "No",
+                 "oracle": "planted", "ph": ph},
+                sort_keys=True, ensure_ascii=False) + "\n")
+        assert (tmp_path / "decisions.jsonl").read_text() == "".join(expected)
+
+    @pytest.mark.parametrize("make_oracle", [
+        lambda: PlantedOracle({(1, 2)}),
+        lambda: ThresholdOracle(np.random.default_rng(0).normal(size=(8, 6))),
+    ])
+    def test_in_process_oracle_runs_on_calling_thread(self, make_oracle):
+        vectors, catalog, train_items = refine_setup(seed=7)
+        oracle = make_oracle()
+        threads = []
+        real_decide = oracle.decide
+
+        def decide(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return real_decide(*args, **kwargs)
+
+        oracle.decide = decide
+        cand = CandidateSet(item=2, users=[1, 5, 3, 0])
+        refine(cand, oracle, vectors, train_items, catalog, max_inflight=4)
+        assert threads == [threading.current_thread()] * len(cand.users)
+
 
 @settings(max_examples=40, deadline=None)
 @given(accept=st.sets(st.integers(0, 11)),
        users=st.lists(st.integers(0, 11), min_size=1, max_size=12,
                       unique=True))
 def test_refine_subset_property(accept, users):
-    filt, content, catalog, train_items = refine_setup(seed=9)
+    vectors, catalog, train_items = refine_setup(seed=9)
     truth = {(u, 6) for u in accept}
     cand = CandidateSet(item=6, users=users)
-    kept, _ = refine(cand, PlantedOracle(truth), filt, content, train_items,
+    kept, _ = refine(cand, PlantedOracle(truth), vectors, train_items,
                      catalog)
     assert set(kept) <= set(users)
     assert kept == [u for u in users if u in accept]
@@ -340,7 +473,8 @@ class TestSimulateForItem:
         truth = {(u, item) for u in range(data.log.n_users)}
         cfg = SimulateConfig(k=7)
         result = simulate_for_item(item, content[item], PlantedOracle(truth),
-                                   content, train_items, catalog, cfg,
+                                   filt.item_tower.forward(content),
+                                   train_items, catalog, cfg,
                                    filter_b=filt, users_b=user_vecs)
         assert len(result.users) == 7
         assert not result.fallback_used
@@ -350,7 +484,8 @@ class TestSimulateForItem:
         item = data.cold_items[1]
         cfg = SimulateConfig(k=5)
         result = simulate_for_item(item, content[item], PlantedOracle(set()),
-                                   content, train_items, catalog, cfg,
+                                   filt.item_tower.forward(content),
+                                   train_items, catalog, cfg,
                                    filter_b=filt, users_b=user_vecs)
         from coldsim.filtering import topk_candidates
         top = topk_candidates(filt, content[item], user_vecs, k=5).users
@@ -362,7 +497,8 @@ class TestSimulateForItem:
         item = data.cold_items[0]
         cfg = SimulateConfig(k=5, fallback_to_top1=False)
         result = simulate_for_item(item, content[item], PlantedOracle(set()),
-                                   content, train_items, catalog, cfg,
+                                   filt.item_tower.forward(content),
+                                   train_items, catalog, cfg,
                                    filter_b=filt, users_b=user_vecs)
         assert result.users == []
 
@@ -372,7 +508,8 @@ class TestSimulateForItem:
         truth = {(u, item) for u in range(0, data.log.n_users, 2)}
         cfg = SimulateConfig(k=20)
         result = simulate_for_item(item, content[item], PlantedOracle(truth),
-                                   content, train_items, catalog, cfg,
+                                   filt.item_tower.forward(content),
+                                   train_items, catalog, cfg,
                                    filter_b=filt, users_b=user_vecs)
         assert len(result.users) <= 20
 

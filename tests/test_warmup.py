@@ -18,6 +18,32 @@ def make_backbone(n_users=10, dim=6, seed=0):
                          item_emb=init_embeddings(n_users, dim, seed + 1))
 
 
+def reference_warm_all_cold(split, simulations, backbone, config, filt_b=None,
+                            content_matrix=None):
+    """The per-item path: one optimize_cold_embedding call per cold item."""
+    model = backbone.copy()
+    report = []
+    for item in sorted(split.cold_items):
+        sim = simulations.get(item)
+        if sim is None or not sim.users:
+            report.append({"item": item, "skipped": "missing simulation"
+                           if sim is None else "empty simulation"})
+            continue
+        init = None
+        raw = content_matrix[item] if content_matrix is not None else None
+        if (config.init == "user-mean" and sim.fallback_used
+                and filt_b is not None and raw is not None):
+            init = init_cold_embedding(item, sim.users, backbone, "filter-map",
+                                       filt_b=filt_b, raw=raw)
+        result = optimize_cold_embedding(item, sim.users, backbone, config,
+                                         init=init, filt_b=filt_b, raw=raw)
+        model.item_emb[item] = result.embedding
+        report.append({"item": item, "n_users": len(sim.users),
+                       "final_loss": result.final_loss,
+                       "fallback_used": bool(sim.fallback_used)})
+    return model, report
+
+
 class TestInitCold:
     def test_zero_mode(self):
         model = make_backbone()
@@ -204,3 +230,64 @@ class TestWarmAllCold:
             scores_own = warmed.user_emb[own] @ warmed.item_emb[i]
             scores_other = warmed.user_emb[other] @ warmed.item_emb[i]
             assert scores_own.mean() > scores_other.mean()
+
+
+class TestWarmAllColdMatchesPerItem:
+    """The batched block against the per-item reference, row by row."""
+
+    def setup(self, seed):
+        data, split = tiny_cluster_setup(seed=seed, n_users=40, n_warm=16,
+                                         n_cold=8)
+        rng = np.random.default_rng(seed)
+        model = BackboneModel(
+            user_emb=rng.normal(size=(data.log.n_users, 6)),
+            item_emb=rng.normal(size=(data.log.n_items, 6)))
+        filt = TwoTowerFilter.init("B", 6, 5, hidden=7, out=6, seed=seed)
+        content = rng.normal(size=(data.log.n_items, 5))
+        sims = {}
+        for n, item in enumerate(sorted(split.cold_items)):
+            users = rng.choice(40, size=int(rng.integers(1, 12)), replace=False)
+            sims[item] = SimulationResult(item=item, users=users.tolist(),
+                                          fallback_used=n % 3 == 0)
+        return split, model, filt, content, sims
+
+    @pytest.mark.parametrize("negatives,init,steps", [
+        (1, "user-mean", 60), (3, "user-mean", 40), (2, "zero", 30),
+        (1, "filter-map", 50), (2, "user-mean", 0)])
+    def test_rows_and_losses_match(self, negatives, init, steps):
+        split, model, filt, content, sims = self.setup(seed=negatives + steps)
+        cfg = WarmupConfig(lr=0.3, steps=steps, negatives_per_positive=negatives,
+                           init=init, seed=4)
+        got, got_report = warm_all_cold(split, sims, model, cfg, filt_b=filt,
+                                        content_matrix=content)
+        want, want_report = reference_warm_all_cold(split, sims, model, cfg,
+                                                    filt_b=filt,
+                                                    content_matrix=content)
+        assert np.allclose(got.item_emb, want.item_emb, rtol=0, atol=1e-12)
+        assert got.user_emb.tobytes() == want.user_emb.tobytes()
+        assert [r.keys() for r in got_report] == [r.keys() for r in want_report]
+        for g, w in zip(got_report, want_report):
+            assert g["item"] == w["item"] and g["n_users"] == w["n_users"]
+            assert g["fallback_used"] == w["fallback_used"]
+            assert abs(g["final_loss"] - w["final_loss"]) <= 1e-12
+
+    def test_skips_match(self):
+        split, model, filt, content, sims = self.setup(seed=1)
+        cold = sorted(split.cold_items)
+        del sims[cold[0]]
+        sims[cold[3]] = SimulationResult(item=cold[3], users=[])
+        cfg = WarmupConfig(lr=0.3, steps=20, seed=2)
+        got, got_report = warm_all_cold(split, sims, model, cfg)
+        want, want_report = reference_warm_all_cold(split, sims, model, cfg)
+        assert np.allclose(got.item_emb, want.item_emb, rtol=0, atol=1e-12)
+        assert [r.get("skipped") for r in got_report] == \
+            [r.get("skipped") for r in want_report]
+        assert got_report[0]["skipped"] == "missing simulation"
+        assert got_report[3]["skipped"] == "empty simulation"
+
+    def test_every_user_simulated_rejected(self):
+        split, model, filt, content, sims = self.setup(seed=2)
+        item = sorted(split.cold_items)[1]
+        sims[item] = SimulationResult(item=item, users=list(range(40)))
+        with pytest.raises(ValueError, match="every user"):
+            warm_all_cold(split, sims, model, WarmupConfig(steps=5))
