@@ -16,7 +16,7 @@ from scipy.special import expit
 
 from . import store
 from .corpus import ColdWarmSplit
-from .metrics import ndcg_at_k, rank_by_score
+from .metrics import PairSets, hit_metrics, rank_by_score, row_chunks
 
 logger = logging.getLogger(__name__)
 
@@ -202,6 +202,30 @@ def _epoch_triples(rng, positives, warm_items, observed, max_rejects=100):
     return out[:n_out]
 
 
+def ranked_validation_ndcg(split: ColdWarmSplit, users, user_vectors,
+                           item_vectors, n_users: int, k: int = 20) -> float:
+    """Mean NDCG@k of warm-item rankings against warm-val positives.
+
+    Users are scored chunk by chunk as ``user_vectors(rows) @
+    item_vectors(warm).T``, with ``warm`` the warm item ids ascending, and
+    ranked with their warm-train positives masked out.  Users without
+    warm-val positives are skipped; 0.0 when none remain.
+    """
+    warm = np.unique(np.asarray(split.warm_items, dtype=np.int64))
+    items = item_vectors(warm)
+    train = PairSets.from_pairs(split.warm_train, n_users, columns=warm)
+    val = PairSets.from_pairs(split.warm_val, n_users, columns=warm)
+    users = [u for u in users if val.sizes(u) > 0]
+    if not users:
+        return 0.0
+    ndcg = [hit_metrics(rank_by_score(user_vectors(rows) @ items.T, k=k,
+                                      exclude=train.select(rows)),
+                        val, rows, k)[1]
+            for rows in row_chunks(users, len(warm))]
+    # summed user by user in order, as a per-user loop would
+    return float(np.cumsum(np.concatenate(ndcg))[-1]) / len(users)
+
+
 def validation_ndcg(model: BackboneModel, split: ColdWarmSplit, users,
                     k: int = 20) -> float:
     """NDCG@k of warm-item rankings against warm-val positives.
@@ -209,24 +233,9 @@ def validation_ndcg(model: BackboneModel, split: ColdWarmSplit, users,
     Used for early stopping; ranks warm items only, with each user's
     warm-train positives masked out.
     """
-    val_of: dict[int, set] = {}
-    for u, i in split.warm_val:
-        val_of.setdefault(u, set()).add(i)
-    warm = np.asarray(split.warm_items, dtype=np.int64)
-    item_mat = model.item_emb[warm]
-    total, n_eval = 0.0, 0
-    train_set = split.warm_train_set
-    for u in users:
-        rel = val_of.get(u)
-        if not rel:
-            continue
-        scores = item_mat @ model.user_emb[u]
-        masked = np.array([(u, int(i)) in train_set for i in warm])
-        scores = np.where(masked, -np.inf, scores)
-        ranked = rank_by_score(scores, ids=warm, k=k)
-        total += ndcg_at_k(ranked.tolist(), rel, k)
-        n_eval += 1
-    return total / n_eval if n_eval else 0.0
+    return ranked_validation_ndcg(split, users, lambda rows: model.user_emb[rows],
+                                  lambda warm: model.item_emb[warm],
+                                  model.n_users, k)
 
 
 def train_backbone(split: ColdWarmSplit, config: BackboneConfig,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .backbone import BackboneModel
 from .corpus import ColdWarmSplit
-from .metrics import ndcg_at_k, rank_by_score, recall_at_k
+from .metrics import PairSets, hit_metrics, rank_by_score, row_chunks
 
 logger = logging.getLogger(__name__)
 
@@ -85,31 +85,27 @@ def evaluate(model: BackboneModel, split: ColdWarmSplit, task: str = "overall",
 
     Samples up to ``n_users`` users having at least one test positive for
     the task.  Scores are embedding dot products over the full catalog with
-    each user's warm-train positives excluded.
+    each user's warm-train positives excluded, ranked a chunk of users at a
+    time by :func:`~coldsim.metrics.rank_by_score`.
     """
     rel = relevant_sets(split, task)
     users = sample_eval_users(rel, model.n_users, n_users, seed)
     if not users:
         raise ValueError(f"no eligible users for task {task!r}")
 
-    train_of: dict[int, list] = {}
-    for u, i in split.warm_train:
-        train_of.setdefault(u, []).append(i)
-
-    item_ids = np.arange(model.n_items)
-    recall_sum, ndcg_sum = 0.0, 0.0
-    for u in users:
-        scores = model.item_emb @ model.user_emb[u]
-        mask = train_of.get(u)
-        if mask:
-            scores = scores.copy()
-            scores[mask] = -np.inf
-        ranked = rank_by_score(scores, ids=item_ids, k=k).tolist()
-        recall_sum += recall_at_k(ranked, rel[u], k)
-        ndcg_sum += ndcg_at_k(ranked, rel[u], k)
+    train = PairSets.from_pairs(split.warm_train, model.n_users)
+    relevant = PairSets.from_pairs(((u, i) for u in users for i in rel[u]),
+                                   model.n_users)
+    per_user = [hit_metrics(rank_by_score(model.user_emb[rows] @ model.item_emb.T,
+                                          k=k, exclude=train.select(rows)),
+                            relevant, rows, k)
+                for rows in row_chunks(users, model.n_items)]
+    # summed user by user in order, as a per-user loop would
+    recall_sum, ndcg_sum = np.cumsum(np.concatenate(per_user, axis=1), axis=1)[:, -1]
     n = len(users)
-    return EvalReport(task=task, k=k, recall=recall_sum / n, ndcg=ndcg_sum / n,
-                      n_users=n, seed=seed, fingerprint=fingerprint)
+    return EvalReport(task=task, k=k, recall=float(recall_sum) / n,
+                      ndcg=float(ndcg_sum) / n, n_users=n, seed=seed,
+                      fingerprint=fingerprint)
 
 
 def adoption_rate(decisions) -> AdoptionStats:

@@ -23,9 +23,9 @@ import numpy as np
 from scipy.special import expit
 
 from . import store
-from .backbone import BackboneModel, DivergenceError
+from .backbone import BackboneModel, DivergenceError, ranked_validation_ndcg
 from .corpus import ColdWarmSplit
-from .metrics import ndcg_at_k, rank_by_score
+from .metrics import rank_by_score
 
 logger = logging.getLogger(__name__)
 
@@ -212,11 +212,9 @@ def topk_candidates(filt: TwoTowerFilter, raw_item: np.ndarray,
     Ties break by ascending user id; K beyond the user count returns the
     full ranking.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     f_i = map_item(filt, raw_item)
     scores = user_vectors @ f_i
-    ranked = rank_by_score(scores, k=min(k, len(scores)))
+    ranked = rank_by_score(scores, k=k)
     return CandidateSet(item=item, users=ranked.tolist(),
                         scores=scores[ranked].tolist())
 
@@ -224,9 +222,8 @@ def topk_candidates(filt: TwoTowerFilter, raw_item: np.ndarray,
 class InnerProductIndex:
     """Exact maximum-inner-product index over fixed user vectors.
 
-    Uses a partition-and-repair strategy rather than a full argsort; results
-    are guaranteed identical to brute force, including the ascending-id tie
-    rule.
+    A query is one row of :func:`~coldsim.metrics.rank_by_score`: the same
+    ids as a full sort, including the ascending-id tie rule.
     """
 
     def __init__(self, vectors: np.ndarray):
@@ -234,17 +231,7 @@ class InnerProductIndex:
 
     def query(self, q: np.ndarray, k: int):
         scores = self.vectors @ np.asarray(q, dtype=np.float64)
-        n = len(scores)
-        k = min(k, n)
-        if k == n:
-            ids = rank_by_score(scores)
-            return ids, scores[ids]
-        kth = np.partition(scores, n - k)[n - k]
-        above = np.flatnonzero(scores > kth)
-        ties = np.flatnonzero(scores == kth)
-        above = above[rank_by_score(scores[above])] if len(above) else above
-        take = k - len(above)
-        ids = np.concatenate([above, np.sort(ties)[:take]]).astype(np.int64)
+        ids = rank_by_score(scores, k=k)
         return ids, scores[ids]
 
 
@@ -394,25 +381,14 @@ def filter_validation_ndcg(filt: TwoTowerFilter, backbone: BackboneModel,
                            content_matrix: np.ndarray, hist_means: np.ndarray,
                            split: ColdWarmSplit, users, k: int = 20) -> float:
     """NDCG@k of filter-scored warm-item rankings against warm-val positives."""
-    val_of: dict[int, set] = {}
-    for u, i in split.warm_val:
-        val_of.setdefault(u, set()).add(i)
-    warm = np.asarray(split.warm_items, dtype=np.int64)
-    item_vecs = filt.item_tower.forward(content_matrix[warm])
-    train_set = split.warm_train_set
-    total, n_eval = 0.0, 0
-    for u in users:
-        rel = val_of.get(u)
-        if not rel:
-            continue
-        fu = map_user(filt, backbone.user_emb[u], hist_means[u])
-        scores = item_vecs @ fu
-        masked = np.array([(u, int(i)) in train_set for i in warm])
-        scores = np.where(masked, -np.inf, scores)
-        ranked = rank_by_score(scores, ids=warm, k=k)
-        total += ndcg_at_k(ranked.tolist(), rel, k)
-        n_eval += 1
-    return total / n_eval if n_eval else 0.0
+    def user_vectors(rows):
+        return filt.user_tower.forward(
+            np.concatenate([backbone.user_emb[rows], hist_means[rows]], axis=1))
+
+    return ranked_validation_ndcg(
+        split, users, user_vectors,
+        lambda warm: filt.item_tower.forward(content_matrix[warm]),
+        backbone.n_users, k)
 
 
 def _epoch_pairs_with_negatives(rng, positives, warm_items, observed):

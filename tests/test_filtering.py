@@ -41,6 +41,15 @@ def brute_force_topk(scores, k):
     return pairs[:k]
 
 
+def lexsort_rank(scores, ids=None, k=None):
+    """One row, one full lexsort: the ranker the batched kernel replaced."""
+    scores = np.asarray(scores)
+    ids = np.arange(len(scores)) if ids is None else np.asarray(ids)
+    order = np.lexsort((ids, -scores))
+    ranked = ids[order]
+    return ranked if k is None else ranked[:k]
+
+
 def random_filter(rng, variant="B", backbone_dim=6, content_dim=5,
                   hidden=7, out=4):
     return TwoTowerFilter.init(variant, backbone_dim, content_dim,
