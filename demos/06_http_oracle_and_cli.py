@@ -13,7 +13,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from coldsim import HttpOracle, UserContext, query_oracle
+from coldsim import HttpOracle, UserContext
 from coldsim.synthetic import make_two_cluster_dataset
 
 
@@ -44,7 +44,7 @@ oracle = HttpOracle(url, timeout=5)
 ctx = UserContext(user=0, items=[1, 2], texts=["astro astro notes1",
                                                "astro astro notes2"])
 for item_text in ("astro astro notes9", "fjord fjord notes40"):
-    decision = query_oracle(oracle, ctx, item_text, item=9)
+    decision = oracle.decide(ctx.user, 9, ctx, item_text)
     print(f"  {item_text!r} -> {decision.raw} ({decision.latency * 1e3:.1f} ms)")
 server.shutdown()
 

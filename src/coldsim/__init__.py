@@ -14,7 +14,7 @@ from .backbone import (BackboneConfig, BackboneModel, BprTriple,
 from .config import default_config, fingerprint, load_config, resolve_seeds
 from .content import (FileContentProvider, HttpContentProvider,
                       MockContentProvider, ProviderError, VectorCache,
-                      embed_content, mock_embed, warm_cache)
+                      mock_embed, warm_cache)
 from .corpus import (ColdWarmSplit, InteractionLog, ItemCatalog,
                      load_citeulike, load_movielens, make_cold_split)
 from .evaluation import (AdoptionStats, EvalReport, adoption_rate, evaluate,
@@ -32,8 +32,8 @@ from .refiner import (DecisionLog, FinetuneRecord, HttpOracle, OracleDecision,
                       OracleError, OracleParseError, PlantedOracle,
                       SimulateConfig, SimulationResult, ThresholdOracle,
                       UserContext, build_context, parse_yes_no,
-                      prepare_finetune_data, query_oracle, refine,
-                      render_prompt, simulate_for_item)
+                      prepare_finetune_data, refine, render_prompt,
+                      simulate_for_item)
 from .warmup import (ColdEmbeddingResult, WarmupConfig, init_cold_embedding,
                      optimize_cold_embedding, warm_all_cold)
 

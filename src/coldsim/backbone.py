@@ -184,22 +184,24 @@ def score(model: BackboneModel, u: int, i: int) -> float:
 
 
 def _epoch_triples(rng, positives, warm_items, observed, max_rejects=100):
-    """One negative per observed positive, positives visited in random order."""
+    """One negative per observed positive, positives visited in random order.
+
+    The epoch sampler of the backbone and of both filters.  A positive whose
+    user rejects ``max_rejects`` uniform warm items is skipped.
+    """
     order = rng.permutation(len(positives))
-    out = np.empty((len(positives), 3), dtype=np.int64)
-    n_out = 0
-    skipped = 0
+    triples = []
     for k in order:
         u, i = positives[k]
-        j = _sample_negative(rng, u, warm_items, observed, max_rejects)
-        if j is None:
-            skipped += 1
-            continue
-        out[n_out] = (u, i, j)
-        n_out += 1
+        for _ in range(max_rejects):
+            j = int(warm_items[rng.integers(len(warm_items))])
+            if (u, j) not in observed:
+                triples.append((u, i, j))
+                break
+    skipped = len(positives) - len(triples)
     if skipped:
         logger.warning("epoch sampling skipped %d exhausted positives", skipped)
-    return out[:n_out]
+    return np.asarray(triples, dtype=np.int64).reshape(-1, 3)
 
 
 def ranked_validation_ndcg(split: ColdWarmSplit, users, user_vectors,

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import config as config_mod
-from . import filtering, pipeline, refiner, store, warmup
-from .backbone import BackboneModel, train_backbone
+from . import pipeline, store, warmup
+from .backbone import BackboneModel
 from .content import (FileContentProvider, HttpContentProvider,
                       MockContentProvider, VectorCache, warm_cache)
 from .corpus import (ColdWarmSplit, InteractionLog, ItemCatalog,
@@ -122,15 +122,11 @@ def _assemble_pipeline(out: Path, cfg) -> pipeline.Pipeline:
     log, catalog = _load_dataset(out)
     split = _load_split(out)
     backbone = _load_backbone(out)
-    cache = _load_cache(out)
-    content_matrix = cache.matrix(log.n_items)
+    content_matrix = _load_cache(out).matrix(log.n_items)
     pipe = pipeline.Pipeline(log=log, catalog=catalog, split=split,
                              backbone=backbone, content_matrix=content_matrix,
-                             train_items=split.train_items_of(log.n_users))
-    pipe.hist_means = filtering.history_content_means(pipe.train_items,
-                                                      content_matrix)
-    pipe.filter_b = _load_filter(out, "B", required=False)
-    pipe.filter_l = _load_filter(out, "L", required=False)
+                             filter_b=_load_filter(out, "B", required=False),
+                             filter_l=_load_filter(out, "L", required=False))
     pipe.oracle = pipeline.make_oracle(cfg, content_matrix)
     return pipe
 
@@ -211,8 +207,7 @@ def cmd_train_backbone(args, cfg) -> int:
     out = _workdir(args)
     log, _ = _load_dataset(out)
     split = _load_split(out)
-    model = train_backbone(split, pipeline.backbone_config_from(cfg),
-                           n_users=log.n_users, n_items=log.n_items)
+    model = pipeline.fit_backbone(split, log, cfg)
     model.save(out)
     meta = {"dim": model.dim, "trained_epochs": model.trained_epochs,
             "fingerprint": config_mod.fingerprint(cfg)}
@@ -235,25 +230,9 @@ def cmd_cache_content(args, cfg) -> int:
 
 def cmd_train_filter(args, cfg) -> int:
     out = _workdir(args)
-    pipe = _assemble_pipeline(out, cfg)
     variant = args.variant
-    fcfg = pipeline.filter_config_from(cfg, seed_shift=0 if variant == "B" else 1)
-    filt = TwoTowerFilter.init(variant, pipe.backbone.dim,
-                               pipe.content_matrix.shape[1],
-                               hidden=cfg["filter"]["hidden"],
-                               out=cfg["filter"]["out"],
-                               seed=cfg["filter"]["seed"] + (0 if variant == "B" else 100))
-    if variant == "B":
-        filt, history = filtering.train_behavior_filter(
-            filt, pipe.backbone, pipe.content_matrix, pipe.split, fcfg)
-    else:
-        if pipe.filter_b is None:
-            raise ValueError("train filter B before filter L (its item tower "
-                             "builds the oracle contexts)")
-        labeler = pipeline.oracle_labeler(pipe, pipe.oracle,
-                                          cfg["refiner"]["context_len"])
-        filt, history = filtering.train_coupled_filter(
-            filt, pipe.backbone, pipe.content_matrix, pipe.split, labeler, fcfg)
+    pipe = _assemble_pipeline(out, cfg)
+    filt, history = pipeline.train_filter(pipe, variant, cfg)
     filt.save(out / f"filter_{variant}",
               train_config={**cfg["filter"], "variant": variant})
     best = max((h["val_ndcg"] for h in history), default=0.0)
@@ -304,12 +283,7 @@ def cmd_warmup(args, cfg) -> int:
     out = _workdir(args)
     pipe = _assemble_pipeline(out, cfg)
     sims = _load_simulations(out)
-    model, report = warmup.warm_all_cold(pipe.split, sims, pipe.backbone,
-                                         pipeline.warmup_config_from(cfg),
-                                         filt_b=pipe.filter_b,
-                                         content_matrix=pipe.content_matrix)
-    if cfg["warmup"]["retrain_with_simulated"]:
-        model = pipeline.retrain_with_simulated(pipe, sims, cfg, model)
+    model, report = pipeline.warm_with_report(pipe, sims, cfg)
     store.save_table(out / "warmed_item.cemb", model.item_emb)
     warmup.save_warmup_report(out / "warmup_report.json", report)
     n_done = sum(1 for r in report if "skipped" not in r)

@@ -5,11 +5,22 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
+
+from .backbone import BackboneConfig
+from .filtering import FilterTrainConfig
+from .refiner import SimulateConfig
+from .warmup import WarmupConfig
 
 
 def default_config() -> dict:
-    """Every tunable with its default; the template behind ``default-config``."""
+    """Every tunable with its default; the template behind ``default-config``.
+
+    The backbone, filter, refiner and warmup sections take their defaults
+    from the dataclasses that hold them; only keys no dataclass holds are
+    spelled out here.  Section seeds are null until :func:`resolve_seeds`.
+    """
     return {
         "seed": 0,
         "data": {
@@ -19,18 +30,7 @@ def default_config() -> dict:
             "cold_frac": 0.2,
             "seed": None,
         },
-        "backbone": {
-            "dim": 200,
-            "lr": 1e-3,
-            "optimizer": "sgd",
-            "l2": 0.0,
-            "max_epochs": 500,
-            "patience": 10,
-            "batch_size": 1024,
-            "eval_users": 2000,
-            "eval_k": 20,
-            "seed": None,
-        },
+        "backbone": {**asdict(BackboneConfig()), "seed": None},
         "content": {
             "provider": "mock",
             "dim": 256,
@@ -40,43 +40,21 @@ def default_config() -> dict:
             "retries": 3,
             "max_inflight": 8,
         },
-        "filter": {
-            "hidden": 200,
-            "out": 200,
-            "lr": 1e-5,
-            "batch_size": 128,
-            "optimizer": "adamw",
-            "weight_decay": 0.0,
-            "max_epochs": 100,
-            "patience": 10,
-            "coupled_weight": 1.0,
-            "label_pairs": None,
-            "eval_users": 2000,
-            "eval_k": 20,
-            "seed": None,
-        },
+        "filter": {"hidden": 200, "out": 200, **asdict(FilterTrainConfig()),
+                   "seed": None},
         "refiner": {
             "oracle": "mock-threshold",
             "tau": 0.3,
             "endpoint": None,
             "chat": False,
-            "k": 20,
-            "context_len": 10,
-            "fallback_to_top1": True,
-            "max_inflight": 8,
             "retries": 3,
             "timeout": 30.0,
             "finetune_mode": "offline",
             "finetune_positives": None,
+            **asdict(SimulateConfig()),
         },
-        "warmup": {
-            "lr": 1e-3,
-            "steps": 100,
-            "negatives_per_positive": 1,
-            "init": "user-mean",
-            "retrain_with_simulated": False,
-            "seed": None,
-        },
+        "warmup": {**asdict(WarmupConfig()), "retrain_with_simulated": False,
+                   "seed": None},
         "eval": {
             "k": 20,
             "users": 2000,

@@ -122,39 +122,51 @@ class HttpContentProvider:
         self.retries = retries
         self.backoff = backoff
 
-    def embed(self, text: str, key: int | None = None) -> np.ndarray:
-        import requests
+    def _vector(self, doc: dict) -> np.ndarray:
+        vec = np.asarray(doc["vector"], dtype=np.float64)
+        if vec.ndim != 1 or vec.size == 0:
+            raise ProviderError("embed service returned a non-vector")
+        if self.dim is None:
+            self.dim = vec.size
+        elif vec.size != self.dim:
+            raise ProviderError(f"vector width changed: {vec.size} != {self.dim}")
+        return vec
 
+    def embed(self, text: str, key: int | None = None) -> np.ndarray:
         if not text:
             raise ValueError("cannot embed empty text")
-        last = None
-        for attempt in range(self.retries):
-            try:
-                resp = requests.post(self.url, json={"text": text},
-                                     timeout=self.timeout)
-                if resp.status_code != 200:
-                    raise ProviderError(f"embed service returned {resp.status_code}")
-                vec = np.asarray(resp.json()["vector"], dtype=np.float64)
-                if vec.ndim != 1 or vec.size == 0:
-                    raise ProviderError("embed service returned a non-vector")
-                if self.dim is None:
-                    self.dim = vec.size
-                elif vec.size != self.dim:
-                    raise ProviderError(f"vector width changed: {vec.size} != {self.dim}")
-                return vec
-            except (ProviderError, requests.RequestException, ValueError,
-                    KeyError) as exc:
-                last = exc
-                if attempt + 1 < self.retries:
-                    time.sleep(self.backoff * 2 ** attempt)
-        raise ProviderError(f"embedding failed after {self.retries} attempts: {last}")
+        return post_with_retries(self.url, {"text": text}, self._vector,
+                                 ProviderError, "embed service",
+                                 timeout=self.timeout, retries=self.retries,
+                                 backoff=self.backoff)
 
 
-def embed_content(provider, text: str, key: int | None = None) -> np.ndarray:
-    """Fetch a raw content vector for ``text`` from any provider kind."""
-    if not text:
-        raise ValueError("cannot embed empty text")
-    return provider.embed(text, key=key)
+def post_with_retries(url: str, body: dict, parse, error: type[Exception],
+                      service: str, *, timeout: float, retries: int,
+                      backoff: float):
+    """POST ``body`` as JSON and return ``parse`` of the decoded answer.
+
+    Transport errors, non-200 answers and malformed bodies (``parse`` or
+    the decoding raising ``error``, ValueError, KeyError, IndexError or
+    TypeError) are retried up to ``retries`` attempts with exponential
+    backoff, then raised as ``error``.  Any other exception propagates at
+    once.
+    """
+    import requests
+
+    last = None
+    for attempt in range(retries):
+        try:
+            resp = requests.post(url, json=body, timeout=timeout)
+            if resp.status_code != 200:
+                raise error(f"{service} returned {resp.status_code}")
+            return parse(resp.json())
+        except (error, requests.RequestException, ValueError, KeyError,
+                IndexError, TypeError) as exc:
+            last = exc
+        if attempt + 1 < retries:
+            time.sleep(backoff * 2 ** attempt)
+    raise error(f"{service} failed after {retries} attempts: {last}")
 
 
 class VectorCache:

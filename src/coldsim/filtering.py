@@ -23,7 +23,8 @@ import numpy as np
 from scipy.special import expit
 
 from . import store
-from .backbone import BackboneModel, DivergenceError, ranked_validation_ndcg
+from .backbone import (BackboneModel, DivergenceError, _epoch_triples,
+                       ranked_validation_ndcg)
 from .corpus import ColdWarmSplit
 from .metrics import rank_by_score
 
@@ -391,19 +392,6 @@ def filter_validation_ndcg(filt: TwoTowerFilter, backbone: BackboneModel,
         backbone.n_users, k)
 
 
-def _epoch_pairs_with_negatives(rng, positives, warm_items, observed):
-    order = rng.permutation(len(positives))
-    triples = []
-    for idx in order:
-        u, i = positives[idx]
-        for _ in range(100):
-            j = int(warm_items[rng.integers(len(warm_items))])
-            if (u, j) not in observed:
-                triples.append((u, i, j))
-                break
-    return np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-
-
 def _run_filter_training(filt, backbone, content_matrix, hist_means, split,
                          config, batch_fn):
     """Shared epoch loop: batches, optimizer step, NDCG early stop."""
@@ -467,7 +455,7 @@ def train_behavior_filter(filt: TwoTowerFilter, backbone: BackboneModel,
         split.train_items_of(backbone.n_users), content_matrix)
 
     def batches(rng, user_inputs):
-        triples = _epoch_pairs_with_negatives(rng, positives, warm, observed)
+        triples = _epoch_triples(rng, positives, warm, observed)
         for start in range(0, len(triples), config.batch_size):
             b = triples[start:start + config.batch_size]
             yield behavior_bpr_batch(filt, user_inputs[b[:, 0]],
@@ -544,7 +532,7 @@ def train_coupled_filter(filt: TwoTowerFilter, backbone: BackboneModel,
 
     def batches(rng, user_inputs):
         order = rng.permutation(len(labeled_arr))
-        triples = _epoch_pairs_with_negatives(rng, positives, warm, observed)
+        triples = _epoch_triples(rng, positives, warm, observed)
         n_batches = max(1, int(np.ceil(len(order) / config.batch_size)))
         for bi in range(n_batches):
             sel = labeled_arr[order[bi * config.batch_size:(bi + 1) * config.batch_size]]

@@ -1,14 +1,15 @@
 """End-to-end orchestration: train all stages, simulate, warm, evaluate.
 
 Also hosts the ablation variants and the parameter sweep.  Components are
-assembled from a config dict (see :mod:`coldsim.config`); any stage can be
-swapped for a pre-trained artifact by the CLI.
+assembled from a config dict (see :mod:`coldsim.config`).  This module is
+the one place that trains filters and reads config sections into their
+dataclasses; the CLI only loads and saves the artifacts around it.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,7 +28,12 @@ ABLATION_VARIANTS = ("full", "no-lsf-r", "no-bf-r", "no-lsf", "no-bf", "no-r")
 
 @dataclass
 class Pipeline:
-    """Trained components of one experiment."""
+    """Trained components of one experiment.
+
+    ``train_items`` (each user's warm-train items) and ``hist_means`` (each
+    user's mean history content vector) are derived from the split and the
+    content matrix.
+    """
 
     log: InteractionLog
     catalog: ItemCatalog
@@ -37,8 +43,13 @@ class Pipeline:
     filter_b: TwoTowerFilter | None = None
     filter_l: TwoTowerFilter | None = None
     oracle: object | None = None
-    train_items: list = field(default_factory=list)
-    hist_means: np.ndarray | None = None
+    train_items: list = field(init=False)
+    hist_means: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.train_items = self.split.train_items_of(self.log.n_users)
+        self.hist_means = filtering.history_content_means(self.train_items,
+                                                          self.content_matrix)
 
     def user_vectors(self, filt: TwoTowerFilter) -> np.ndarray:
         return filtering.user_filter_vectors(filt, self.backbone.user_emb,
@@ -49,39 +60,15 @@ class Pipeline:
         return filt.item_tower.forward(self.content_matrix)
 
 
-def backbone_config_from(cfg: dict) -> BackboneConfig:
-    b = cfg["backbone"]
-    return BackboneConfig(dim=b["dim"], lr=b["lr"], optimizer=b["optimizer"],
-                          l2=b["l2"], max_epochs=b["max_epochs"],
-                          patience=b["patience"], batch_size=b["batch_size"],
-                          eval_users=b["eval_users"], eval_k=b["eval_k"],
-                          seed=b["seed"])
+def section_config(cls, section: dict):
+    """A config dataclass filled from the same-named keys of a config section."""
+    return cls(**{f.name: section[f.name] for f in fields(cls)})
 
 
-def filter_config_from(cfg: dict, seed_shift: int = 0) -> FilterTrainConfig:
-    f = cfg["filter"]
-    return FilterTrainConfig(lr=f["lr"], batch_size=f["batch_size"],
-                             max_epochs=f["max_epochs"], patience=f["patience"],
-                             optimizer=f["optimizer"],
-                             weight_decay=f["weight_decay"],
-                             coupled_weight=f["coupled_weight"],
-                             label_pairs=f["label_pairs"],
-                             eval_users=f["eval_users"], eval_k=f["eval_k"],
-                             seed=f["seed"] + seed_shift)
-
-
-def warmup_config_from(cfg: dict) -> warmup.WarmupConfig:
-    w = cfg["warmup"]
-    return warmup.WarmupConfig(lr=w["lr"], steps=w["steps"],
-                               negatives_per_positive=w["negatives_per_positive"],
-                               init=w["init"], seed=w["seed"])
-
-
-def simulate_config_from(cfg: dict) -> SimulateConfig:
-    r = cfg["refiner"]
-    return SimulateConfig(k=r["k"], context_len=r["context_len"],
-                          fallback_to_top1=r["fallback_to_top1"],
-                          max_inflight=r["max_inflight"])
+def fit_backbone(split: ColdWarmSplit, log: InteractionLog, cfg: dict) -> BackboneModel:
+    """Train the backbone on ``split`` under the backbone config section."""
+    return train_backbone(split, section_config(BackboneConfig, cfg["backbone"]),
+                          n_users=log.n_users, n_items=log.n_items)
 
 
 def make_oracle(cfg: dict, content_matrix: np.ndarray,
@@ -106,29 +93,51 @@ def make_oracle(cfg: dict, content_matrix: np.ndarray,
 def oracle_labeler(pipe: Pipeline, oracle, top_l: int):
     """Adapter giving the coupled-filter trainer per-pair oracle labels.
 
-    Contexts come from the coupled filter when present, otherwise from the
-    behavior filter; its item vectors are computed once, here.
+    Contexts always come from the behavior filter, whose item vectors are
+    computed once, here; a coupled filter already on the pipeline never
+    labels its successor.
     """
-    context_filter = pipe.filter_l if pipe.filter_l is not None else pipe.filter_b
-    if context_filter is None:
-        raise ValueError("oracle labels need a trained filter to build contexts")
-    item_vectors = pipe.item_vectors(context_filter)
+    if pipe.filter_b is None:
+        raise ValueError("oracle labels need a trained filter B to build "
+                         "contexts: train filter B before filter L")
+    item_vectors = pipe.item_vectors(pipe.filter_b)
 
     def label(u: int, i: int) -> int:
         ctx = refiner.build_context(u, item_vectors[i], item_vectors,
                                     pipe.train_items[u], pipe.catalog, top_l)
-        decision = refiner.query_oracle(oracle, ctx, pipe.catalog.title(i), i)
-        return decision.value
+        return oracle.decide(u, i, ctx, pipe.catalog.title(i)).value
 
     return label
+
+
+def train_filter(pipe: Pipeline, variant: str, cfg: dict):
+    """Initialise and train filter ``variant`` ("B" or "L"); (filter, history).
+
+    The one filter recipe that :func:`build_pipeline` and the CLI share.
+    Filter L starts from the filter seed plus 100, trains under the filter
+    seed plus 1, and learns from ``pipe.oracle``'s labels on contexts built
+    by filter B.
+    """
+    f = cfg["filter"]
+    init_shift, train_shift = (100, 1) if variant == "L" else (0, 0)
+    filt = TwoTowerFilter.init(variant, pipe.backbone.dim,
+                               pipe.content_matrix.shape[1], hidden=f["hidden"],
+                               out=f["out"], seed=f["seed"] + init_shift)
+    train_cfg = section_config(FilterTrainConfig,
+                               {**f, "seed": f["seed"] + train_shift})
+    if variant == "B":
+        return filtering.train_behavior_filter(
+            filt, pipe.backbone, pipe.content_matrix, pipe.split, train_cfg)
+    labeler = oracle_labeler(pipe, pipe.oracle, cfg["refiner"]["context_len"])
+    return filtering.train_coupled_filter(
+        filt, pipe.backbone, pipe.content_matrix, pipe.split, labeler, train_cfg)
 
 
 def build_pipeline(log: InteractionLog, catalog: ItemCatalog,
                    split: ColdWarmSplit, cfg: dict, oracle=None,
                    planted_pairs=None, variants=("B", "L")) -> Pipeline:
     """Train backbone, content cache (mock provider), and both filters."""
-    backbone = train_backbone(split, backbone_config_from(cfg),
-                              n_users=log.n_users, n_items=log.n_items)
+    backbone = fit_backbone(split, log, cfg)
     provider = MockContentProvider(dim=cfg["content"]["dim"],
                                    hash_seed=cfg["content"]["hash_seed"])
     cache = VectorCache(dim=provider.dim, provider_kind=provider.kind,
@@ -137,33 +146,14 @@ def build_pipeline(log: InteractionLog, catalog: ItemCatalog,
         cache.put(i, provider.embed(text))
     content_matrix = cache.matrix(log.n_items)
 
-    pipe = Pipeline(log=log, catalog=catalog, split=split, backbone=backbone,
-                    content_matrix=content_matrix,
-                    train_items=split.train_items_of(log.n_users))
-    pipe.hist_means = filtering.history_content_means(pipe.train_items,
-                                                      content_matrix)
     if oracle is None:
         oracle = make_oracle(cfg, content_matrix, planted_pairs)
-    pipe.oracle = oracle
-
+    pipe = Pipeline(log=log, catalog=catalog, split=split, backbone=backbone,
+                    content_matrix=content_matrix, oracle=oracle)
     if "B" in variants:
-        filt_b = TwoTowerFilter.init("B", backbone.dim, content_matrix.shape[1],
-                                     hidden=cfg["filter"]["hidden"],
-                                     out=cfg["filter"]["out"],
-                                     seed=cfg["filter"]["seed"])
-        filt_b, _ = filtering.train_behavior_filter(
-            filt_b, backbone, content_matrix, split, filter_config_from(cfg))
-        pipe.filter_b = filt_b
+        pipe.filter_b, _ = train_filter(pipe, "B", cfg)
     if "L" in variants:
-        filt_l = TwoTowerFilter.init("L", backbone.dim, content_matrix.shape[1],
-                                     hidden=cfg["filter"]["hidden"],
-                                     out=cfg["filter"]["out"],
-                                     seed=cfg["filter"]["seed"] + 100)
-        labeler = oracle_labeler(pipe, oracle, cfg["refiner"]["context_len"])
-        filt_l, _ = filtering.train_coupled_filter(
-            filt_l, backbone, content_matrix, split, labeler,
-            filter_config_from(cfg, seed_shift=1))
-        pipe.filter_l = filt_l
+        pipe.filter_l, _ = train_filter(pipe, "L", cfg)
     return pipe
 
 
@@ -171,7 +161,7 @@ def simulate_all(pipe: Pipeline, cfg: dict, use_b: bool = True,
                  use_l: bool = True, skip_refine: bool = False,
                  decision_log: DecisionLog | None = None) -> dict[int, SimulationResult]:
     """Run the funnel for every cold item."""
-    sim_cfg = simulate_config_from(cfg)
+    sim_cfg = section_config(SimulateConfig, cfg["refiner"])
     filt_b = pipe.filter_b if use_b else None
     filt_l = pipe.filter_l if use_l else None
     if filt_b is None and filt_l is None:
@@ -191,18 +181,28 @@ def simulate_all(pipe: Pipeline, cfg: dict, use_b: bool = True,
     return results
 
 
-def warm_from_simulations(pipe: Pipeline, simulations, cfg: dict) -> BackboneModel:
-    model, _ = warmup.warm_all_cold(pipe.split, simulations, pipe.backbone,
-                                    warmup_config_from(cfg),
-                                    filt_b=pipe.filter_b,
-                                    content_matrix=pipe.content_matrix)
+def warm_with_report(pipe: Pipeline, simulations,
+                     cfg: dict) -> tuple[BackboneModel, list[dict]]:
+    """Warm every cold item; the warmed model and the per-item warmup report.
+
+    With ``warmup.retrain_with_simulated`` the model is instead a backbone
+    retrained on warm-train plus the simulated pairs.
+    """
+    model, report = warmup.warm_all_cold(
+        pipe.split, simulations, pipe.backbone,
+        section_config(warmup.WarmupConfig, cfg["warmup"]),
+        filt_b=pipe.filter_b, content_matrix=pipe.content_matrix)
     if cfg["warmup"]["retrain_with_simulated"]:
-        model = retrain_with_simulated(pipe, simulations, cfg, model)
-    return model
+        model = retrain_with_simulated(pipe, simulations, cfg)
+    return model, report
 
 
-def retrain_with_simulated(pipe: Pipeline, simulations, cfg: dict,
-                           warmed: BackboneModel) -> BackboneModel:
+def warm_from_simulations(pipe: Pipeline, simulations, cfg: dict) -> BackboneModel:
+    """The warmed model of :func:`warm_with_report`."""
+    return warm_with_report(pipe, simulations, cfg)[0]
+
+
+def retrain_with_simulated(pipe: Pipeline, simulations, cfg: dict) -> BackboneModel:
     """Optional offline enrichment: append simulated pairs to warm-train and retrain."""
     extra = [(u, item) for item, sim in sorted(simulations.items())
              for u in sim.users]
@@ -215,9 +215,7 @@ def retrain_with_simulated(pipe: Pipeline, simulations, cfg: dict,
         warm_val=split.warm_val, warm_test=split.warm_test,
         cold_val=split.cold_val, cold_test=split.cold_test,
         seed=split.seed, cold_frac=split.cold_frac)
-    model = train_backbone(enriched, backbone_config_from(cfg),
-                           n_users=pipe.log.n_users, n_items=pipe.log.n_items)
-    return model
+    return fit_backbone(enriched, pipe.log, cfg)
 
 
 def run_ablation(variant: str, pipe: Pipeline, cfg: dict,

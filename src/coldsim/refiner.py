@@ -20,6 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .backbone import _sample_negative
+from .content import post_with_retries
 from .corpus import ColdWarmSplit, ItemCatalog
 from .filtering import CandidateSet, TwoTowerFilter, funnel_filter
 
@@ -162,34 +164,23 @@ class HttpOracle:
         self.backoff = backoff
         self.chat = chat
 
-    def _post(self, prompt: str) -> str:
-        import requests
+    def _answer(self, doc: dict) -> str:
+        if not self.chat:
+            return doc["answer"]
+        if "messages" in doc:
+            return doc["messages"][0]["content"]
+        if "choices" in doc:
+            return doc["choices"][0]["message"]["content"]
+        raise OracleError("chat response carries no messages")
 
+    def _post(self, prompt: str) -> str:
         if self.chat:
             body = {"messages": [{"role": "user", "content": prompt}]}
         else:
             body = {"prompt": prompt}
-        last = None
-        for attempt in range(self.retries):
-            try:
-                resp = requests.post(self.url, json=body, timeout=self.timeout)
-                if resp.status_code != 200:
-                    raise OracleError(f"oracle returned {resp.status_code}")
-                doc = resp.json()
-                if self.chat:
-                    if "messages" in doc:
-                        return doc["messages"][0]["content"]
-                    if "choices" in doc:
-                        return doc["choices"][0]["message"]["content"]
-                    raise OracleError("chat response carries no messages")
-                return doc["answer"]
-            except OracleError as exc:
-                last = exc
-            except Exception as exc:  # noqa: BLE001 - transport/json errors retry
-                last = OracleError(str(exc))
-            if attempt + 1 < self.retries:
-                time.sleep(self.backoff * 2 ** attempt)
-        raise OracleError(f"oracle failed after {self.retries} attempts: {last}")
+        return post_with_retries(self.url, body, self._answer, OracleError,
+                                 "oracle", timeout=self.timeout,
+                                 retries=self.retries, backoff=self.backoff)
 
     def decide(self, user: int, item: int, context: UserContext,
                item_text: str) -> OracleDecision:
@@ -199,12 +190,6 @@ class HttpOracle:
         latency = time.perf_counter() - start
         return OracleDecision(value=parse_yes_no(answer), raw=answer,
                               latency=latency)
-
-
-def query_oracle(client, context: UserContext, item_text: str,
-                 item: int) -> OracleDecision:
-    """One yes/no judgment for (context.user, item)."""
-    return client.decide(context.user, item, context, item_text)
 
 
 class DecisionLog:
@@ -282,7 +267,7 @@ def _decide_all(client, item: int, item_text: str,
     """
     def decide(ctx):
         try:
-            return query_oracle(client, ctx, item_text, item)
+            return client.decide(ctx.user, item, ctx, item_text)
         except OracleError as exc:
             return exc
 
@@ -435,10 +420,9 @@ def prepare_finetune_data(split: ColdWarmSplit, catalog: ItemCatalog,
                               completion=completion)
 
     def sample_unobserved(u):
-        for _ in range(100):
-            j = int(warm[rng.integers(len(warm))])
-            if (u, j) not in observed:
-                return j
+        j = _sample_negative(rng, u, warm, observed)
+        if j is not None:
+            return j
         # exact fallback keeps the 1:1 pairing whenever a negative exists
         pool = [int(j) for j in warm if (u, j) not in observed]
         return pool[rng.integers(len(pool))] if pool else None

@@ -33,7 +33,6 @@ class WarmupConfig:
     negatives_per_positive: int = 1
     init: str = "user-mean"
     seed: int = 0
-    skip_missing: bool = True
 
 
 @dataclass
@@ -130,8 +129,8 @@ def warm_all_cold(split: ColdWarmSplit, simulations: dict[int, SimulationResult]
     """Replace every cold item row with its optimized embedding.
 
     Warm rows and the user table are carried over bitwise.  Cold items
-    without a simulation (or with an empty one) are reported and skipped
-    when ``skip_missing`` is set, otherwise raised.  Items whose simulation
+    without a simulation (or with an empty one) are reported and skipped,
+    keeping their backbone row.  Items whose simulation
     fell back to the top filtered candidate use the filter-map
     initialization when the behavior filter is available.
 
@@ -148,8 +147,6 @@ def warm_all_cold(split: ColdWarmSplit, simulations: dict[int, SimulationResult]
         sim = simulations.get(item)
         if sim is None or not sim.users:
             msg = "missing simulation" if sim is None else "empty simulation"
-            if not config.skip_missing:
-                raise ValueError(f"cold item {item}: {msg}")
             logger.warning("cold item %d skipped: %s", item, msg)
             report.append({"item": item, "skipped": msg})
             continue

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from coldsim.backbone import (BackboneConfig, BackboneModel, bpr_loss,
-                              bpr_step, init_embeddings, sample_bpr_triples,
-                              score, train_backbone)
+from coldsim.backbone import (BackboneConfig, BackboneModel, _epoch_triples,
+                              bpr_loss, bpr_step, init_embeddings,
+                              sample_bpr_triples, score, train_backbone)
 from coldsim.corpus import InteractionLog, make_cold_split
 
 from conftest import tiny_cluster_setup
@@ -75,6 +75,54 @@ class TestSampleTriples:
         counts = np.bincount([t.neg for t in triples], minlength=11)[1:]
         _, p = stats.chisquare(counts)
         assert p > 0.01
+
+
+def epoch_pairs_with_negatives(rng, positives, warm_items, observed):
+    """The filter trainers' former epoch sampler, kept as the reference."""
+    order = rng.permutation(len(positives))
+    triples = []
+    for idx in order:
+        u, i = positives[idx]
+        for _ in range(100):
+            j = int(warm_items[rng.integers(len(warm_items))])
+            if (u, j) not in observed:
+                triples.append((u, i, j))
+                break
+    return np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+
+
+class TestEpochTriples:
+    def setup_positives(self):
+        # the planted split plus one extra user who read every warm item
+        data, split = tiny_cluster_setup(seed=4)
+        exhausted = data.log.n_users
+        positives = list(split.warm_train) + [(exhausted, i)
+                                              for i in split.warm_items]
+        warm = np.asarray(split.warm_items, dtype=np.int64)
+        return positives, warm, set(positives), exhausted
+
+    @pytest.mark.parametrize("seed", [0, 1, 9])
+    def test_equals_former_filter_sampler(self, seed):
+        positives, warm, observed, _ = self.setup_positives()
+        got = _epoch_triples(np.random.default_rng(seed), positives, warm,
+                             observed)
+        ref = epoch_pairs_with_negatives(np.random.default_rng(seed),
+                                         positives, warm, observed)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    def test_exhausted_user_skipped_with_warning(self, caplog):
+        positives, warm, observed, exhausted = self.setup_positives()
+        triples = _epoch_triples(np.random.default_rng(0), positives, warm,
+                                 observed)
+        assert exhausted not in triples[:, 0]
+        assert len(triples) == len(positives) - len(warm)
+        assert all((u, j) not in observed for u, _, j in triples.tolist())
+        assert f"skipped {len(warm)} exhausted positives" in caplog.text
+
+    def test_empty(self):
+        triples = _epoch_triples(np.random.default_rng(0), [], np.arange(3),
+                                 set())
+        assert triples.shape == (0, 3)
 
 
 class TestBprStep:

@@ -150,6 +150,32 @@ class TestChain:
         assert len(sweep_lines) == 3  # header + 2 values
 
 
+class TestRetrainFilter:
+    def test_filter_l_rerun_byte_identical(self, tmp_path):
+        # filter L's oracle labels take contexts from filter B, never from
+        # the filter L a first run left on disk
+        corpus = write_corpus_from_planted(tmp_path / "corpus")
+        config = fast_config(tmp_path)
+        doc = json.loads(config.read_text())
+        doc["refiner"]["context_len"] = 1
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "run"
+        base = ["--config", str(config), "--seed", "7", "--out", str(out)]
+        assert main(base + ["ingest", "--dataset", "citeulike",
+                            "--path", str(corpus)]) == 0
+        for cmd in (["split"], ["train-backbone"], ["cache-content"]):
+            assert main(base + cmd) == 0
+        assert main(base + ["train-filter", "--variant", "L"]) == 1
+        for variant in ("B", "L"):
+            assert main(base + ["train-filter", "--variant", variant]) == 0
+        first = {p.name: p.read_bytes() for p in (out / "filter_L").iterdir()}
+        assert main(base + ["train-filter", "--variant", "L"]) == 0
+        again = {p.name: p.read_bytes() for p in (out / "filter_L").iterdir()}
+        assert sorted(again) == sorted(first)
+        for name, data in first.items():
+            assert again[name] == data, name
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
         corpus = write_corpus_from_planted(tmp_path / "corpus")

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from coldsim.content import (FileContentProvider, HttpContentProvider,
                              MockContentProvider, ProviderError, VectorCache,
-                             embed_content, fnv1a64, mock_embed, warm_cache)
+                             fnv1a64, mock_embed, warm_cache)
 from coldsim.corpus import ItemCatalog
 
 
@@ -63,20 +63,20 @@ class TestMockEmbed:
 class TestEmbedContent:
     def test_mock_deterministic(self):
         provider = MockContentProvider(dim=64)
-        a = embed_content(provider, "deep learning")
-        b = embed_content(provider, "deep learning")
+        a = provider.embed("deep learning")
+        b = provider.embed("deep learning")
         assert np.array_equal(a, b)
 
     def test_empty_text(self):
         with pytest.raises(ValueError):
-            embed_content(MockContentProvider(dim=8), "")
+            MockContentProvider(dim=8).embed("")
 
     def test_file_provider_round_trip(self, tmp_path):
         cache = VectorCache(dim=16, provider_kind="mock", hash_seed=0)
         cache.put(3, mock_embed("three", 16))
         cache.save(tmp_path / "vecs.cemb")
         provider = FileContentProvider(tmp_path / "vecs.cemb")
-        got = embed_content(provider, "ignored text", key=3)
+        got = provider.embed("ignored text", key=3)
         assert np.array_equal(got.astype(np.float32), cache.get(3))
 
     def test_file_provider_unknown_key(self, tmp_path):
@@ -85,7 +85,7 @@ class TestEmbedContent:
         cache.save(tmp_path / "vecs.cemb")
         provider = FileContentProvider(tmp_path / "vecs.cemb")
         with pytest.raises(KeyError, match="unknown item key"):
-            embed_content(provider, "text", key=99)
+            provider.embed("text", key=99)
 
 
 class _EmbedHandler(BaseHTTPRequestHandler):
@@ -147,6 +147,25 @@ class TestHttpProvider:
                                        retries=2, backoff=0.01)
         with pytest.raises(ProviderError):
             provider.embed("x")
+
+
+class TestProviderPostErrors:
+    def test_programming_error_propagates_at_once(self, monkeypatch):
+        import requests
+
+        calls = []
+
+        def post(*args, **kwargs):
+            calls.append(kwargs["json"])
+            raise RuntimeError("adapter bug")
+
+        monkeypatch.setattr(requests, "post", post)
+        provider = HttpContentProvider("http://embed.invalid/embed",
+                                       retries=3, backoff=0.0)
+        with pytest.raises(RuntimeError, match="adapter bug") as info:
+            provider.embed("x")
+        assert info.type is RuntimeError
+        assert calls == [{"text": "x"}]
 
 
 class CountingProvider(MockContentProvider):

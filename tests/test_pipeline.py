@@ -1,9 +1,14 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from coldsim import evaluation, pipeline
+from coldsim.backbone import BackboneConfig
 from coldsim.config import default_config, resolve_seeds
+from coldsim.filtering import FilterTrainConfig
+from coldsim.refiner import SimulateConfig
+from coldsim.warmup import WarmupConfig
 from coldsim.refiner import PlantedOracle
 from coldsim.synthetic import make_planted_split, make_two_cluster_dataset
 
@@ -106,8 +111,7 @@ class TestAblations:
         stripped = pipeline.Pipeline(
             log=pipe.log, catalog=pipe.catalog, split=pipe.split,
             backbone=pipe.backbone, content_matrix=pipe.content_matrix,
-            filter_b=pipe.filter_b, filter_l=None, oracle=pipe.oracle,
-            train_items=pipe.train_items, hist_means=pipe.hist_means)
+            filter_b=pipe.filter_b, filter_l=None, oracle=pipe.oracle)
         with pytest.raises(ValueError, match="coupled filter"):
             pipeline.run_ablation("no-bf", stripped, cfg)
 
@@ -123,6 +127,70 @@ class TestAblations:
         full = pipeline.run_ablation("full", pipe, cfg)["cold"]
         no_r = pipeline.run_ablation("no-r", pipe, cfg)["cold"]
         assert full.ndcg >= no_r.ndcg
+
+
+def tower_weights(filt):
+    return [w for tower in (filt.user_tower, filt.item_tower)
+            for w in tower.params().values()]
+
+
+class TestTrainFilter:
+    def test_derived_state_matches_split(self, small_pipe):
+        _, split, _, pipe = small_pipe
+        assert pipe.train_items == split.train_items_of(pipe.log.n_users)
+        for u, items in enumerate(pipe.train_items):
+            expected = (pipe.content_matrix[items].mean(axis=0) if items
+                        else np.zeros(pipe.content_matrix.shape[1]))
+            assert np.array_equal(pipe.hist_means[u], expected)
+
+    def test_retrained_l_ignores_existing_l(self, small_pipe):
+        # labels take their contexts from filter B, so a filter L already on
+        # the pipeline (here: B itself in its place) leaves the result as built
+        _, _, cfg, pipe = small_pipe
+        stale = dataclasses.replace(pipe, filter_l=pipe.filter_b.copy())
+        filt, history = pipeline.train_filter(stale, "L", cfg)
+        assert filt.variant == "L" and history
+        for got, built in zip(tower_weights(filt), tower_weights(pipe.filter_l)):
+            assert np.array_equal(got, built)
+
+    def test_retrained_b_matches_build(self, small_pipe):
+        _, _, cfg, pipe = small_pipe
+        filt, _ = pipeline.train_filter(pipe, "B", cfg)
+        for got, built in zip(tower_weights(filt), tower_weights(pipe.filter_b)):
+            assert np.array_equal(got, built)
+
+    def test_l_needs_b(self, small_pipe):
+        _, _, cfg, pipe = small_pipe
+        bare = dataclasses.replace(pipe, filter_b=None)
+        with pytest.raises(ValueError, match="before filter L"):
+            pipeline.train_filter(bare, "L", cfg)
+
+    def test_unknown_variant(self, small_pipe):
+        _, _, cfg, pipe = small_pipe
+        with pytest.raises(ValueError, match="variant"):
+            pipeline.train_filter(pipe, "C", cfg)
+
+
+class TestConfigSections:
+    SECTIONS = ((BackboneConfig, "backbone"), (FilterTrainConfig, "filter"),
+                (SimulateConfig, "refiner"), (WarmupConfig, "warmup"))
+
+    @pytest.mark.parametrize("cls,section", SECTIONS)
+    def test_defaults_come_from_the_dataclass(self, cls, section):
+        cfg = resolve_seeds(default_config(), 0)
+        assert pipeline.section_config(cls, cfg[section]) == cls()
+
+    @pytest.mark.parametrize("cls,section", SECTIONS)
+    def test_reads_every_field(self, cls, section):
+        cfg = tiny_config(seed=4)
+        got = pipeline.section_config(cls, cfg[section])
+        for f in dataclasses.fields(cls):
+            assert getattr(got, f.name) == cfg[section][f.name]
+
+    def test_section_seeds_unresolved_by_default(self):
+        cfg = default_config()
+        for section in ("backbone", "filter", "warmup"):
+            assert cfg[section]["seed"] is None
 
 
 class TestSweep:

@@ -13,7 +13,7 @@ from coldsim.filtering import CandidateSet, TwoTowerFilter, map_item
 from coldsim.refiner import (DecisionLog, HttpOracle, OracleError,
                              OracleParseError, PlantedOracle, SimulateConfig,
                              ThresholdOracle, UserContext, build_context,
-                             parse_yes_no, prepare_finetune_data, query_oracle,
+                             parse_yes_no, prepare_finetune_data,
                              refine, render_prompt, simulate_for_item)
 from conftest import tiny_cluster_setup
 
@@ -157,28 +157,28 @@ class TestOracles:
     def test_planted_membership(self):
         oracle = PlantedOracle({(1, 5), (2, 6)})
         ctx = UserContext(user=1, items=[], texts=[])
-        assert query_oracle(oracle, ctx, "x", 5).value == 1
-        assert query_oracle(oracle, ctx, "x", 6).value == 0
+        assert oracle.decide(ctx.user, 5, ctx, "x").value == 1
+        assert oracle.decide(ctx.user, 6, ctx, "x").value == 0
 
     def test_threshold_self_similarity(self):
         content = np.zeros((2, 4))
         content[0] = content[1] = [1.0, 0, 0, 0]  # identical texts
         oracle = ThresholdOracle(content, tau=0.9)
         ctx = UserContext(user=0, items=[1], texts=["same"])
-        assert query_oracle(oracle, ctx, "same", 0).value == 1
+        assert oracle.decide(ctx.user, 0, ctx, "same").value == 1
 
     def test_threshold_empty_context_is_no(self):
         oracle = ThresholdOracle(np.ones((2, 4)), tau=0.0)
         ctx = UserContext(user=0, items=[], texts=[])
-        assert query_oracle(oracle, ctx, "x", 0).value == 0
+        assert oracle.decide(ctx.user, 0, ctx, "x").value == 0
 
     def test_threshold_deterministic(self):
         rng = np.random.default_rng(2)
         content = rng.normal(size=(6, 8))
         oracle = ThresholdOracle(content, tau=0.3)
         ctx = UserContext(user=0, items=[1, 4], texts=["a", "b"])
-        first = [query_oracle(oracle, ctx, "x", i).value for i in range(6)]
-        second = [query_oracle(oracle, ctx, "x", i).value for i in range(6)]
+        first = [oracle.decide(ctx.user, i, ctx, "x").value for i in range(6)]
+        second = [oracle.decide(ctx.user, i, ctx, "x").value for i in range(6)]
         assert first == second
 
 
@@ -272,7 +272,7 @@ class TestHttpOracle:
     def test_yes_round_trip(self, oracle_server):
         oracle = HttpOracle(oracle_server, timeout=5)
         ctx = UserContext(user=0, items=[], texts=[])
-        decision = query_oracle(oracle, ctx, "anything", 0)
+        decision = oracle.decide(ctx.user, 0, ctx, "anything")
         assert decision.value == 1
         assert decision.latency > 0
 
@@ -280,32 +280,81 @@ class TestHttpOracle:
         _OracleHandler.answer = "No, the user ignores this topic."
         oracle = HttpOracle(oracle_server, timeout=5)
         ctx = UserContext(user=0, items=[], texts=[])
-        assert query_oracle(oracle, ctx, "anything", 0).value == 0
+        assert oracle.decide(ctx.user, 0, ctx, "anything").value == 0
 
     def test_parse_error_distinct_from_transport(self, oracle_server):
         _OracleHandler.answer = "perhaps"
         oracle = HttpOracle(oracle_server, timeout=5)
         ctx = UserContext(user=0, items=[], texts=[])
         with pytest.raises(OracleParseError):
-            query_oracle(oracle, ctx, "anything", 0)
+            oracle.decide(ctx.user, 0, ctx, "anything")
 
     def test_retry_then_success(self, oracle_server):
         _OracleHandler.fail_first = 2
         oracle = HttpOracle(oracle_server, timeout=5, retries=3, backoff=0.01)
         ctx = UserContext(user=0, items=[], texts=[])
-        assert query_oracle(oracle, ctx, "anything", 0).value == 1
+        assert oracle.decide(ctx.user, 0, ctx, "anything").value == 1
 
     def test_transport_error_surfaced(self):
         oracle = HttpOracle("http://127.0.0.1:1/simulate", timeout=0.2,
                             retries=2, backoff=0.01)
         ctx = UserContext(user=0, items=[], texts=[])
         with pytest.raises(OracleError, match="after 2 attempts"):
-            query_oracle(oracle, ctx, "anything", 0)
+            oracle.decide(ctx.user, 0, ctx, "anything")
 
     def test_chat_adapter(self, oracle_server):
         oracle = HttpOracle(oracle_server, timeout=5, chat=True)
         ctx = UserContext(user=0, items=[], texts=[])
-        assert query_oracle(oracle, ctx, "anything", 0).value == 1
+        assert oracle.decide(ctx.user, 0, ctx, "anything").value == 1
+
+
+class _FakeResponse:
+    status_code = 200
+
+    def __init__(self, doc):
+        self.doc = doc
+
+    def json(self):
+        return self.doc
+
+
+class TestPostWithRetries:
+    def patch_post(self, monkeypatch, outcome):
+        import requests
+
+        calls = []
+
+        def post(*args, **kwargs):
+            calls.append(kwargs["json"])
+            if isinstance(outcome, Exception):
+                raise outcome
+            return _FakeResponse(outcome)
+
+        monkeypatch.setattr(requests, "post", post)
+        return calls
+
+    def test_programming_error_propagates_at_once(self, monkeypatch):
+        calls = self.patch_post(monkeypatch, RuntimeError("adapter bug"))
+        oracle = HttpOracle("http://oracle.invalid/simulate", retries=3,
+                            backoff=0.0)
+        ctx = UserContext(user=0, items=[], texts=[])
+        with pytest.raises(RuntimeError, match="adapter bug") as info:
+            oracle.decide(ctx.user, 0, ctx, "anything")
+        assert info.type is RuntimeError
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("doc,chat", [({}, False),
+                                          ({"messages": []}, True),
+                                          ({"choices": [None]}, True),
+                                          ({"other": 1}, True)])
+    def test_malformed_body_retried(self, monkeypatch, doc, chat):
+        calls = self.patch_post(monkeypatch, doc)
+        oracle = HttpOracle("http://oracle.invalid/simulate", retries=2,
+                            backoff=0.0, chat=chat)
+        ctx = UserContext(user=0, items=[], texts=[])
+        with pytest.raises(OracleError, match="after 2 attempts"):
+            oracle.decide(ctx.user, 0, ctx, "anything")
+        assert len(calls) == 2
 
 
 def refine_setup(seed=0, n_users=12, n_items=8):

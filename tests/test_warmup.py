@@ -196,13 +196,6 @@ class TestWarmAllCold:
         assert [r["item"] for r in skipped] == [dropped]
         assert np.array_equal(warmed.item_emb[dropped], model.item_emb[dropped])
 
-    def test_missing_simulation_strict_raises(self):
-        data, split, model, sims = self.make_setup()
-        del sims[split.cold_items[0]]
-        cfg = WarmupConfig(skip_missing=False)
-        with pytest.raises(ValueError, match="missing simulation"):
-            warm_all_cold(split, sims, model, cfg)
-
     def test_idempotent(self):
         data, split, model, sims = self.make_setup(seed=2)
         cfg = WarmupConfig(lr=0.2, steps=30, seed=5)
