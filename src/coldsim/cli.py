@@ -118,7 +118,8 @@ def _content_provider(cfg, out: Path):
     raise ValueError(f"unknown content provider {c['provider']!r}")
 
 
-def _assemble_pipeline(out: Path, cfg) -> pipeline.Pipeline:
+def _assemble_pipeline(out: Path, cfg, oracle: bool) -> pipeline.Pipeline:
+    """Load a pipeline's artifacts; build the oracle only if ``oracle``."""
     log, catalog = _load_dataset(out)
     split = _load_split(out)
     backbone = _load_backbone(out)
@@ -127,7 +128,8 @@ def _assemble_pipeline(out: Path, cfg) -> pipeline.Pipeline:
                              backbone=backbone, content_matrix=content_matrix,
                              filter_b=_load_filter(out, "B", required=False),
                              filter_l=_load_filter(out, "L", required=False))
-    pipe.oracle = pipeline.make_oracle(cfg, content_matrix)
+    if oracle:
+        pipe.oracle = pipeline.make_oracle(cfg, content_matrix)
     return pipe
 
 
@@ -231,7 +233,7 @@ def cmd_cache_content(args, cfg) -> int:
 def cmd_train_filter(args, cfg) -> int:
     out = _workdir(args)
     variant = args.variant
-    pipe = _assemble_pipeline(out, cfg)
+    pipe = _assemble_pipeline(out, cfg, oracle=variant == "L")
     filt, history = pipeline.train_filter(pipe, variant, cfg)
     filt.save(out / f"filter_{variant}",
               train_config={**cfg["filter"], "variant": variant})
@@ -261,7 +263,7 @@ def cmd_export_finetune(args, cfg) -> int:
 
 def cmd_simulate(args, cfg) -> int:
     out = _workdir(args)
-    pipe = _assemble_pipeline(out, cfg)
+    pipe = _assemble_pipeline(out, cfg, oracle=True)
     if pipe.filter_b is None and pipe.filter_l is None:
         raise ValueError("no trained filters found; run `train-filter` first")
     decision_log = DecisionLog()
@@ -281,7 +283,7 @@ def cmd_simulate(args, cfg) -> int:
 
 def cmd_warmup(args, cfg) -> int:
     out = _workdir(args)
-    pipe = _assemble_pipeline(out, cfg)
+    pipe = _assemble_pipeline(out, cfg, oracle=False)
     sims = _load_simulations(out)
     model, report = pipeline.warm_with_report(pipe, sims, cfg)
     store.save_table(out / "warmed_item.cemb", model.item_emb)
@@ -308,7 +310,7 @@ def cmd_evaluate(args, cfg) -> int:
 
 def cmd_ablate(args, cfg) -> int:
     out = _workdir(args)
-    pipe = _assemble_pipeline(out, cfg)
+    pipe = _assemble_pipeline(out, cfg, oracle=True)
     reports = pipeline.run_ablation(args.variant, pipe, cfg,
                                     tasks=("overall", "warm", "cold"))
     doc = {task: {"recall": r.recall, "ndcg": r.ndcg, "k": r.k,
@@ -325,7 +327,7 @@ def cmd_ablate(args, cfg) -> int:
 
 def cmd_sweep(args, cfg) -> int:
     out = _workdir(args)
-    pipe = _assemble_pipeline(out, cfg)
+    pipe = _assemble_pipeline(out, cfg, oracle=True)
     try:
         values = [json.loads(v) for v in args.values.split(",") if v]
     except json.JSONDecodeError:

@@ -18,7 +18,10 @@ import logging
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
+from http.client import HTTPException
 from pathlib import Path
+from urllib.error import HTTPError
+from urllib.request import Request, urlopen
 
 import numpy as np
 
@@ -146,22 +149,32 @@ def post_with_retries(url: str, body: dict, parse, error: type[Exception],
                       backoff: float):
     """POST ``body`` as JSON and return ``parse`` of the decoded answer.
 
-    Transport errors, non-200 answers and malformed bodies (``parse`` or
-    the decoding raising ``error``, ValueError, KeyError, IndexError or
-    TypeError) are retried up to ``retries`` attempts with exponential
-    backoff, then raised as ``error``.  Any other exception propagates at
-    once.
-    """
-    import requests
+    Each attempt is one stdlib ``urlopen`` call on a fresh connection:
+    keep-alive reuse stalls on servers that write headers and body in
+    separate packets (Nagle plus delayed ACK).  Proxy settings are read
+    once, when urllib builds its default opener.
 
+    Transport errors (OSError, HTTPException), non-200 answers and
+    malformed bodies (``parse`` or the decoding raising ``error``,
+    ValueError, KeyError, IndexError or TypeError) are retried up to
+    ``retries`` attempts with exponential backoff, then raised as
+    ``error``.  Any other exception propagates at once.
+    """
     last = None
     for attempt in range(retries):
         try:
-            resp = requests.post(url, json=body, timeout=timeout)
-            if resp.status_code != 200:
-                raise error(f"{service} returned {resp.status_code}")
-            return parse(resp.json())
-        except (error, requests.RequestException, ValueError, KeyError,
+            data = json.dumps(body, allow_nan=False).encode("utf-8")
+            request = Request(url, data=data, method="POST",
+                              headers={"Content-Type": "application/json"})
+            with urlopen(request, timeout=timeout) as resp:
+                if resp.status != 200:
+                    raise error(f"{service} returned {resp.status}")
+                doc = json.loads(resp.read())
+            return parse(doc)
+        except HTTPError as exc:  # urlopen raises for codes >= 400
+            exc.close()
+            last = error(f"{service} returned {exc.code}")
+        except (error, OSError, HTTPException, ValueError, KeyError,
                 IndexError, TypeError) as exc:
             last = exc
         if attempt + 1 < retries:

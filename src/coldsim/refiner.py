@@ -138,9 +138,11 @@ class ThresholdOracle:
                item_text: str) -> OracleDecision:
         if not context.items:
             return OracleDecision(value=0, raw="No")
+        # numpy's own mean and norm for 1-D float64, minus their call overhead
         item_vec = self.content_matrix[item]
-        ctx_mean = self.content_matrix[context.items].mean(axis=0)
-        denom = np.linalg.norm(item_vec) * np.linalg.norm(ctx_mean)
+        rows = self.content_matrix[context.items]
+        ctx_mean = rows.sum(axis=0) / len(rows)
+        denom = np.sqrt(item_vec.dot(item_vec)) * np.sqrt(ctx_mean.dot(ctx_mean))
         cos = float(item_vec @ ctx_mean / denom) if denom > 0 else 0.0
         yes = cos >= self.tau
         return OracleDecision(value=1 if yes else 0, raw="Yes" if yes else "No")

@@ -176,6 +176,35 @@ class TestRetrainFilter:
             assert again[name] == data, name
 
 
+class TestOracleOnlyWhereQueried:
+    def test_http_oracle_without_endpoint(self, tmp_path, caplog):
+        # only commands that query the oracle build it, and need its endpoint
+        corpus = write_corpus_from_planted(tmp_path / "corpus")
+        mock = fast_config(tmp_path)
+        doc = json.loads(mock.read_text())
+        doc["refiner"]["oracle"] = "http"
+        http = tmp_path / "http.json"
+        http.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "run"
+
+        def run(config, *cmd):
+            caplog.clear()
+            return main(["--config", str(config), "--seed", "7",
+                         "--out", str(out), *cmd])
+
+        assert run(http, "ingest", "--dataset", "citeulike",
+                   "--path", str(corpus)) == 0
+        for cmd in (["split"], ["train-backbone"], ["cache-content"],
+                    ["train-filter", "--variant", "B"]):
+            assert run(http, *cmd) == 0, cmd
+        for cmd in (["train-filter", "--variant", "L"], ["simulate"]):
+            assert run(http, *cmd) == 1, cmd
+            assert "refiner.endpoint" in caplog.text, cmd
+        assert run(mock, "simulate") == 0
+        assert run(http, "warmup") == 0
+        assert (out / "warmed_item.cemb").exists()
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
         corpus = write_corpus_from_planted(tmp_path / "corpus")

@@ -151,15 +151,13 @@ class TestHttpProvider:
 
 class TestProviderPostErrors:
     def test_programming_error_propagates_at_once(self, monkeypatch):
-        import requests
-
         calls = []
 
-        def post(*args, **kwargs):
-            calls.append(kwargs["json"])
+        def urlopen(request, timeout):
+            calls.append(json.loads(request.data))
             raise RuntimeError("adapter bug")
 
-        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setattr("coldsim.content.urlopen", urlopen)
         provider = HttpContentProvider("http://embed.invalid/embed",
                                        retries=3, backoff=0.0)
         with pytest.raises(RuntimeError, match="adapter bug") as info:

@@ -153,6 +153,14 @@ class TestParseYesNo:
             parse_yes_no(text)
 
 
+def reference_threshold_cosine(content_matrix, item, context):
+    """The former ``ThresholdOracle.decide`` body, up to the cosine."""
+    item_vec = content_matrix[item]
+    ctx_mean = content_matrix[context.items].mean(axis=0)
+    denom = np.linalg.norm(item_vec) * np.linalg.norm(ctx_mean)
+    return float(item_vec @ ctx_mean / denom) if denom > 0 else 0.0
+
+
 class TestOracles:
     def test_planted_membership(self):
         oracle = PlantedOracle({(1, 5), (2, 6)})
@@ -171,6 +179,28 @@ class TestOracles:
         oracle = ThresholdOracle(np.ones((2, 4)), tau=0.0)
         ctx = UserContext(user=0, items=[], texts=[])
         assert oracle.decide(ctx.user, 0, ctx, "x").value == 0
+
+    def test_threshold_equals_reference_cosine(self):
+        # the cosine is bit-identical: tau at the reference cosine is a yes,
+        # the next float up a no
+        rng = np.random.default_rng(11)
+        content_matrix = rng.normal(size=(40, 16))
+        content_matrix[0] = 0.0  # zero-norm item
+        oracle = ThresholdOracle(content_matrix)
+        for trial in range(200):
+            items = rng.choice(40, size=int(rng.integers(1, 9)),
+                               replace=False).tolist()
+            ctx = UserContext(user=0, items=items, texts=[])
+            item = 0 if trial % 20 == 0 else int(rng.integers(40))
+            cos = reference_threshold_cosine(content_matrix, item, ctx)
+            if item == 0:
+                assert cos == 0.0
+                oracle.tau = 0.3
+                assert oracle.decide(0, item, ctx, "x").raw == "No"
+                continue
+            for tau, value in ((cos, 1), (np.nextafter(cos, np.inf), 0)):
+                oracle.tau = tau
+                assert oracle.decide(0, item, ctx, "x").value == value
 
     def test_threshold_deterministic(self):
         rng = np.random.default_rng(2)
@@ -309,28 +339,32 @@ class TestHttpOracle:
 
 
 class _FakeResponse:
-    status_code = 200
+    status = 200
 
     def __init__(self, doc):
-        self.doc = doc
+        self.payload = json.dumps(doc).encode()
 
-    def json(self):
-        return self.doc
+    def read(self):
+        return self.payload
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
 
 
 class TestPostWithRetries:
     def patch_post(self, monkeypatch, outcome):
-        import requests
-
         calls = []
 
-        def post(*args, **kwargs):
-            calls.append(kwargs["json"])
+        def urlopen(request, timeout):
+            calls.append(json.loads(request.data))
             if isinstance(outcome, Exception):
                 raise outcome
             return _FakeResponse(outcome)
 
-        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setattr("coldsim.content.urlopen", urlopen)
         return calls
 
     def test_programming_error_propagates_at_once(self, monkeypatch):
