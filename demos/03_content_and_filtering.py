@@ -40,16 +40,17 @@ backbone = train_backbone(split, BackboneConfig(dim=16, lr=0.3,
                           n_users=data.log.n_users, n_items=data.log.n_items)
 filt = TwoTowerFilter.init("B", backbone.dim, content.shape[1],
                            hidden=32, out=16, seed=5)
+# each user's mean history content: the user tower's second input
+hist_means = history_content_means(split.index(data.log.n_users).train_items,
+                                   content)
 filt, history = train_behavior_filter(
-    filt, backbone, content, split,
+    filt, backbone, content, hist_means, split,
     FilterTrainConfig(lr=3e-3, batch_size=128, max_epochs=20, patience=8,
                       seed=5))
 print(f"filter trained {len(history)} epochs, "
       f"val ndcg {max(h['val_ndcg'] for h in history):.3f}")
 
 # --- retrieve top-K users for a cold item from its content alone
-hist_means = history_content_means(split.train_items_of(data.log.n_users),
-                                   content)
 user_vecs = user_filter_vectors(filt, backbone.user_emb, hist_means)
 item = data.cold_items[0]
 cand = topk_candidates(filt, content[item], user_vecs, k=15, item=item)

@@ -8,9 +8,9 @@ optimize each cold item's embedding against its simulated users, and
 evaluate overall/warm/cold ranking quality.
 """
 
-from .backbone import (BackboneConfig, BackboneModel, BprTriple,
-                       DivergenceError, bpr_loss, bpr_step, init_embeddings,
-                       sample_bpr_triples, score, train_backbone)
+from .backbone import (BackboneConfig, BackboneModel, DivergenceError,
+                       bpr_loss, bpr_step, init_embeddings, score,
+                       train_backbone)
 from .config import default_config, fingerprint, load_config, resolve_seeds
 from .content import (FileContentProvider, HttpContentProvider,
                       MockContentProvider, ProviderError, VectorCache,

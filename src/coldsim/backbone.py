@@ -9,26 +9,19 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
 
 from . import store
 from .corpus import ColdWarmSplit
-from .metrics import PairSets, hit_metrics, rank_by_score, row_chunks
+from .metrics import hit_metrics, rank_by_score, row_chunks
 
 logger = logging.getLogger(__name__)
 
 
 class DivergenceError(RuntimeError):
     """Raised when a training step produces a non-finite loss."""
-
-
-class BprTriple(NamedTuple):
-    user: int
-    pos: int
-    neg: int
 
 
 @dataclass
@@ -91,48 +84,13 @@ def init_embeddings(rows: int, dim: int, seed: int) -> np.ndarray:
     return rng.standard_normal((rows, dim)) * 0.01
 
 
-def _sample_negative(rng, user: int, warm_items: np.ndarray, observed: set,
+def _sample_negative(rng, user: int, warm_items, observed: set,
                      max_rejects: int = 100) -> int | None:
     for _ in range(max_rejects):
         j = int(warm_items[rng.integers(len(warm_items))])
         if (user, j) not in observed:
             return j
     return None
-
-
-def sample_bpr_triples(interactions, warm_items, n: int, seed: int,
-                       max_rejects: int = 100) -> list[BprTriple]:
-    """Sample ``n`` (user, positive, negative) triples.
-
-    Positives are drawn uniformly with replacement from ``interactions``;
-    negatives are rejection-sampled uniformly from ``warm_items`` until the
-    pair is unobserved.  A positive whose user rejects ``max_rejects``
-    candidates is skipped with a warning and redrawn.
-    """
-    interactions = list(interactions)
-    if not interactions:
-        raise ValueError("cannot sample triples from an empty split")
-    observed = set(interactions)
-    warm = np.asarray(sorted(warm_items), dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    out: list[BprTriple] = []
-    skipped = 0
-    attempts = 0
-    limit = max(10 * n, n + 1000)
-    while len(out) < n and attempts < limit:
-        attempts += 1
-        u, i = interactions[rng.integers(len(interactions))]
-        j = _sample_negative(rng, u, warm, observed, max_rejects)
-        if j is None:
-            skipped += 1
-            continue
-        out.append(BprTriple(u, i, j))
-    if skipped:
-        logger.warning("sample_bpr_triples: skipped %d exhausted users", skipped)
-    if len(out) < n:
-        logger.warning("sample_bpr_triples: produced %d of %d requested triples",
-                       len(out), n)
-    return out
 
 
 def bpr_loss(model: BackboneModel, triples) -> float:
@@ -213,17 +171,16 @@ def ranked_validation_ndcg(split: ColdWarmSplit, users, user_vectors,
     ranked with their warm-train positives masked out.  Users without
     warm-val positives are skipped; 0.0 when none remain.
     """
-    warm = np.unique(np.asarray(split.warm_items, dtype=np.int64))
-    items = item_vectors(warm)
-    train = PairSets.from_pairs(split.warm_train, n_users, columns=warm)
-    val = PairSets.from_pairs(split.warm_val, n_users, columns=warm)
-    users = [u for u in users if val.sizes(u) > 0]
-    if not users:
+    index = split.index(n_users)
+    items = item_vectors(index.warm)
+    users = np.asarray(list(users), dtype=np.int64)
+    users = users[index.val_warm.sizes(users) > 0]
+    if not len(users):
         return 0.0
     ndcg = [hit_metrics(rank_by_score(user_vectors(rows) @ items.T, k=k,
-                                      exclude=train.select(rows)),
-                        val, rows, k)[1]
-            for rows in row_chunks(users, len(warm))]
+                                      exclude=index.train_warm.select(rows)),
+                        index.val_warm, rows, k)[1]
+            for rows in row_chunks(users, len(index.warm))]
     # summed user by user in order, as a per-user loop would
     return float(np.cumsum(np.concatenate(ndcg))[-1]) / len(users)
 
@@ -240,8 +197,23 @@ def validation_ndcg(model: BackboneModel, split: ColdWarmSplit, users,
                                   model.n_users, k)
 
 
+def sample_val_users(rng, split: ColdWarmSplit, n_users: int,
+                     limit: int) -> list[int]:
+    """Early-stopping users: the distinct warm-val users, ascending.
+
+    With more than ``limit`` of them, ``limit`` are drawn from ``rng``
+    without replacement and kept in ascending order; otherwise ``rng`` is
+    not used.
+    """
+    users = split.index(n_users).val_users
+    if len(users) <= limit:
+        return users
+    pick = rng.choice(len(users), size=limit, replace=False)
+    return [users[k] for k in sorted(pick)]
+
+
 def train_backbone(split: ColdWarmSplit, config: BackboneConfig,
-                   n_users: int | None = None, n_items: int | None = None) -> BackboneModel:
+                   n_users: int, n_items: int) -> BackboneModel:
     """Train MF embeddings with BPR and NDCG early stopping.
 
     One sampled negative per observed warm-train positive per epoch.  After
@@ -251,12 +223,6 @@ def train_backbone(split: ColdWarmSplit, config: BackboneConfig,
     """
     if not split.warm_train:
         raise ValueError("warm-train split is empty")
-    if n_users is None:
-        n_users = 1 + max(u for u, _ in split.warm_train + split.warm_val +
-                          split.warm_test + split.cold_val + split.cold_test)
-    if n_items is None:
-        n_items = 1 + max(max(split.warm_items), max(split.cold_items, default=-1))
-
     model = BackboneModel(
         user_emb=init_embeddings(n_users, config.dim, config.seed),
         item_emb=init_embeddings(n_items, config.dim, config.seed + 1),
@@ -265,14 +231,7 @@ def train_backbone(split: ColdWarmSplit, config: BackboneConfig,
         return model
 
     rng = np.random.default_rng(config.seed + 2)
-    positives = list(split.warm_train)
-    warm = np.asarray(split.warm_items, dtype=np.int64)
-    observed = split.warm_train_set
-
-    val_users = sorted({u for u, _ in split.warm_val})
-    if len(val_users) > config.eval_users:
-        pick = rng.choice(len(val_users), size=config.eval_users, replace=False)
-        val_users = [val_users[k] for k in sorted(pick)]
+    val_users = sample_val_users(rng, split, n_users, config.eval_users)
 
     adam_state = None
     if config.optimizer == "adam":
@@ -289,7 +248,8 @@ def train_backbone(split: ColdWarmSplit, config: BackboneConfig,
     best = model.copy()
     best_ndcg, best_epoch, stale = -1.0, 0, 0
     for epoch in range(1, config.max_epochs + 1):
-        triples = _epoch_triples(rng, positives, warm, observed)
+        triples = _epoch_triples(rng, split.warm_train, split.warm_items,
+                                 split.warm_train_set)
         losses = []
         for start in range(0, len(triples), config.batch_size):
             batch = triples[start:start + config.batch_size]

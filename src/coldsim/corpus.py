@@ -16,6 +16,7 @@ can persist the dense-to-raw mapping as JSON.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -24,7 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .metrics import PairSets
+
 logger = logging.getLogger(__name__)
+
+# evaluation tasks: the test positives of the warm items, the cold items, or both
+TASKS = ("overall", "warm", "cold")
 
 
 @dataclass
@@ -43,16 +49,6 @@ class InteractionLog:
     item_users: list[list[int]]
     raw_user_ids: list = field(default_factory=list)
     raw_item_ids: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self._pair_set = set(self.pairs)
-
-    @property
-    def pair_set(self) -> set:
-        return self._pair_set
-
-    def __contains__(self, pair) -> bool:
-        return pair in self._pair_set
 
     @classmethod
     def from_pairs(cls, n_users: int, n_items: int, pairs,
@@ -102,9 +98,63 @@ class ItemCatalog:
         return len(self.content)
 
 
+@dataclass(frozen=True)
+class SplitIndex:
+    """Array forms of a split's interactions over ``n_users`` users.
+
+    Built once per split and user count by :meth:`ColdWarmSplit.index` and
+    shared by every stage that reads histories, masks or relevant sets, so
+    callers read its lists and arrays and never change them.
+    """
+
+    warm: np.ndarray                # warm item ids, ascending
+    train: PairSets                 # warm-train; column j is item j
+    train_warm: PairSets            # warm-train; column j is item warm[j]
+    val_warm: PairSets              # warm-val; column j is item warm[j]
+    val_users: list[int]            # distinct warm-val users, ascending
+    train_users: list[int]          # distinct warm-train users, ascending
+    train_items: list[list[int]]    # each user's warm-train items, ascending
+    test: dict[str, PairSets]       # each task's relevant test pairs
+
+    @classmethod
+    def build(cls, split: "ColdWarmSplit", n_users: int) -> "SplitIndex":
+        def arr(pairs):
+            flat = itertools.chain.from_iterable(pairs)
+            return np.fromiter(flat, dtype=np.int64,
+                               count=2 * len(pairs)).reshape(-1, 2)
+
+        warm = np.unique(np.asarray(split.warm_items, dtype=np.int64))
+        train, val = arr(split.warm_train), arr(split.warm_val)
+        warm_test, cold_test = arr(split.warm_test), arr(split.cold_test)
+        train_sets = PairSets.from_pairs(train, n_users)
+        flat, ptr = train_sets.indices.tolist(), train_sets.indptr.tolist()
+        return cls(
+            warm=warm, train=train_sets,
+            train_warm=PairSets.from_pairs(train, n_users, columns=warm),
+            val_warm=PairSets.from_pairs(val, n_users, columns=warm),
+            val_users=np.flatnonzero(np.bincount(val[:, 0],
+                                                 minlength=n_users)).tolist(),
+            train_users=np.flatnonzero(np.diff(train_sets.indptr)).tolist(),
+            train_items=[flat[ptr[u]:ptr[u + 1]] for u in range(n_users)],
+            test={"overall": PairSets.from_pairs(
+                      np.concatenate([warm_test, cold_test]), n_users),
+                  "warm": PairSets.from_pairs(warm_test, n_users),
+                  "cold": PairSets.from_pairs(cold_test, n_users)})
+
+    def relevant(self, task: str) -> PairSets:
+        """Each user's test positives for an evaluation task."""
+        if task not in self.test:
+            raise ValueError(f"unknown task {task!r}, expected one of {TASKS}")
+        return self.test[task]
+
+
 @dataclass
 class ColdWarmSplit:
-    """Cold/warm item partition with per-split interaction sets."""
+    """Cold/warm item partition with per-split interaction sets.
+
+    A split is not changed after its first use: :meth:`index` keeps what
+    it derives from the pair lists.
+    """
 
     warm_items: list[int]
     cold_items: list[int]
@@ -118,19 +168,18 @@ class ColdWarmSplit:
 
     def __post_init__(self):
         self._train_set = set(self.warm_train)
+        self._indexes: dict[int, SplitIndex] = {}
 
     @property
     def warm_train_set(self) -> set:
         return self._train_set
 
-    def train_items_of(self, n_users: int | None = None) -> list[list[int]]:
-        """Per-user warm-train history, ascending item id."""
-        if n_users is None:
-            n_users = 1 + max((u for u, _ in self.warm_train), default=-1)
-        hist = [[] for _ in range(n_users)]
-        for u, i in sorted(self.warm_train):
-            hist[u].append(i)
-        return hist
+    def index(self, n_users: int) -> SplitIndex:
+        """The split's :class:`SplitIndex` over ``n_users`` users, built on
+        first use and kept."""
+        if n_users not in self._indexes:
+            self._indexes[n_users] = SplitIndex.build(self, n_users)
+        return self._indexes[n_users]
 
     def save(self, path: str | Path) -> None:
         doc = {

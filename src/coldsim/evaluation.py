@@ -16,12 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import BackboneModel
-from .corpus import ColdWarmSplit
-from .metrics import PairSets, hit_metrics, rank_by_score, row_chunks
+from .corpus import TASKS, ColdWarmSplit
+from .metrics import hit_metrics, rank_by_score, row_chunks
 
 logger = logging.getLogger(__name__)
-
-TASKS = ("overall", "warm", "cold")
 
 
 @dataclass
@@ -51,19 +49,6 @@ class AdoptionStats:
         return self.accepted / self.filtered
 
 
-def relevant_sets(split: ColdWarmSplit, task: str) -> dict[int, set]:
-    """Per-user relevant items for a task."""
-    if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}, expected one of {TASKS}")
-    sources = {"overall": split.warm_test + split.cold_test,
-               "warm": split.warm_test,
-               "cold": split.cold_test}[task]
-    rel: dict[int, set] = {}
-    for u, i in sources:
-        rel.setdefault(u, set()).add(i)
-    return rel
-
-
 def sample_eval_users(eligible, n_users_total: int, sample: int,
                       seed: int) -> list[int]:
     """First ``sample`` eligible users of a seed-fixed permutation of all users.
@@ -88,16 +73,15 @@ def evaluate(model: BackboneModel, split: ColdWarmSplit, task: str = "overall",
     each user's warm-train positives excluded, ranked a chunk of users at a
     time by :func:`~coldsim.metrics.rank_by_score`.
     """
-    rel = relevant_sets(split, task)
-    users = sample_eval_users(rel, model.n_users, n_users, seed)
+    index = split.index(model.n_users)
+    relevant = index.relevant(task)
+    eligible = np.flatnonzero(relevant.sizes(np.arange(model.n_users)))
+    users = sample_eval_users(eligible.tolist(), model.n_users, n_users, seed)
     if not users:
         raise ValueError(f"no eligible users for task {task!r}")
 
-    train = PairSets.from_pairs(split.warm_train, model.n_users)
-    relevant = PairSets.from_pairs(((u, i) for u in users for i in rel[u]),
-                                   model.n_users)
     per_user = [hit_metrics(rank_by_score(model.user_emb[rows] @ model.item_emb.T,
-                                          k=k, exclude=train.select(rows)),
+                                          k=k, exclude=index.train.select(rows)),
                             relevant, rows, k)
                 for rows in row_chunks(users, model.n_items)]
     # summed user by user in order, as a per-user loop would

@@ -24,7 +24,7 @@ from scipy.special import expit
 
 from . import store
 from .backbone import (BackboneModel, DivergenceError, _epoch_triples,
-                       ranked_validation_ndcg)
+                       ranked_validation_ndcg, sample_val_users)
 from .corpus import ColdWarmSplit
 from .metrics import rank_by_score
 
@@ -189,7 +189,11 @@ def map_user(filt: TwoTowerFilter, e_u: np.ndarray,
 
 def history_content_means(train_items: list[list[int]],
                           content_matrix: np.ndarray) -> np.ndarray:
-    """Per-user mean raw content vector over train history; zeros when empty."""
+    """Per-user mean raw content vector over train history; zeros when empty.
+
+    ``train_items`` is a split index's ``train_items``; a ``Pipeline``
+    computes the means once as its ``hist_means``.
+    """
     n_users = len(train_items)
     out = np.zeros((n_users, content_matrix.shape[1]))
     for u, items in enumerate(train_items):
@@ -404,10 +408,7 @@ def _run_filter_training(filt, backbone, content_matrix, hist_means, split,
     elif config.optimizer != "sgd":
         raise ValueError(f"unknown optimizer {config.optimizer!r}")
 
-    val_users = sorted({u for u, _ in split.warm_val})
-    if len(val_users) > config.eval_users:
-        pick = rng.choice(len(val_users), size=config.eval_users, replace=False)
-        val_users = [val_users[idx] for idx in sorted(pick)]
+    val_users = sample_val_users(rng, split, backbone.n_users, config.eval_users)
 
     best = filt.copy()
     best_ndcg, stale = -1.0, 0
@@ -438,24 +439,21 @@ def _run_filter_training(filt, backbone, content_matrix, hist_means, split,
 
 
 def train_behavior_filter(filt: TwoTowerFilter, backbone: BackboneModel,
-                          content_matrix: np.ndarray, split: ColdWarmSplit,
-                          config: FilterTrainConfig):
+                          content_matrix: np.ndarray, hist_means: np.ndarray,
+                          split: ColdWarmSplit, config: FilterTrainConfig):
     """Train the B variant with BPR over warm-train triples.
 
-    Backbone embeddings and content vectors are frozen inputs; one fresh
-    negative is sampled per positive per epoch.  Returns the filter (best
-    validation-NDCG snapshot) and the epoch history.
+    Backbone embeddings, content vectors and each user's history content
+    mean (``hist_means``, see :func:`history_content_means`) are frozen
+    inputs; one fresh negative is sampled per positive per epoch.  Returns
+    the filter (best validation-NDCG snapshot) and the epoch history.
     """
     if not split.warm_train:
         raise ValueError("warm-train split is empty")
-    positives = list(split.warm_train)
-    warm = np.asarray(split.warm_items, dtype=np.int64)
-    observed = split.warm_train_set
-    hist_means = history_content_means(
-        split.train_items_of(backbone.n_users), content_matrix)
 
     def batches(rng, user_inputs):
-        triples = _epoch_triples(rng, positives, warm, observed)
+        triples = _epoch_triples(rng, split.warm_train, split.warm_items,
+                                 split.warm_train_set)
         for start in range(0, len(triples), config.batch_size):
             b = triples[start:start + config.batch_size]
             yield behavior_bpr_batch(filt, user_inputs[b[:, 0]],
@@ -466,17 +464,19 @@ def train_behavior_filter(filt: TwoTowerFilter, backbone: BackboneModel,
                                 split, config, batches)
 
 
-def sample_label_pairs(split: ColdWarmSplit, n_positives: int | None,
-                       seed: int) -> list[tuple[int, int]]:
-    """1:1 pool of warm-train positives and uniform unobserved (user, warm item) pairs."""
+def sample_label_pairs(split: ColdWarmSplit, n_users: int,
+                       n_positives: int | None, seed: int) -> list[tuple[int, int]]:
+    """1:1 pool of warm-train positives and uniform unobserved (user, warm item) pairs.
+
+    Unobserved pairs draw a warm-train user and a warm item uniformly.
+    """
     rng = np.random.default_rng(seed)
-    positives = list(split.warm_train)
+    positives = split.warm_train
     if n_positives is not None and n_positives < len(positives):
         pick = rng.choice(len(positives), size=n_positives, replace=False)
         positives = [positives[idx] for idx in sorted(pick)]
-    users = sorted({u for u, _ in split.warm_train})
-    warm = np.asarray(split.warm_items, dtype=np.int64)
-    observed = split.warm_train_set
+    users = split.index(n_users).train_users
+    warm, observed = split.warm_items, split.warm_train_set
     pairs = list(positives)
     for _ in positives:
         for _ in range(100):
@@ -489,25 +489,25 @@ def sample_label_pairs(split: ColdWarmSplit, n_positives: int | None,
 
 
 def train_coupled_filter(filt: TwoTowerFilter, backbone: BackboneModel,
-                         content_matrix: np.ndarray, split: ColdWarmSplit,
-                         labeler, config: FilterTrainConfig,
-                         pair_sampler=None):
+                         content_matrix: np.ndarray, hist_means: np.ndarray,
+                         split: ColdWarmSplit, labeler,
+                         config: FilterTrainConfig):
     """Train the L variant against oracle labels.
 
     ``labeler(user, item) -> 0 or 1`` supplies the oracle decision for each
-    pool pair (an :class:`~coldsim.refiner.OracleError` skips the pair and is
-    counted; any other exception propagates).  The loss is
-    cross-entropy of sigmoid(dot) against the labels plus
-    ``coupled_weight`` times the BPR term over warm-train triples.
-    Returns (filter, history).
+    pair of :func:`sample_label_pairs`' pool (an
+    :class:`~coldsim.refiner.OracleError` skips the pair and is counted; any
+    other exception propagates).  The loss is cross-entropy of
+    sigmoid(dot) against the labels plus ``coupled_weight`` times the BPR
+    term over warm-train triples.  Inputs are frozen as in
+    :func:`train_behavior_filter`.  Returns (filter, history).
     """
     from .refiner import OracleError  # refiner imports this module
 
     if not split.warm_train:
         raise ValueError("warm-train split is empty")
-    sampler = pair_sampler or (lambda: sample_label_pairs(
-        split, config.label_pairs, config.seed + 17))
-    pool = sampler()
+    pool = sample_label_pairs(split, backbone.n_users, config.label_pairs,
+                              config.seed + 17)
 
     labeled = []
     failures = 0
@@ -524,15 +524,10 @@ def train_coupled_filter(filt: TwoTowerFilter, backbone: BackboneModel,
         raise ValueError("no labeled pairs available for coupled training")
     labeled_arr = np.asarray(labeled, dtype=np.int64)
 
-    positives = list(split.warm_train)
-    warm = np.asarray(split.warm_items, dtype=np.int64)
-    observed = split.warm_train_set
-    hist_means = history_content_means(
-        split.train_items_of(backbone.n_users), content_matrix)
-
     def batches(rng, user_inputs):
         order = rng.permutation(len(labeled_arr))
-        triples = _epoch_triples(rng, positives, warm, observed)
+        triples = _epoch_triples(rng, split.warm_train, split.warm_items,
+                                 split.warm_train_set)
         n_batches = max(1, int(np.ceil(len(order) / config.batch_size)))
         for bi in range(n_batches):
             sel = labeled_arr[order[bi * config.batch_size:(bi + 1) * config.batch_size]]

@@ -113,18 +113,27 @@ class PairSets:
     @classmethod
     def from_pairs(cls, pairs, n_rows: int,
                    columns: np.ndarray | None = None) -> "PairSets":
-        """Distinct (row, item) pairs; column j is item ``j``, or with
-        ``columns`` (ascending item ids) item ``columns[j]``.  Pairs whose
-        item is not among ``columns`` are dropped."""
-        arr = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+        """Distinct (row, item) pairs, a sequence or an (n, 2) array; column
+        j is item ``j``, or with ``columns`` (ascending item ids) item
+        ``columns[j]``.  Pairs whose item is not among ``columns`` are
+        dropped; a row outside ``[0, n_rows)`` raises ValueError."""
+        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         rows, cols = arr[:, 0], arr[:, 1]
+        if len(rows) and not 0 <= rows.min() <= rows.max() < n_rows:
+            raise ValueError(f"pair rows span [{rows.min()}, {rows.max()}], "
+                             f"outside [0, {n_rows})")
         if columns is not None:
             pos = np.searchsorted(columns, cols)
             found = pos < len(columns)
             found[found] = columns[pos[found]] == cols[found]
             rows, cols = rows[found], pos[found]
         width = int(cols.max(initial=0)) + 1
-        keys = np.unique(rows * width + cols)
+        # sort and drop repeats; numpy 2.4's hashing np.unique is ~20x slower
+        # on 9k keys
+        keys = np.sort(rows * width + cols)
+        distinct = np.ones(len(keys), dtype=bool)
+        distinct[1:] = keys[1:] != keys[:-1]
+        keys = keys[distinct]
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys // width, minlength=n_rows), out=indptr[1:])
         return cls(indptr=indptr, indices=keys % width)

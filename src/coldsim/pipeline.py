@@ -30,9 +30,9 @@ ABLATION_VARIANTS = ("full", "no-lsf-r", "no-bf-r", "no-lsf", "no-bf", "no-r")
 class Pipeline:
     """Trained components of one experiment.
 
-    ``train_items`` (each user's warm-train items) and ``hist_means`` (each
-    user's mean history content vector) are derived from the split and the
-    content matrix.
+    ``train_items`` (each user's warm-train items, ascending) is the split
+    index's, and ``hist_means`` (each user's mean history content vector)
+    is computed from it and the content matrix once, here.
     """
 
     log: InteractionLog
@@ -47,7 +47,7 @@ class Pipeline:
     hist_means: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.train_items = self.split.train_items_of(self.log.n_users)
+        self.train_items = self.split.index(self.log.n_users).train_items
         self.hist_means = filtering.history_content_means(self.train_items,
                                                           self.content_matrix)
 
@@ -125,12 +125,12 @@ def train_filter(pipe: Pipeline, variant: str, cfg: dict):
                                out=f["out"], seed=f["seed"] + init_shift)
     train_cfg = section_config(FilterTrainConfig,
                                {**f, "seed": f["seed"] + train_shift})
+    inputs = (filt, pipe.backbone, pipe.content_matrix, pipe.hist_means,
+              pipe.split)
     if variant == "B":
-        return filtering.train_behavior_filter(
-            filt, pipe.backbone, pipe.content_matrix, pipe.split, train_cfg)
+        return filtering.train_behavior_filter(*inputs, train_cfg)
     labeler = oracle_labeler(pipe, pipe.oracle, cfg["refiner"]["context_len"])
-    return filtering.train_coupled_filter(
-        filt, pipe.backbone, pipe.content_matrix, pipe.split, labeler, train_cfg)
+    return filtering.train_coupled_filter(*inputs, labeler, train_cfg)
 
 
 def build_pipeline(log: InteractionLog, catalog: ItemCatalog,
@@ -202,20 +202,24 @@ def warm_from_simulations(pipe: Pipeline, simulations, cfg: dict) -> BackboneMod
     return warm_with_report(pipe, simulations, cfg)[0]
 
 
-def retrain_with_simulated(pipe: Pipeline, simulations, cfg: dict) -> BackboneModel:
-    """Optional offline enrichment: append simulated pairs to warm-train and retrain."""
+def enriched_split(split: ColdWarmSplit, simulations) -> ColdWarmSplit:
+    """``split`` with the simulated pairs added to warm-train; every cold
+    item with a simulated user becomes warm."""
     extra = [(u, item) for item, sim in sorted(simulations.items())
              for u in sim.users]
-    split = pipe.split
-    enriched = ColdWarmSplit(
-        warm_items=sorted(set(split.warm_items) | {i for _, i in extra}),
-        cold_items=[i for i in split.cold_items
-                    if i not in {j for _, j in extra}],
+    simulated = {i for _, i in extra}
+    return ColdWarmSplit(
+        warm_items=sorted(set(split.warm_items) | simulated),
+        cold_items=[i for i in split.cold_items if i not in simulated],
         warm_train=sorted(set(split.warm_train) | set(extra)),
         warm_val=split.warm_val, warm_test=split.warm_test,
         cold_val=split.cold_val, cold_test=split.cold_test,
         seed=split.seed, cold_frac=split.cold_frac)
-    return fit_backbone(enriched, pipe.log, cfg)
+
+
+def retrain_with_simulated(pipe: Pipeline, simulations, cfg: dict) -> BackboneModel:
+    """Optional offline enrichment: append simulated pairs to warm-train and retrain."""
+    return fit_backbone(enriched_split(pipe.split, simulations), pipe.log, cfg)
 
 
 def run_ablation(variant: str, pipe: Pipeline, cfg: dict,

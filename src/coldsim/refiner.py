@@ -372,11 +372,10 @@ def simulate_for_item(item: int, raw_item: np.ndarray, client,
 
 def prepare_finetune_data(split: ColdWarmSplit, catalog: ItemCatalog,
                           filt: TwoTowerFilter, content_matrix: np.ndarray,
-                          mode: str = "offline", seed: int = 0,
+                          n_users: int, mode: str = "offline", seed: int = 0,
                           n_positives: int | None = None,
                           negatives=None, top_l: int = 10,
-                          out_path: str | Path | None = None,
-                          n_users: int | None = None) -> list[FinetuneRecord]:
+                          out_path: str | Path | None = None) -> list[FinetuneRecord]:
     """Build prompt/completion records for oracle fine-tuning.
 
     Offline mode pairs each sampled warm-train positive with one uniformly
@@ -402,11 +401,8 @@ def prepare_finetune_data(split: ColdWarmSplit, catalog: ItemCatalog,
         pick = rng.choice(len(positives), size=n_positives, replace=False)
         positives = [positives[idx] for idx in sorted(pick)]
 
-    if n_users is None:
-        n_users = 1 + max(u for u, _ in split.warm_train)
-    train_items = split.train_items_of(n_users)
-    warm = np.asarray(split.warm_items, dtype=np.int64)
-    observed = split.warm_train_set
+    train_items = split.index(n_users).train_items
+    warm, observed = split.warm_items, split.warm_train_set
 
     neg_by_user: dict[int, list[int]] = {}
     if negatives is not None:

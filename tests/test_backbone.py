@@ -5,9 +5,11 @@ import pytest
 from scipy import stats
 
 from coldsim.backbone import (BackboneConfig, BackboneModel, _epoch_triples,
-                              bpr_loss, bpr_step, init_embeddings,
-                              sample_bpr_triples, score, train_backbone)
+                              bpr_loss, bpr_step, init_embeddings, score,
+                              train_backbone)
 from coldsim.corpus import InteractionLog, make_cold_split
+from coldsim.filtering import (FilterTrainConfig, TwoTowerFilter,
+                               train_behavior_filter, train_coupled_filter)
 
 from conftest import tiny_cluster_setup
 
@@ -49,30 +51,44 @@ class TestInitEmbeddings:
 
 
 class TestSampleTriples:
-    def test_single_pair_universe(self):
-        triples = sample_bpr_triples([(0, 1)], warm_items=[0, 1, 2], n=50, seed=0)
-        assert len(triples) == 50
-        assert all(t.user == 0 and t.pos == 1 and t.neg in (0, 2)
-                   for t in triples)
+    """Triple sampling checks, on the epoch sampler every trainer uses."""
 
-    def test_n_zero(self):
-        assert sample_bpr_triples([(0, 0)], [0, 1], n=0, seed=0) == []
-
-    def test_empty_split(self):
-        with pytest.raises(ValueError):
-            sample_bpr_triples([], [0], n=1, seed=0)
+    def test_empty_split(self, toy_log):
+        # the sampler returns an empty block, and every trainer that calls
+        # it rejects an empty warm-train split
+        assert _epoch_triples(np.random.default_rng(0), [], [0],
+                              set()).shape == (0, 3)
+        split = make_cold_split(toy_log, 0.0, seed=0)
+        split.warm_train.clear()
+        model = BackboneModel(user_emb=init_embeddings(6, 4, 0),
+                              item_emb=init_embeddings(5, 4, 1))
+        content, hist = np.ones((5, 3)), np.zeros((6, 3))
+        filt = TwoTowerFilter.init("B", 4, 3, hidden=2, out=2)
+        cfg = FilterTrainConfig()
+        trainers = (
+            lambda: train_backbone(split, BackboneConfig(dim=4), n_users=6,
+                                   n_items=5),
+            lambda: train_behavior_filter(filt, model, content, hist, split,
+                                          cfg),
+            lambda: train_coupled_filter(filt, model, content, hist, split,
+                                         lambda u, i: 1, cfg))
+        for train in trainers:
+            with pytest.raises(ValueError, match="warm-train split is empty"):
+                train()
 
     def test_exhausted_user_skipped(self, caplog):
         # user 0 interacted with every warm item: no negative exists
-        triples = sample_bpr_triples([(0, 0), (0, 1), (1, 0)],
-                                     warm_items=[0, 1], n=20, seed=0)
-        assert all(t.user == 1 for t in triples)
+        pairs = [(0, 0), (0, 1), (1, 0)]
+        triples = _epoch_triples(np.random.default_rng(0), pairs * 7,
+                                 [0, 1], set(pairs))
+        assert all(u == 1 for u, _, _ in triples.tolist())
 
     def test_negative_uniformity_chi2(self):
         pairs = [(0, 0)]
         warm = list(range(11))  # 10 eligible negatives
-        triples = sample_bpr_triples(pairs, warm, n=100_000, seed=3)
-        counts = np.bincount([t.neg for t in triples], minlength=11)[1:]
+        triples = _epoch_triples(np.random.default_rng(3), pairs * 100_000,
+                                 warm, set(pairs))
+        counts = np.bincount(triples[:, 2], minlength=11)[1:]
         _, p = stats.chisquare(counts)
         assert p > 0.01
 
@@ -260,7 +276,7 @@ class TestTrainBackbone:
         split = make_cold_split(toy_log, 0.0, seed=0)
         split.warm_train.clear()
         with pytest.raises(ValueError):
-            train_backbone(split, BackboneConfig(dim=4))
+            train_backbone(split, BackboneConfig(dim=4), n_users=6, n_items=5)
 
 
 class TestPersistence:

@@ -6,7 +6,7 @@ import pytest
 from coldsim.backbone import BackboneModel
 from coldsim.corpus import ColdWarmSplit
 from coldsim.evaluation import (adoption_rate, evaluate, format_report,
-                                relevant_sets, reports_to_csv)
+                                reports_to_csv)
 from coldsim.metrics import ndcg_at_k, recall_at_k
 
 
@@ -90,6 +90,24 @@ class TestMetricClosedForms:
                        - reference_ndcg(ranked, relevant, k)) < 1e-12
 
 
+def reference_relevant(split, task):
+    """Per-user relevant items of a task, from the split's pair lists."""
+    sources = {"overall": split.warm_test + split.cold_test,
+               "warm": split.warm_test,
+               "cold": split.cold_test}[task]
+    rel = {}
+    for u, i in sources:
+        rel.setdefault(u, set()).add(i)
+    return rel
+
+
+def sets_by_row(pair_sets):
+    """{row: set of columns} of a PairSets' non-empty rows."""
+    ptr, cols = pair_sets.indptr, pair_sets.indices.tolist()
+    return {u: set(cols[ptr[u]:ptr[u + 1]]) for u in range(len(ptr) - 1)
+            if ptr[u + 1] > ptr[u]}
+
+
 def hand_split():
     """10 users, items 0..5 warm and 6..9 cold, disjoint per-user positives."""
     warm_train = [(u, u % 3) for u in range(10)]
@@ -104,7 +122,7 @@ def hand_split():
 def adjacency_model(split, task="overall", n_users=10, n_items=10):
     """Scores equal to the task's ground-truth adjacency, as exact dot products."""
     user = np.zeros((n_users, n_items))
-    for u, rel in relevant_sets(split, task).items():
+    for u, rel in reference_relevant(split, task).items():
         for i in rel:
             user[u, i] = 1.0
     return BackboneModel(user_emb=user, item_emb=np.eye(n_items))
@@ -184,13 +202,15 @@ class TestEvaluate:
 
     def test_relevant_sets_tasks(self):
         split = hand_split()
-        overall = relevant_sets(split, "overall")
-        warm = relevant_sets(split, "warm")
-        cold = relevant_sets(split, "cold")
+        index = split.index(10)
+        overall, warm, cold = (sets_by_row(index.relevant(task))
+                               for task in ("overall", "warm", "cold"))
+        for task, got in (("overall", overall), ("warm", warm), ("cold", cold)):
+            assert got == reference_relevant(split, task)
         for u in range(10):
             assert overall[u] == warm[u] | cold[u]
         with pytest.raises(ValueError):
-            relevant_sets(split, "lukewarm")
+            index.relevant("lukewarm")
 
 
 class TestAdoption:

@@ -338,14 +338,16 @@ class TestTraining:
             item_emb=init_embeddings(data.log.n_items, 8, seed + 1))
         rng = np.random.default_rng(seed)
         content = rng.normal(size=(data.log.n_items, 6))
-        return data, split, backbone, content
+        hist = history_content_means(split.index(data.log.n_users).train_items,
+                                     content)
+        return data, split, backbone, content, hist
 
     def test_lr_zero_leaves_params(self):
-        data, split, backbone, content = self.setup_inputs()
+        data, split, backbone, content, hist = self.setup_inputs()
         filt = TwoTowerFilter.init("B", 8, 6, hidden=5, out=4, seed=0)
         before = {p: a.copy() for p, a in filt.user_tower.params().items()}
         cfg = FilterTrainConfig(lr=0.0, max_epochs=2, batch_size=16, seed=0)
-        train_behavior_filter(filt, backbone, content, split, cfg)
+        train_behavior_filter(filt, backbone, content, hist, split, cfg)
         for p, a in filt.user_tower.params().items():
             assert np.array_equal(a, before[p])
 
@@ -373,13 +375,15 @@ class TestTraining:
         labeler = lambda u, i: int((u, i) in data.truth)
         cfg = FilterTrainConfig(lr=0.01, batch_size=64, max_epochs=200,
                                 patience=200, coupled_weight=0.0, seed=5)
-        _, history = train_coupled_filter(filt, backbone, content, split,
+        hist = history_content_means(split.index(50).train_items, content)
+        _, history = train_coupled_filter(filt, backbone, content, hist, split,
                                           labeler, cfg)
         assert history[-1]["loss"] < 0.1
 
     def test_label_pool_is_balanced(self):
-        _, split, _, _ = self.setup_inputs(seed=6)
-        pairs = sample_label_pairs(split, n_positives=None, seed=6)
+        data, split, _, _, _ = self.setup_inputs(seed=6)
+        pairs = sample_label_pairs(split, data.log.n_users, n_positives=None,
+                                   seed=6)
         observed = split.warm_train_set
         n_pos = sum(1 for p in pairs if p in observed)
         n_neg = len(pairs) - n_pos
@@ -387,7 +391,7 @@ class TestTraining:
         assert n_neg == n_pos
 
     def test_labeler_failures_skipped(self):
-        data, split, backbone, content = self.setup_inputs(seed=7)
+        data, split, backbone, content, hist = self.setup_inputs(seed=7)
         filt = TwoTowerFilter.init("L", 8, 6, hidden=5, out=4, seed=7)
 
         calls = {"n": 0}
@@ -400,11 +404,11 @@ class TestTraining:
 
         cfg = FilterTrainConfig(lr=1e-4, max_epochs=1, batch_size=32, seed=7,
                                 label_pairs=30)
-        train_coupled_filter(filt, backbone, content, split, flaky, cfg)
+        train_coupled_filter(filt, backbone, content, hist, split, flaky, cfg)
 
     def test_labeler_bug_propagates(self):
         # only oracle faults skip a pair; a programming error is raised
-        data, split, backbone, content = self.setup_inputs(seed=7)
+        data, split, backbone, content, hist = self.setup_inputs(seed=7)
         filt = TwoTowerFilter.init("L", 8, 6, hidden=5, out=4, seed=7)
 
         def buggy(u, i):
@@ -413,7 +417,8 @@ class TestTraining:
         cfg = FilterTrainConfig(lr=1e-4, max_epochs=1, batch_size=32, seed=7,
                                 label_pairs=30)
         with pytest.raises(IndexError, match="bad row"):
-            train_coupled_filter(filt, backbone, content, split, buggy, cfg)
+            train_coupled_filter(filt, backbone, content, hist, split, buggy,
+                                 cfg)
 
 
 class TestPersistence:

@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from coldsim import evaluation, pipeline
+from coldsim import evaluation, filtering, pipeline
 from coldsim.backbone import BackboneConfig
 from coldsim.config import default_config, resolve_seeds
 from coldsim.filtering import FilterTrainConfig
-from coldsim.refiner import SimulateConfig
+from coldsim.refiner import SimulateConfig, SimulationResult
 from coldsim.warmup import WarmupConfig
 from coldsim.refiner import PlantedOracle
 from coldsim.synthetic import make_planted_split, make_two_cluster_dataset
@@ -137,11 +137,32 @@ def tower_weights(filt):
 class TestTrainFilter:
     def test_derived_state_matches_split(self, small_pipe):
         _, split, _, pipe = small_pipe
-        assert pipe.train_items == split.train_items_of(pipe.log.n_users)
+        expected = [[] for _ in range(pipe.log.n_users)]
+        for u, i in sorted(split.warm_train):
+            expected[u].append(i)
+        assert pipe.train_items == expected
         for u, items in enumerate(pipe.train_items):
             expected = (pipe.content_matrix[items].mean(axis=0) if items
                         else np.zeros(pipe.content_matrix.shape[1]))
             assert np.array_equal(pipe.hist_means[u], expected)
+
+    def test_build_computes_history_means_once(self, monkeypatch):
+        calls = []
+        means = filtering.history_content_means
+
+        def counted(*args):
+            calls.append(args)
+            return means(*args)
+
+        monkeypatch.setattr(filtering, "history_content_means", counted)
+        data = make_two_cluster_dataset(n_users=30, n_warm=12, n_cold=3,
+                                        groups_per_cluster=1, seed=2)
+        split = make_planted_split(data, seed=2)
+        cfg = tiny_config(seed=2, backbone={"max_epochs": 2},
+                          filter={"max_epochs": 1, "label_pairs": 20})
+        pipeline.build_pipeline(data.log, data.catalog, split, cfg,
+                                oracle=PlantedOracle(data.truth))
+        assert len(calls) == 1
 
     def test_retrained_l_ignores_existing_l(self, small_pipe):
         # labels take their contexts from filter B, so a filter L already on
@@ -233,3 +254,20 @@ class TestEnrichment:
         sims = pipeline.simulate_all(pipe, cfg2)
         model = pipeline.warm_from_simulations(pipe, sims, cfg2)
         assert model.item_emb.shape == pipe.backbone.item_emb.shape
+
+    def test_enriched_split_moves_simulated_items(self, small_pipe):
+        _, split, _, _ = small_pipe
+        simulated, unsimulated = split.cold_items[:2], split.cold_items[2:]
+        sims = {i: SimulationResult(item=i, users=[0, 1 + i % 5])
+                for i in simulated}
+        sims.update({i: SimulationResult(item=i, users=[])
+                     for i in unsimulated})
+        enriched = pipeline.enriched_split(split, sims)
+        assert enriched.warm_items == sorted(split.warm_items + simulated)
+        assert enriched.cold_items == unsimulated
+        extra = {(u, i) for i in simulated for u in sims[i].users}
+        assert len(enriched.warm_train) == len(split.warm_train) + len(extra)
+        assert set(enriched.warm_train) == set(split.warm_train) | extra
+        assert enriched.warm_train == sorted(enriched.warm_train)
+        for name in ("warm_val", "warm_test", "cold_val", "cold_test"):
+            assert getattr(enriched, name) == getattr(split, name)

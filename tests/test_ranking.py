@@ -10,11 +10,12 @@ import pytest
 from coldsim import metrics
 from coldsim.backbone import BackboneModel, validation_ndcg
 from coldsim.corpus import ColdWarmSplit
-from coldsim.evaluation import evaluate, relevant_sets, sample_eval_users
+from coldsim.evaluation import evaluate, sample_eval_users
 from coldsim.filtering import (filter_validation_ndcg, history_content_means,
                                map_user)
 from coldsim.metrics import PairSets, ndcg_at_k, rank_by_score, recall_at_k
 
+from test_evaluation import reference_relevant, sets_by_row
 from test_filtering import brute_force_topk, lexsort_rank, random_filter
 
 
@@ -59,8 +60,16 @@ def reference_filter_validation_ndcg(filt, backbone, content_matrix, hist_means,
     return total / n_eval if n_eval else 0.0
 
 
+def reference_train_items(split, n_users):
+    """Each user's warm-train items, ascending."""
+    hist = [[] for _ in range(n_users)]
+    for u, i in sorted(split.warm_train):
+        hist[u].append(i)
+    return hist
+
+
 def reference_evaluate(model, split, task, k, n_users, seed):
-    rel = relevant_sets(split, task)
+    rel = reference_relevant(split, task)
     users = sample_eval_users(rel, model.n_users, n_users, seed)
     train_of = {}
     for u, i in split.warm_train:
@@ -209,6 +218,43 @@ def test_row_chunks_cap_scores_above_a_row_floor():
     assert [len(c) for c in metrics.row_chunks(range(40), 1 << 14)] == [16, 16, 8]
 
 
+class TestSplitIndex:
+    def test_repeated_calls_return_one_index(self, split_case):
+        split, n_users, _ = split_case
+        assert split.index(n_users) is split.index(n_users)
+
+    def test_equals_per_user_references(self, split_case):
+        split, n_users, _ = split_case
+        index = split.index(n_users)
+        assert index.train_items == reference_train_items(split, n_users)
+        assert sets_by_row(index.train) == {
+            u: set(items) for u, items in
+            enumerate(reference_train_items(split, n_users)) if items}
+        assert index.warm.tolist() == sorted(split.warm_items)
+        warm_of = lambda sets: {u: {int(index.warm[j]) for j in cols}
+                                for u, cols in sets_by_row(sets).items()}
+        assert warm_of(index.train_warm) == sets_by_row(index.train)
+        val = {}
+        for u, i in split.warm_val:
+            val.setdefault(u, set()).add(i)
+        assert warm_of(index.val_warm) == val
+        assert index.val_users == sorted(val)
+        assert index.train_users == sorted({u for u, _ in split.warm_train})
+        for task in ("overall", "warm", "cold"):
+            assert sets_by_row(index.relevant(task)) == \
+                reference_relevant(split, task)
+        overall, warm, cold = (sets_by_row(index.relevant(task))
+                               for task in ("overall", "warm", "cold"))
+        for u in overall:
+            assert overall[u] == warm.get(u, set()) | cold.get(u, set())
+        with pytest.raises(ValueError, match="unknown task"):
+            index.relevant("lukewarm")
+
+    def test_user_beyond_the_count_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            tie_heavy_split().index(11)
+
+
 class TestCallersEqualPerUserLoops:
     def test_evaluate(self, split_case, chunk_scores):
         split, n_users, n_items = split_case
@@ -237,7 +283,8 @@ class TestCallersEqualPerUserLoops:
         users = list(rng.permutation(n_users))
         content = rng.normal(size=(n_items, 5))
         content[1::3] = content[0]                      # tied item vectors
-        hist = history_content_means(split.train_items_of(n_users), content)
+        hist = history_content_means(reference_train_items(split, n_users),
+                                     content)
         for model in models_for(rng, n_users, n_items, dim=6):
             filt = random_filter(rng, backbone_dim=6, content_dim=5)
             for k in (1, 5, 20):

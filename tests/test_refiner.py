@@ -436,7 +436,7 @@ class TestRefine:
         rng = np.random.default_rng(8)
         filt = make_filter(seed=8)
         content = rng.normal(size=(data.log.n_items, 6))
-        train_items = split.train_items_of(data.log.n_users)
+        train_items = split.index(data.log.n_users).train_items
         item = data.cold_items[0]
         candidates = CandidateSet(item=item, users=list(range(data.log.n_users)))
         kept, _ = refine(candidates, PlantedOracle(data.truth),
@@ -547,7 +547,7 @@ class TestSimulateForItem:
         content = rng.normal(size=(data.log.n_items, 6))
         user_vecs = rng.normal(size=(data.log.n_users, 5))
         catalog = data.catalog
-        train_items = split.train_items_of(data.log.n_users)
+        train_items = split.index(data.log.n_users).train_items
         return data, split, filt, content, user_vecs, catalog, train_items
 
     def test_always_yes_keeps_topk(self):
