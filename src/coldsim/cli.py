@@ -41,6 +41,13 @@ def _workdir(args) -> Path:
     return Path(args.out if args.out is not None else DEFAULT_WORKDIR)
 
 
+def _require(path: Path, command: str) -> Path:
+    """``path``, or FileNotFoundError naming the command that writes it."""
+    if not path.exists():
+        raise FileNotFoundError(f"{path} not found; run `{command}` first")
+    return path
+
+
 def _save_dataset(out: Path, log: InteractionLog, catalog: ItemCatalog) -> None:
     doc = {
         "n_users": log.n_users,
@@ -50,16 +57,12 @@ def _save_dataset(out: Path, log: InteractionLog, catalog: ItemCatalog) -> None:
         "titles": ({str(i): t for i, t in sorted(catalog.titles.items())}
                    if catalog.titles else None),
     }
-    with open(out / "dataset.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+    store.write_atomic(out / "dataset.json",
+                       json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def _load_dataset(out: Path):
-    path = out / "dataset.json"
-    if not path.exists():
-        raise FileNotFoundError(f"{path} not found; run `ingest` first")
-    with open(path, encoding="utf-8") as fh:
+    with open(_require(out / "dataset.json", "ingest"), encoding="utf-8") as fh:
         doc = json.load(fh)
     log = InteractionLog.from_pairs(doc["n_users"], doc["n_items"],
                                     [tuple(p) for p in doc["pairs"]])
@@ -71,34 +74,24 @@ def _load_dataset(out: Path):
 
 
 def _load_split(out: Path) -> ColdWarmSplit:
-    path = out / "split.json"
-    if not path.exists():
-        raise FileNotFoundError(f"{path} not found; run `split` first")
-    return ColdWarmSplit.load(path)
+    return ColdWarmSplit.load(_require(out / "split.json", "split"))
 
 
 def _load_backbone(out: Path) -> BackboneModel:
-    if not (out / "backbone_user.cemb").exists():
-        raise FileNotFoundError(f"backbone tables not found in {out}; "
-                                f"run `train-backbone` first")
+    _require(out / "backbone_user.cemb", "train-backbone")
     return BackboneModel.load(out)
 
 
 def _load_cache(out: Path) -> VectorCache:
-    path = out / "content_cache.cemb"
-    if not path.exists():
-        raise FileNotFoundError(f"{path} not found; run `cache-content` first")
-    return VectorCache.load(path)
+    return VectorCache.load(_require(out / "content_cache.cemb", "cache-content"))
 
 
 def _load_filter(out: Path, variant: str, required: bool = True):
-    path = out / f"filter_{variant}"
-    if not (path / "manifest.json").exists():
-        if required:
-            raise FileNotFoundError(f"{path} not found; run `train-filter "
-                                    f"--variant {variant}` first")
+    manifest = out / f"filter_{variant}" / "manifest.json"
+    if not required and not manifest.exists():
         return None
-    return TwoTowerFilter.load(path)
+    return TwoTowerFilter.load(
+        _require(manifest, f"train-filter --variant {variant}").parent)
 
 
 def _content_provider(cfg, out: Path):
@@ -146,16 +139,12 @@ def _save_simulations(out: Path, sims: dict[int, SimulationResult]) -> None:
     doc = {str(item): {"users": sim.users,
                        "fallback_used": bool(sim.fallback_used)}
            for item, sim in sorted(sims.items())}
-    with open(out / "simulated.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    store.write_atomic(out / "simulated.json",
+                       json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _load_simulations(out: Path) -> dict[int, SimulationResult]:
-    path = out / "simulated.json"
-    if not path.exists():
-        raise FileNotFoundError(f"{path} not found; run `simulate` first")
-    with open(path, encoding="utf-8") as fh:
+    with open(_require(out / "simulated.json", "simulate"), encoding="utf-8") as fh:
         doc = json.load(fh)
     return {int(item): SimulationResult(item=int(item), users=body["users"],
                                         fallback_used=body["fallback_used"])
@@ -171,7 +160,7 @@ def cmd_default_config(args, cfg) -> int:
     if args.out:
         out = _workdir(args)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "config.json").write_text(text, encoding="utf-8")
+        store.write_atomic(out / "config.json", text)
     return 0
 
 
@@ -213,8 +202,8 @@ def cmd_train_backbone(args, cfg) -> int:
     model.save(out)
     meta = {"dim": model.dim, "trained_epochs": model.trained_epochs,
             "fingerprint": config_mod.fingerprint(cfg)}
-    (out / "backbone.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    store.write_atomic(out / "backbone.json",
+                       json.dumps(meta, sort_keys=True, indent=1) + "\n")
     store.export_tsv(out / "backbone_item.tsv", model.item_emb[:50])
     print(f"backbone trained: {model.trained_epochs} epochs, dim {model.dim}")
     return 0
@@ -303,7 +292,7 @@ def cmd_evaluate(args, cfg) -> int:
                       fingerprint=config_mod.fingerprint(cfg))
     report.save(out / f"eval_{args.task}.json")
     text = format_report(report)
-    (out / f"eval_{args.task}.txt").write_text(text, encoding="utf-8")
+    store.write_atomic(out / f"eval_{args.task}.txt", text)
     sys.stdout.write(text)
     return 0
 
@@ -316,9 +305,8 @@ def cmd_ablate(args, cfg) -> int:
     doc = {task: {"recall": r.recall, "ndcg": r.ndcg, "k": r.k,
                   "n_users": r.n_users}
            for task, r in reports.items()}
-    path = out / f"ablation_{args.variant}.json"
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n",
-                    encoding="utf-8")
+    store.write_atomic(out / f"ablation_{args.variant}.json",
+                       json.dumps(doc, sort_keys=True, indent=1) + "\n")
     for task, r in reports.items():
         print(f"{args.variant} {task}: Recall@{r.k} {r.recall:.4f} "
               f"NDCG@{r.k} {r.ndcg:.4f}")

@@ -213,11 +213,21 @@ class VectorCache:
         self.vectors[int(item)] = vec
 
     def matrix(self, n_items: int) -> np.ndarray:
-        """Dense (n_items, dim) float64 matrix; missing items are zero rows."""
+        """Dense (n_items, dim) float64 matrix, one row per item id.
+
+        A cache lacking an item below ``n_items``, or holding one at or
+        above it, was built for another catalog: ``ValueError`` names the
+        lowest such id.
+        """
+        stale = sorted(set(range(n_items)).symmetric_difference(self.vectors))
+        if stale:
+            what = "lacks" if stale[0] < n_items else "holds out-of-range"
+            raise ValueError(f"content cache {what} item {stale[0]} for a "
+                             f"{n_items}-item catalog; it was built for "
+                             f"another catalog")
         mat = np.zeros((n_items, self.dim))
         for i, v in self.vectors.items():
-            if i < n_items:
-                mat[i] = v
+            mat[i] = v
         return mat
 
     def save(self, path: str | Path) -> None:
@@ -228,9 +238,8 @@ class VectorCache:
         store.save_table(path, table)
         sidecar = {"kind": self.provider_kind, "dim": self.dim,
                    "hash_seed": self.hash_seed, "items": items}
-        with open(path.with_suffix(".json"), "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, sort_keys=True)
-            fh.write("\n")
+        store.write_atomic(path.with_suffix(".json"),
+                           json.dumps(sidecar, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorCache":

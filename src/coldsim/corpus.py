@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import store
 from .metrics import PairSets
 
 logger = logging.getLogger(__name__)
@@ -193,9 +194,7 @@ class ColdWarmSplit:
             "cold_val": [list(p) for p in sorted(self.cold_val)],
             "cold_test": [list(p) for p in sorted(self.cold_test)],
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        store.write_atomic(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "ColdWarmSplit":
@@ -228,9 +227,7 @@ class ColdWarmSplit:
 
 def _persist_idmap(path, raw_user_ids, raw_item_ids) -> None:
     doc = {"users": list(raw_user_ids), "items": list(raw_item_ids)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    store.write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_citeulike(path: str | Path, mapping_path: str | Path | None = None,

@@ -8,6 +8,8 @@ cold: cold-test only).  Metrics are macro-averaged over users.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import logging
 from dataclasses import dataclass, asdict
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import store
 from .backbone import BackboneModel
 from .corpus import TASKS, ColdWarmSplit
 from .metrics import hit_metrics, rank_by_score, row_chunks
@@ -36,7 +39,7 @@ class EvalReport:
         return json.dumps(asdict(self), sort_keys=True, indent=1) + "\n"
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        store.write_atomic(path, self.to_json())
 
 
 @dataclass
@@ -114,13 +117,10 @@ def format_report(report: EvalReport) -> str:
 
 def reports_to_csv(rows: list[dict], path: str | Path) -> None:
     """Write sweep/ablation rows as CSV; column order is fixed by first row."""
-    import csv
-
     if not rows:
         raise ValueError("no rows to write")
-    fields = list(rows[0].keys())
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+    writer.writeheader()
+    writer.writerows(rows)
+    store.write_atomic(path, buf.getvalue())

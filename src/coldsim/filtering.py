@@ -125,9 +125,8 @@ class TwoTowerFilter:
             "out": self.user_tower.d_out,
             "train_config": train_config,
         }
-        with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        store.write_atomic(out / "manifest.json",
+                           json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
     @classmethod
     def load(cls, out_dir: str | Path) -> "TwoTowerFilter":
@@ -146,15 +145,10 @@ class TwoTowerFilter:
 
 @dataclass
 class CandidateSet:
-    """Ranked candidate users for one item.
-
-    ``scores`` is None for funnel output, where ranks merged from two
-    filters carry no comparable score.
-    """
+    """Ranked candidate users for one item."""
 
     item: int | None
     users: list[int]
-    scores: list[float] | None = None
 
 
 def map_item(filt: TwoTowerFilter, raw: np.ndarray) -> np.ndarray:
@@ -164,27 +158,6 @@ def map_item(filt: TwoTowerFilter, raw: np.ndarray) -> np.ndarray:
         raise ValueError(f"raw vector width {raw.shape[-1]} != item tower input "
                          f"{filt.item_tower.d_in}")
     return filt.item_tower.forward(raw)
-
-
-def map_user(filt: TwoTowerFilter, e_u: np.ndarray,
-             hist_content: np.ndarray | None = None) -> np.ndarray:
-    """Filter vector of a user from behavior embedding plus history content.
-
-    ``hist_content`` is the mean raw content vector of the user's train
-    history; users with no history pass the zero block.
-    """
-    e_u = np.asarray(e_u, dtype=np.float64)
-    content_dim = filt.user_tower.d_in - e_u.shape[-1]
-    if content_dim < 0:
-        raise ValueError(f"behavior embedding width {e_u.shape[-1]} exceeds user "
-                         f"tower input {filt.user_tower.d_in}")
-    if hist_content is None:
-        hist_content = np.zeros(content_dim)
-    hist_content = np.asarray(hist_content, dtype=np.float64)
-    if hist_content.shape[-1] != content_dim:
-        raise ValueError(f"history content width {hist_content.shape[-1]} != "
-                         f"expected {content_dim}")
-    return filt.user_tower.forward(np.concatenate([e_u, hist_content]))
 
 
 def history_content_means(train_items: list[list[int]],
@@ -217,11 +190,8 @@ def topk_candidates(filt: TwoTowerFilter, raw_item: np.ndarray,
     Ties break by ascending user id; K beyond the user count returns the
     full ranking.
     """
-    f_i = map_item(filt, raw_item)
-    scores = user_vectors @ f_i
-    ranked = rank_by_score(scores, k=k)
-    return CandidateSet(item=item, users=ranked.tolist(),
-                        scores=scores[ranked].tolist())
+    ranked = rank_by_score(user_vectors @ map_item(filt, raw_item), k=k)
+    return CandidateSet(item=item, users=ranked.tolist())
 
 
 class InnerProductIndex:
@@ -273,7 +243,7 @@ def funnel_filter(raw_item: np.ndarray, k: int,
                 merged.append(ranking[pos])
         if len(merged) >= k:
             break
-    return CandidateSet(item=item, users=merged[:k], scores=None)
+    return CandidateSet(item=item, users=merged[:k])
 
 
 @dataclass

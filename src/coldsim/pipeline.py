@@ -136,10 +136,18 @@ def train_filter(pipe: Pipeline, variant: str, cfg: dict):
 def build_pipeline(log: InteractionLog, catalog: ItemCatalog,
                    split: ColdWarmSplit, cfg: dict, oracle=None,
                    planted_pairs=None, variants=("B", "L")) -> Pipeline:
-    """Train backbone, content cache (mock provider), and both filters."""
+    """Train backbone, content cache (mock provider), and both filters.
+
+    Only the mock provider embeds in process; content from a file or an
+    HTTP service is cached by the CLI's ``cache-content``.
+    """
+    c = cfg["content"]
+    if c["provider"] != "mock":
+        raise ValueError(f"build_pipeline embeds with the mock provider, but "
+                         f"content.provider is {c['provider']!r}; run "
+                         f"`cache-content` and load its cache instead")
     backbone = fit_backbone(split, log, cfg)
-    provider = MockContentProvider(dim=cfg["content"]["dim"],
-                                   hash_seed=cfg["content"]["hash_seed"])
+    provider = MockContentProvider(dim=c["dim"], hash_seed=c["hash_seed"])
     cache = VectorCache(dim=provider.dim, provider_kind=provider.kind,
                         hash_seed=provider.hash_seed)
     for i, text in catalog.content.items():

@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import store
 from .backbone import _sample_negative
 from .content import post_with_retries
 from .corpus import ColdWarmSplit, ItemCatalog
@@ -225,10 +226,9 @@ class DecisionLog:
                              "oracle": oracle_kind, "ph": ph})
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in self.records:
-                json.dump(rec, fh, sort_keys=True, ensure_ascii=False)
-                fh.write("\n")
+        store.write_atomic(path, "".join(
+            json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n"
+            for rec in self.records))
 
     @classmethod
     def load(cls, path: str | Path) -> "DecisionLog":
@@ -443,9 +443,8 @@ def prepare_finetune_data(split: ColdWarmSplit, catalog: ItemCatalog,
                        "warm item", exhausted)
 
     if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                json.dump({"prompt": rec.prompt, "completion": rec.completion},
-                          fh, ensure_ascii=False, sort_keys=True)
-                fh.write("\n")
+        store.write_atomic(out_path, "".join(
+            json.dumps({"prompt": rec.prompt, "completion": rec.completion},
+                       ensure_ascii=False, sort_keys=True) + "\n"
+            for rec in records))
     return records

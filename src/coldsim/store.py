@@ -1,12 +1,15 @@
-"""Binary persistence for embedding tables.
+"""Artifact persistence: the one atomic file writer and embedding tables.
 
-File layout: a 16-byte header (magic ``CEMB``, uint32 version, uint32 rows,
-uint32 dim, all little-endian) followed by ``rows * dim`` float32 values in
-row-major order.  A TSV exporter is provided for eyeballing tables.
+Every file coldsim saves goes through :func:`write_atomic`.  Table layout:
+a 16-byte header (magic ``CEMB``, uint32 version, uint32 rows, uint32 dim,
+all little-endian) followed by ``rows * dim`` float32 values in row-major
+order.  A TSV exporter is provided for eyeballing tables.
 """
 
 from __future__ import annotations
 
+import os
+import secrets
 import struct
 from pathlib import Path
 
@@ -18,14 +21,35 @@ VERSION = 1
 _HEADER = struct.Struct("<4sIII")
 
 
+def write_atomic(path: str | Path, data: str | bytes) -> None:
+    """Replace ``path`` with ``data`` (text as UTF-8) in one step.
+
+    The bytes go to a hidden temp file in ``path``'s directory, which is
+    then ``os.replace``d over ``path``.  On any exception the temp file is
+    deleted and ``path`` keeps its old bytes.  A new file gets the mode
+    ``open(path, "w")`` would give it.  There is no fsync: this covers a
+    writer that fails or is killed, not a power cut.
+    """
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "xb")  # outside the try: never delete a file not ours
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_table(path: str | Path, values: np.ndarray) -> None:
     """Write a 2-D array to ``path`` in the binary table format."""
     arr = np.ascontiguousarray(values, dtype="<f4")
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D table, got shape {arr.shape}")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, arr.shape[0], arr.shape[1]))
-        fh.write(arr.tobytes())
+    write_atomic(path, _HEADER.pack(MAGIC, VERSION, *arr.shape) + arr.tobytes())
 
 
 def load_table(path: str | Path) -> np.ndarray:
@@ -48,6 +72,6 @@ def load_table(path: str | Path) -> np.ndarray:
 def export_tsv(path: str | Path, values: np.ndarray) -> None:
     """Debug export: one row per line, ``id<TAB>v0 v1 ...``."""
     arr = np.asarray(values, dtype=np.float32)
-    with open(path, "w", encoding="utf-8") as fh:
-        for idx, row in enumerate(arr):
-            fh.write(f"{idx}\t" + " ".join(f"{float(v):.8g}" for v in row) + "\n")
+    write_atomic(path, "".join(
+        f"{idx}\t" + " ".join(f"{float(v):.8g}" for v in row) + "\n"
+        for idx, row in enumerate(arr)))

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
+from . import store
 from .backbone import BackboneModel
 from .corpus import ColdWarmSplit
 from .filtering import TwoTowerFilter, map_item
@@ -201,6 +202,4 @@ def warm_all_cold(split: ColdWarmSplit, simulations: dict[int, SimulationResult]
 
 
 def save_warmup_report(path: str | Path, report: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    store.write_atomic(path, json.dumps(report, sort_keys=True, indent=1) + "\n")

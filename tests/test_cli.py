@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 from coldsim.cli import main
+from coldsim.content import VectorCache
 from coldsim.synthetic import make_two_cluster_dataset
 
 from conftest import write_citeulike_fixture
@@ -217,3 +218,23 @@ class TestDeterminism:
         assert artifacts
         for rel in artifacts:
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
+
+
+class TestStaleCache:
+    def test_simulate_over_cache_missing_an_item(self, tmp_path, caplog):
+        corpus = write_corpus_from_planted(tmp_path / "corpus")
+        config = fast_config(tmp_path)
+        out = tmp_path / "run"
+        base = ["--config", str(config), "--seed", "7", "--out", str(out)]
+        assert main(base + ["ingest", "--dataset", "citeulike",
+                            "--path", str(corpus)]) == 0
+        for cmd in (["split"], ["train-backbone"], ["cache-content"],
+                    ["train-filter", "--variant", "B"]):
+            assert main(base + cmd) == 0, cmd
+        cache = VectorCache.load(out / "content_cache.cemb")
+        del cache.vectors[5]
+        cache.save(out / "content_cache.cemb")
+        caplog.clear()
+        assert main(base + ["simulate"]) == 1
+        assert "lacks item 5 " in caplog.text
+        assert not (out / "simulated.json").exists()

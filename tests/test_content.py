@@ -245,9 +245,16 @@ class TestVectorCache:
         with pytest.raises(ValueError, match="width"):
             cache.put(0, np.ones(9))
 
-    def test_matrix_zero_fills_missing(self):
+    def test_matrix_rejects_stale_cache(self):
+        # a cache lacking a catalog item, or holding one past its end, was
+        # built for another catalog
         cache = VectorCache(dim=4, provider_kind="mock")
+        for i in (0, 2, 3):
+            cache.put(i, np.full(4, float(i)))
+        with pytest.raises(ValueError, match="lacks item 1 "):
+            cache.matrix(4)
         cache.put(1, np.ones(4))
-        mat = cache.matrix(3)
-        assert np.array_equal(mat[1], np.ones(4))
-        assert not mat[0].any() and not mat[2].any()
+        with pytest.raises(ValueError, match="out-of-range item 2 "):
+            cache.matrix(2)
+        mat = cache.matrix(4)
+        assert [row[0] for row in mat] == [0.0, 1.0, 2.0, 3.0]

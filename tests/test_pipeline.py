@@ -164,6 +164,17 @@ class TestTrainFilter:
                                 oracle=PlantedOracle(data.truth))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("provider", ["file", "http"])
+    def test_build_rejects_non_mock_content(self, provider):
+        # only the mock provider embeds in process; the CLI caches the others
+        data = make_two_cluster_dataset(n_users=30, n_warm=12, n_cold=3,
+                                        groups_per_cluster=1, seed=2)
+        cfg = tiny_config(seed=2, content={"provider": provider})
+        with pytest.raises(ValueError, match="content.provider.*cache-content"):
+            pipeline.build_pipeline(data.log, data.catalog,
+                                    make_planted_split(data, seed=2), cfg,
+                                    oracle=PlantedOracle(data.truth))
+
     def test_retrained_l_ignores_existing_l(self, small_pipe):
         # labels take their contexts from filter B, so a filter L already on
         # the pipeline (here: B itself in its place) leaves the result as built

@@ -11,12 +11,12 @@ from coldsim import metrics
 from coldsim.backbone import BackboneModel, validation_ndcg
 from coldsim.corpus import ColdWarmSplit
 from coldsim.evaluation import evaluate, sample_eval_users
-from coldsim.filtering import (filter_validation_ndcg, history_content_means,
-                               map_user)
+from coldsim.filtering import filter_validation_ndcg, history_content_means
 from coldsim.metrics import PairSets, ndcg_at_k, rank_by_score, recall_at_k
 
 from test_evaluation import reference_relevant, sets_by_row
-from test_filtering import brute_force_topk, lexsort_rank, random_filter
+from test_filtering import (brute_force_topk, lexsort_rank, map_user,
+                            random_filter)
 
 
 def reference_validation_ndcg(model, split, users, k=20):

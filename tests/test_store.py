@@ -1,9 +1,40 @@
+import stat
 import struct
 
 import numpy as np
 import pytest
 
-from coldsim.store import MAGIC, VERSION, export_tsv, load_table, save_table
+from coldsim import store
+from coldsim.store import (MAGIC, VERSION, export_tsv, load_table, save_table,
+                           write_atomic)
+
+
+class TestWriteAtomic:
+    def test_text_is_written_as_utf8_verbatim(self, tmp_path):
+        write_atomic(tmp_path / "t.txt", "old")
+        write_atomic(tmp_path / "t.txt", "café\r\n")
+        assert (tmp_path / "t.txt").read_bytes() == "café\r\n".encode("utf-8")
+
+    def test_failed_replace_keeps_old_file_and_no_temp(self, tmp_path,
+                                                       monkeypatch):
+        path = tmp_path / "a.json"
+        write_atomic(path, b"old\n")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(store.os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            write_atomic(path, b"new\n")
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path):
+        with open(tmp_path / "plain", "w"):
+            pass
+        write_atomic(tmp_path / "atomic", b"x")
+        mode = lambda name: stat.S_IMODE((tmp_path / name).stat().st_mode)
+        assert mode("atomic") == mode("plain")
 
 
 class TestBinaryTable:
