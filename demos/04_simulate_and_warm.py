@@ -40,13 +40,15 @@ print(f"adoption rate across all cold items: {adoption_rate(log).rate:.1%}")
 
 from coldsim.refiner import build_context
 
-# every item's coupled-filter vector, computed once; contexts index into it
+# every item's coupled-filter vector, computed once; contexts index into it.
+# One call builds the contexts of all of the item's simulated users.
 item_vectors = pipe.item_vectors(pipe.filter_l)
-user = sims[item].users[0]
-ctx = build_context(user, item_vectors[item], item_vectors,
-                    pipe.train_items[user], data.catalog, top_l=3)
-print(f"\nprompt sent to the oracle for user {user}:")
-print(" ", render_prompt(ctx, data.catalog.title(item)))
+users = sims[item].users
+contexts = build_context(users, item_vectors[item], item_vectors,
+                         [pipe.train_items[u] for u in users], data.catalog,
+                         top_l=3)
+print(f"\nprompt sent to the oracle for user {users[0]}:")
+print(" ", render_prompt(contexts[0], data.catalog.title(item)))
 
 # warm the cold rows and check the frozen-warm contract
 warmed = warm_from_simulations(pipe, sims, cfg)

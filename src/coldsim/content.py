@@ -264,7 +264,9 @@ def warm_cache(provider, catalog, cache_path: str | Path,
     Already-cached items are not re-fetched, so a rerun over a complete
     cache issues zero provider calls.  Fetches run on up to ``max_inflight``
     threads; rows are written back in ascending item id order regardless of
-    completion order.
+    completion order.  A cache built by another provider kind, width or
+    hash seed, or holding an item the catalog lacks, raises ValueError
+    naming the cache before any provider call.
     """
     cache_path = Path(cache_path)
     if cache_path.exists():
@@ -275,6 +277,15 @@ def warm_cache(provider, catalog, cache_path: str | Path,
         if provider.dim is not None and cache.dim != provider.dim:
             raise ValueError(f"cache width {cache.dim} != provider width "
                              f"{provider.dim}")
+        seed = getattr(provider, "hash_seed", None)
+        if cache.hash_seed != seed:
+            raise ValueError(f"cache at {cache_path} was built with hash seed "
+                             f"{cache.hash_seed}, not {seed}")
+        foreign = sorted(set(cache.vectors).difference(catalog.content))
+        if foreign:
+            raise ValueError(f"cache at {cache_path} holds item {foreign[0]}, "
+                             f"which the catalog lacks; it was built for "
+                             f"another catalog")
     else:
         dim = provider.dim
         if dim is None:

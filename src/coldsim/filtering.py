@@ -26,7 +26,7 @@ from . import store
 from .backbone import (BackboneModel, DivergenceError, _epoch_triples,
                        ranked_validation_ndcg, sample_val_users)
 from .corpus import ColdWarmSplit
-from .metrics import rank_by_score
+from .metrics import rank_by_score, row_chunks
 
 logger = logging.getLogger(__name__)
 
@@ -184,14 +184,28 @@ def user_filter_vectors(filt: TwoTowerFilter, user_emb: np.ndarray,
 
 def topk_candidates(filt: TwoTowerFilter, raw_item: np.ndarray,
                     user_vectors: np.ndarray, k: int,
-                    item: int | None = None) -> CandidateSet:
+                    item=None) -> CandidateSet | list[CandidateSet]:
     """Exact top-K users by dot product with the item's filter vector.
 
     Ties break by ascending user id; K beyond the user count returns the
-    full ranking.
+    full ranking.  A 2-D ``raw_item`` (items x content width) ranks every
+    row's users at once and returns one candidate set per row, ``item``
+    then naming the rows.  Each row's scores are computed as for a 1-D
+    call, so both give the same ids; the score block is ranked in
+    :func:`~coldsim.metrics.row_chunks` slices.
     """
-    ranked = rank_by_score(user_vectors @ map_item(filt, raw_item), k=k)
-    return CandidateSet(item=item, users=ranked.tolist())
+    raw = np.asarray(raw_item, dtype=np.float64)
+    if raw.ndim == 1:
+        ranked = rank_by_score(user_vectors @ map_item(filt, raw), k=k)
+        return CandidateSet(item=item, users=ranked.tolist())
+    items = [None] * len(raw) if item is None else list(item)
+    out: list[CandidateSet] = []
+    for rows in row_chunks(np.arange(len(raw)), len(user_vectors)):
+        scores = np.stack([user_vectors @ map_item(filt, raw[r]) for r in rows])
+        out.extend(CandidateSet(item=items[r], users=users)
+                   for r, users in zip(rows.tolist(),
+                                       rank_by_score(scores, k=k).tolist()))
+    return out
 
 
 class InnerProductIndex:
@@ -215,35 +229,43 @@ def funnel_filter(raw_item: np.ndarray, k: int,
                   filter_l: TwoTowerFilter | None = None,
                   users_b: np.ndarray | None = None,
                   users_l: np.ndarray | None = None,
-                  item: int | None = None) -> CandidateSet:
+                  item=None) -> CandidateSet | list[CandidateSet]:
     """Merge both filters' rankings into one candidate list.
 
     Candidates are drawn alternately from the coupled (L) and behavior (B)
     rankings, L first, skipping duplicates, until K distinct users are
     collected.  With a single filter supplied, its ranking is used alone.
+    A 2-D ``raw_item`` block gives one merged list per row, from one
+    :func:`topk_candidates` call per filter (see there).
     """
     rankings = []
     if filter_l is not None:
         if users_l is None:
             raise ValueError("filter L supplied without its user vectors")
-        rankings.append(topk_candidates(filter_l, raw_item, users_l, k).users)
+        rankings.append(topk_candidates(filter_l, raw_item, users_l, k, item))
     if filter_b is not None:
         if users_b is None:
             raise ValueError("filter B supplied without its user vectors")
-        rankings.append(topk_candidates(filter_b, raw_item, users_b, k).users)
+        rankings.append(topk_candidates(filter_b, raw_item, users_b, k, item))
     if not rankings:
         raise ValueError("funnel_filter needs at least one trained filter")
+    if np.ndim(raw_item) == 1:
+        return _interleave(rankings, k)
+    return [_interleave(row, k) for row in zip(*rankings)]
 
+
+def _interleave(rankings: list[CandidateSet], k: int) -> CandidateSet:
     merged: list[int] = []
     seen: set[int] = set()
-    for pos in range(max(len(r) for r in rankings)):
-        for ranking in rankings:
+    users = [r.users for r in rankings]
+    for pos in range(max(len(r) for r in users)):
+        for ranking in users:
             if pos < len(ranking) and ranking[pos] not in seen:
                 seen.add(ranking[pos])
                 merged.append(ranking[pos])
         if len(merged) >= k:
             break
-    return CandidateSet(item=item, users=merged[:k])
+    return CandidateSet(item=rankings[0].item, users=merged[:k])
 
 
 @dataclass

@@ -168,7 +168,8 @@ def build_pipeline(log: InteractionLog, catalog: ItemCatalog,
 def simulate_all(pipe: Pipeline, cfg: dict, use_b: bool = True,
                  use_l: bool = True, skip_refine: bool = False,
                  decision_log: DecisionLog | None = None) -> dict[int, SimulationResult]:
-    """Run the funnel for every cold item."""
+    """Run the funnel for every cold item: one ranking per filter over all of
+    them, then each item's refinement in ascending item order."""
     sim_cfg = section_config(SimulateConfig, cfg["refiner"])
     filt_b = pipe.filter_b if use_b else None
     filt_l = pipe.filter_l if use_l else None
@@ -179,14 +180,13 @@ def simulate_all(pipe: Pipeline, cfg: dict, use_b: bool = True,
     # contexts come from the coupled filter when present, else the behavior one
     item_vectors = None if skip_refine else pipe.item_vectors(
         filt_l if filt_l is not None else filt_b)
-    results = {}
-    for item in sorted(pipe.split.cold_items):
-        results[item] = refiner.simulate_for_item(
-            item, pipe.content_matrix[item], pipe.oracle, item_vectors,
-            pipe.train_items, pipe.catalog, sim_cfg,
-            filter_b=filt_b, filter_l=filt_l, users_b=users_b, users_l=users_l,
-            decision_log=decision_log, skip_refine=skip_refine)
-    return results
+    items = sorted(pipe.split.cold_items)
+    results = refiner.simulate_items(
+        items, pipe.content_matrix[items], pipe.oracle, item_vectors,
+        pipe.train_items, pipe.catalog, sim_cfg,
+        filter_b=filt_b, filter_l=filt_l, users_b=users_b, users_l=users_l,
+        decision_log=decision_log, skip_refine=skip_refine)
+    return {result.item: result for result in results}
 
 
 def warm_with_report(pipe: Pipeline, simulations,

@@ -9,6 +9,7 @@ fine-tuning data (prompt/completion JSONL) for training an external oracle.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import re
@@ -64,26 +65,47 @@ class FinetuneRecord(NamedTuple):
     completion: str
 
 
-def build_context(user: int, item_fvec: np.ndarray, item_vectors: np.ndarray,
-                  history: list[int], catalog: ItemCatalog,
-                  top_l: int = 10) -> UserContext:
+def build_context(user, item_fvec: np.ndarray, item_vectors: np.ndarray,
+                  history, catalog: ItemCatalog,
+                  top_l: int = 10) -> UserContext | list[UserContext]:
     """Pick the user's ``top_l`` history items most similar to the query item.
 
     ``item_vectors`` holds every item's filter vector, one row per item id:
     the context filter's item tower applied once to the whole content
     matrix.  Similarity is the dot product of filter vectors; ties break by
     ascending item id.  An empty history yields an empty context.
+
+    With ``user`` a sequence of users and ``history`` their histories (one
+    cold item's candidates), the result is their contexts in that order,
+    from one gather of the histories, one product with ``item_fvec`` and
+    one ``lexsort`` on (candidate, -similarity, item id).
     """
     if top_l < 1:
         raise ValueError(f"top_l must be >= 1, got {top_l}")
-    if not history:
-        return UserContext(user=user, items=[], texts=[])
-    hist_ids = np.asarray(history)
+    if np.isscalar(user):
+        if not history:
+            return UserContext(user=user, items=[], texts=[])
+        hist_ids = np.asarray(history)
+        sims = item_vectors[hist_ids] @ np.asarray(item_fvec, dtype=np.float64)
+        items = hist_ids[np.lexsort((hist_ids, -sims))[:top_l]].tolist()
+        return UserContext(user=user, items=items,
+                           texts=[catalog.title(i) for i in items])
+    lens = np.fromiter(map(len, history), dtype=np.int64, count=len(history))
+    hist_ids = np.fromiter(itertools.chain.from_iterable(history),
+                           dtype=np.int64, count=int(lens.sum()))
     sims = item_vectors[hist_ids] @ np.asarray(item_fvec, dtype=np.float64)
-    order = np.lexsort((hist_ids, -sims))[:top_l]
-    items = hist_ids[order].tolist()
-    return UserContext(user=user, items=items,
-                       texts=[catalog.title(i) for i in items])
+    owner = np.repeat(np.arange(len(lens)), lens)
+    order = np.lexsort((hist_ids, -sims, owner))
+    # owner is ascending, so each candidate's run keeps its place
+    rank = np.arange(len(order)) - np.repeat(np.cumsum(lens) - lens, lens)
+    kept = hist_ids[order[rank < top_l]].tolist()
+    contexts, start = [], 0
+    for u, end in zip(user, np.cumsum(np.minimum(lens, top_l)).tolist()):
+        items = kept[start:end]
+        contexts.append(UserContext(user=u, items=items,
+                                    texts=[catalog.title(i) for i in items]))
+        start = end
+    return contexts
 
 
 def render_prompt(context: UserContext, item_text: str) -> str:
@@ -126,7 +148,9 @@ class PlantedOracle:
 class ThresholdOracle:
     """Accepts when the item's raw vector is cosine-close to the context mean.
 
-    An empty context is always a no.
+    An empty context is always a no.  ``decide`` also answers one item's
+    candidates in one call: with ``user`` and ``context`` sequences it
+    returns their decisions in order.
     """
 
     kind = "mock-threshold"
@@ -135,16 +159,36 @@ class ThresholdOracle:
         self.content_matrix = np.asarray(content_matrix, dtype=np.float64)
         self.tau = tau
 
-    def decide(self, user: int, item: int, context: UserContext,
-               item_text: str) -> OracleDecision:
-        if not context.items:
-            return OracleDecision(value=0, raw="No")
-        # numpy's own mean and norm for 1-D float64, minus their call overhead
+    def decide(self, user, item: int, context, item_text: str):
         item_vec = self.content_matrix[item]
-        rows = self.content_matrix[context.items]
-        ctx_mean = rows.sum(axis=0) / len(rows)
-        denom = np.sqrt(item_vec.dot(item_vec)) * np.sqrt(ctx_mean.dot(ctx_mean))
-        cos = float(item_vec @ ctx_mean / denom) if denom > 0 else 0.0
+        item_norm = np.sqrt(item_vec.dot(item_vec))
+        if isinstance(context, UserContext):
+            if not context.items:
+                return OracleDecision(value=0, raw="No")
+            # numpy's own 1-D mean, minus its call overhead
+            rows = self.content_matrix[context.items]
+            return self._answer(self._cosine(item_vec, item_norm,
+                                             rows.sum(axis=0) / len(rows)))
+        answers = [OracleDecision(value=0, raw="No") for _ in context]
+        lens = [len(ctx.items) for ctx in context]
+        # contexts of one length share a gather; X[idx].sum(axis=1) / n sums
+        # each row in the order of the one-context path, so the bits are the same
+        for n in set(lens) - {0}:
+            rows = [j for j, size in enumerate(lens) if size == n]
+            idx = np.array([context[j].items for j in rows])
+            means = self.content_matrix[idx].sum(axis=1) / n
+            for j, ctx_mean in zip(rows, means):
+                answers[j] = self._answer(self._cosine(item_vec, item_norm,
+                                                       ctx_mean))
+        return answers
+
+    @staticmethod
+    def _cosine(item_vec, item_norm, ctx_mean) -> float:
+        """One ``dot`` per norm and per cosine, as numpy's ``norm`` takes them."""
+        denom = item_norm * np.sqrt(ctx_mean.dot(ctx_mean))
+        return float(item_vec @ ctx_mean / denom) if denom > 0 else 0.0
+
+    def _answer(self, cos: float) -> OracleDecision:
         yes = cos >= self.tau
         return OracleDecision(value=1 if yes else 0, raw="Yes" if yes else "No")
 
@@ -264,8 +308,9 @@ def _decide_all(client, item: int, item_text: str,
                 contexts: list[UserContext], max_inflight: int) -> list:
     """Each context's decision, or the :class:`OracleError` it raised, in order.
 
-    In-process oracles run on the calling thread; only the HTTP oracle,
-    which waits on the network, gets a pool of ``max_inflight`` workers.
+    In-process oracles run on the calling thread, the threshold oracle
+    in one call; only the HTTP oracle, which waits on the network, gets a
+    pool of ``max_inflight`` workers.
     """
     def decide(ctx):
         try:
@@ -273,6 +318,11 @@ def _decide_all(client, item: int, item_text: str,
         except OracleError as exc:
             return exc
 
+    if not contexts:
+        return []
+    if isinstance(client, ThresholdOracle):
+        return client.decide([ctx.user for ctx in contexts], item, contexts,
+                             item_text)
     if client.kind != "http":
         return [decide(ctx) for ctx in contexts]
     with ThreadPoolExecutor(max_workers=max(1, max_inflight)) as pool:
@@ -286,37 +336,37 @@ def refine(candidates: CandidateSet, client, item_vectors: np.ndarray,
     """Keep the candidates the oracle accepts, preserving rank order.
 
     ``item_vectors`` are the context filter's item vectors, one row per
-    item id (see :func:`build_context`).  Decisions are logged in candidate
-    order.  Returns (accepted users, oracle failure count).  Raises
-    :class:`OracleError` when every single call fails; partial failures
-    drop those users with a warning.
+    item id; all candidates' contexts come from one block
+    :func:`build_context` call.  Prompts are rendered and hashed only to
+    key the ``decision_log``; the HTTP oracle renders its own.  Decisions
+    are logged in candidate order.  Returns (accepted users, oracle
+    failure count).  Raises :class:`OracleError` when every single call
+    fails; partial failures drop those users with a warning.
     """
     if not candidates.users:
         raise ValueError("refine requires a non-empty candidate set")
     item = candidates.item
-    item_fvec = item_vectors[item]
     item_text = catalog.title(item)
+    contexts = build_context(candidates.users, item_vectors[item], item_vectors,
+                             [train_items[u] for u in candidates.users],
+                             catalog, top_l)
 
     decisions: dict[int, OracleDecision] = {}
-    pending: list[tuple[UserContext, str | None]] = []
-    for u in candidates.users:
-        ctx = build_context(u, item_fvec, item_vectors, train_items[u],
-                            catalog, top_l) \
-            if train_items[u] else UserContext(user=u, items=[], texts=[])
-        prompt = render_prompt(ctx, item_text)
-        ph = None
-        if decision_log is not None:
-            ph = DecisionLog.prompt_hash(prompt)
-            cached = decision_log.lookup(u, item, client.kind, ph)
+    pending, hashes = contexts, [None] * len(contexts)
+    if decision_log is not None:
+        pending, hashes = [], []
+        for ctx in contexts:
+            ph = DecisionLog.prompt_hash(render_prompt(ctx, item_text))
+            cached = decision_log.lookup(ctx.user, item, client.kind, ph)
             if cached is not None:
-                decisions[u] = cached
+                decisions[ctx.user] = cached
                 continue
-        pending.append((ctx, ph))
+            pending.append(ctx)
+            hashes.append(ph)
 
     failures = 0
-    outcomes = _decide_all(client, item, item_text,
-                           [ctx for ctx, _ in pending], max_inflight)
-    for (ctx, ph), outcome in zip(pending, outcomes):
+    outcomes = _decide_all(client, item, item_text, pending, max_inflight)
+    for ctx, ph, outcome in zip(pending, hashes, outcomes):
         if isinstance(outcome, OracleError):
             failures += 1
             logger.warning("oracle call failed: %s", outcome)
@@ -334,40 +384,47 @@ def refine(candidates: CandidateSet, client, item_vectors: np.ndarray,
     return kept, failures
 
 
-def simulate_for_item(item: int, raw_item: np.ndarray, client,
-                      item_vectors: np.ndarray | None,
-                      train_items: list[list[int]],
-                      catalog: ItemCatalog, config: SimulateConfig,
-                      filter_b: TwoTowerFilter | None = None,
-                      filter_l: TwoTowerFilter | None = None,
-                      users_b: np.ndarray | None = None,
-                      users_l: np.ndarray | None = None,
-                      decision_log: DecisionLog | None = None,
-                      skip_refine: bool = False) -> SimulationResult:
-    """Funnel-filter candidate users for one cold item, then oracle-refine.
+def simulate_items(items, raw_items: np.ndarray, client,
+                   item_vectors: np.ndarray | None,
+                   train_items: list[list[int]], catalog: ItemCatalog,
+                   config: SimulateConfig,
+                   filter_b: TwoTowerFilter | None = None,
+                   filter_l: TwoTowerFilter | None = None,
+                   users_b: np.ndarray | None = None,
+                   users_l: np.ndarray | None = None,
+                   decision_log: DecisionLog | None = None,
+                   skip_refine: bool = False) -> list[SimulationResult]:
+    """Funnel-filter candidate users for cold items, then oracle-refine each.
 
-    When refinement empties the candidate list the top-ranked filtered
-    candidate is kept (configurable; the alternative leaves the item cold
-    with an empty simulation).  ``item_vectors`` are the item vectors of the
-    filter that builds the contexts: the coupled filter when present,
-    otherwise the behavior filter.  They are unused with ``skip_refine``.
+    ``raw_items`` holds the items' raw content vectors, one row per item
+    of ``items``; the funnel ranks them with one call per filter, and each
+    item is then refined on its own, in order.  When refinement empties an
+    item's candidate list the top-ranked filtered candidate is kept
+    (configurable; the alternative leaves the item cold with an empty
+    simulation).  ``item_vectors`` are the item vectors of the filter that
+    builds the contexts: the coupled filter when present, otherwise the
+    behavior filter.  They are unused with ``skip_refine``.
     """
-    candidates = funnel_filter(raw_item, config.k, filter_b=filter_b,
+    candidates = funnel_filter(raw_items, config.k, filter_b=filter_b,
                                filter_l=filter_l, users_b=users_b,
-                               users_l=users_l, item=item)
-    if skip_refine or not candidates.users:
-        return SimulationResult(item=item, users=list(candidates.users))
-    kept, failures = refine(candidates, client, item_vectors, train_items,
-                            catalog, top_l=config.context_len,
-                            decision_log=decision_log,
-                            max_inflight=config.max_inflight)
-    if kept:
-        return SimulationResult(item=item, users=kept, failures=failures)
-    if config.fallback_to_top1:
-        return SimulationResult(item=item, users=candidates.users[:1],
-                                fallback_used=True, failures=failures)
-    return SimulationResult(item=item, users=[], fallback_used=True,
-                            failures=failures)
+                               users_l=users_l, item=items)
+    results = []
+    for cand in candidates:
+        if skip_refine or not cand.users:
+            results.append(SimulationResult(item=cand.item,
+                                            users=list(cand.users)))
+            continue
+        kept, failures = refine(cand, client, item_vectors, train_items,
+                                catalog, top_l=config.context_len,
+                                decision_log=decision_log,
+                                max_inflight=config.max_inflight)
+        fallback = not kept
+        if fallback:
+            kept = cand.users[:1] if config.fallback_to_top1 else []
+        results.append(SimulationResult(item=cand.item, users=kept,
+                                        fallback_used=fallback,
+                                        failures=failures))
+    return results
 
 
 def prepare_finetune_data(split: ColdWarmSplit, catalog: ItemCatalog,

@@ -25,6 +25,9 @@ from .refiner import SimulationResult
 logger = logging.getLogger(__name__)
 
 INIT_MODES = ("user-mean", "filter-map", "zero")
+# Most warmup draws in one block: a rejected negative ends a block, and
+# redrawing its prefix costs up to this many draws.
+DRAW_BLOCK = 256
 
 
 @dataclass
@@ -80,6 +83,40 @@ def warmup_loss(e_item: np.ndarray, pos_emb: np.ndarray,
     return float(np.mean(np.logaddexp(0.0, -margin)))
 
 
+def draw_step_users(rng: np.random.Generator, users: np.ndarray, n_users: int,
+                    steps: int, negatives: int) -> tuple[np.ndarray, np.ndarray]:
+    """The users each of ``steps`` warmup steps trains on: (positives
+    (steps,), negatives (steps, negatives)).
+
+    A step draws one index into the ascending simulated ``users`` as its
+    positive, then users below ``n_users`` until it holds ``negatives``
+    that are not simulated.  The draws come in blocks of up to
+    ``DRAW_BLOCK`` ``integers(0, bounds)`` values from ``rng``, which are
+    what the same scalar calls would yield: a block assumes every negative
+    is accepted, the first rejected one ends it, and the stream is rewound
+    and redrawn up to and including that draw.  The ids and the final state
+    of ``rng`` equal the scalar loop's.
+    """
+    bounds = np.tile([len(users)] + [n_users] * negatives, steps)
+    is_neg = np.tile(np.arange(1 + negatives) > 0, steps)
+    ids = np.empty(len(bounds), dtype=np.int64)
+    done = 0
+    while done < len(bounds):
+        state = rng.bit_generator.state
+        block = rng.integers(0, bounds[done:done + DRAW_BLOCK])
+        found = np.searchsorted(users, block)
+        rejected = is_neg[done:done + len(block)] & (
+            users[np.minimum(found, len(users) - 1)] == block)
+        first = int(np.argmax(rejected)) if rejected.any() else len(block)
+        ids[done:done + first] = block[:first]
+        if first < len(block):
+            rng.bit_generator.state = state
+            rng.integers(0, bounds[done:done + first + 1])
+        done += first
+    ids = ids.reshape(steps, 1 + negatives)
+    return users[ids[:, 0]], ids[:, 1:]
+
+
 def optimize_cold_embedding(item: int, users, backbone: BackboneModel,
                             config: WarmupConfig,
                             init: np.ndarray | None = None,
@@ -94,24 +131,19 @@ def optimize_cold_embedding(item: int, users, backbone: BackboneModel,
     users = sorted(int(u) for u in users)
     if not users:
         raise ValueError(f"item {item}: simulated user set is empty")
-    user_set = set(users)
-    if len(user_set) >= backbone.n_users:
+    if len(set(users)) >= backbone.n_users:
         raise ValueError(f"item {item}: simulated users cover every user, "
                          f"cannot sample negatives")
     if init is None:
         init = init_cold_embedding(item, users, backbone, config.init,
                                    filt_b=filt_b, raw=raw)
     e_item = np.asarray(init, dtype=np.float64).copy()
-    rng = np.random.default_rng((config.seed, item))
-    pos_arr = np.asarray(users, dtype=np.int64)
+    pos_ids, neg_ids = draw_step_users(
+        np.random.default_rng((config.seed, item)),
+        np.asarray(users, dtype=np.int64), backbone.n_users, config.steps,
+        config.negatives_per_positive)
     loss = 0.0
-    for _ in range(config.steps):
-        pos = int(pos_arr[rng.integers(len(pos_arr))])
-        negs = []
-        while len(negs) < config.negatives_per_positive:
-            cand = int(rng.integers(backbone.n_users))
-            if cand not in user_set:
-                negs.append(cand)
+    for pos, negs in zip(pos_ids, neg_ids):
         pos_emb = backbone.user_emb[pos]
         neg_emb = backbone.user_emb[negs]
         margin = (pos_emb - neg_emb) @ e_item
@@ -137,9 +169,9 @@ def warm_all_cold(split: ColdWarmSplit, simulations: dict[int, SimulationResult]
 
     Every cold item runs the item-side BPR of
     :func:`optimize_cold_embedding` at once, as one (items x dim) block.
-    Each item keeps its own stream seeded with (seed, item) and draws the
-    same users in the same order, so each row equals the per-item result up
-    to floating-point summation order.
+    Each item draws its users with :func:`draw_step_users`, from its own
+    (seed, item) stream, so each row equals the per-item result up to
+    floating-point summation order.
     """
     model = backbone.copy()
     report = []
@@ -158,23 +190,19 @@ def warm_all_cold(split: ColdWarmSplit, simulations: dict[int, SimulationResult]
             init = init_cold_embedding(item, sim.users, backbone, "filter-map",
                                        filt_b=filt_b, raw=raw)
         users = sorted(int(u) for u in sim.users)
-        user_set = set(users)
-        if len(user_set) >= backbone.n_users:
+        if len(set(users)) >= backbone.n_users:
             raise ValueError(f"item {item}: simulated users cover every user, "
                              f"cannot sample negatives")
         if init is None:
             init = init_cold_embedding(item, users, backbone, config.init,
                                        filt_b=filt_b, raw=raw)
         # the draws never depend on the embedding, so they all come first
-        integers = np.random.default_rng((config.seed, item)).integers
-        for _ in range(config.steps):
-            pos_ids.append(users[integers(len(users))])
-            drawn = 0
-            while drawn < config.negatives_per_positive:
-                cand = int(integers(backbone.n_users))
-                if cand not in user_set:
-                    neg_ids.append(cand)
-                    drawn += 1
+        pos, negs = draw_step_users(
+            np.random.default_rng((config.seed, item)),
+            np.asarray(users, dtype=np.int64), backbone.n_users, config.steps,
+            config.negatives_per_positive)
+        pos_ids.append(pos)
+        neg_ids.append(negs)
         inits.append(np.asarray(init, dtype=np.float64))
         warmed.append({"item": item, "n_users": len(users), "final_loss": 0.0,
                        "fallback_used": bool(sim.fallback_used)})
@@ -183,9 +211,7 @@ def warm_all_cold(split: ColdWarmSplit, simulations: dict[int, SimulationResult]
         return model, report
 
     n_items, n_negs = len(warmed), config.negatives_per_positive
-    pos_ids = np.asarray(pos_ids, dtype=np.int64).reshape(n_items, config.steps)
-    neg_ids = np.asarray(neg_ids, dtype=np.int64).reshape(
-        n_items, config.steps, n_negs)
+    pos_ids, neg_ids = np.stack(pos_ids), np.stack(neg_ids)
     emb = np.stack(inits)
     loss = np.zeros(n_items)
     for step in range(config.steps):

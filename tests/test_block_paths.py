@@ -1,0 +1,355 @@
+"""Per-item block paths against the per-item path they replace.
+
+``simulate_all`` ranks every cold item's candidates with one funnel call
+per filter, builds each item's contexts in one block and lets a
+block-answering oracle decide them in one call; ``warm_all_cold`` draws
+each item's users in blocks.  The references here are the per-item path:
+one 1-D ``funnel_filter`` call per item, one context and one decision per
+(candidate, item) pair, and the scalar warmup draws.
+
+The block products sum in another order than the per-pair ones, so CI
+runs this module a second time with one BLAS thread.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from scipy.special import expit
+
+from coldsim import pipeline
+from coldsim.backbone import BackboneModel
+from coldsim.config import default_config, resolve_seeds
+from coldsim.filtering import TowerMlp, TwoTowerFilter, funnel_filter
+from coldsim.refiner import (DecisionLog, OracleDecision, OracleError,
+                             PlantedOracle, SimulateConfig, SimulationResult,
+                             ThresholdOracle, UserContext, render_prompt)
+from coldsim.synthetic import make_planted_split, make_two_cluster_dataset
+from coldsim.warmup import WarmupConfig, draw_step_users, warm_all_cold
+
+
+# -- the per-item reference --------------------------------------------------
+
+def reference_context(user, item_fvec, item_vectors, history, catalog, top_l):
+    if not history:
+        return UserContext(user=user, items=[], texts=[])
+    hist_ids = np.asarray(history)
+    sims = item_vectors[hist_ids] @ np.asarray(item_fvec, dtype=np.float64)
+    items = hist_ids[np.lexsort((hist_ids, -sims))[:top_l]].tolist()
+    return UserContext(user=user, items=items,
+                       texts=[catalog.title(i) for i in items])
+
+
+def reference_threshold(oracle, item, context):
+    if not context.items:
+        return OracleDecision(value=0, raw="No")
+    item_vec = oracle.content_matrix[item]
+    rows = oracle.content_matrix[context.items]
+    ctx_mean = rows.sum(axis=0) / len(rows)
+    denom = np.sqrt(item_vec.dot(item_vec)) * np.sqrt(ctx_mean.dot(ctx_mean))
+    cos = float(item_vec @ ctx_mean / denom) if denom > 0 else 0.0
+    yes = cos >= oracle.tau
+    return OracleDecision(value=1 if yes else 0, raw="Yes" if yes else "No")
+
+
+def reference_refine(candidates, client, item_vectors, train_items, catalog,
+                     top_l, decision_log):
+    item = candidates.item
+    item_text = catalog.title(item)
+    decisions, failures = {}, 0
+    for u in candidates.users:
+        ctx = reference_context(u, item_vectors[item], item_vectors,
+                                train_items[u], catalog, top_l)
+        ph = None
+        if decision_log is not None:
+            ph = DecisionLog.prompt_hash(render_prompt(ctx, item_text))
+            cached = decision_log.lookup(u, item, client.kind, ph)
+            if cached is not None:
+                decisions[u] = cached
+                continue
+        try:
+            if isinstance(client, ThresholdOracle):
+                decision = reference_threshold(client, item, ctx)
+            else:
+                decision = client.decide(u, item, ctx, item_text)
+        except OracleError:
+            failures += 1
+            continue
+        decisions[u] = decision
+        if decision_log is not None:
+            decision_log.record(u, item, client.kind, ph, decision)
+    if not decisions:
+        raise OracleError(f"every oracle call failed for item {item}")
+    return [u for u in candidates.users
+            if u in decisions and decisions[u].value == 1], failures
+
+
+def reference_simulate_all(pipe, cfg, use_b=True, use_l=True,
+                           skip_refine=False, decision_log=None):
+    sim_cfg = pipeline.section_config(SimulateConfig, cfg["refiner"])
+    filt_b = pipe.filter_b if use_b else None
+    filt_l = pipe.filter_l if use_l else None
+    users_b = pipe.user_vectors(filt_b) if filt_b is not None else None
+    users_l = pipe.user_vectors(filt_l) if filt_l is not None else None
+    item_vectors = pipe.item_vectors(filt_l if filt_l is not None else filt_b)
+    results = {}
+    for item in sorted(pipe.split.cold_items):
+        cand = funnel_filter(pipe.content_matrix[item], sim_cfg.k,
+                             filter_b=filt_b, filter_l=filt_l, users_b=users_b,
+                             users_l=users_l, item=item)
+        if skip_refine:
+            results[item] = SimulationResult(item=item, users=list(cand.users))
+            continue
+        kept, failures = reference_refine(cand, pipe.oracle, item_vectors,
+                                          pipe.train_items, pipe.catalog,
+                                          sim_cfg.context_len, decision_log)
+        if kept:
+            results[item] = SimulationResult(item=item, users=kept,
+                                             failures=failures)
+        else:
+            results[item] = SimulationResult(
+                item=item, users=cand.users[:1] if sim_cfg.fallback_to_top1
+                else [], fallback_used=True, failures=failures)
+    return results
+
+
+def scalar_draws(rng, users, n_users, steps, negatives):
+    """One ``integers`` call per draw, rejecting simulated negatives."""
+    user_set = set(users)
+    pos, negs = [], []
+    for _ in range(steps):
+        pos.append(users[rng.integers(len(users))])
+        while len(negs) < (len(pos)) * negatives:
+            cand = int(rng.integers(n_users))
+            if cand not in user_set:
+                negs.append(cand)
+    return (np.asarray(pos, dtype=np.int64),
+            np.asarray(negs, dtype=np.int64).reshape(steps, negatives))
+
+
+def reference_warm_all_cold(split, simulations, backbone, config):
+    """Scalar draws, then the same (items x dim) BPR block."""
+    model = backbone.copy()
+    items, inits, pos_ids, neg_ids = [], [], [], []
+    for item in sorted(split.cold_items):
+        sim = simulations.get(item)
+        if sim is None or not sim.users:
+            continue
+        users = sorted(int(u) for u in sim.users)
+        rng = np.random.default_rng((config.seed, item))
+        pos, negs = scalar_draws(rng, users, backbone.n_users, config.steps,
+                                 config.negatives_per_positive)
+        items.append(item)
+        inits.append(backbone.user_emb[users].mean(axis=0))
+        pos_ids.append(pos)
+        neg_ids.append(negs)
+    if not items:
+        return model
+    pos_ids, neg_ids = np.stack(pos_ids), np.stack(neg_ids)
+    emb = np.stack(inits)
+    for step in range(config.steps):
+        diff = (backbone.user_emb[pos_ids[:, step]][:, None, :]
+                - backbone.user_emb[neg_ids[:, step]])
+        margin = np.einsum("cnd,cd->cn", diff, emb)
+        coef = -expit(-margin) / config.negatives_per_positive
+        emb -= config.lr * (coef[:, :, None] * diff).sum(axis=1)
+    model.item_emb[items] = emb
+    return model
+
+
+# -- pipelines ---------------------------------------------------------------
+
+def small_config(seed, **overrides):
+    cfg = default_config()
+    patch = {"backbone": {"dim": 8, "lr": 0.3, "max_epochs": 5, "patience": 5},
+             "content": {"dim": 32},
+             "filter": {"hidden": 12, "out": 8, "lr": 5e-3, "batch_size": 64,
+                        "max_epochs": 2, "patience": 2, "label_pairs": 120},
+             "refiner": {"oracle": "planted", "k": 24},
+             "warmup": {"lr": 0.1, "steps": 60}}
+    for section in patch.keys() | overrides.keys():
+        cfg[section].update({**patch.get(section, {}),
+                             **overrides.get(section, {})})
+    return resolve_seeds(cfg, seed)
+
+
+@pytest.fixture(scope="module")
+def planted_pipe():
+    data = make_two_cluster_dataset(n_users=60, n_warm=24, n_cold=8,
+                                    groups_per_cluster=2, seed=5)
+    split = make_planted_split(data, seed=5)
+    cfg = small_config(seed=5)
+    pipe = pipeline.build_pipeline(data.log, data.catalog, split, cfg,
+                                   oracle=PlantedOracle(data.truth))
+    return cfg, pipe
+
+
+def integer_tower(rng, d_in, hidden, d_out):
+    return TowerMlp(w1=rng.integers(-2, 3, size=(d_in, hidden)).astype(float),
+                    b1=np.zeros(hidden),
+                    w2=rng.integers(-2, 3, size=(hidden, d_out)).astype(float),
+                    b2=np.zeros(d_out))
+
+
+@pytest.fixture(scope="module")
+def integer_pipe():
+    """Small-integer content, embeddings and tower weights: every context
+    similarity is an exact integer, and repeated content rows and repeated
+    users give exact ties in the contexts and the funnel."""
+    data = make_two_cluster_dataset(n_users=48, n_warm=24, n_cold=8,
+                                    groups_per_cluster=2, seed=9)
+    split = make_planted_split(data, seed=9)
+    rng = np.random.default_rng(9)
+    n_users, n_items = data.log.n_users, data.log.n_items
+    content = rng.integers(0, 3, size=(6, 5)).astype(float)[
+        rng.integers(6, size=n_items)]
+    user_emb = rng.integers(-1, 2, size=(8, 4)).astype(float)[
+        rng.integers(8, size=n_users)]
+    filters = [TwoTowerFilter(v, integer_tower(rng, 9, 6, 4),
+                              integer_tower(rng, 5, 6, 4)) for v in "BL"]
+    pipe = pipeline.Pipeline(
+        log=data.log, catalog=data.catalog, split=split,
+        backbone=BackboneModel(user_emb=user_emb,
+                               item_emb=np.zeros((n_items, 4))),
+        content_matrix=content, filter_b=filters[0], filter_l=filters[1],
+        oracle=PlantedOracle(data.truth))
+    cfg = small_config(seed=9, refiner={"k": 12, "context_len": 3})
+    return cfg, pipe
+
+
+def with_oracle(pipe, kind):
+    if kind == "planted":
+        return pipe
+    return dataclasses.replace(pipe, oracle=ThresholdOracle(pipe.content_matrix,
+                                                            tau=0.6))
+
+
+VARIANTS = [dict(), dict(use_l=False), dict(use_b=False),
+            dict(skip_refine=True)]
+
+
+def assert_same_simulation(got, want):
+    assert list(got) == list(want)
+    for item in want:
+        g, w = got[item], want[item]
+        assert (g.users, g.fallback_used, g.failures) == \
+            (w.users, w.fallback_used, w.failures), item
+
+
+# -- simulate ----------------------------------------------------------------
+
+@pytest.mark.parametrize("pipe_name", ["planted_pipe", "integer_pipe"])
+@pytest.mark.parametrize("oracle", ["planted", "mock-threshold"])
+@pytest.mark.parametrize("variant", VARIANTS, ids=["full", "no-lsf", "no-bf",
+                                                  "no-r"])
+def test_simulate_all_equals_per_item_path(request, pipe_name, oracle, variant):
+    cfg, pipe = request.getfixturevalue(pipe_name)
+    pipe = with_oracle(pipe, oracle)
+    got_log, want_log = DecisionLog(), DecisionLog()
+    got = pipeline.simulate_all(pipe, cfg, decision_log=got_log, **variant)
+    want = reference_simulate_all(pipe, cfg, decision_log=want_log, **variant)
+    assert_same_simulation(got, want)
+    assert got_log.records == want_log.records
+    if not variant:
+        assert len(got_log) > 0
+        assert {r["z"] for r in got_log.records} == {0, 1}
+    # a rerun is served from the log, decided nowhere else
+    again = pipeline.simulate_all(pipe, cfg, decision_log=got_log, **variant)
+    assert_same_simulation(again, want)
+    assert got_log.records == want_log.records
+
+
+@pytest.mark.parametrize("oracle", ["planted", "mock-threshold"])
+def test_simulate_all_without_log_equals_per_item_path(integer_pipe, oracle):
+    cfg, pipe = integer_pipe
+    pipe = with_oracle(pipe, oracle)
+    assert_same_simulation(pipeline.simulate_all(pipe, cfg),
+                           reference_simulate_all(pipe, cfg))
+
+
+def test_integer_pipeline_has_exact_ties(integer_pipe):
+    cfg, pipe = integer_pipe
+    vectors = pipe.item_vectors(pipe.filter_l)
+    assert np.array_equal(vectors, np.round(vectors))
+    ties = 0
+    for history in pipe.train_items:
+        sims = vectors[history] @ vectors[pipe.split.cold_items[0]]
+        ties += len(sims) - len(np.unique(sims))
+    assert ties > 0
+    users = pipe.user_vectors(pipe.filter_b)
+    assert len(np.unique(users, axis=0)) < len(users)
+
+
+def test_block_contexts_equal_one_user_calls(integer_pipe):
+    cfg, pipe = integer_pipe
+    from coldsim.refiner import build_context
+    vectors = pipe.item_vectors(pipe.filter_b)
+    users = list(range(pipe.log.n_users)) + [0, 3]
+    # shuffled, so that only the id key can put tied items in ascending order
+    rng = np.random.default_rng(1)
+    histories = [rng.permutation(pipe.train_items[u]).tolist() for u in users]
+    histories[1] = []
+    for item in pipe.split.cold_items:
+        for top_l in (1, 3, 50):
+            got = build_context(users, vectors[item], vectors, histories,
+                                pipe.catalog, top_l)
+            want = [reference_context(u, vectors[item], vectors, h,
+                                      pipe.catalog, top_l)
+                    for u, h in zip(users, histories)]
+            assert got == want
+
+
+def test_threshold_block_equals_per_pair(planted_pipe):
+    cfg, pipe = planted_pipe
+    oracle = ThresholdOracle(pipe.content_matrix, tau=0.5)
+    rng = np.random.default_rng(3)
+    contexts = [UserContext(user=u, items=rng.choice(
+        pipe.log.n_items, size=int(rng.integers(0, 6)), replace=False).tolist(),
+        texts=[]) for u in range(30)]
+    for item in pipe.split.cold_items:
+        for tau in (0.0, 0.5, 1.0):
+            oracle.tau = tau
+            ref = [reference_threshold(oracle, item, ctx) for ctx in contexts]
+            got = oracle.decide([c.user for c in contexts], item, contexts, "x")
+            assert got == ref
+            assert [oracle.decide(c.user, item, c, "x") for c in contexts] == ref
+
+
+# -- warmup ------------------------------------------------------------------
+
+@pytest.mark.parametrize("negatives", [1, 2, 3])
+@pytest.mark.parametrize("n_sim,steps", [(3, 100), (45, 40), (47, 30),
+                                         (10, 0), (1, 1)])
+def test_block_draws_equal_scalar_draws(negatives, n_sim, steps):
+    n_users = 48
+    for item in range(6):
+        users = np.sort(np.random.default_rng(item).choice(
+            n_users, size=n_sim, replace=False))
+        got_rng = np.random.default_rng((7, item))
+        want_rng = np.random.default_rng((7, item))
+        got = draw_step_users(got_rng, users, n_users, steps, negatives)
+        want = scalar_draws(want_rng, users.tolist(), n_users, steps, negatives)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got[1].shape == (steps, negatives)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("negatives", [1, 2, 3])
+@pytest.mark.parametrize("full,steps", [(False, 60), (True, 25),
+                                        (False, 0)])
+def test_warm_all_cold_equals_scalar_draws(planted_pipe, negatives, full,
+                                           steps):
+    cfg, pipe = planted_pipe
+    sims = pipeline.simulate_all(pipe, cfg)
+    if full:    # most negatives rejected
+        n_users = pipe.log.n_users
+        sims = {item: SimulationResult(item=item, users=[
+            u for u in range(n_users) if u != item % n_users])
+            for item in sims}
+    config = WarmupConfig(lr=0.2, steps=steps,
+                          negatives_per_positive=negatives, seed=3)
+    got, _ = warm_all_cold(pipe.split, sims, pipe.backbone, config)
+    want = reference_warm_all_cold(pipe.split, sims, pipe.backbone, config)
+    assert got.item_emb.tobytes() == want.item_emb.tobytes()
+    assert got.user_emb.tobytes() == pipe.backbone.user_emb.tobytes()

@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -222,6 +223,27 @@ class TestWarmCache:
         with pytest.raises(ValueError, match="provider"):
             warm_cache(HttpContentProvider("http://x/embed", dim=8), catalog,
                        tmp_path / "c.cemb")
+
+    def test_other_hash_seed_rejected_before_any_call(self, tmp_path):
+        catalog = self.make_catalog(4)
+        path = tmp_path / "c.cemb"
+        warm_cache(MockContentProvider(dim=8, hash_seed=0), catalog, path)
+        before = path.read_bytes()
+        provider = CountingProvider(dim=8, hash_seed=1)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path} was built with hash seed 0, not 1")):
+            warm_cache(provider, catalog, path)
+        assert provider.calls == 0
+        assert path.read_bytes() == before
+
+    def test_larger_catalog_cache_rejected_before_any_call(self, tmp_path):
+        path = tmp_path / "c.cemb"
+        warm_cache(MockContentProvider(dim=8), self.make_catalog(5), path)
+        provider = CountingProvider(dim=8)
+        with pytest.raises(ValueError, match=re.escape(f"{path} holds item 3,")):
+            warm_cache(provider, self.make_catalog(3), path)
+        assert provider.calls == 0
+        assert len(VectorCache.load(path)) == 5
 
     def test_sidecar_records_provenance(self, tmp_path):
         provider = MockContentProvider(dim=24, hash_seed=5)

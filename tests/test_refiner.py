@@ -14,7 +14,7 @@ from coldsim.refiner import (DecisionLog, HttpOracle, OracleError,
                              OracleParseError, PlantedOracle, SimulateConfig,
                              ThresholdOracle, UserContext, build_context,
                              parse_yes_no, prepare_finetune_data,
-                             refine, render_prompt, simulate_for_item)
+                             refine, render_prompt, simulate_items)
 from conftest import tiny_cluster_setup
 
 
@@ -338,6 +338,101 @@ class TestHttpOracle:
         assert oracle.decide(ctx.user, 0, ctx, "anything").value == 1
 
 
+class _FaultyHandler(BaseHTTPRequestHandler):
+    """Answers garbage to the prompts in ``garbage`` and stalls once on
+    ``stall``, counting requests per prompt."""
+
+    lock = threading.Lock()
+    garbage: set = set()
+    stall = None
+    stall_s = 0.0
+    requests: dict = {}
+
+    def do_POST(self):
+        cls = type(self)
+        length = int(self.headers["Content-Length"])
+        prompt = json.loads(self.rfile.read(length))["prompt"]
+        with cls.lock:
+            cls.requests[prompt] = cls.requests.get(prompt, 0) + 1
+            stall = prompt == cls.stall
+            if stall:
+                cls.stall = None
+        time.sleep(cls.stall_s if stall else 0.01)
+        answer = "perhaps" if prompt in cls.garbage else "Yes"
+        try:
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.end_headers()
+            self.wfile.write(json.dumps({"answer": answer}).encode())
+        except OSError:     # the client gave up on the stalled call
+            pass
+
+    def log_message(self, *args):
+        pass
+
+
+class TestHttpFaults:
+    """Garbage answers and a stalled call on the block ``refine`` path."""
+
+    def test_failed_pairs_dropped_and_rerun_queries_only_them(self, tmp_path):
+        n_items = 12
+        catalog = ItemCatalog(content={i: f"thing {i}" for i in range(n_items)})
+        vectors = make_filter(seed=4).item_tower.forward(
+            np.random.default_rng(4).normal(size=(n_items, 6)))
+        train_items = [[u, u + 1, u + 2] for u in range(n_items - 2)]
+        cand = CandidateSet(item=n_items - 1, users=[7, 2, 9, 0, 5, 3, 8, 1, 6])
+        contexts = build_context(cand.users, vectors[cand.item], vectors,
+                                 [train_items[u] for u in cand.users], catalog)
+        prompts = [render_prompt(ctx, catalog.title(cand.item))
+                   for ctx in contexts]
+        assert len(set(prompts)) == len(prompts)
+        handler = _FaultyHandler
+        handler.garbage = set(prompts[2::3])            # every third prompt
+        handler.stall, handler.stall_s = prompts[0], 0.6
+        handler.requests = {}
+        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        in_flight, peak, lock = [0], [0], threading.Lock()
+
+        class CountingHttpOracle(HttpOracle):
+            def decide(self, *args):
+                with lock:
+                    in_flight[0] += 1
+                    peak[0] = max(peak[0], in_flight[0])
+                try:
+                    return super().decide(*args)
+                finally:
+                    with lock:
+                        in_flight[0] -= 1
+
+        try:
+            oracle = CountingHttpOracle(
+                f"http://127.0.0.1:{server.server_address[1]}/d",
+                timeout=0.2, retries=2, backoff=0.01)
+            log = DecisionLog()
+            kept, failures = refine(cand, oracle, vectors, train_items, catalog,
+                                    decision_log=log, max_inflight=3)
+            answered = [u for u, p in zip(cand.users, prompts)
+                        if p not in handler.garbage]
+            assert kept == answered and failures == 3
+            assert [r["user"] for r in log.records] == answered
+            assert handler.requests[prompts[0]] == 2     # stalled, then retried
+            assert 1 < peak[0] <= 3
+
+            log.save(tmp_path / "decisions.jsonl")
+            handler.requests = {}
+            rerun = DecisionLog.load(tmp_path / "decisions.jsonl")
+            again = refine(cand, oracle, vectors, train_items, catalog,
+                           decision_log=rerun, max_inflight=3)
+            assert again == (kept, failures)
+            assert handler.requests == {p: 1 for p in prompts[2::3]}
+        finally:
+            server.shutdown()
+            server.server_close()
+        thread.join(timeout=5)
+
+
 class _FakeResponse:
     status = 200
 
@@ -522,7 +617,9 @@ class TestRefine:
         oracle.decide = decide
         cand = CandidateSet(item=2, users=[1, 5, 3, 0])
         refine(cand, oracle, vectors, train_items, catalog, max_inflight=4)
-        assert threads == [threading.current_thread()] * len(cand.users)
+        # a block-answering oracle takes the item's candidates in one call
+        calls = 1 if isinstance(oracle, ThresholdOracle) else len(cand.users)
+        assert threads == [threading.current_thread()] * calls
 
 
 @settings(max_examples=40, deadline=None)
@@ -537,6 +634,11 @@ def test_refine_subset_property(accept, users):
                      catalog)
     assert set(kept) <= set(users)
     assert kept == [u for u in users if u in accept]
+
+
+def simulate_one(item, content, *args, **kwargs):
+    """One cold item through :func:`simulate_items`."""
+    return simulate_items([item], content[[item]], *args, **kwargs)[0]
 
 
 class TestSimulateForItem:
@@ -555,10 +657,10 @@ class TestSimulateForItem:
         item = data.cold_items[0]
         truth = {(u, item) for u in range(data.log.n_users)}
         cfg = SimulateConfig(k=7)
-        result = simulate_for_item(item, content[item], PlantedOracle(truth),
-                                   filt.item_tower.forward(content),
-                                   train_items, catalog, cfg,
-                                   filter_b=filt, users_b=user_vecs)
+        result = simulate_one(item, content, PlantedOracle(truth),
+                              filt.item_tower.forward(content),
+                              train_items, catalog, cfg,
+                              filter_b=filt, users_b=user_vecs)
         assert len(result.users) == 7
         assert not result.fallback_used
 
@@ -566,10 +668,10 @@ class TestSimulateForItem:
         data, split, filt, content, user_vecs, catalog, train_items = self.setup()
         item = data.cold_items[1]
         cfg = SimulateConfig(k=5)
-        result = simulate_for_item(item, content[item], PlantedOracle(set()),
-                                   filt.item_tower.forward(content),
-                                   train_items, catalog, cfg,
-                                   filter_b=filt, users_b=user_vecs)
+        result = simulate_one(item, content, PlantedOracle(set()),
+                              filt.item_tower.forward(content),
+                              train_items, catalog, cfg,
+                              filter_b=filt, users_b=user_vecs)
         from coldsim.filtering import topk_candidates
         top = topk_candidates(filt, content[item], user_vecs, k=5).users
         assert result.users == top[:1]
@@ -579,10 +681,10 @@ class TestSimulateForItem:
         data, split, filt, content, user_vecs, catalog, train_items = self.setup()
         item = data.cold_items[0]
         cfg = SimulateConfig(k=5, fallback_to_top1=False)
-        result = simulate_for_item(item, content[item], PlantedOracle(set()),
-                                   filt.item_tower.forward(content),
-                                   train_items, catalog, cfg,
-                                   filter_b=filt, users_b=user_vecs)
+        result = simulate_one(item, content, PlantedOracle(set()),
+                              filt.item_tower.forward(content),
+                              train_items, catalog, cfg,
+                              filter_b=filt, users_b=user_vecs)
         assert result.users == []
 
     def test_size_bounded_by_k(self):
@@ -590,10 +692,10 @@ class TestSimulateForItem:
         item = data.cold_items[2]
         truth = {(u, item) for u in range(0, data.log.n_users, 2)}
         cfg = SimulateConfig(k=20)
-        result = simulate_for_item(item, content[item], PlantedOracle(truth),
-                                   filt.item_tower.forward(content),
-                                   train_items, catalog, cfg,
-                                   filter_b=filt, users_b=user_vecs)
+        result = simulate_one(item, content, PlantedOracle(truth),
+                              filt.item_tower.forward(content),
+                              train_items, catalog, cfg,
+                              filter_b=filt, users_b=user_vecs)
         assert len(result.users) <= 20
 
 
