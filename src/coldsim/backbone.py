@@ -6,6 +6,7 @@ float32 binary table format in :mod:`coldsim.store`.
 
 from __future__ import annotations
 
+import bisect
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,6 +19,12 @@ from .corpus import ColdWarmSplit
 from .metrics import hit_metrics, rank_by_score, row_chunks
 
 logger = logging.getLogger(__name__)
+
+# Attempts a negative sampler makes for one positive before giving it up.
+MAX_REJECTS = 100
+# Attempts draw_accepted draws in one block, and tests in one call; a
+# rewind redraws up to this many.
+DRAW_BLOCK = 256
 
 
 class DivergenceError(RuntimeError):
@@ -84,15 +91,6 @@ def init_embeddings(rows: int, dim: int, seed: int) -> np.ndarray:
     return rng.standard_normal((rows, dim)) * 0.01
 
 
-def _sample_negative(rng, user: int, warm_items, observed: set,
-                     max_rejects: int = 100) -> int | None:
-    for _ in range(max_rejects):
-        j = int(warm_items[rng.integers(len(warm_items))])
-        if (user, j) not in observed:
-            return j
-    return None
-
-
 def bpr_loss(model: BackboneModel, triples) -> float:
     """Mean BPR loss -ln sigmoid(margin) for a batch, no update."""
     t = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
@@ -141,25 +139,107 @@ def score(model: BackboneModel, u: int, i: int) -> float:
     return float(model.user_emb[u] @ model.item_emb[i])
 
 
-def _epoch_triples(rng, positives, warm_items, observed, max_rejects=100):
-    """One negative per observed positive, positives visited in random order.
+def draw_accepted(rng: np.random.Generator, bounds, rejected,
+                  tries: int | None = MAX_REJECTS, exhausted=None):
+    """Rejection sampling, slot after slot, drawing what the scalar loop draws.
 
-    The epoch sampler of the backbone and of both filters.  A positive whose
-    user rejects ``max_rejects`` uniform warm items is skipped.
+    Slot ``s`` draws attempts ``rng.integers(0, bounds[s])`` (a row of 2-D
+    ``bounds``) until ``rejected(slots, attempts)`` passes one, or until
+    ``tries`` have failed (``None``: no limit); then ``exhausted(slot)``,
+    if given, runs with ``rng`` just past the slot's last draw and may
+    return an attempt to accept.  Returns each slot's attempt (2-D) and
+    whether it was accepted; the final ``rng`` state is the scalar loop's.
+
+    Blocks of ``DRAW_BLOCK`` attempts are drawn as if all pass.  Under
+    equal bounds a rejection shifts the block's later rows onto the slots
+    before them; otherwise, and before ``exhausted``, the block is rewound
+    and its used rows are drawn again.  ``rejected`` is asked about rows
+    under several shifts at once, so it also sees attempts paired with
+    slots they do not serve; those answers are not used.
     """
-    order = rng.permutation(len(positives))
-    triples = []
-    for k in order:
-        u, i = positives[k]
-        for _ in range(max_rejects):
-            j = int(warm_items[rng.integers(len(warm_items))])
-            if (u, j) not in observed:
-                triples.append((u, i, j))
+    bounds = np.asarray(bounds, dtype=np.int64)
+    if bounds.ndim == 1:
+        bounds = bounds[:, None]
+    draws, ok = np.zeros(bounds.shape, np.int64), np.zeros(len(bounds), bool)
+    uniform = None              # whether all bounds are equal, once needed
+    band = 1                    # shifts per table of rejections
+    slot = failed = shifts = 0  # next slot, its failed tries, recent shifts
+    while slot < len(bounds):
+        state, drawn = rng.bit_generator.state, bounds[slot:slot + DRAW_BLOCK]
+        block = rng.integers(0, drawn)
+        row = shift = last = top = 0    # row r serves slot slot + r - shift
+        gave_up = None
+        while row < len(block):
+            if row == last or shift == top:
+                # which rows first..last are rejected under the shifts
+                # top - band..top, keyed (shift - top + band) * (last - first)
+                # + row - first; the band follows the rate of rejections
+                band = 2 * band if shift == top > 0 else max(1, shifts)
+                first, top, shifts = row, shift + band, 0
+                last = min(len(block), row + max(1, DRAW_BLOCK // band))
+                serves = np.arange(slot + row - shift, slot + last - shift)
+                attempts = block[row:last]
+                if band > 1:
+                    serves = (serves - np.arange(band)[:, None]).ravel()
+                    np.maximum(serves, 0, out=serves)   # < 0: never served
+                    attempts = np.concatenate([attempts] * band)
+                keys = rejected(serves, attempts).nonzero()[0].tolist()
+            base = (shift - top + band) * (last - first) - first
+            k = bisect.bisect_left(keys, base + row)
+            end = min(keys[k] - base if k < len(keys) else last, last)
+            if end > row:
+                draws[slot + row - shift:slot + end - shift] = block[row:end]
+                ok[slot + row - shift:slot + end - shift] = True
+                failed, row = 0, end
+            if row == last:
+                continue
+            failed, row = failed + 1, row + 1
+            if tries is None or failed < tries:
+                shift, shifts = shift + 1, shifts + 1
+                if uniform is None:
+                    uniform = bool((bounds == bounds[0]).all())
+                if not uniform:     # the shifted rows' bounds may differ
+                    break
+            elif exhausted is None:
+                failed = 0
+            else:
+                failed, gave_up = 0, slot + row - 1 - shift
                 break
-    skipped = len(positives) - len(triples)
-    if skipped:
-        logger.warning("epoch sampling skipped %d exhausted positives", skipped)
-    return np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        slot += row - shift
+        if row < len(block):
+            rng.bit_generator.state = state
+            rng.integers(0, drawn[:row])
+        if gave_up is not None and (fallback := exhausted(gave_up)) is not None:
+            draws[gave_up], ok[gave_up] = fallback, True
+    return draws, ok
+
+
+def _epoch_triples(rng, split: ColdWarmSplit, n_users: int) -> np.ndarray:
+    """One negative per warm-train positive, positives in random order.
+
+    The epoch sampler of the backbone and of both filters: each positive
+    draws uniform warm items until its user has not read one, and is
+    skipped after ``MAX_REJECTS`` draws.
+    """
+    index = split.index(n_users)
+    positives = index.train_pairs[rng.permutation(len(index.train_pairs))]
+    warm = np.asarray(split.warm_items, dtype=np.int64)
+    draws, ok = draw_accepted(
+        rng, np.full(len(positives), len(warm)),
+        lambda s, a: index.train.contains(positives[s, 0], warm[a[:, 0]]))
+    if not ok.all():
+        logger.warning("epoch sampling skipped %d exhausted positives",
+                       len(ok) - ok.sum())
+    return np.column_stack([positives[ok], warm[draws[ok, 0]]])
+
+
+def ordered_subsample(rng, seq, n: int | None) -> list:
+    """``n`` entries of ``seq`` drawn without replacement, in ``seq``'s
+    order; all of them, and no draw, when ``n`` is None or not below
+    ``len(seq)``."""
+    if n is None or n >= len(seq):
+        return list(seq)
+    return [seq[k] for k in sorted(rng.choice(len(seq), size=n, replace=False))]
 
 
 def ranked_validation_ndcg(split: ColdWarmSplit, users, user_vectors,
@@ -197,21 +277,6 @@ def validation_ndcg(model: BackboneModel, split: ColdWarmSplit, users,
                                   model.n_users, k)
 
 
-def sample_val_users(rng, split: ColdWarmSplit, n_users: int,
-                     limit: int) -> list[int]:
-    """Early-stopping users: the distinct warm-val users, ascending.
-
-    With more than ``limit`` of them, ``limit`` are drawn from ``rng``
-    without replacement and kept in ascending order; otherwise ``rng`` is
-    not used.
-    """
-    users = split.index(n_users).val_users
-    if len(users) <= limit:
-        return users
-    pick = rng.choice(len(users), size=limit, replace=False)
-    return [users[k] for k in sorted(pick)]
-
-
 def train_backbone(split: ColdWarmSplit, config: BackboneConfig,
                    n_users: int, n_items: int) -> BackboneModel:
     """Train MF embeddings with BPR and NDCG early stopping.
@@ -231,7 +296,8 @@ def train_backbone(split: ColdWarmSplit, config: BackboneConfig,
         return model
 
     rng = np.random.default_rng(config.seed + 2)
-    val_users = sample_val_users(rng, split, n_users, config.eval_users)
+    val_users = ordered_subsample(rng, split.index(n_users).val_users,
+                                  config.eval_users)
 
     adam_state = None
     if config.optimizer == "adam":
@@ -248,8 +314,7 @@ def train_backbone(split: ColdWarmSplit, config: BackboneConfig,
     best = model.copy()
     best_ndcg, best_epoch, stale = -1.0, 0, 0
     for epoch in range(1, config.max_epochs + 1):
-        triples = _epoch_triples(rng, split.warm_train, split.warm_items,
-                                 split.warm_train_set)
+        triples = _epoch_triples(rng, split, n_users)
         losses = []
         for start in range(0, len(triples), config.batch_size):
             batch = triples[start:start + config.batch_size]

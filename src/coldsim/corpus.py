@@ -21,6 +21,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,7 @@ class SplitIndex:
     """
 
     warm: np.ndarray                # warm item ids, ascending
+    train_pairs: np.ndarray         # warm-train (user, item) rows, list order
     train: PairSets                 # warm-train; column j is item j
     train_warm: PairSets            # warm-train; column j is item warm[j]
     val_warm: PairSets              # warm-val; column j is item warm[j]
@@ -130,7 +132,7 @@ class SplitIndex:
         train_sets = PairSets.from_pairs(train, n_users)
         flat, ptr = train_sets.indices.tolist(), train_sets.indptr.tolist()
         return cls(
-            warm=warm, train=train_sets,
+            warm=warm, train_pairs=train, train=train_sets,
             train_warm=PairSets.from_pairs(train, n_users, columns=warm),
             val_warm=PairSets.from_pairs(val, n_users, columns=warm),
             val_users=np.flatnonzero(np.bincount(val[:, 0],
@@ -168,12 +170,12 @@ class ColdWarmSplit:
     cold_frac: float
 
     def __post_init__(self):
-        self._train_set = set(self.warm_train)
         self._indexes: dict[int, SplitIndex] = {}
 
-    @property
+    @cached_property
     def warm_train_set(self) -> set:
-        return self._train_set
+        """The warm-train pairs as a set, built on first read."""
+        return set(self.warm_train)
 
     def index(self, n_users: int) -> SplitIndex:
         """The split's :class:`SplitIndex` over ``n_users`` users, built on

@@ -24,7 +24,7 @@ from scipy.special import expit
 
 from . import store
 from .backbone import (BackboneModel, DivergenceError, _epoch_triples,
-                       ranked_validation_ndcg, sample_val_users)
+                       draw_accepted, ordered_subsample, ranked_validation_ndcg)
 from .corpus import ColdWarmSplit
 from .metrics import rank_by_score, row_chunks
 
@@ -400,7 +400,8 @@ def _run_filter_training(filt, backbone, content_matrix, hist_means, split,
     elif config.optimizer != "sgd":
         raise ValueError(f"unknown optimizer {config.optimizer!r}")
 
-    val_users = sample_val_users(rng, split, backbone.n_users, config.eval_users)
+    val_users = ordered_subsample(rng, split.index(backbone.n_users).val_users,
+                                  config.eval_users)
 
     best = filt.copy()
     best_ndcg, stale = -1.0, 0
@@ -444,8 +445,7 @@ def train_behavior_filter(filt: TwoTowerFilter, backbone: BackboneModel,
         raise ValueError("warm-train split is empty")
 
     def batches(rng, user_inputs):
-        triples = _epoch_triples(rng, split.warm_train, split.warm_items,
-                                 split.warm_train_set)
+        triples = _epoch_triples(rng, split, backbone.n_users)
         for start in range(0, len(triples), config.batch_size):
             b = triples[start:start + config.batch_size]
             yield behavior_bpr_batch(filt, user_inputs[b[:, 0]],
@@ -458,26 +458,26 @@ def train_behavior_filter(filt: TwoTowerFilter, backbone: BackboneModel,
 
 def sample_label_pairs(split: ColdWarmSplit, n_users: int,
                        n_positives: int | None, seed: int) -> list[tuple[int, int]]:
-    """1:1 pool of warm-train positives and uniform unobserved (user, warm item) pairs.
+    """Pool of warm-train positives and uniform unobserved (user, warm item)
+    pairs, one per positive that finds one.
 
-    Unobserved pairs draw a warm-train user and a warm item uniformly.
+    Unobserved pairs draw a warm-train user and a warm item uniformly.  A
+    positive whose ``MAX_REJECTS`` draws all hit observed pairs gets none,
+    and a warning counts them.
     """
     rng = np.random.default_rng(seed)
-    positives = split.warm_train
-    if n_positives is not None and n_positives < len(positives):
-        pick = rng.choice(len(positives), size=n_positives, replace=False)
-        positives = [positives[idx] for idx in sorted(pick)]
-    users = split.index(n_users).train_users
-    warm, observed = split.warm_items, split.warm_train_set
-    pairs = list(positives)
-    for _ in positives:
-        for _ in range(100):
-            u = users[rng.integers(len(users))]
-            i = int(warm[rng.integers(len(warm))])
-            if (u, i) not in observed:
-                pairs.append((u, i))
-                break
-    return pairs
+    positives = ordered_subsample(rng, split.warm_train, n_positives)
+    index = split.index(n_users)
+    users = np.asarray(index.train_users, dtype=np.int64)
+    warm = np.asarray(split.warm_items, dtype=np.int64)
+    draws, ok = draw_accepted(
+        rng, np.full((len(positives), 2), [len(users), len(warm)]),
+        lambda s, a: index.train.contains(users[a[:, 0]], warm[a[:, 1]]))
+    if not ok.all():
+        logger.warning("label sampling skipped %d exhausted positives",
+                       len(ok) - ok.sum())
+    return positives + list(zip(users[draws[ok, 0]].tolist(),
+                                warm[draws[ok, 1]].tolist()))
 
 
 def train_coupled_filter(filt: TwoTowerFilter, backbone: BackboneModel,
@@ -518,8 +518,7 @@ def train_coupled_filter(filt: TwoTowerFilter, backbone: BackboneModel,
 
     def batches(rng, user_inputs):
         order = rng.permutation(len(labeled_arr))
-        triples = _epoch_triples(rng, split.warm_train, split.warm_items,
-                                 split.warm_train_set)
+        triples = _epoch_triples(rng, split, backbone.n_users)
         n_batches = max(1, int(np.ceil(len(order) / config.batch_size)))
         for bi in range(n_batches):
             sel = labeled_arr[order[bi * config.batch_size:(bi + 1) * config.batch_size]]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -137,6 +138,19 @@ class PairSets:
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys // width, minlength=n_rows), out=indptr[1:])
         return cls(indptr=indptr, indices=keys % width)
+
+    @cached_property
+    def _keys(self) -> tuple[int, np.ndarray]:
+        width = int(self.indices.max(initial=0)) + 1
+        rows = np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+        keys = rows * width + self.indices
+        return width, np.append(keys, np.iinfo(np.int64).max)
+
+    def contains(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Whether each (row, column) pair is an entry."""
+        width, keys = self._keys    # ascending row * width + column, sentinel
+        query = rows * width + cols
+        return (cols < width) & (keys[np.searchsorted(keys, query)] == query)
 
     def sizes(self, rows: np.ndarray) -> np.ndarray:
         return self.indptr[rows + 1] - self.indptr[rows]

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import store
-from .backbone import _sample_negative
+from .backbone import draw_accepted, ordered_subsample
 from .content import post_with_retries
 from .corpus import ColdWarmSplit, ItemCatalog
 from .filtering import CandidateSet, TwoTowerFilter, funnel_filter
@@ -453,51 +453,58 @@ def prepare_finetune_data(split: ColdWarmSplit, catalog: ItemCatalog,
         raise ValueError("online mode requires explicit negatives")
 
     rng = np.random.default_rng(seed)
-    positives = sorted(split.warm_train)
-    if n_positives is not None and n_positives < len(positives):
-        pick = rng.choice(len(positives), size=n_positives, replace=False)
-        positives = [positives[idx] for idx in sorted(pick)]
-
-    train_items = split.index(n_users).train_items
-    warm, observed = split.warm_items, split.warm_train_set
+    positives = ordered_subsample(rng, sorted(split.warm_train), n_positives)
+    index = split.index(n_users)
+    warm = np.asarray(split.warm_items, dtype=np.int64)
 
     neg_by_user: dict[int, list[int]] = {}
     if negatives is not None:
         for u, i in sorted(negatives):
             neg_by_user.setdefault(u, []).append(i)
 
+    plan = []   # slots: (positive, draws an unobserved warm item)
+    for k, (u, _) in enumerate(positives):
+        if mode == "online" and neg_by_user.get(u):
+            plan.append((k, False))     # a pick among u's explicit negatives
+        plan.append((k, True))
+    users = np.asarray([positives[k][0] for k, _ in plan], dtype=np.int64)
+    is_neg = np.asarray([neg for _, neg in plan], dtype=bool)
+
+    def exhausted(slot):
+        # exact fallback keeps the 1:1 pairing whenever a negative exists
+        unread = ~index.train.contains(np.full(len(warm), users[slot]), warm)
+        pool = np.flatnonzero(unread)
+        return pool[[rng.integers(len(pool))]] if len(pool) else None
+
+    draws, ok = draw_accepted(
+        rng, [len(warm) if neg else len(neg_by_user[positives[k][0]])
+              for k, neg in plan],
+        # an online pick indexes its user's negatives, not the warm items
+        lambda s, a: is_neg[s] & index.train.contains(
+            users[s], warm[np.where(is_neg[s], a[:, 0], 0)]),
+        exhausted=exhausted)
+
     item_vectors = filt.item_tower.forward(content_matrix)
 
     def make_record(user, item, completion):
         ctx = build_context(user, item_vectors[item], item_vectors,
-                            train_items[user], catalog, top_l)
+                            index.train_items[user], catalog, top_l)
         return FinetuneRecord(prompt=render_prompt(ctx, catalog.title(item)),
                               completion=completion)
 
-    def sample_unobserved(u):
-        j = _sample_negative(rng, u, warm, observed)
-        if j is not None:
-            return j
-        # exact fallback keeps the 1:1 pairing whenever a negative exists
-        pool = [int(j) for j in warm if (u, j) not in observed]
-        return pool[rng.integers(len(pool))] if pool else None
-
     records: list[FinetuneRecord] = []
-    exhausted = 0
-    for u, i in positives:
-        if mode == "online" and neg_by_user.get(u):
-            j = neg_by_user[u][rng.integers(len(neg_by_user[u]))]
-            records.append(make_record(u, i, "Yes"))
-            records.append(make_record(u, j, "No"))
-        j = sample_unobserved(u)
-        if j is None:
-            exhausted += 1
+    dropped = 0
+    for slot, (k, neg) in enumerate(plan):
+        u, i = positives[k]
+        if not ok[slot]:
+            dropped += 1
             continue
+        j = int(warm[draws[slot, 0]]) if neg else neg_by_user[u][draws[slot, 0]]
         records.append(make_record(u, i, "Yes"))
         records.append(make_record(u, j, "No"))
-    if exhausted:
+    if dropped:
         logger.warning("%d positives dropped: their users have no unobserved "
-                       "warm item", exhausted)
+                       "warm item", dropped)
 
     if out_path is not None:
         store.write_atomic(out_path, "".join(

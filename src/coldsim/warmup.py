@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import store
-from .backbone import BackboneModel
+from .backbone import BackboneModel, draw_accepted
 from .corpus import ColdWarmSplit
 from .filtering import TwoTowerFilter, map_item
 from .refiner import SimulationResult
@@ -25,9 +25,6 @@ from .refiner import SimulationResult
 logger = logging.getLogger(__name__)
 
 INIT_MODES = ("user-mean", "filter-map", "zero")
-# Most warmup draws in one block: a rejected negative ends a block, and
-# redrawing its prefix costs up to this many draws.
-DRAW_BLOCK = 256
 
 
 @dataclass
@@ -90,30 +87,16 @@ def draw_step_users(rng: np.random.Generator, users: np.ndarray, n_users: int,
 
     A step draws one index into the ascending simulated ``users`` as its
     positive, then users below ``n_users`` until it holds ``negatives``
-    that are not simulated.  The draws come in blocks of up to
-    ``DRAW_BLOCK`` ``integers(0, bounds)`` values from ``rng``, which are
-    what the same scalar calls would yield: a block assumes every negative
-    is accepted, the first rejected one ends it, and the stream is rewound
-    and redrawn up to and including that draw.  The ids and the final state
-    of ``rng`` equal the scalar loop's.
+    that are not simulated, all through
+    :func:`~coldsim.backbone.draw_accepted`: the ids and the final state of
+    ``rng`` are the scalar loop's.
     """
-    bounds = np.tile([len(users)] + [n_users] * negatives, steps)
-    is_neg = np.tile(np.arange(1 + negatives) > 0, steps)
-    ids = np.empty(len(bounds), dtype=np.int64)
-    done = 0
-    while done < len(bounds):
-        state = rng.bit_generator.state
-        block = rng.integers(0, bounds[done:done + DRAW_BLOCK])
-        found = np.searchsorted(users, block)
-        rejected = is_neg[done:done + len(block)] & (
-            users[np.minimum(found, len(users) - 1)] == block)
-        first = int(np.argmax(rejected)) if rejected.any() else len(block)
-        ids[done:done + first] = block[:first]
-        if first < len(block):
-            rng.bit_generator.state = state
-            rng.integers(0, bounds[done:done + first + 1])
-        done += first
-    ids = ids.reshape(steps, 1 + negatives)
+    is_neg = np.arange(steps * (1 + negatives)) % (1 + negatives) > 0
+    simulated = np.zeros(n_users, dtype=bool)
+    simulated[users] = True
+    ids = draw_accepted(rng, np.where(is_neg, n_users, len(users)),
+                        lambda s, a: is_neg[s] & simulated[a[:, 0]],
+                        tries=None)[0].reshape(steps, 1 + negatives)
     return users[ids[:, 0]], ids[:, 1:]
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from coldsim.corpus import InteractionLog
+from coldsim.corpus import ColdWarmSplit, InteractionLog
 from coldsim.synthetic import make_two_cluster_dataset, make_planted_split
 
 
@@ -51,3 +51,10 @@ def tiny_cluster_setup(seed=0, n_users=40, n_warm=16, n_cold=4,
                                     seed=seed)
     split = make_planted_split(data, seed=seed)
     return data, split
+
+
+def pair_split(pairs, warm):
+    """Split whose warm-train list is ``pairs`` (in order) over ``warm``."""
+    return ColdWarmSplit(warm_items=list(warm), cold_items=[],
+                         warm_train=list(pairs), warm_val=[], warm_test=[],
+                         cold_val=[], cold_test=[], seed=0, cold_frac=0.0)

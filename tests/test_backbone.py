@@ -11,7 +11,7 @@ from coldsim.corpus import InteractionLog, make_cold_split
 from coldsim.filtering import (FilterTrainConfig, TwoTowerFilter,
                                train_behavior_filter, train_coupled_filter)
 
-from conftest import tiny_cluster_setup
+from conftest import pair_split, tiny_cluster_setup
 
 
 def finite_diff_grad(loss_fn, arr, h=1e-5):
@@ -56,8 +56,8 @@ class TestSampleTriples:
     def test_empty_split(self, toy_log):
         # the sampler returns an empty block, and every trainer that calls
         # it rejects an empty warm-train split
-        assert _epoch_triples(np.random.default_rng(0), [], [0],
-                              set()).shape == (0, 3)
+        assert _epoch_triples(np.random.default_rng(0), pair_split([], [0]),
+                              1).shape == (0, 3)
         split = make_cold_split(toy_log, 0.0, seed=0)
         split.warm_train.clear()
         model = BackboneModel(user_emb=init_embeddings(6, 4, 0),
@@ -79,15 +79,15 @@ class TestSampleTriples:
     def test_exhausted_user_skipped(self, caplog):
         # user 0 interacted with every warm item: no negative exists
         pairs = [(0, 0), (0, 1), (1, 0)]
-        triples = _epoch_triples(np.random.default_rng(0), pairs * 7,
-                                 [0, 1], set(pairs))
+        triples = _epoch_triples(np.random.default_rng(0),
+                                 pair_split(pairs * 7, [0, 1]), 2)
         assert all(u == 1 for u, _, _ in triples.tolist())
 
     def test_negative_uniformity_chi2(self):
         pairs = [(0, 0)]
         warm = list(range(11))  # 10 eligible negatives
-        triples = _epoch_triples(np.random.default_rng(3), pairs * 100_000,
-                                 warm, set(pairs))
+        triples = _epoch_triples(np.random.default_rng(3),
+                                 pair_split(pairs * 100_000, warm), 1)
         counts = np.bincount(triples[:, 2], minlength=11)[1:]
         _, p = stats.chisquare(counts)
         assert p > 0.01
@@ -119,25 +119,25 @@ class TestEpochTriples:
 
     @pytest.mark.parametrize("seed", [0, 1, 9])
     def test_equals_former_filter_sampler(self, seed):
-        positives, warm, observed, _ = self.setup_positives()
-        got = _epoch_triples(np.random.default_rng(seed), positives, warm,
-                             observed)
+        positives, warm, observed, exhausted = self.setup_positives()
+        got = _epoch_triples(np.random.default_rng(seed),
+                             pair_split(positives, warm), exhausted + 1)
         ref = epoch_pairs_with_negatives(np.random.default_rng(seed),
                                          positives, warm, observed)
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
     def test_exhausted_user_skipped_with_warning(self, caplog):
         positives, warm, observed, exhausted = self.setup_positives()
-        triples = _epoch_triples(np.random.default_rng(0), positives, warm,
-                                 observed)
+        triples = _epoch_triples(np.random.default_rng(0),
+                                 pair_split(positives, warm), exhausted + 1)
         assert exhausted not in triples[:, 0]
         assert len(triples) == len(positives) - len(warm)
         assert all((u, j) not in observed for u, _, j in triples.tolist())
         assert f"skipped {len(warm)} exhausted positives" in caplog.text
 
     def test_empty(self):
-        triples = _epoch_triples(np.random.default_rng(0), [], np.arange(3),
-                                 set())
+        triples = _epoch_triples(np.random.default_rng(0),
+                                 pair_split([], np.arange(3)), 1)
         assert triples.shape == (0, 3)
 
 
