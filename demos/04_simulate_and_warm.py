@@ -41,14 +41,19 @@ print(f"adoption rate across all cold items: {adoption_rate(log).rate:.1%}")
 from coldsim.refiner import build_context
 
 # every item's coupled-filter vector, computed once; contexts index into it.
-# One call builds the contexts of all of the item's simulated users.
+# One call builds the contexts of three simulated users and three users the
+# planted truth does not pair with the item.
 item_vectors = pipe.item_vectors(pipe.filter_l)
-users = sims[item].users
+users = sims[item].users[:3] + [u for u in range(data.log.n_users)
+                                if (u, item) not in data.truth][:3]
 contexts = build_context(users, item_vectors[item], item_vectors,
-                         [pipe.train_items[u] for u in users], data.catalog,
+                         [pipe.train_items[u] for u in users], pipe.titles,
                          top_l=3)
 print(f"\nprompt sent to the oracle for user {users[0]}:")
-print(" ", render_prompt(contexts[0], data.catalog.title(item)))
+print(" ", render_prompt(contexts[0], pipe.titles[item]))
+# every oracle answers one item's contexts in one call, in order
+answers = pipe.oracle.decide(item, pipe.titles[item], contexts)
+print(f"oracle answers for users {users}: {[a.raw for a in answers]}")
 
 # warm the cold rows and check the frozen-warm contract
 warmed = warm_from_simulations(pipe, sims, cfg)

@@ -40,12 +40,16 @@ threading.Thread(target=server.serve_forever, daemon=True).start()
 url = f"http://127.0.0.1:{server.server_address[1]}/simulate"
 print(f"toy oracle listening at {url}")
 
-oracle = HttpOracle(url, timeout=5)
-ctx = UserContext(user=0, items=[1, 2], texts=["astro astro notes1",
-                                               "astro astro notes2"])
+# one decide call per item; its prompts go out on the oracle's own pool of
+# max_inflight threads, and the answers come back in context order
+oracle = HttpOracle(url, timeout=5, max_inflight=2)
+contexts = [UserContext(user=0, items=[1, 2], texts=["astro astro notes1",
+                                                     "astro astro notes2"]),
+            UserContext(user=1, items=[7], texts=["fjord fjord notes7"])]
 for item_text in ("astro astro notes9", "fjord fjord notes40"):
-    decision = oracle.decide(ctx.user, 9, ctx, item_text)
-    print(f"  {item_text!r} -> {decision.raw} ({decision.latency * 1e3:.1f} ms)")
+    for ctx, decision in zip(contexts, oracle.decide(9, item_text, contexts)):
+        print(f"  user {ctx.user}, {item_text!r} -> {decision.raw} "
+              f"({decision.latency * 1e3:.1f} ms)")
 server.shutdown()
 
 # --- the same pipeline, driven end to end by the CLI with a mock oracle

@@ -49,6 +49,7 @@ def default_config() -> dict:
             "chat": False,
             "retries": 3,
             "timeout": 30.0,
+            "max_inflight": 8,
             "finetune_mode": "offline",
             "finetune_positives": None,
             **asdict(SimulateConfig()),

@@ -486,12 +486,13 @@ def train_coupled_filter(filt: TwoTowerFilter, backbone: BackboneModel,
                          config: FilterTrainConfig):
     """Train the L variant against oracle labels.
 
-    ``labeler(user, item) -> 0 or 1`` supplies the oracle decision for each
-    pair of :func:`sample_label_pairs`' pool (an
-    :class:`~coldsim.refiner.OracleError` skips the pair and is counted; any
-    other exception propagates).  The loss is cross-entropy of
-    sigmoid(dot) against the labels plus ``coupled_weight`` times the BPR
-    term over warm-train triples.  Inputs are frozen as in
+    ``labeler(users, items)`` is called once, with the pairs of
+    :func:`sample_label_pairs`' pool, and returns one answer per pair in
+    order: an oracle decision, whose ``value`` is the 0/1 label, or the
+    :class:`~coldsim.refiner.OracleError` it failed with, which skips the
+    pair and is counted.  Any exception the labeler raises propagates.
+    The loss is cross-entropy of sigmoid(dot) against the labels plus
+    ``coupled_weight`` times the BPR term over warm-train triples.  Inputs are frozen as in
     :func:`train_behavior_filter`.  Returns (filter, history).
     """
     from .refiner import OracleError  # refiner imports this module
@@ -503,12 +504,13 @@ def train_coupled_filter(filt: TwoTowerFilter, backbone: BackboneModel,
 
     labeled = []
     failures = 0
-    for u, i in pool:
-        try:
-            labeled.append((u, i, int(labeler(u, i))))
-        except OracleError as exc:
+    answers = labeler([u for u, _ in pool], [i for _, i in pool])
+    for (u, i), answer in zip(pool, answers):
+        if isinstance(answer, OracleError):
             failures += 1
-            logger.debug("labeler failed for (%d, %d): %s", u, i, exc)
+            logger.debug("labeler failed for (%d, %d): %s", u, i, answer)
+            continue
+        labeled.append((u, i, int(answer.value)))
     if failures:
         logger.warning("oracle labeling failed for %d of %d pairs",
                        failures, len(pool))

@@ -32,7 +32,8 @@ class Pipeline:
 
     ``train_items`` (each user's warm-train items, ascending) is the split
     index's, and ``hist_means`` (each user's mean history content vector)
-    is computed from it and the content matrix once, here.
+    is computed from it and the content matrix once, here, as is
+    ``titles``, every item's title indexed by item id.
     """
 
     log: InteractionLog
@@ -45,11 +46,13 @@ class Pipeline:
     oracle: object | None = None
     train_items: list = field(init=False)
     hist_means: np.ndarray = field(init=False)
+    titles: list[str] = field(init=False)
 
     def __post_init__(self):
         self.train_items = self.split.index(self.log.n_users).train_items
         self.hist_means = filtering.history_content_means(self.train_items,
                                                           self.content_matrix)
+        self.titles = [self.catalog.title(i) for i in range(self.log.n_items)]
 
     def user_vectors(self, filt: TwoTowerFilter) -> np.ndarray:
         return filtering.user_filter_vectors(filt, self.backbone.user_emb,
@@ -86,26 +89,41 @@ def make_oracle(cfg: dict, content_matrix: np.ndarray,
         if not r["endpoint"]:
             raise ValueError("http oracle needs refiner.endpoint")
         return refiner.HttpOracle(r["endpoint"], timeout=r["timeout"],
-                                  retries=r["retries"], chat=r["chat"])
+                                  retries=r["retries"], chat=r["chat"],
+                                  max_inflight=r["max_inflight"])
     raise ValueError(f"unknown oracle kind {kind!r}")
 
 
 def oracle_labeler(pipe: Pipeline, oracle, top_l: int):
-    """Adapter giving the coupled-filter trainer per-pair oracle labels.
+    """The coupled-filter trainer's labeller: ``label(users, items)`` asks
+    ``oracle`` about every (user, item) pair and returns its answers, each
+    an :class:`~coldsim.refiner.OracleDecision` or the
+    :class:`~coldsim.refiner.OracleError` it failed with, in pair order.
 
-    Contexts always come from the behavior filter, whose item vectors are
-    computed once, here; a coupled filter already on the pipeline never
-    labels its successor.
+    The pairs are grouped by item, stably, so that each item gets one
+    block of contexts and one ``decide`` call.  Contexts always come from
+    the behavior filter, whose item vectors are computed once, here; a
+    coupled filter already on the pipeline never labels its successor.
     """
     if pipe.filter_b is None:
         raise ValueError("oracle labels need a trained filter B to build "
                          "contexts: train filter B before filter L")
     item_vectors = pipe.item_vectors(pipe.filter_b)
 
-    def label(u: int, i: int) -> int:
-        ctx = refiner.build_context(u, item_vectors[i], item_vectors,
-                                    pipe.train_items[u], pipe.catalog, top_l)
-        return oracle.decide(u, i, ctx, pipe.catalog.title(i)).value
+    def label(users, items) -> list:
+        rows_of: dict[int, list[int]] = {}
+        for j, item in enumerate(items):
+            rows_of.setdefault(item, []).append(j)
+        answers = [None] * len(items)
+        for item, rows in rows_of.items():
+            group = [users[j] for j in rows]
+            contexts = refiner.build_context(
+                group, item_vectors[item], item_vectors,
+                [pipe.train_items[u] for u in group], pipe.titles, top_l)
+            answers_of_item = oracle.decide(item, pipe.titles[item], contexts)
+            for j, answer in zip(rows, answers_of_item):
+                answers[j] = answer
+        return answers
 
     return label
 
@@ -183,7 +201,7 @@ def simulate_all(pipe: Pipeline, cfg: dict, use_b: bool = True,
     items = sorted(pipe.split.cold_items)
     results = refiner.simulate_items(
         items, pipe.content_matrix[items], pipe.oracle, item_vectors,
-        pipe.train_items, pipe.catalog, sim_cfg,
+        pipe.train_items, pipe.titles, sim_cfg,
         filter_b=filt_b, filter_l=filt_l, users_b=users_b, users_l=users_l,
         decision_log=decision_log, skip_refine=skip_refine)
     return {result.item: result for result in results}

@@ -65,33 +65,26 @@ class FinetuneRecord(NamedTuple):
     completion: str
 
 
-def build_context(user, item_fvec: np.ndarray, item_vectors: np.ndarray,
-                  history, catalog: ItemCatalog,
-                  top_l: int = 10) -> UserContext | list[UserContext]:
-    """Pick the user's ``top_l`` history items most similar to the query item.
+def build_context(users, item_fvec: np.ndarray, item_vectors: np.ndarray,
+                  histories, titles: list[str],
+                  top_l: int = 10) -> list[UserContext]:
+    """Each user's ``top_l`` history items most similar to one query item.
 
     ``item_vectors`` holds every item's filter vector, one row per item id:
     the context filter's item tower applied once to the whole content
-    matrix.  Similarity is the dot product of filter vectors; ties break by
+    matrix, and ``titles`` every item's title, indexed by item id.
+    Similarity is the dot product of filter vectors; ties break by
     ascending item id.  An empty history yields an empty context.
 
-    With ``user`` a sequence of users and ``history`` their histories (one
-    cold item's candidates), the result is their contexts in that order,
-    from one gather of the histories, one product with ``item_fvec`` and
-    one ``lexsort`` on (candidate, -similarity, item id).
+    The contexts come back in ``users`` order, from one gather of the
+    ``histories``, one product with ``item_fvec`` and one ``lexsort`` on
+    (candidate, -similarity, item id).
     """
     if top_l < 1:
         raise ValueError(f"top_l must be >= 1, got {top_l}")
-    if np.isscalar(user):
-        if not history:
-            return UserContext(user=user, items=[], texts=[])
-        hist_ids = np.asarray(history)
-        sims = item_vectors[hist_ids] @ np.asarray(item_fvec, dtype=np.float64)
-        items = hist_ids[np.lexsort((hist_ids, -sims))[:top_l]].tolist()
-        return UserContext(user=user, items=items,
-                           texts=[catalog.title(i) for i in items])
-    lens = np.fromiter(map(len, history), dtype=np.int64, count=len(history))
-    hist_ids = np.fromiter(itertools.chain.from_iterable(history),
+    lens = np.fromiter(map(len, histories), dtype=np.int64,
+                       count=len(histories))
+    hist_ids = np.fromiter(itertools.chain.from_iterable(histories),
                            dtype=np.int64, count=int(lens.sum()))
     sims = item_vectors[hist_ids] @ np.asarray(item_fvec, dtype=np.float64)
     owner = np.repeat(np.arange(len(lens)), lens)
@@ -100,10 +93,10 @@ def build_context(user, item_fvec: np.ndarray, item_vectors: np.ndarray,
     rank = np.arange(len(order)) - np.repeat(np.cumsum(lens) - lens, lens)
     kept = hist_ids[order[rank < top_l]].tolist()
     contexts, start = [], 0
-    for u, end in zip(user, np.cumsum(np.minimum(lens, top_l)).tolist()):
+    for u, end in zip(users, np.cumsum(np.minimum(lens, top_l)).tolist()):
         items = kept[start:end]
         contexts.append(UserContext(user=u, items=items,
-                                    texts=[catalog.title(i) for i in items]))
+                                    texts=[titles[i] for i in items]))
         start = end
     return contexts
 
@@ -139,18 +132,21 @@ class PlantedOracle:
     def __init__(self, true_pairs):
         self.true_pairs = set(true_pairs)
 
-    def decide(self, user: int, item: int, context: UserContext,
-               item_text: str) -> OracleDecision:
-        yes = (user, item) in self.true_pairs
-        return OracleDecision(value=1 if yes else 0, raw="Yes" if yes else "No")
+    def decide(self, item: int, item_text: str,
+               contexts: list[UserContext]) -> list[OracleDecision]:
+        """One membership test per context, in order."""
+        answers = []
+        for ctx in contexts:
+            yes = (ctx.user, item) in self.true_pairs
+            answers.append(OracleDecision(value=1 if yes else 0,
+                                          raw="Yes" if yes else "No"))
+        return answers
 
 
 class ThresholdOracle:
     """Accepts when the item's raw vector is cosine-close to the context mean.
 
-    An empty context is always a no.  ``decide`` also answers one item's
-    candidates in one call: with ``user`` and ``context`` sequences it
-    returns their decisions in order.
+    An empty context is always a no.
     """
 
     kind = "mock-threshold"
@@ -159,38 +155,26 @@ class ThresholdOracle:
         self.content_matrix = np.asarray(content_matrix, dtype=np.float64)
         self.tau = tau
 
-    def decide(self, user, item: int, context, item_text: str):
+    def decide(self, item: int, item_text: str,
+               contexts: list[UserContext]) -> list[OracleDecision]:
         item_vec = self.content_matrix[item]
         item_norm = np.sqrt(item_vec.dot(item_vec))
-        if isinstance(context, UserContext):
-            if not context.items:
-                return OracleDecision(value=0, raw="No")
-            # numpy's own 1-D mean, minus its call overhead
-            rows = self.content_matrix[context.items]
-            return self._answer(self._cosine(item_vec, item_norm,
-                                             rows.sum(axis=0) / len(rows)))
-        answers = [OracleDecision(value=0, raw="No") for _ in context]
-        lens = [len(ctx.items) for ctx in context]
-        # contexts of one length share a gather; X[idx].sum(axis=1) / n sums
-        # each row in the order of the one-context path, so the bits are the same
+        answers = [OracleDecision(value=0, raw="No") for _ in contexts]
+        lens = [len(ctx.items) for ctx in contexts]
+        # contexts of one length share a gather; X[idx].sum(axis=1) / n adds
+        # each context's rows in order, as X[items].mean(axis=0) does
         for n in set(lens) - {0}:
             rows = [j for j, size in enumerate(lens) if size == n]
-            idx = np.array([context[j].items for j in rows])
+            idx = np.array([contexts[j].items for j in rows])
             means = self.content_matrix[idx].sum(axis=1) / n
             for j, ctx_mean in zip(rows, means):
-                answers[j] = self._answer(self._cosine(item_vec, item_norm,
-                                                       ctx_mean))
+                # one dot per norm and per cosine, as numpy's norm takes them
+                denom = item_norm * np.sqrt(ctx_mean.dot(ctx_mean))
+                cos = float(item_vec @ ctx_mean / denom) if denom > 0 else 0.0
+                yes = cos >= self.tau
+                answers[j] = OracleDecision(value=1 if yes else 0,
+                                            raw="Yes" if yes else "No")
         return answers
-
-    @staticmethod
-    def _cosine(item_vec, item_norm, ctx_mean) -> float:
-        """One ``dot`` per norm and per cosine, as numpy's ``norm`` takes them."""
-        denom = item_norm * np.sqrt(ctx_mean.dot(ctx_mean))
-        return float(item_vec @ ctx_mean / denom) if denom > 0 else 0.0
-
-    def _answer(self, cos: float) -> OracleDecision:
-        yes = cos >= self.tau
-        return OracleDecision(value=1 if yes else 0, raw="Yes" if yes else "No")
 
 
 class HttpOracle:
@@ -198,18 +182,22 @@ class HttpOracle:
 
     With ``chat=True`` the same prompt is wrapped as a chat completion
     request ``{"messages": [{"role": "user", "content": prompt}]}`` and the
-    first message text of the response is parsed instead.
+    first message text of the response is parsed instead.  Requests run on
+    one pool of ``max_inflight`` threads that lives as long as the oracle.
     """
 
     kind = "http"
 
     def __init__(self, url: str, timeout: float = 30.0, retries: int = 3,
-                 backoff: float = 0.5, chat: bool = False):
+                 backoff: float = 0.5, chat: bool = False,
+                 max_inflight: int = 8):
         self.url = url
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
         self.chat = chat
+        self._pool = ThreadPoolExecutor(max_workers=max(1, max_inflight),
+                                        thread_name_prefix="coldsim-oracle")
 
     def _answer(self, doc: dict) -> str:
         if not self.chat:
@@ -220,23 +208,28 @@ class HttpOracle:
             return doc["choices"][0]["message"]["content"]
         raise OracleError("chat response carries no messages")
 
-    def _post(self, prompt: str) -> str:
+    def _ask(self, prompt: str) -> OracleDecision | OracleError:
         if self.chat:
             body = {"messages": [{"role": "user", "content": prompt}]}
         else:
             body = {"prompt": prompt}
-        return post_with_retries(self.url, body, self._answer, OracleError,
-                                 "oracle", timeout=self.timeout,
-                                 retries=self.retries, backoff=self.backoff)
-
-    def decide(self, user: int, item: int, context: UserContext,
-               item_text: str) -> OracleDecision:
-        prompt = render_prompt(context, item_text)
         start = time.perf_counter()
-        answer = self._post(prompt)
-        latency = time.perf_counter() - start
-        return OracleDecision(value=parse_yes_no(answer), raw=answer,
-                              latency=latency)
+        try:
+            answer = post_with_retries(self.url, body, self._answer,
+                                       OracleError, "oracle",
+                                       timeout=self.timeout,
+                                       retries=self.retries,
+                                       backoff=self.backoff)
+            latency = time.perf_counter() - start
+            return OracleDecision(value=parse_yes_no(answer), raw=answer,
+                                  latency=latency)
+        except OracleError as exc:
+            return exc
+
+    def decide(self, item: int, item_text: str,
+               contexts: list[UserContext]) -> list[OracleDecision | OracleError]:
+        prompts = [render_prompt(ctx, item_text) for ctx in contexts]
+        return list(self._pool.map(self._ask, prompts))
 
 
 class DecisionLog:
@@ -293,7 +286,6 @@ class SimulateConfig:
     k: int = 20
     context_len: int = 10
     fallback_to_top1: bool = True
-    max_inflight: int = 8
 
 
 @dataclass
@@ -304,52 +296,28 @@ class SimulationResult:
     failures: int = 0
 
 
-def _decide_all(client, item: int, item_text: str,
-                contexts: list[UserContext], max_inflight: int) -> list:
-    """Each context's decision, or the :class:`OracleError` it raised, in order.
-
-    In-process oracles run on the calling thread, the threshold oracle
-    in one call; only the HTTP oracle, which waits on the network, gets a
-    pool of ``max_inflight`` workers.
-    """
-    def decide(ctx):
-        try:
-            return client.decide(ctx.user, item, ctx, item_text)
-        except OracleError as exc:
-            return exc
-
-    if not contexts:
-        return []
-    if isinstance(client, ThresholdOracle):
-        return client.decide([ctx.user for ctx in contexts], item, contexts,
-                             item_text)
-    if client.kind != "http":
-        return [decide(ctx) for ctx in contexts]
-    with ThreadPoolExecutor(max_workers=max(1, max_inflight)) as pool:
-        return list(pool.map(decide, contexts))
-
-
 def refine(candidates: CandidateSet, client, item_vectors: np.ndarray,
-           train_items: list[list[int]], catalog: ItemCatalog, top_l: int = 10,
-           decision_log: DecisionLog | None = None,
-           max_inflight: int = 8) -> tuple[list[int], int]:
+           train_items: list[list[int]], titles: list[str], top_l: int = 10,
+           decision_log: DecisionLog | None = None) -> tuple[list[int], int]:
     """Keep the candidates the oracle accepts, preserving rank order.
 
-    ``item_vectors`` are the context filter's item vectors, one row per
-    item id; all candidates' contexts come from one block
-    :func:`build_context` call.  Prompts are rendered and hashed only to
-    key the ``decision_log``; the HTTP oracle renders its own.  Decisions
-    are logged in candidate order.  Returns (accepted users, oracle
-    failure count).  Raises :class:`OracleError` when every single call
-    fails; partial failures drop those users with a warning.
+    ``item_vectors`` are the context filter's item vectors and ``titles``
+    the item titles, both indexed by item id; all candidates' contexts
+    come from one block :func:`build_context` call, and the ones the
+    ``decision_log`` cannot answer go to one ``client.decide`` call.
+    Prompts are rendered and hashed only to key the log; the HTTP oracle
+    renders its own.  Decisions are logged in candidate order.  Returns
+    (accepted users, oracle failure count).  Raises :class:`OracleError`
+    when every single call fails; partial failures drop those users with a
+    warning.
     """
     if not candidates.users:
         raise ValueError("refine requires a non-empty candidate set")
     item = candidates.item
-    item_text = catalog.title(item)
+    item_text = titles[item]
     contexts = build_context(candidates.users, item_vectors[item], item_vectors,
                              [train_items[u] for u in candidates.users],
-                             catalog, top_l)
+                             titles, top_l)
 
     decisions: dict[int, OracleDecision] = {}
     pending, hashes = contexts, [None] * len(contexts)
@@ -365,7 +333,7 @@ def refine(candidates: CandidateSet, client, item_vectors: np.ndarray,
             hashes.append(ph)
 
     failures = 0
-    outcomes = _decide_all(client, item, item_text, pending, max_inflight)
+    outcomes = client.decide(item, item_text, pending) if pending else []
     for ctx, ph, outcome in zip(pending, hashes, outcomes):
         if isinstance(outcome, OracleError):
             failures += 1
@@ -386,7 +354,7 @@ def refine(candidates: CandidateSet, client, item_vectors: np.ndarray,
 
 def simulate_items(items, raw_items: np.ndarray, client,
                    item_vectors: np.ndarray | None,
-                   train_items: list[list[int]], catalog: ItemCatalog,
+                   train_items: list[list[int]], titles: list[str],
                    config: SimulateConfig,
                    filter_b: TwoTowerFilter | None = None,
                    filter_l: TwoTowerFilter | None = None,
@@ -403,7 +371,8 @@ def simulate_items(items, raw_items: np.ndarray, client,
     (configurable; the alternative leaves the item cold with an empty
     simulation).  ``item_vectors`` are the item vectors of the filter that
     builds the contexts: the coupled filter when present, otherwise the
-    behavior filter.  They are unused with ``skip_refine``.
+    behavior filter, and ``titles`` every item's title by id.  Both are
+    unused with ``skip_refine``.
     """
     candidates = funnel_filter(raw_items, config.k, filter_b=filter_b,
                                filter_l=filter_l, users_b=users_b,
@@ -415,9 +384,8 @@ def simulate_items(items, raw_items: np.ndarray, client,
                                             users=list(cand.users)))
             continue
         kept, failures = refine(cand, client, item_vectors, train_items,
-                                catalog, top_l=config.context_len,
-                                decision_log=decision_log,
-                                max_inflight=config.max_inflight)
+                                titles, top_l=config.context_len,
+                                decision_log=decision_log)
         fallback = not kept
         if fallback:
             kept = cand.users[:1] if config.fallback_to_top1 else []
@@ -485,11 +453,12 @@ def prepare_finetune_data(split: ColdWarmSplit, catalog: ItemCatalog,
         exhausted=exhausted)
 
     item_vectors = filt.item_tower.forward(content_matrix)
+    titles = [catalog.title(i) for i in range(len(content_matrix))]
 
     def make_record(user, item, completion):
-        ctx = build_context(user, item_vectors[item], item_vectors,
-                            index.train_items[user], catalog, top_l)
-        return FinetuneRecord(prompt=render_prompt(ctx, catalog.title(item)),
+        [ctx] = build_context([user], item_vectors[item], item_vectors,
+                              [index.train_items[user]], titles, top_l)
+        return FinetuneRecord(prompt=render_prompt(ctx, titles[item]),
                               completion=completion)
 
     records: list[FinetuneRecord] = []

@@ -89,11 +89,15 @@ def draw_step_users(rng: np.random.Generator, users: np.ndarray, n_users: int,
     positive, then users below ``n_users`` until it holds ``negatives``
     that are not simulated, all through
     :func:`~coldsim.backbone.draw_accepted`: the ids and the final state of
-    ``rng`` are the scalar loop's.
+    ``rng`` are the scalar loop's.  ``users`` covering every user leaves no
+    negative to draw, a ``ValueError``.
     """
-    is_neg = np.arange(steps * (1 + negatives)) % (1 + negatives) > 0
     simulated = np.zeros(n_users, dtype=bool)
     simulated[users] = True
+    if simulated.all():
+        raise ValueError(f"simulated users cover every user of {n_users}, "
+                         f"cannot sample negatives")
+    is_neg = np.arange(steps * (1 + negatives)) % (1 + negatives) > 0
     ids = draw_accepted(rng, np.where(is_neg, n_users, len(users)),
                         lambda s, a: is_neg[s] & simulated[a[:, 0]],
                         tries=None)[0].reshape(steps, 1 + negatives)
@@ -114,9 +118,6 @@ def optimize_cold_embedding(item: int, users, backbone: BackboneModel,
     users = sorted(int(u) for u in users)
     if not users:
         raise ValueError(f"item {item}: simulated user set is empty")
-    if len(set(users)) >= backbone.n_users:
-        raise ValueError(f"item {item}: simulated users cover every user, "
-                         f"cannot sample negatives")
     if init is None:
         init = init_cold_embedding(item, users, backbone, config.init,
                                    filt_b=filt_b, raw=raw)
@@ -173,9 +174,6 @@ def warm_all_cold(split: ColdWarmSplit, simulations: dict[int, SimulationResult]
             init = init_cold_embedding(item, sim.users, backbone, "filter-map",
                                        filt_b=filt_b, raw=raw)
         users = sorted(int(u) for u in sim.users)
-        if len(set(users)) >= backbone.n_users:
-            raise ValueError(f"item {item}: simulated users cover every user, "
-                             f"cannot sample negatives")
         if init is None:
             init = init_cold_embedding(item, users, backbone, config.init,
                                        filt_b=filt_b, raw=raw)

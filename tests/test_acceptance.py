@@ -209,11 +209,10 @@ def test_criterion_4_funnel_invariants():
                       if rng.random() < 0.5}
             kept = [u for u in cand.users if u in accept]
             content = rng.normal(size=(2, 3))
-            from coldsim.corpus import ItemCatalog
             got, _ = refine(cand, PlantedOracle({(u, 0) for u in accept}),
                             filt_b.item_tower.forward(np.vstack([raw, raw])),
-                            [[] for _ in range(n_users)],
-                            ItemCatalog(content={0: "x", 1: "y"}), top_l=2) \
+                            [[] for _ in range(n_users)], ["x", "y"],
+                            top_l=2) \
                 if cand.users else ([], 0)
             if got != kept or not set(got) <= set(cand.users):
                 violations += 1

@@ -71,7 +71,7 @@ class TestSampleTriples:
             lambda: train_behavior_filter(filt, model, content, hist, split,
                                           cfg),
             lambda: train_coupled_filter(filt, model, content, hist, split,
-                                         lambda u, i: 1, cfg))
+                                         lambda users, items: [], cfg))
         for train in trainers:
             with pytest.raises(ValueError, match="warm-train split is empty"):
                 train()

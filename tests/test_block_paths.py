@@ -1,23 +1,25 @@
 """Per-item block paths against the per-item path they replace.
 
 ``simulate_all`` ranks every cold item's candidates with one funnel call
-per filter, builds each item's contexts in one block and lets a
-block-answering oracle decide them in one call; ``warm_all_cold`` draws
-each item's users in blocks.  The references here are the per-item path:
-one 1-D ``funnel_filter`` call per item, one context and one decision per
-(candidate, item) pair, and the scalar warmup draws.
+per filter, builds each item's contexts in one block and lets the oracle
+decide them in one call; the L labeller does the same for the label pool,
+grouped by item; ``warm_all_cold`` draws each item's users in blocks.  The
+references here are the per-item path: one 1-D ``funnel_filter`` call per
+item, one context and one decision per (candidate, item) pair, and the
+scalar warmup draws.
 
 The block products sum in another order than the per-pair ones, so CI
 runs this module a second time with one BLAS thread.
 """
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from coldsim import pipeline
+from coldsim import filtering, pipeline
 from coldsim.backbone import BackboneModel
 from coldsim.config import default_config, resolve_seeds
 from coldsim.filtering import TowerMlp, TwoTowerFilter, funnel_filter
@@ -52,7 +54,7 @@ def reference_threshold(oracle, item, context):
     return OracleDecision(value=1 if yes else 0, raw="Yes" if yes else "No")
 
 
-def reference_refine(candidates, client, item_vectors, train_items, catalog,
+def reference_refine(candidates, oracle, item_vectors, train_items, catalog,
                      top_l, decision_log):
     item = candidates.item
     item_text = catalog.title(item)
@@ -63,21 +65,20 @@ def reference_refine(candidates, client, item_vectors, train_items, catalog,
         ph = None
         if decision_log is not None:
             ph = DecisionLog.prompt_hash(render_prompt(ctx, item_text))
-            cached = decision_log.lookup(u, item, client.kind, ph)
+            cached = decision_log.lookup(u, item, oracle.kind, ph)
             if cached is not None:
                 decisions[u] = cached
                 continue
-        try:
-            if isinstance(client, ThresholdOracle):
-                decision = reference_threshold(client, item, ctx)
-            else:
-                decision = client.decide(u, item, ctx, item_text)
-        except OracleError:
+        if isinstance(oracle, ThresholdOracle):
+            decision = reference_threshold(oracle, item, ctx)
+        else:
+            [decision] = oracle.decide(item, item_text, [ctx])
+        if isinstance(decision, OracleError):
             failures += 1
             continue
         decisions[u] = decision
         if decision_log is not None:
-            decision_log.record(u, item, client.kind, ph, decision)
+            decision_log.record(u, item, oracle.kind, ph, decision)
     if not decisions:
         raise OracleError(f"every oracle call failed for item {item}")
     return [u for u in candidates.users
@@ -292,7 +293,7 @@ def test_block_contexts_equal_one_user_calls(integer_pipe):
     for item in pipe.split.cold_items:
         for top_l in (1, 3, 50):
             got = build_context(users, vectors[item], vectors, histories,
-                                pipe.catalog, top_l)
+                                pipe.titles, top_l)
             want = [reference_context(u, vectors[item], vectors, h,
                                       pipe.catalog, top_l)
                     for u, h in zip(users, histories)]
@@ -310,9 +311,88 @@ def test_threshold_block_equals_per_pair(planted_pipe):
         for tau in (0.0, 0.5, 1.0):
             oracle.tau = tau
             ref = [reference_threshold(oracle, item, ctx) for ctx in contexts]
-            got = oracle.decide([c.user for c in contexts], item, contexts, "x")
+            got = oracle.decide(item, "x", contexts)
             assert got == ref
-            assert [oracle.decide(c.user, item, c, "x") for c in contexts] == ref
+            assert [oracle.decide(item, "x", [c])[0] for c in contexts] == ref
+
+
+# -- L labelling -------------------------------------------------------------
+
+def reference_labeler(pipe, oracle, top_l):
+    """One context and one one-context ``decide`` per (user, item) pair."""
+    item_vectors = pipe.item_vectors(pipe.filter_b)
+
+    def label(users, items):
+        answers = []
+        for u, i in zip(users, items):
+            ctx = reference_context(u, item_vectors[i], item_vectors,
+                                    pipe.train_items[u], pipe.catalog, top_l)
+            answers.extend(oracle.decide(i, pipe.catalog.title(i), [ctx]))
+        return answers
+
+    return label
+
+
+class FlakyOracle(PlantedOracle):
+    """The planted oracle, failing in place on every pair whose user and
+    item sum to a multiple of three."""
+
+    def decide(self, item, item_text, contexts):
+        return [OracleError(f"no answer for ({ctx.user}, {item})")
+                if (ctx.user + item) % 3 == 0 else answer
+                for ctx, answer in zip(contexts, super().decide(
+                    item, item_text, contexts))]
+
+
+def with_labelling_oracle(pipe, kind):
+    if kind == "flaky":
+        return dataclasses.replace(pipe, oracle=FlakyOracle(
+            pipe.oracle.true_pairs))
+    return with_oracle(pipe, kind)
+
+
+def answer_summary(answers):
+    return [f"error: {a}" if isinstance(a, OracleError) else (a.value, a.raw)
+            for a in answers]
+
+
+@pytest.mark.parametrize("pipe_name", ["planted_pipe", "integer_pipe"])
+@pytest.mark.parametrize("oracle", ["planted", "mock-threshold", "flaky"])
+def test_oracle_labeler_equals_per_pair_labels(request, monkeypatch, caplog,
+                                               pipe_name, oracle):
+    cfg, pipe = request.getfixturevalue(pipe_name)
+    pipe = with_labelling_oracle(pipe, oracle)
+    top_l = cfg["refiner"]["context_len"]
+    pool = filtering.sample_label_pairs(pipe.split, pipe.log.n_users, None, 3)
+    users, items = [u for u, _ in pool], [i for _, i in pool]
+    assert len(set(items)) < len(items)     # items recur, in no sorted order
+    assert items != sorted(items)
+    got = pipeline.oracle_labeler(pipe, pipe.oracle, top_l)(users, items)
+    want = reference_labeler(pipe, pipe.oracle, top_l)(users, items)
+    assert answer_summary(got) == answer_summary(want)
+    values = {a.value for a in got if not isinstance(a, OracleError)}
+    assert values == {0, 1}
+    n_failed = sum(isinstance(a, OracleError) for a in got)
+    assert (n_failed > 0) == (oracle == "flaky")
+
+    # the trained coupled filter, and the skip count it logs, are the same
+    def train():
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="coldsim.filtering"):
+            filt, _ = pipeline.train_filter(pipe, "L", cfg)
+        return filt, [r.getMessage() for r in caplog.records
+                      if "oracle labeling failed" in r.getMessage()]
+
+    got_filter, got_skips = train()
+    monkeypatch.setattr(pipeline, "oracle_labeler", reference_labeler)
+    want_filter, want_skips = train()
+    assert got_skips == want_skips
+    assert len(got_skips) == (oracle == "flaky")
+    for tower in ("user_tower", "item_tower"):
+        got_params = getattr(got_filter, tower).params()
+        want_params = getattr(want_filter, tower).params()
+        for name in want_params:
+            assert got_params[name].tobytes() == want_params[name].tobytes()
 
 
 # -- warmup ------------------------------------------------------------------

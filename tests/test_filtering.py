@@ -11,7 +11,7 @@ from coldsim.filtering import (FilterTrainConfig,
                                sample_label_pairs, topk_candidates,
                                train_behavior_filter, train_coupled_filter,
                                user_filter_vectors)
-from coldsim.refiner import OracleError
+from coldsim.refiner import OracleDecision, OracleError
 from coldsim.synthetic import make_two_cluster_dataset, make_planted_split
 
 from conftest import tiny_cluster_setup
@@ -382,7 +382,10 @@ class TestTraining:
         for u in range(50):
             backbone.user_emb[u, data.user_group[u]] += 1.0
         filt = TwoTowerFilter.init("L", 8, 4, hidden=16, out=8, seed=5)
-        labeler = lambda u, i: int((u, i) in data.truth)
+        def labeler(users, items):
+            return [OracleDecision(value=int((u, i) in data.truth), raw="")
+                    for u, i in zip(users, items)]
+
         cfg = FilterTrainConfig(lr=0.01, batch_size=64, max_epochs=200,
                                 patience=200, coupled_weight=0.0, seed=5)
         hist = history_content_means(split.index(50).train_items, content)
@@ -400,28 +403,35 @@ class TestTraining:
         assert n_pos == len(split.warm_train)
         assert n_neg == n_pos
 
-    def test_labeler_failures_skipped(self):
+    def test_labeler_failures_skipped(self, caplog):
         data, split, backbone, content, hist = self.setup_inputs(seed=7)
         filt = TwoTowerFilter.init("L", 8, 6, hidden=5, out=4, seed=7)
 
-        calls = {"n": 0}
-
-        def flaky(u, i):
-            calls["n"] += 1
-            if calls["n"] % 3 == 0:
-                raise OracleError("oracle down")
-            return 1
+        def flaky(users, items):
+            # every third pair fails in place
+            return [OracleError("oracle down") if j % 3 == 2
+                    else OracleDecision(value=1, raw="Yes")
+                    for j in range(len(users))]
 
         cfg = FilterTrainConfig(lr=1e-4, max_epochs=1, batch_size=32, seed=7,
                                 label_pairs=30)
         train_coupled_filter(filt, backbone, content, hist, split, flaky, cfg)
+        n_pool = len(sample_label_pairs(split, data.log.n_users, 30, 7 + 17))
+        assert f"oracle labeling failed for {n_pool // 3} of {n_pool} pairs" \
+            in caplog.text
+        # a failed pair is skipped, not labelled: with every pair failing
+        # nothing is left to train on
+        with pytest.raises(ValueError, match="no labeled pairs"):
+            train_coupled_filter(filt, backbone, content, hist, split,
+                                 lambda users, items: [OracleError("down")]
+                                 * len(users), cfg)
 
     def test_labeler_bug_propagates(self):
         # only oracle faults skip a pair; a programming error is raised
         data, split, backbone, content, hist = self.setup_inputs(seed=7)
         filt = TwoTowerFilter.init("L", 8, 6, hidden=5, out=4, seed=7)
 
-        def buggy(u, i):
+        def buggy(users, items):
             raise IndexError("context built from a bad row")
 
         cfg = FilterTrainConfig(lr=1e-4, max_epochs=1, batch_size=32, seed=7,

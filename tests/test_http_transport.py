@@ -57,7 +57,7 @@ def server():
 
 def ask(oracle, item_text="a paper title"):
     ctx = UserContext(user=0, items=[3], texts=["an old title"])
-    return ctx, oracle.decide(ctx.user, 1, ctx, item_text)
+    return ctx, oracle.decide(1, item_text, [ctx])[0]
 
 
 class TestWireBytes:
@@ -90,16 +90,17 @@ class TestRetries:
     def test_non_200_retried_then_raised(self, server, status):
         server.status, server.doc = status, {"answer": "Yes"}
         oracle = HttpOracle(server.url, timeout=5, retries=3, backoff=0.0)
-        with pytest.raises(OracleError,
-                           match=f"after 3 attempts: oracle returned {status}"):
-            ask(oracle)
+        _, error = ask(oracle)
+        assert isinstance(error, OracleError)
+        assert f"after 3 attempts: oracle returned {status}" in str(error)
         assert len(server.seen) == 3
 
     def test_closed_without_answer_is_transport_error(self, server):
         server.status = None
         oracle = HttpOracle(server.url, timeout=5, retries=3, backoff=0.0)
         # http.client.RemoteDisconnected: an HTTPException and an OSError
-        with pytest.raises(OracleError, match="after 3 attempts: Remote end "
-                           "closed connection without response"):
-            ask(oracle)
+        _, error = ask(oracle)
+        assert isinstance(error, OracleError)
+        assert ("after 3 attempts: Remote end closed connection without "
+                "response") in str(error)
         assert len(server.seen) == 3

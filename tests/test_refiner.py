@@ -4,33 +4,42 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import gc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coldsim.corpus import ItemCatalog
+from coldsim import pipeline
+from coldsim.backbone import BackboneModel
+from coldsim.corpus import InteractionLog, ItemCatalog
 from coldsim.filtering import CandidateSet, TwoTowerFilter, map_item
 from coldsim.refiner import (DecisionLog, HttpOracle, OracleError,
                              OracleParseError, PlantedOracle, SimulateConfig,
                              ThresholdOracle, UserContext, build_context,
                              parse_yes_no, prepare_finetune_data,
                              refine, render_prompt, simulate_items)
-from conftest import tiny_cluster_setup
+from conftest import pair_split, tiny_cluster_setup
 
 
 def make_filter(seed=0, content_dim=6, out=5):
     return TwoTowerFilter.init("B", 4, content_dim, hidden=6, out=out, seed=seed)
 
 
-def reference_context(user, item_fvec, filt, content_matrix, history, catalog,
+def reference_context(user, item_fvec, filt, content_matrix, history, titles,
                       top_l):
     """The per-call path: forward the user's history through the item tower."""
     hist_vecs = filt.item_tower.forward(content_matrix[history])
     sims = hist_vecs @ item_fvec
     hist_ids = np.asarray(history)
     items = hist_ids[np.lexsort((hist_ids, -sims))[:top_l]].tolist()
-    return UserContext(user=user, items=items,
-                       texts=[catalog.title(i) for i in items])
+    return UserContext(user=user, items=items, texts=[titles[i] for i in items])
+
+
+def one_context(user, item_fvec, item_vectors, history, titles, top_l):
+    """One user's context through the block :func:`build_context`."""
+    [ctx] = build_context([user], item_fvec, item_vectors, [history], titles,
+                          top_l)
+    return ctx
 
 
 class TestBuildContext:
@@ -38,31 +47,30 @@ class TestBuildContext:
         rng = np.random.default_rng(0)
         filt = make_filter()
         content = rng.normal(size=(10, 6))
-        catalog = ItemCatalog(content={i: f"t{i}" for i in range(10)})
+        titles = [f"t{i}" for i in range(10)]
         vectors = filt.item_tower.forward(content)
         fvec = vectors[9]
-        ctx = build_context(0, fvec, vectors, [2, 5, 7], catalog, top_l=10)
+        ctx = one_context(0, fvec, vectors, [2, 5, 7], titles, top_l=10)
         assert sorted(ctx.items) == [2, 5, 7]
         sims = [filt.item_tower.forward(content[i]) @ fvec for i in ctx.items]
         assert sims == sorted(sims, reverse=True)
 
     def test_empty_history(self):
         filt = make_filter()
-        catalog = ItemCatalog(content={})
-        ctx = build_context(3, np.zeros(5),
-                            filt.item_tower.forward(np.zeros((1, 6))), [],
-                            catalog, top_l=4)
+        ctx = one_context(3, np.zeros(5),
+                          filt.item_tower.forward(np.zeros((1, 6))), [], [],
+                          top_l=4)
         assert ctx.items == [] and ctx.texts == []
 
     def test_matches_brute_force_argsort(self):
         rng = np.random.default_rng(1)
         filt = make_filter(seed=2)
         content = rng.normal(size=(40, 6))
-        catalog = ItemCatalog(content={i: f"t{i}" for i in range(40)})
+        titles = [f"t{i}" for i in range(40)]
         history = list(rng.choice(40, size=30, replace=False))
         vectors = filt.item_tower.forward(content)
         fvec = vectors[0]
-        ctx = build_context(0, fvec, vectors, history, catalog, top_l=10)
+        ctx = one_context(0, fvec, vectors, history, titles, top_l=10)
         sims = {i: filt.item_tower.forward(content[i]) @ fvec for i in history}
         expected = sorted(history, key=lambda i: (-sims[i], i))[:10]
         assert ctx.items == expected
@@ -75,7 +83,7 @@ class TestBuildContext:
         filt = make_filter(seed=seed)
         content = rng.normal(size=(60, 6))
         content[30:] = content[rng.integers(30, size=30)]
-        catalog = ItemCatalog(content={i: f"t{i}" for i in range(60)})
+        titles = [f"t{i}" for i in range(60)]
         vectors = filt.item_tower.forward(content)
         n_ties = 0
         for user in range(40):
@@ -83,10 +91,10 @@ class TestBuildContext:
             history = [int(i) for i in rng.choice(60, size=size, replace=False)]
             item = int(rng.integers(60))
             top_l = int(rng.integers(1, 12))
-            got = build_context(user, vectors[item], vectors, history, catalog,
-                                top_l)
+            got = one_context(user, vectors[item], vectors, history, titles,
+                              top_l)
             want = reference_context(user, map_item(filt, content[item]), filt,
-                                     content, history, catalog, top_l)
+                                     content, history, titles, top_l)
             assert got == want
             sims = vectors[history] @ vectors[item]
             n_ties += len(sims) - len(np.unique(sims))
@@ -97,8 +105,16 @@ class TestBuildContext:
         content = np.ones((3, 6))
         catalog = ItemCatalog(content={i: f"body{i}" for i in range(3)},
                               titles={i: f"Title {i}" for i in range(3)})
-        ctx = build_context(0, np.ones(5), filt.item_tower.forward(content), [1],
-                            catalog, top_l=2)
+        # the pipeline's title list prefers a title to the content text
+        pipe = pipeline.Pipeline(
+            log=InteractionLog.from_pairs(2, 3, [(0, 1), (1, 2)]),
+            catalog=catalog, split=pair_split([(0, 1), (1, 2)], [1, 2]),
+            backbone=BackboneModel(user_emb=np.zeros((2, 4)),
+                                   item_emb=np.zeros((3, 4))),
+            content_matrix=content)
+        assert pipe.titles == ["Title 0", "Title 1", "Title 2"]
+        ctx = one_context(0, np.ones(5), filt.item_tower.forward(content), [1],
+                          pipe.titles, top_l=2)
         assert ctx.texts == ["Title 1"]
 
 
@@ -165,20 +181,20 @@ class TestOracles:
     def test_planted_membership(self):
         oracle = PlantedOracle({(1, 5), (2, 6)})
         ctx = UserContext(user=1, items=[], texts=[])
-        assert oracle.decide(ctx.user, 5, ctx, "x").value == 1
-        assert oracle.decide(ctx.user, 6, ctx, "x").value == 0
+        assert oracle.decide(5, "x", [ctx])[0].value == 1
+        assert oracle.decide(6, "x", [ctx])[0].value == 0
 
     def test_threshold_self_similarity(self):
         content = np.zeros((2, 4))
         content[0] = content[1] = [1.0, 0, 0, 0]  # identical texts
         oracle = ThresholdOracle(content, tau=0.9)
         ctx = UserContext(user=0, items=[1], texts=["same"])
-        assert oracle.decide(ctx.user, 0, ctx, "same").value == 1
+        assert oracle.decide(0, "same", [ctx])[0].value == 1
 
     def test_threshold_empty_context_is_no(self):
         oracle = ThresholdOracle(np.ones((2, 4)), tau=0.0)
         ctx = UserContext(user=0, items=[], texts=[])
-        assert oracle.decide(ctx.user, 0, ctx, "x").value == 0
+        assert oracle.decide(0, "x", [ctx])[0].value == 0
 
     def test_threshold_equals_reference_cosine(self):
         # the cosine is bit-identical: tau at the reference cosine is a yes,
@@ -196,19 +212,19 @@ class TestOracles:
             if item == 0:
                 assert cos == 0.0
                 oracle.tau = 0.3
-                assert oracle.decide(0, item, ctx, "x").raw == "No"
+                assert oracle.decide(item, "x", [ctx])[0].raw == "No"
                 continue
             for tau, value in ((cos, 1), (np.nextafter(cos, np.inf), 0)):
                 oracle.tau = tau
-                assert oracle.decide(0, item, ctx, "x").value == value
+                assert oracle.decide(item, "x", [ctx])[0].value == value
 
     def test_threshold_deterministic(self):
         rng = np.random.default_rng(2)
         content = rng.normal(size=(6, 8))
         oracle = ThresholdOracle(content, tau=0.3)
         ctx = UserContext(user=0, items=[1, 4], texts=["a", "b"])
-        first = [oracle.decide(ctx.user, i, ctx, "x").value for i in range(6)]
-        second = [oracle.decide(ctx.user, i, ctx, "x").value for i in range(6)]
+        first = [oracle.decide(i, "x", [ctx])[0].value for i in range(6)]
+        second = [oracle.decide(i, "x", [ctx])[0].value for i in range(6)]
         assert first == second
 
 
@@ -276,33 +292,78 @@ class _SlowCountingHandler(BaseHTTPRequestHandler):
         pass
 
 
+@pytest.fixture
+def slow_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _SlowCountingHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    _SlowCountingHandler.in_flight = _SlowCountingHandler.peak = 0
+    yield f"http://127.0.0.1:{server.server_address[1]}/simulate"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
 class TestHttpOracle:
-    def test_refine_never_exceeds_max_inflight(self):
-        server = ThreadingHTTPServer(("127.0.0.1", 0), _SlowCountingHandler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        _SlowCountingHandler.in_flight = _SlowCountingHandler.peak = 0
-        try:
-            url = f"http://127.0.0.1:{server.server_address[1]}/simulate"
-            vectors, catalog, train_items = refine_setup(seed=8)
-            cand = CandidateSet(item=1, users=[9, 2, 11, 0, 6, 4, 8, 3, 10])
-            log = DecisionLog()
-            kept, failures = refine(cand, HttpOracle(url, timeout=5), vectors,
-                                    train_items, catalog, decision_log=log,
-                                    max_inflight=3)
-        finally:
-            server.shutdown()
-            server.server_close()
-        thread.join(timeout=5)
-        assert not thread.is_alive()
+    def test_refine_never_exceeds_max_inflight(self, slow_server):
+        vectors, titles, train_items = refine_setup(seed=8)
+        cand = CandidateSet(item=1, users=[9, 2, 11, 0, 6, 4, 8, 3, 10])
+        log = DecisionLog()
+        oracle = HttpOracle(slow_server, timeout=5, max_inflight=3)
+        kept, failures = refine(cand, oracle, vectors, train_items, titles,
+                                decision_log=log)
         assert 1 < _SlowCountingHandler.peak <= 3
         assert kept == cand.users and failures == 0
         assert [r["user"] for r in log.records] == cand.users
 
+    def test_labelling_never_exceeds_max_inflight(self, slow_server):
+        data, split = tiny_cluster_setup(seed=8)
+        n_users, n_items = data.log.n_users, data.log.n_items
+        pipe = pipeline.Pipeline(
+            log=data.log, catalog=data.catalog, split=split,
+            backbone=BackboneModel(user_emb=np.zeros((n_users, 4)),
+                                   item_emb=np.zeros((n_items, 4))),
+            content_matrix=np.random.default_rng(8).normal(size=(n_items, 6)),
+            filter_b=make_filter(seed=8))
+        oracle = HttpOracle(slow_server, timeout=5, max_inflight=3)
+        label = pipeline.oracle_labeler(pipe, oracle, 3)
+        items = [data.cold_items[u % 2] for u in range(12)]
+        answers = label(list(range(12)), items)
+        assert 1 < _SlowCountingHandler.peak <= 3
+        assert [a.value for a in answers] == [1] * 12
+
+    def test_programming_error_in_pool_reaches_caller(self, monkeypatch):
+        def urlopen(request, timeout):
+            if b"bad" in request.data:
+                raise RuntimeError("adapter bug")
+            return _FakeResponse({"answer": "Yes"})
+
+        monkeypatch.setattr("coldsim.content.urlopen", urlopen)
+        oracle = HttpOracle("http://oracle.invalid/simulate", max_inflight=2)
+        contexts = [UserContext(user=u, items=[u], texts=[text]) for u, text
+                    in enumerate(["good", "bad", "good"])]
+        with pytest.raises(RuntimeError, match="adapter bug"):
+            oracle.decide(0, "anything", contexts)
+
+    def test_pool_threads_exit_with_the_oracle(self, oracle_server):
+        before = set(threading.enumerate())
+        oracle = HttpOracle(oracle_server, timeout=5, max_inflight=3)
+        contexts = [UserContext(user=u, items=[], texts=[]) for u in range(6)]
+        assert [a.value for a in oracle.decide(0, "x", contexts)] == [1] * 6
+        workers = [t for t in set(threading.enumerate()) - before
+                   if t.name.startswith("coldsim-oracle")]
+        assert 1 <= len(workers) <= 3
+        del oracle
+        gc.collect()
+        for thread in workers:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+
     def test_yes_round_trip(self, oracle_server):
         oracle = HttpOracle(oracle_server, timeout=5)
         ctx = UserContext(user=0, items=[], texts=[])
-        decision = oracle.decide(ctx.user, 0, ctx, "anything")
+        decision = oracle.decide(0, "anything", [ctx])[0]
         assert decision.value == 1
         assert decision.latency > 0
 
@@ -310,43 +371,48 @@ class TestHttpOracle:
         _OracleHandler.answer = "No, the user ignores this topic."
         oracle = HttpOracle(oracle_server, timeout=5)
         ctx = UserContext(user=0, items=[], texts=[])
-        assert oracle.decide(ctx.user, 0, ctx, "anything").value == 0
+        assert oracle.decide(0, "anything", [ctx])[0].value == 0
 
     def test_parse_error_distinct_from_transport(self, oracle_server):
         _OracleHandler.answer = "perhaps"
         oracle = HttpOracle(oracle_server, timeout=5)
         ctx = UserContext(user=0, items=[], texts=[])
-        with pytest.raises(OracleParseError):
-            oracle.decide(ctx.user, 0, ctx, "anything")
+        assert isinstance(oracle.decide(0, "anything", [ctx])[0],
+                          OracleParseError)
 
     def test_retry_then_success(self, oracle_server):
         _OracleHandler.fail_first = 2
         oracle = HttpOracle(oracle_server, timeout=5, retries=3, backoff=0.01)
         ctx = UserContext(user=0, items=[], texts=[])
-        assert oracle.decide(ctx.user, 0, ctx, "anything").value == 1
+        assert oracle.decide(0, "anything", [ctx])[0].value == 1
 
     def test_transport_error_surfaced(self):
         oracle = HttpOracle("http://127.0.0.1:1/simulate", timeout=0.2,
                             retries=2, backoff=0.01)
         ctx = UserContext(user=0, items=[], texts=[])
-        with pytest.raises(OracleError, match="after 2 attempts"):
-            oracle.decide(ctx.user, 0, ctx, "anything")
+        [error] = oracle.decide(0, "anything", [ctx])
+        assert isinstance(error, OracleError)
+        assert "after 2 attempts" in str(error)
 
     def test_chat_adapter(self, oracle_server):
         oracle = HttpOracle(oracle_server, timeout=5, chat=True)
         ctx = UserContext(user=0, items=[], texts=[])
-        assert oracle.decide(ctx.user, 0, ctx, "anything").value == 1
+        assert oracle.decide(0, "anything", [ctx])[0].value == 1
 
 
 class _FaultyHandler(BaseHTTPRequestHandler):
     """Answers garbage to the prompts in ``garbage`` and stalls once on
-    ``stall``, counting requests per prompt."""
+    ``stall``, counting requests per prompt and the peak of overlapping
+    requests.  The stalled request outlives the client's timeout, so it is
+    left out of the overlap count."""
 
     lock = threading.Lock()
     garbage: set = set()
     stall = None
     stall_s = 0.0
     requests: dict = {}
+    in_flight = 0
+    peak = 0
 
     def do_POST(self):
         cls = type(self)
@@ -357,7 +423,12 @@ class _FaultyHandler(BaseHTTPRequestHandler):
             stall = prompt == cls.stall
             if stall:
                 cls.stall = None
+            else:
+                cls.in_flight += 1
+                cls.peak = max(cls.peak, cls.in_flight)
         time.sleep(cls.stall_s if stall else 0.01)
+        with cls.lock:
+            cls.in_flight -= not stall
         answer = "perhaps" if prompt in cls.garbage else "Yes"
         try:
             self.send_response(200)
@@ -376,55 +447,42 @@ class TestHttpFaults:
 
     def test_failed_pairs_dropped_and_rerun_queries_only_them(self, tmp_path):
         n_items = 12
-        catalog = ItemCatalog(content={i: f"thing {i}" for i in range(n_items)})
+        titles = [f"thing {i}" for i in range(n_items)]
         vectors = make_filter(seed=4).item_tower.forward(
             np.random.default_rng(4).normal(size=(n_items, 6)))
         train_items = [[u, u + 1, u + 2] for u in range(n_items - 2)]
         cand = CandidateSet(item=n_items - 1, users=[7, 2, 9, 0, 5, 3, 8, 1, 6])
         contexts = build_context(cand.users, vectors[cand.item], vectors,
-                                 [train_items[u] for u in cand.users], catalog)
-        prompts = [render_prompt(ctx, catalog.title(cand.item))
-                   for ctx in contexts]
+                                 [train_items[u] for u in cand.users], titles)
+        prompts = [render_prompt(ctx, titles[cand.item]) for ctx in contexts]
         assert len(set(prompts)) == len(prompts)
         handler = _FaultyHandler
         handler.garbage = set(prompts[2::3])            # every third prompt
         handler.stall, handler.stall_s = prompts[0], 0.6
         handler.requests = {}
+        handler.in_flight = handler.peak = 0
         server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
-        in_flight, peak, lock = [0], [0], threading.Lock()
-
-        class CountingHttpOracle(HttpOracle):
-            def decide(self, *args):
-                with lock:
-                    in_flight[0] += 1
-                    peak[0] = max(peak[0], in_flight[0])
-                try:
-                    return super().decide(*args)
-                finally:
-                    with lock:
-                        in_flight[0] -= 1
-
         try:
-            oracle = CountingHttpOracle(
+            oracle = HttpOracle(
                 f"http://127.0.0.1:{server.server_address[1]}/d",
-                timeout=0.2, retries=2, backoff=0.01)
+                timeout=0.2, retries=2, backoff=0.01, max_inflight=3)
             log = DecisionLog()
-            kept, failures = refine(cand, oracle, vectors, train_items, catalog,
-                                    decision_log=log, max_inflight=3)
+            kept, failures = refine(cand, oracle, vectors, train_items, titles,
+                                    decision_log=log)
             answered = [u for u, p in zip(cand.users, prompts)
                         if p not in handler.garbage]
             assert kept == answered and failures == 3
             assert [r["user"] for r in log.records] == answered
             assert handler.requests[prompts[0]] == 2     # stalled, then retried
-            assert 1 < peak[0] <= 3
+            assert 1 < handler.peak <= 3
 
             log.save(tmp_path / "decisions.jsonl")
             handler.requests = {}
             rerun = DecisionLog.load(tmp_path / "decisions.jsonl")
-            again = refine(cand, oracle, vectors, train_items, catalog,
-                           decision_log=rerun, max_inflight=3)
+            again = refine(cand, oracle, vectors, train_items, titles,
+                           decision_log=rerun)
             assert again == (kept, failures)
             assert handler.requests == {p: 1 for p in prompts[2::3]}
         finally:
@@ -468,7 +526,7 @@ class TestPostWithRetries:
                             backoff=0.0)
         ctx = UserContext(user=0, items=[], texts=[])
         with pytest.raises(RuntimeError, match="adapter bug") as info:
-            oracle.decide(ctx.user, 0, ctx, "anything")
+            oracle.decide(0, "anything", [ctx])[0]
         assert info.type is RuntimeError
         assert len(calls) == 1
 
@@ -481,8 +539,9 @@ class TestPostWithRetries:
         oracle = HttpOracle("http://oracle.invalid/simulate", retries=2,
                             backoff=0.0, chat=chat)
         ctx = UserContext(user=0, items=[], texts=[])
-        with pytest.raises(OracleError, match="after 2 attempts"):
-            oracle.decide(ctx.user, 0, ctx, "anything")
+        [error] = oracle.decide(0, "anything", [ctx])
+        assert isinstance(error, OracleError)
+        assert "after 2 attempts" in str(error)
         assert len(calls) == 2
 
 
@@ -490,41 +549,41 @@ def refine_setup(seed=0, n_users=12, n_items=8):
     rng = np.random.default_rng(seed)
     filt = make_filter(seed=seed)
     content = rng.normal(size=(n_items, 6))
-    catalog = ItemCatalog(content={i: f"thing {i}" for i in range(n_items)})
+    titles = [f"thing {i}" for i in range(n_items)]
     train_items = [[int(x) for x in rng.choice(n_items, size=2, replace=False)]
                    for _ in range(n_users)]
-    return filt.item_tower.forward(content), catalog, train_items
+    return filt.item_tower.forward(content), titles, train_items
 
 
 class TestRefine:
     def test_always_no_empties(self):
-        vectors, catalog, train_items = refine_setup()
+        vectors, titles, train_items = refine_setup()
         cand = CandidateSet(item=3, users=[0, 1, 2])
         kept, failures = refine(cand, PlantedOracle(set()), vectors,
-                                train_items, catalog)
+                                train_items, titles)
         assert kept == [] and failures == 0
 
     def test_always_yes_keeps_all(self):
-        vectors, catalog, train_items = refine_setup()
+        vectors, titles, train_items = refine_setup()
         truth = {(u, 3) for u in range(12)}
         cand = CandidateSet(item=3, users=[5, 1, 9])
         kept, _ = refine(cand, PlantedOracle(truth), vectors,
-                         train_items, catalog)
+                         train_items, titles)
         assert kept == [5, 1, 9]
 
     def test_subset_and_order_preserved(self):
-        vectors, catalog, train_items = refine_setup(seed=3)
+        vectors, titles, train_items = refine_setup(seed=3)
         truth = {(1, 4), (7, 4), (2, 4)}
         cand = CandidateSet(item=4, users=[7, 3, 1, 2, 8])
         kept, _ = refine(cand, PlantedOracle(truth), vectors,
-                         train_items, catalog)
+                         train_items, titles)
         assert kept == [7, 1, 2]
 
     def test_empty_candidates_rejected(self):
-        vectors, catalog, train_items = refine_setup()
+        vectors, titles, train_items = refine_setup()
         with pytest.raises(ValueError):
             refine(CandidateSet(item=0, users=[]), PlantedOracle(set()),
-                   vectors, train_items, catalog)
+                   vectors, train_items, titles)
 
     def test_planted_clusters_keep_same_cluster_users(self):
         data, split = tiny_cluster_setup(seed=8)
@@ -536,13 +595,14 @@ class TestRefine:
         candidates = CandidateSet(item=item, users=list(range(data.log.n_users)))
         kept, _ = refine(candidates, PlantedOracle(data.truth),
                          filt.item_tower.forward(content), train_items,
-                         data.catalog)
+                         [data.catalog.title(i)
+                          for i in range(data.log.n_items)])
         own = {u for u in range(data.log.n_users)
                if data.user_group[u] == data.item_group[item]}
         assert set(kept) == own
 
     def test_decision_log_and_cache(self):
-        vectors, catalog, train_items = refine_setup(seed=4)
+        vectors, titles, train_items = refine_setup(seed=4)
         truth = {(0, 2)}
         log = DecisionLog()
         cand = CandidateSet(item=2, users=[0, 1])
@@ -550,26 +610,26 @@ class TestRefine:
         calls = {"n": 0}
 
         class CountingPlanted(PlantedOracle):
-            def decide(self, *args, **kwargs):
-                calls["n"] += 1
-                return super().decide(*args, **kwargs)
+            def decide(self, item, item_text, contexts):
+                calls["n"] += len(contexts)
+                return super().decide(item, item_text, contexts)
 
         oracle = CountingPlanted(truth)
-        refine(cand, oracle, vectors, train_items, catalog,
+        refine(cand, oracle, vectors, train_items, titles,
                decision_log=log)
         assert calls["n"] == 2
         assert [r["z"] for r in log.records] == [1, 0]
         # rerun is served from the cache
-        refine(cand, oracle, vectors, train_items, catalog,
+        refine(cand, oracle, vectors, train_items, titles,
                decision_log=log)
         assert calls["n"] == 2
 
     def test_log_round_trip(self, tmp_path):
-        vectors, catalog, train_items = refine_setup(seed=5)
+        vectors, titles, train_items = refine_setup(seed=5)
         log = DecisionLog()
         cand = CandidateSet(item=1, users=[0, 2, 4])
         refine(cand, PlantedOracle({(2, 1)}), vectors, train_items,
-               catalog, decision_log=log)
+               titles, decision_log=log)
         log.save(tmp_path / "decisions.jsonl")
         loaded = DecisionLog.load(tmp_path / "decisions.jsonl")
         assert loaded.records == log.records
@@ -578,14 +638,14 @@ class TestRefine:
         assert {"user", "item", "z", "raw", "oracle"} <= set(first)
 
     def test_prompt_hashed_once_per_decision(self, tmp_path, monkeypatch):
-        vectors, catalog, train_items = refine_setup(seed=6)
+        vectors, titles, train_items = refine_setup(seed=6)
         cand = CandidateSet(item=3, users=[4, 0, 7])
         hashed = []
         real_hash = DecisionLog.prompt_hash
         monkeypatch.setattr(DecisionLog, "prompt_hash", staticmethod(
             lambda prompt: hashed.append(prompt) or real_hash(prompt)))
         log = DecisionLog()
-        refine(cand, PlantedOracle({(0, 3)}), vectors, train_items, catalog,
+        refine(cand, PlantedOracle({(0, 3)}), vectors, train_items, titles,
                decision_log=log)
         assert len(hashed) == len(cand.users)
         # the persisted line layout: sorted keys, ph = sha1 of the prompt
@@ -605,7 +665,7 @@ class TestRefine:
         lambda: ThresholdOracle(np.random.default_rng(0).normal(size=(8, 6))),
     ])
     def test_in_process_oracle_runs_on_calling_thread(self, make_oracle):
-        vectors, catalog, train_items = refine_setup(seed=7)
+        vectors, titles, train_items = refine_setup(seed=7)
         oracle = make_oracle()
         threads = []
         real_decide = oracle.decide
@@ -616,10 +676,9 @@ class TestRefine:
 
         oracle.decide = decide
         cand = CandidateSet(item=2, users=[1, 5, 3, 0])
-        refine(cand, oracle, vectors, train_items, catalog, max_inflight=4)
-        # a block-answering oracle takes the item's candidates in one call
-        calls = 1 if isinstance(oracle, ThresholdOracle) else len(cand.users)
-        assert threads == [threading.current_thread()] * calls
+        refine(cand, oracle, vectors, train_items, titles)
+        # every oracle takes the item's candidates in one call
+        assert threads == [threading.current_thread()]
 
 
 @settings(max_examples=40, deadline=None)
@@ -627,11 +686,11 @@ class TestRefine:
        users=st.lists(st.integers(0, 11), min_size=1, max_size=12,
                       unique=True))
 def test_refine_subset_property(accept, users):
-    vectors, catalog, train_items = refine_setup(seed=9)
+    vectors, titles, train_items = refine_setup(seed=9)
     truth = {(u, 6) for u in accept}
     cand = CandidateSet(item=6, users=users)
     kept, _ = refine(cand, PlantedOracle(truth), vectors, train_items,
-                     catalog)
+                     titles)
     assert set(kept) <= set(users)
     assert kept == [u for u in users if u in accept]
 
@@ -648,29 +707,29 @@ class TestSimulateForItem:
         filt = TwoTowerFilter.init("B", 4, 6, hidden=6, out=5, seed=seed)
         content = rng.normal(size=(data.log.n_items, 6))
         user_vecs = rng.normal(size=(data.log.n_users, 5))
-        catalog = data.catalog
+        titles = [data.catalog.title(i) for i in range(data.log.n_items)]
         train_items = split.index(data.log.n_users).train_items
-        return data, split, filt, content, user_vecs, catalog, train_items
+        return data, split, filt, content, user_vecs, titles, train_items
 
     def test_always_yes_keeps_topk(self):
-        data, split, filt, content, user_vecs, catalog, train_items = self.setup()
+        data, split, filt, content, user_vecs, titles, train_items = self.setup()
         item = data.cold_items[0]
         truth = {(u, item) for u in range(data.log.n_users)}
         cfg = SimulateConfig(k=7)
         result = simulate_one(item, content, PlantedOracle(truth),
                               filt.item_tower.forward(content),
-                              train_items, catalog, cfg,
+                              train_items, titles, cfg,
                               filter_b=filt, users_b=user_vecs)
         assert len(result.users) == 7
         assert not result.fallback_used
 
     def test_always_no_falls_back_to_top1(self):
-        data, split, filt, content, user_vecs, catalog, train_items = self.setup()
+        data, split, filt, content, user_vecs, titles, train_items = self.setup()
         item = data.cold_items[1]
         cfg = SimulateConfig(k=5)
         result = simulate_one(item, content, PlantedOracle(set()),
                               filt.item_tower.forward(content),
-                              train_items, catalog, cfg,
+                              train_items, titles, cfg,
                               filter_b=filt, users_b=user_vecs)
         from coldsim.filtering import topk_candidates
         top = topk_candidates(filt, content[item], user_vecs, k=5).users
@@ -678,23 +737,23 @@ class TestSimulateForItem:
         assert result.fallback_used
 
     def test_fallback_disabled_leaves_cold(self):
-        data, split, filt, content, user_vecs, catalog, train_items = self.setup()
+        data, split, filt, content, user_vecs, titles, train_items = self.setup()
         item = data.cold_items[0]
         cfg = SimulateConfig(k=5, fallback_to_top1=False)
         result = simulate_one(item, content, PlantedOracle(set()),
                               filt.item_tower.forward(content),
-                              train_items, catalog, cfg,
+                              train_items, titles, cfg,
                               filter_b=filt, users_b=user_vecs)
         assert result.users == []
 
     def test_size_bounded_by_k(self):
-        data, split, filt, content, user_vecs, catalog, train_items = self.setup(1)
+        data, split, filt, content, user_vecs, titles, train_items = self.setup(1)
         item = data.cold_items[2]
         truth = {(u, item) for u in range(0, data.log.n_users, 2)}
         cfg = SimulateConfig(k=20)
         result = simulate_one(item, content, PlantedOracle(truth),
                               filt.item_tower.forward(content),
-                              train_items, catalog, cfg,
+                              train_items, titles, cfg,
                               filter_b=filt, users_b=user_vecs)
         assert len(result.users) <= 20
 

@@ -20,7 +20,7 @@ from coldsim.backbone import _epoch_triples, draw_accepted, ordered_subsample
 from coldsim.corpus import ColdWarmSplit, ItemCatalog
 from coldsim.filtering import TwoTowerFilter, sample_label_pairs
 from coldsim.metrics import PairSets
-from coldsim.refiner import (FinetuneRecord, build_context,
+from coldsim.refiner import (FinetuneRecord, UserContext,
                              prepare_finetune_data, render_prompt)
 
 from conftest import pair_split, tiny_cluster_setup
@@ -102,8 +102,12 @@ def reference_finetune(split, catalog, filt, content_matrix, n_users, mode,
     item_vectors = filt.item_tower.forward(content_matrix)
 
     def make_record(user, item, completion):
-        ctx = build_context(user, item_vectors[item], item_vectors,
-                            train_items[user], catalog, top_l)
+        # one user's context: the history's top_l by similarity, then id
+        hist_ids = np.asarray(train_items[user], dtype=np.int64)
+        sims = item_vectors[hist_ids] @ item_vectors[item]
+        items = hist_ids[np.lexsort((hist_ids, -sims))[:top_l]].tolist()
+        ctx = UserContext(user=user, items=items,
+                          texts=[catalog.title(i) for i in items])
         return FinetuneRecord(prompt=render_prompt(ctx, catalog.title(item)),
                               completion=completion)
 

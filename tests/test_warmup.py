@@ -6,9 +6,9 @@ import pytest
 from coldsim.backbone import BackboneModel, init_embeddings
 from coldsim.filtering import TwoTowerFilter, map_item
 from coldsim.refiner import SimulationResult
-from coldsim.warmup import (WarmupConfig, init_cold_embedding,
-                            optimize_cold_embedding, warm_all_cold,
-                            warmup_loss)
+from coldsim.warmup import (WarmupConfig, draw_step_users,
+                            init_cold_embedding, optimize_cold_embedding,
+                            warm_all_cold, warmup_loss)
 
 from conftest import tiny_cluster_setup
 
@@ -141,6 +141,11 @@ class TestOptimize:
         model = make_backbone(n_users=4)
         with pytest.raises(ValueError, match="every user"):
             optimize_cold_embedding(0, [0, 1, 2, 3], model, WarmupConfig())
+
+    def test_draws_with_every_user_simulated_rejected(self):
+        # no user is left to be a negative; the draws would never end
+        with pytest.raises(ValueError, match="every user"):
+            draw_step_users(np.random.default_rng(0), np.arange(3), 3, 1, 1)
 
     def test_deterministic(self):
         model = make_backbone(seed=6)
