@@ -59,8 +59,9 @@ corpus.mkdir()
 data = make_two_cluster_dataset(n_users=60, n_warm=24, n_cold=0,
                                 groups_per_cluster=2, seed=2)
 with open(corpus / "users.dat", "w") as fh:
-    for u in range(data.log.n_users):
-        fh.write(" ".join(str(i) for i in data.log.user_items[u]) + "\n")
+    # each user's history is an int64 array of item ids, in log order
+    for history in data.log.user_items:
+        fh.write(" ".join(map(str, history.tolist())) + "\n")
 with open(corpus / "items.tsv", "w") as fh:
     for i in range(data.log.n_items):
         fh.write(f"{i}\t{data.catalog.titles[i]}\tnotes {i}\n")
@@ -90,3 +91,10 @@ for step in steps:
     print(f"$ coldsim {' '.join(step)}")
     for line in out.stdout.strip().splitlines():
         print(f"  {line}")
+
+# the split the CLI saved reloads with its pair sets as (n, 2) int64 arrays
+from coldsim import ColdWarmSplit
+
+split = ColdWarmSplit.load(workdir / "run" / "split.json")
+print(f"split.json: warm_train {split.warm_train.shape} {split.warm_train.dtype}, "
+      f"first rows {split.warm_train[:2].tolist()}")

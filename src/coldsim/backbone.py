@@ -35,7 +35,6 @@ class DivergenceError(RuntimeError):
 class BackboneConfig:
     dim: int = 200
     lr: float = 1e-3
-    optimizer: str = "sgd"          # "sgd" or "adam" (row-sparse moments)
     l2: float = 0.0
     max_epochs: int = 500
     patience: int = 10
@@ -233,13 +232,15 @@ def _epoch_triples(rng, split: ColdWarmSplit, n_users: int) -> np.ndarray:
     return np.column_stack([positives[ok], warm[draws[ok, 0]]])
 
 
-def ordered_subsample(rng, seq, n: int | None) -> list:
+def ordered_subsample(rng, seq, n: int | None):
     """``n`` entries of ``seq`` drawn without replacement, in ``seq``'s
     order; all of them, and no draw, when ``n`` is None or not below
-    ``len(seq)``."""
+    ``len(seq)``.  An array gives an array of its rows, anything else a
+    list."""
     if n is None or n >= len(seq):
-        return list(seq)
-    return [seq[k] for k in sorted(rng.choice(len(seq), size=n, replace=False))]
+        return seq if isinstance(seq, np.ndarray) else list(seq)
+    pick = np.sort(rng.choice(len(seq), size=n, replace=False))
+    return seq[pick] if isinstance(seq, np.ndarray) else [seq[k] for k in pick]
 
 
 def ranked_validation_ndcg(split: ColdWarmSplit, users, user_vectors,
@@ -286,7 +287,7 @@ def train_backbone(split: ColdWarmSplit, config: BackboneConfig,
     early stopping with the configured patience; the best-NDCG snapshot is
     returned.  Cold item rows stay at their random initialization.
     """
-    if not split.warm_train:
+    if len(split.warm_train) == 0:
         raise ValueError("warm-train split is empty")
     model = BackboneModel(
         user_emb=init_embeddings(n_users, config.dim, config.seed),
@@ -299,17 +300,6 @@ def train_backbone(split: ColdWarmSplit, config: BackboneConfig,
     val_users = ordered_subsample(rng, split.index(n_users).val_users,
                                   config.eval_users)
 
-    adam_state = None
-    if config.optimizer == "adam":
-        adam_state = {
-            "mu": np.zeros_like(model.user_emb), "vu": np.zeros_like(model.user_emb),
-            "mi": np.zeros_like(model.item_emb), "vi": np.zeros_like(model.item_emb),
-            "tu": np.zeros(n_users, dtype=np.int64),
-            "ti": np.zeros(n_items, dtype=np.int64),
-        }
-    elif config.optimizer != "sgd":
-        raise ValueError(f"unknown optimizer {config.optimizer!r}")
-
     lr = config.lr
     best = model.copy()
     best_ndcg, best_epoch, stale = -1.0, 0, 0
@@ -319,11 +309,7 @@ def train_backbone(split: ColdWarmSplit, config: BackboneConfig,
         for start in range(0, len(triples), config.batch_size):
             batch = triples[start:start + config.batch_size]
             try:
-                if adam_state is None:
-                    losses.append(bpr_step(model, batch, lr, config.l2))
-                else:
-                    losses.append(_adam_bpr_step(model, batch, lr, config.l2,
-                                                 adam_state))
+                losses.append(bpr_step(model, batch, lr, config.l2))
             except DivergenceError:
                 lr /= 2
                 logger.warning("divergence at epoch %d, halving lr to %g", epoch, lr)
@@ -343,37 +329,3 @@ def train_backbone(split: ColdWarmSplit, config: BackboneConfig,
     best.history = model.history
     return best
 
-
-def _adam_bpr_step(model, triples, lr, l2, state,
-                   beta1=0.9, beta2=0.999, eps=1e-8) -> float:
-    """BPR step with row-sparse Adam moments; touches only batch rows."""
-    t = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    if t.size == 0:
-        return 0.0
-    users, pos, neg = t[:, 0], t[:, 1], t[:, 2]
-    eu, ei, ej = model.user_emb[users], model.item_emb[pos], model.item_emb[neg]
-    margin = np.einsum("bd,bd->b", eu, ei - ej)
-    loss = float(np.mean(np.logaddexp(0.0, -margin)))
-    if not np.isfinite(loss):
-        raise DivergenceError(f"non-finite BPR loss {loss}")
-    coef = (-expit(-margin) / len(t))[:, None]
-
-    gu = np.zeros_like(model.user_emb)
-    gi = np.zeros_like(model.item_emb)
-    np.add.at(gu, users, coef * (ei - ej) + (l2 / len(t)) * eu)
-    np.add.at(gi, pos, coef * eu + (l2 / len(t)) * ei)
-    np.add.at(gi, neg, -coef * eu + (l2 / len(t)) * ej)
-
-    for rows, grad, m_key, v_key, t_key, table in (
-            (np.unique(users), gu, "mu", "vu", "tu", model.user_emb),
-            (np.unique(np.concatenate([pos, neg])), gi, "mi", "vi", "ti",
-             model.item_emb)):
-        m, v, steps = state[m_key], state[v_key], state[t_key]
-        steps[rows] += 1
-        m[rows] = beta1 * m[rows] + (1 - beta1) * grad[rows]
-        v[rows] = beta2 * v[rows] + (1 - beta2) * grad[rows] ** 2
-        tr = steps[rows][:, None]
-        m_hat = m[rows] / (1 - beta1 ** tr)
-        v_hat = v[rows] / (1 - beta2 ** tr)
-        table[rows] -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    return loss

@@ -26,7 +26,7 @@ from . import pipeline, store, warmup
 from .backbone import BackboneModel
 from .content import (FileContentProvider, HttpContentProvider,
                       MockContentProvider, VectorCache, warm_cache)
-from .corpus import (ColdWarmSplit, InteractionLog, ItemCatalog,
+from .corpus import (ColdWarmSplit, InteractionLog, ItemCatalog, lexsorted,
                      load_citeulike, load_movielens, make_cold_split)
 from .evaluation import TASKS, adoption_rate, evaluate, format_report, reports_to_csv
 from .filtering import TwoTowerFilter
@@ -52,7 +52,7 @@ def _save_dataset(out: Path, log: InteractionLog, catalog: ItemCatalog) -> None:
     doc = {
         "n_users": log.n_users,
         "n_items": log.n_items,
-        "pairs": [list(p) for p in sorted(log.pairs)],
+        "pairs": lexsorted(log.pairs).tolist(),
         "content": {str(i): t for i, t in sorted(catalog.content.items())},
         "titles": ({str(i): t for i, t in sorted(catalog.titles.items())}
                    if catalog.titles else None),
@@ -64,8 +64,7 @@ def _save_dataset(out: Path, log: InteractionLog, catalog: ItemCatalog) -> None:
 def _load_dataset(out: Path):
     with open(_require(out / "dataset.json", "ingest"), encoding="utf-8") as fh:
         doc = json.load(fh)
-    log = InteractionLog.from_pairs(doc["n_users"], doc["n_items"],
-                                    [tuple(p) for p in doc["pairs"]])
+    log = InteractionLog.from_pairs(doc["n_users"], doc["n_items"], doc["pairs"])
     catalog = ItemCatalog(
         content={int(i): t for i, t in doc["content"].items()},
         titles=({int(i): t for i, t in doc["titles"].items()}

@@ -16,7 +16,6 @@ can persist the dense-to-raw mapping as JSON.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import math
@@ -27,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import store
-from .metrics import PairSets
+from .metrics import PairSets, pair_array, sorted_positions
 
 logger = logging.getLogger(__name__)
 
@@ -35,48 +34,63 @@ logger = logging.getLogger(__name__)
 TASKS = ("overall", "warm", "cold")
 
 
+def lexsorted(pairs: np.ndarray) -> np.ndarray:
+    """The rows of an (n, 2) pair array sorted by user, then item."""
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def _groups(keys: np.ndarray, values: np.ndarray, n: int) -> list[np.ndarray]:
+    """``values`` cut into read-only groups by their ``keys`` in ``[0, n)``,
+    each group in the order of ``values``."""
+    grouped = values[np.argsort(keys, kind="stable")]
+    grouped.flags.writeable = False
+    ends = np.cumsum(np.bincount(keys, minlength=n)).tolist()
+    return [grouped[start:end] for start, end in zip([0] + ends[:-1], ends)]
+
+
 @dataclass
 class InteractionLog:
     """Historical user-item interactions with dense ids.
 
-    ``user_items[u]`` is the user's item history in input order and
-    ``item_users[i]`` is the item's interacted-user sequence (ascending
-    user id).  ``pairs`` holds every (user, item) exactly once.
+    ``pairs`` is an (n, 2) int64 array holding every (user, item) exactly
+    once, in first-occurrence order.  ``user_items[u]`` is the user's item
+    history in that order and ``item_users[i]`` the item's users ascending,
+    both read-only int64 arrays.
     """
 
     n_users: int
     n_items: int
-    pairs: list[tuple[int, int]]
-    user_items: list[list[int]]
-    item_users: list[list[int]]
+    pairs: np.ndarray
+    user_items: list[np.ndarray]
+    item_users: list[np.ndarray]
     raw_user_ids: list = field(default_factory=list)
     raw_item_ids: list = field(default_factory=list)
 
     @classmethod
     def from_pairs(cls, n_users: int, n_items: int, pairs,
                    raw_user_ids=None, raw_item_ids=None) -> "InteractionLog":
-        """Build adjacency from an iterable of (user, item) pairs.
+        """Build adjacency from (user, item) pairs, an (n, 2) array or a
+        sequence of 2-sequences.
 
         Duplicate pairs are collapsed; the first occurrence fixes the order
         within the user's history.
         """
-        seen = set()
-        uniq = []
-        user_items = [[] for _ in range(n_users)]
-        item_users = [[] for _ in range(n_items)]
-        for u, i in pairs:
-            if not (0 <= u < n_users and 0 <= i < n_items):
-                raise ValueError(f"pair ({u}, {i}) outside id universe "
-                                 f"{n_users}x{n_items}")
-            if (u, i) in seen:
-                continue
-            seen.add((u, i))
-            uniq.append((u, i))
-            user_items[u].append(i)
-        for u, i in sorted(uniq):
-            item_users[i].append(u)
-        return cls(n_users=n_users, n_items=n_items, pairs=uniq,
-                   user_items=user_items, item_users=item_users,
+        pairs = pair_array(pairs)
+        bad = ((pairs < 0) | (pairs >= (n_users, n_items))).any(axis=1)
+        if bad.any():
+            u, i = pairs[bad.argmax()].tolist()
+            raise ValueError(f"pair ({u}, {i}) outside id universe "
+                             f"{n_users}x{n_items}")
+        # a stable sort by (user, item) and a mask keep each first occurrence
+        keys = pairs[:, 0] * n_items + pairs[:, 1]
+        order = np.argsort(keys, kind="stable")
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = keys[order[1:]] != keys[order[:-1]]
+        ascending = pairs[order[first]]
+        pairs = pairs[np.sort(order[first])]
+        return cls(n_users=n_users, n_items=n_items, pairs=pairs,
+                   user_items=_groups(pairs[:, 0], pairs[:, 1], n_users),
+                   item_users=_groups(ascending[:, 1], ascending[:, 0], n_items),
                    raw_user_ids=list(raw_user_ids or range(n_users)),
                    raw_item_ids=list(raw_item_ids or range(n_items)))
 
@@ -110,7 +124,7 @@ class SplitIndex:
     """
 
     warm: np.ndarray                # warm item ids, ascending
-    train_pairs: np.ndarray         # warm-train (user, item) rows, list order
+    train_pairs: np.ndarray         # the split's warm_train
     train: PairSets                 # warm-train; column j is item j
     train_warm: PairSets            # warm-train; column j is item warm[j]
     val_warm: PairSets              # warm-val; column j is item warm[j]
@@ -121,14 +135,8 @@ class SplitIndex:
 
     @classmethod
     def build(cls, split: "ColdWarmSplit", n_users: int) -> "SplitIndex":
-        def arr(pairs):
-            flat = itertools.chain.from_iterable(pairs)
-            return np.fromiter(flat, dtype=np.int64,
-                               count=2 * len(pairs)).reshape(-1, 2)
-
         warm = np.unique(np.asarray(split.warm_items, dtype=np.int64))
-        train, val = arr(split.warm_train), arr(split.warm_val)
-        warm_test, cold_test = arr(split.warm_test), arr(split.cold_test)
+        train, val = split.warm_train, split.warm_val
         train_sets = PairSets.from_pairs(train, n_users)
         flat, ptr = train_sets.indices.tolist(), train_sets.indptr.tolist()
         return cls(
@@ -140,9 +148,10 @@ class SplitIndex:
             train_users=np.flatnonzero(np.diff(train_sets.indptr)).tolist(),
             train_items=[flat[ptr[u]:ptr[u + 1]] for u in range(n_users)],
             test={"overall": PairSets.from_pairs(
-                      np.concatenate([warm_test, cold_test]), n_users),
-                  "warm": PairSets.from_pairs(warm_test, n_users),
-                  "cold": PairSets.from_pairs(cold_test, n_users)})
+                      np.concatenate([split.warm_test, split.cold_test]),
+                      n_users),
+                  "warm": PairSets.from_pairs(split.warm_test, n_users),
+                  "cold": PairSets.from_pairs(split.cold_test, n_users)})
 
     def relevant(self, task: str) -> PairSets:
         """Each user's test positives for an evaluation task."""
@@ -151,31 +160,41 @@ class SplitIndex:
         return self.test[task]
 
 
+# the split's (n, 2) int64 pair fields
+PAIR_FIELDS = ("warm_train", "warm_val", "warm_test", "cold_val", "cold_test")
+
+
 @dataclass
 class ColdWarmSplit:
     """Cold/warm item partition with per-split interaction sets.
 
-    A split is not changed after its first use: :meth:`index` keeps what
-    it derives from the pair lists.
+    ``warm_items`` and ``cold_items`` are lists of item ids, ascending as
+    :func:`make_cold_split` and :meth:`load` give them.  The five pair
+    fields are (n, 2) int64 arrays of (user, item) rows, kept in the order
+    given; the constructor converts sequences of pairs.  A split is not
+    changed after its first use: :meth:`index` keeps what it derives from
+    the pair arrays.
     """
 
     warm_items: list[int]
     cold_items: list[int]
-    warm_train: list[tuple[int, int]]
-    warm_val: list[tuple[int, int]]
-    warm_test: list[tuple[int, int]]
-    cold_val: list[tuple[int, int]]
-    cold_test: list[tuple[int, int]]
+    warm_train: np.ndarray
+    warm_val: np.ndarray
+    warm_test: np.ndarray
+    cold_val: np.ndarray
+    cold_test: np.ndarray
     seed: int
     cold_frac: float
 
     def __post_init__(self):
+        for name in PAIR_FIELDS:
+            setattr(self, name, pair_array(getattr(self, name), name))
         self._indexes: dict[int, SplitIndex] = {}
 
     @cached_property
     def warm_train_set(self) -> set:
-        """The warm-train pairs as a set, built on first read."""
-        return set(self.warm_train)
+        """The warm-train pairs as a set of tuples, built on first read."""
+        return set(map(tuple, self.warm_train.tolist()))
 
     def index(self, n_users: int) -> SplitIndex:
         """The split's :class:`SplitIndex` over ``n_users`` users, built on
@@ -185,29 +204,19 @@ class ColdWarmSplit:
         return self._indexes[n_users]
 
     def save(self, path: str | Path) -> None:
-        doc = {
-            "seed": self.seed,
-            "cold_frac": self.cold_frac,
-            "warm_items": sorted(self.warm_items),
-            "cold_items": sorted(self.cold_items),
-            "warm_train": [list(p) for p in sorted(self.warm_train)],
-            "warm_val": [list(p) for p in sorted(self.warm_val)],
-            "warm_test": [list(p) for p in sorted(self.warm_test)],
-            "cold_val": [list(p) for p in sorted(self.cold_val)],
-            "cold_test": [list(p) for p in sorted(self.cold_test)],
-        }
+        doc = {"seed": self.seed, "cold_frac": self.cold_frac,
+               "warm_items": sorted(self.warm_items),
+               "cold_items": sorted(self.cold_items),
+               **{name: getattr(self, name).tolist() for name in PAIR_FIELDS}}
         store.write_atomic(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "ColdWarmSplit":
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        pairs = lambda key: [tuple(p) for p in doc[key]]
         return cls(warm_items=list(doc["warm_items"]),
                    cold_items=list(doc["cold_items"]),
-                   warm_train=pairs("warm_train"), warm_val=pairs("warm_val"),
-                   warm_test=pairs("warm_test"), cold_val=pairs("cold_val"),
-                   cold_test=pairs("cold_test"),
+                   **{name: doc[name] for name in PAIR_FIELDS},
                    seed=int(doc["seed"]), cold_frac=float(doc["cold_frac"]))
 
     def check_invariants(self, log: InteractionLog) -> None:
@@ -215,16 +224,24 @@ class ColdWarmSplit:
         warm, cold = set(self.warm_items), set(self.cold_items)
         assert not warm & cold, "warm and cold item sets overlap"
         assert warm | cold == set(range(log.n_items)), "items lost by the split"
-        warm_pairs = [p for p in log.pairs if p[1] in warm]
-        cold_pairs = [p for p in log.pairs if p[1] in cold]
-        got_warm = self.warm_train + self.warm_val + self.warm_test
-        assert sorted(got_warm) == sorted(warm_pairs), "warm splits do not partition"
-        assert len(set(got_warm)) == len(got_warm), "warm pair duplicated across splits"
-        got_cold = self.cold_val + self.cold_test
-        assert sorted(got_cold) == sorted(cold_pairs), "cold splits do not partition"
-        assert len(set(got_cold)) == len(got_cold), "cold pair duplicated across splits"
-        for _, i in got_warm:
-            assert i not in cold, "cold interaction leaked into a warm split"
+        is_cold = np.zeros(log.n_items, dtype=bool)
+        is_cold[self.cold_items] = True
+        in_cold = is_cold[log.pairs[:, 1]]
+        for kind, got, want in (
+                ("warm", (self.warm_train, self.warm_val, self.warm_test),
+                 log.pairs[~in_cold]),
+                ("cold", (self.cold_val, self.cold_test), log.pairs[in_cold])):
+            got = lexsorted(np.concatenate(got))
+            assert np.array_equal(got, lexsorted(want)), \
+                f"{kind} splits do not partition"
+
+
+def _raw_ids(ids, path) -> np.ndarray:
+    """Raw ids read from ``path`` as an int64 array."""
+    try:
+        return np.asarray(ids, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{path}: an id is outside the int64 range") from None
 
 
 def _persist_idmap(path, raw_user_ids, raw_item_ids) -> None:
@@ -267,37 +284,38 @@ def load_citeulike(path: str | Path, mapping_path: str | Path | None = None,
             abstract = fields[2] if len(fields) > 2 else ""
             meta[raw] = (title, abstract)
 
-    per_user_raw: list[list[int]] = []
+    raw_items: list[int] = []   # every user's raw items, user after user
+    counts: list[int] = []      # items per user
     with open(users_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             toks = line.split()
-            items = []
             for tok in toks:
                 try:
-                    items.append(int(tok))
+                    raw_items.append(int(tok))
                 except ValueError:
                     raise ValueError(f"{users_path}:{lineno}: non-integer item "
                                      f"index {tok!r}") from None
-            per_user_raw.append(items)
+            counts.append(len(toks))
 
-    if not any(per_user_raw):
+    if not raw_items:
         raise ValueError(f"{users_path}: no interactions")
 
-    interacted = {raw for items in per_user_raw for raw in items}
-    missing = interacted - meta.keys()
-    if missing:
-        raise ValueError(f"{len(missing)} items referenced without metadata "
-                         f"(e.g. raw id {sorted(missing)[0]})")
-    extra = meta.keys() - interacted
-    if extra:
-        logger.info("%d catalog items have no interactions", len(extra))
-
     raw_item_ids = sorted(meta)
-    item_of_raw = {raw: idx for idx, raw in enumerate(raw_item_ids)}
-    pairs = [(u, item_of_raw[raw])
-             for u, items in enumerate(per_user_raw) for raw in items]
-    log = InteractionLog.from_pairs(len(per_user_raw), len(raw_item_ids), pairs,
+    raw = _raw_ids(raw_items, users_path)
+    items = sorted_positions(_raw_ids(raw_item_ids, items_path), raw)
+    missing = np.unique(raw[items < 0])
+    if len(missing):
+        raise ValueError(f"{len(missing)} items referenced without metadata "
+                         f"(e.g. raw id {missing[0]})")
+    extra = np.count_nonzero(np.bincount(items, minlength=len(meta)) == 0)
+    if extra:
+        logger.info("%d catalog items have no interactions", extra)
+
+    users = np.repeat(np.arange(len(counts)), counts)
+    log = InteractionLog.from_pairs(len(counts), len(raw_item_ids),
+                                    np.column_stack([users, items]),
                                     raw_item_ids=raw_item_ids)
+    item_of_raw = {raw: idx for idx, raw in enumerate(raw_item_ids)}
     content = {}
     titles = {}
     for raw, (title, abstract) in meta.items():
@@ -351,8 +369,6 @@ def load_movielens(path: str | Path, mapping_path: str | Path | None = None,
             meta[raw] = (fields[1], fields[2])
 
     records: list[tuple[int, int]] = []
-    raw_users: list[int] = []
-    seen_users: set[int] = set()
     with open(ratings_path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -371,22 +387,20 @@ def load_movielens(path: str | Path, mapping_path: str | Path | None = None,
                                  f"without metadata")
             if rating < min_rating:
                 continue
-            if ru not in seen_users:
-                seen_users.add(ru)
-                raw_users.append(ru)
             records.append((ru, ri))
 
     if not records:
         raise ValueError(f"{ratings_path}: no interactions")
 
-    raw_user_ids = sorted(seen_users)
+    raw = _raw_ids(records, ratings_path)
+    raw_user_ids, users = np.unique(raw[:, 0], return_inverse=True)
     raw_item_ids = sorted(meta)
-    user_of_raw = {raw: idx for idx, raw in enumerate(raw_user_ids)}
-    item_of_raw = {raw: idx for idx, raw in enumerate(raw_item_ids)}
-    pairs = [(user_of_raw[ru], item_of_raw[ri]) for ru, ri in records]
-    log = InteractionLog.from_pairs(len(raw_user_ids), len(raw_item_ids), pairs,
-                                    raw_user_ids=raw_user_ids,
+    items = sorted_positions(_raw_ids(raw_item_ids, movies_path), raw[:, 1])
+    log = InteractionLog.from_pairs(len(raw_user_ids), len(raw_item_ids),
+                                    np.column_stack([users, items]),
+                                    raw_user_ids=raw_user_ids.tolist(),
                                     raw_item_ids=raw_item_ids)
+    item_of_raw = {raw: idx for idx, raw in enumerate(raw_item_ids)}
     content, titles = {}, {}
     for raw, (title, genres) in meta.items():
         i = item_of_raw[raw]
@@ -414,8 +428,9 @@ def make_cold_split(log: InteractionLog, cold_frac: float, seed: int,
     """
     if not (0 <= cold_frac < 1):
         raise ValueError(f"cold_frac must be in [0, 1), got {cold_frac}")
-    empty = [i for i in range(log.n_items) if not log.item_users[i]]
-    if empty:
+    sizes = np.bincount(log.pairs[:, 1], minlength=log.n_items)
+    empty = np.flatnonzero(sizes == 0)
+    if len(empty):
         raise ValueError(f"{len(empty)} items have no interactions "
                          f"(e.g. item {empty[0]}); cannot split")
 
@@ -427,27 +442,29 @@ def make_cold_split(log: InteractionLog, cold_frac: float, seed: int,
         cold = sorted(int(i) for i in cold_items)
         if len(set(cold)) != len(cold) or any(not 0 <= i < log.n_items for i in cold):
             raise ValueError("cold_items must be distinct in-range item ids")
-    cold_set = set(cold)
-    warm = [i for i in range(log.n_items) if i not in cold_set]
+    cold_ids = np.asarray(cold, dtype=np.int64)
+    is_cold = np.zeros(log.n_items, dtype=bool)
+    is_cold[cold_ids] = True
 
-    cold_val, cold_test = [], []
-    for i in cold:
-        users = log.item_users[i]
-        order = rng.permutation(len(users))
-        n_val = len(users) // 2
-        for pos, k in enumerate(order):
-            (cold_val if pos < n_val else cold_test).append((users[k], i))
+    # each cold item's users, ascending, in one permutation each; the first
+    # half of every item's shuffled users goes to validation
+    sizes = sizes[cold_ids]
+    users = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        log.item_users[i][rng.permutation(n)] for i, n in zip(cold, sizes.tolist())])
+    rank = np.arange(len(users)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    to_val = rank < np.repeat(sizes // 2, sizes)
+    cold_pairs = np.column_stack([users, np.repeat(cold_ids, sizes)])
 
-    warm_pairs = [p for p in log.pairs if p[1] not in cold_set]
-    order = rng.permutation(len(warm_pairs))
+    warm_pairs = log.pairs[~is_cold[log.pairs[:, 1]]]
     n = len(warm_pairs)
+    warm_pairs = warm_pairs[rng.permutation(n)]
     n_train, n_val = math.floor(0.8 * n), math.floor(0.1 * n)
-    warm_train = [warm_pairs[k] for k in order[:n_train]]
-    warm_val = [warm_pairs[k] for k in order[n_train:n_train + n_val]]
-    warm_test = [warm_pairs[k] for k in order[n_train + n_val:]]
 
-    return ColdWarmSplit(warm_items=warm, cold_items=cold,
-                         warm_train=sorted(warm_train), warm_val=sorted(warm_val),
-                         warm_test=sorted(warm_test), cold_val=sorted(cold_val),
-                         cold_test=sorted(cold_test),
+    return ColdWarmSplit(warm_items=np.flatnonzero(~is_cold).tolist(),
+                         cold_items=cold,
+                         warm_train=lexsorted(warm_pairs[:n_train]),
+                         warm_val=lexsorted(warm_pairs[n_train:n_train + n_val]),
+                         warm_test=lexsorted(warm_pairs[n_train + n_val:]),
+                         cold_val=lexsorted(cold_pairs[to_val]),
+                         cold_test=lexsorted(cold_pairs[~to_val]),
                          seed=seed, cold_frac=cold_frac)

@@ -274,7 +274,6 @@ class FilterTrainConfig:
     batch_size: int = 128
     max_epochs: int = 100
     patience: int = 10
-    optimizer: str = "adamw"      # "adamw" or "sgd"
     weight_decay: float = 0.0
     coupled_weight: float = 1.0   # BPR weight in the coupled loss
     label_pairs: int | None = None  # positives in the oracle-label pool; None = all
@@ -310,13 +309,6 @@ class _AdamW:
                 arr = params[p]
                 arr -= self.lr * ((m / c1) / (np.sqrt(v / c2) + self.eps)
                                   + self.wd * arr)
-
-
-def _sgd_step(towers: dict[str, TowerMlp], grads: dict[str, dict], lr: float) -> None:
-    for tn, tower in towers.items():
-        params = tower.params()
-        for p, g in grads[tn].items():
-            params[p] -= lr * g
 
 
 def _merge_grads(*grad_dicts):
@@ -394,11 +386,7 @@ def _run_filter_training(filt, backbone, content_matrix, hist_means, split,
     rng = np.random.default_rng(config.seed)
     user_inputs = np.concatenate([backbone.user_emb, hist_means], axis=1)
     towers = {"user": filt.user_tower, "item": filt.item_tower}
-    opt = None
-    if config.optimizer == "adamw":
-        opt = _AdamW(towers, config.lr, config.weight_decay)
-    elif config.optimizer != "sgd":
-        raise ValueError(f"unknown optimizer {config.optimizer!r}")
+    opt = _AdamW(towers, config.lr, config.weight_decay)
 
     val_users = ordered_subsample(rng, split.index(backbone.n_users).val_users,
                                   config.eval_users)
@@ -411,10 +399,7 @@ def _run_filter_training(filt, backbone, content_matrix, hist_means, split,
         for batch_inputs in batch_fn(rng, user_inputs):
             loss, grads = batch_inputs
             losses.append(loss)
-            if opt is not None:
-                opt.step(towers, grads)
-            else:
-                _sgd_step(towers, grads, config.lr)
+            opt.step(towers, grads)
         val = filter_validation_ndcg(filt, backbone, content_matrix, hist_means,
                                      split, val_users, config.eval_k)
         history.append({"epoch": epoch,
@@ -441,7 +426,7 @@ def train_behavior_filter(filt: TwoTowerFilter, backbone: BackboneModel,
     inputs; one fresh negative is sampled per positive per epoch.  Returns
     the filter (best validation-NDCG snapshot) and the epoch history.
     """
-    if not split.warm_train:
+    if len(split.warm_train) == 0:
         raise ValueError("warm-train split is empty")
 
     def batches(rng, user_inputs):
@@ -457,9 +442,10 @@ def train_behavior_filter(filt: TwoTowerFilter, backbone: BackboneModel,
 
 
 def sample_label_pairs(split: ColdWarmSplit, n_users: int,
-                       n_positives: int | None, seed: int) -> list[tuple[int, int]]:
+                       n_positives: int | None, seed: int) -> np.ndarray:
     """Pool of warm-train positives and uniform unobserved (user, warm item)
-    pairs, one per positive that finds one.
+    pairs, one per positive that finds one, as (n, 2) rows: the positives
+    in split order, then the unobserved pairs.
 
     Unobserved pairs draw a warm-train user and a warm item uniformly.  A
     positive whose ``MAX_REJECTS`` draws all hit observed pairs gets none,
@@ -476,8 +462,8 @@ def sample_label_pairs(split: ColdWarmSplit, n_users: int,
     if not ok.all():
         logger.warning("label sampling skipped %d exhausted positives",
                        len(ok) - ok.sum())
-    return positives + list(zip(users[draws[ok, 0]].tolist(),
-                                warm[draws[ok, 1]].tolist()))
+    return np.concatenate([positives, np.column_stack([users[draws[ok, 0]],
+                                                      warm[draws[ok, 1]]])])
 
 
 def train_coupled_filter(filt: TwoTowerFilter, backbone: BackboneModel,
@@ -497,15 +483,15 @@ def train_coupled_filter(filt: TwoTowerFilter, backbone: BackboneModel,
     """
     from .refiner import OracleError  # refiner imports this module
 
-    if not split.warm_train:
+    if len(split.warm_train) == 0:
         raise ValueError("warm-train split is empty")
     pool = sample_label_pairs(split, backbone.n_users, config.label_pairs,
                               config.seed + 17)
 
     labeled = []
     failures = 0
-    answers = labeler([u for u, _ in pool], [i for _, i in pool])
-    for (u, i), answer in zip(pool, answers):
+    answers = labeler(pool[:, 0].tolist(), pool[:, 1].tolist())
+    for (u, i), answer in zip(pool.tolist(), answers):
         if isinstance(answer, OracleError):
             failures += 1
             logger.debug("labeler failed for (%d, %d): %s", u, i, answer)

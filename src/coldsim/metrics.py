@@ -104,6 +104,32 @@ def _repair_ties(neg: np.ndarray, ids: np.ndarray, kth: float, k: int):
     return np.concatenate([above, ties])
 
 
+def pair_array(pairs, name: str = "pairs") -> np.ndarray:
+    """``pairs`` as an (n, 2) int64 array, rows in the order given.
+
+    Anything else, such as a flat list of ids or rows of three, raises a
+    ValueError naming ``name``.
+    """
+    try:
+        arr = np.asarray(pairs, dtype=np.int64)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is not None and arr.shape == (0,):
+        arr = arr.reshape(0, 2)
+    if arr is None or arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"{name} must be (user, item) pairs, an (n, 2) "
+                         f"array or a sequence of 2-sequences")
+    return arr
+
+
+def sorted_positions(ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each of ``values``' position in the ascending ``ids``; -1 where absent."""
+    pos = np.searchsorted(ids, values)
+    found = pos < len(ids)
+    found[found] = ids[pos[found]] == values[found]
+    return np.where(found, pos, -1)
+
+
 @dataclass(frozen=True)
 class PairSets:
     """Each row's set of columns in compressed-row form (a user's items)."""
@@ -118,16 +144,14 @@ class PairSets:
         j is item ``j``, or with ``columns`` (ascending item ids) item
         ``columns[j]``.  Pairs whose item is not among ``columns`` are
         dropped; a row outside ``[0, n_rows)`` raises ValueError."""
-        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        arr = pair_array(pairs)
         rows, cols = arr[:, 0], arr[:, 1]
         if len(rows) and not 0 <= rows.min() <= rows.max() < n_rows:
             raise ValueError(f"pair rows span [{rows.min()}, {rows.max()}], "
                              f"outside [0, {n_rows})")
         if columns is not None:
-            pos = np.searchsorted(columns, cols)
-            found = pos < len(columns)
-            found[found] = columns[pos[found]] == cols[found]
-            rows, cols = rows[found], pos[found]
+            pos = sorted_positions(columns, cols)
+            rows, cols = rows[pos >= 0], pos[pos >= 0]
         width = int(cols.max(initial=0)) + 1
         # sort and drop repeats; numpy 2.4's hashing np.unique is ~20x slower
         # on 9k keys

@@ -19,6 +19,7 @@ from .content import MockContentProvider, VectorCache
 from .corpus import ColdWarmSplit, InteractionLog, ItemCatalog
 from .evaluation import EvalReport, evaluate
 from .filtering import FilterTrainConfig, TwoTowerFilter
+from .metrics import pair_array
 from .refiner import DecisionLog, SimulateConfig, SimulationResult
 
 logger = logging.getLogger(__name__)
@@ -231,13 +232,13 @@ def warm_from_simulations(pipe: Pipeline, simulations, cfg: dict) -> BackboneMod
 def enriched_split(split: ColdWarmSplit, simulations) -> ColdWarmSplit:
     """``split`` with the simulated pairs added to warm-train; every cold
     item with a simulated user becomes warm."""
-    extra = [(u, item) for item, sim in sorted(simulations.items())
-             for u in sim.users]
-    simulated = {i for _, i in extra}
+    extra = pair_array([(u, item) for item, sim in sorted(simulations.items())
+                        for u in sim.users])
+    simulated = set(extra[:, 1].tolist())
     return ColdWarmSplit(
         warm_items=sorted(set(split.warm_items) | simulated),
         cold_items=[i for i in split.cold_items if i not in simulated],
-        warm_train=sorted(set(split.warm_train) | set(extra)),
+        warm_train=np.unique(np.concatenate([split.warm_train, extra]), axis=0),
         warm_val=split.warm_val, warm_test=split.warm_test,
         cold_val=split.cold_val, cold_test=split.cold_test,
         seed=split.seed, cold_frac=split.cold_frac)

@@ -24,7 +24,7 @@ import numpy as np
 from . import store
 from .backbone import draw_accepted, ordered_subsample
 from .content import post_with_retries
-from .corpus import ColdWarmSplit, ItemCatalog
+from .corpus import ColdWarmSplit, ItemCatalog, lexsorted
 from .filtering import CandidateSet, TwoTowerFilter, funnel_filter
 
 logger = logging.getLogger(__name__)
@@ -415,13 +415,13 @@ def prepare_finetune_data(split: ColdWarmSplit, catalog: ItemCatalog,
     """
     if mode not in ("offline", "online"):
         raise ValueError(f"mode must be 'offline' or 'online', got {mode!r}")
-    if not split.warm_train:
+    if len(split.warm_train) == 0:
         raise ValueError("no positives available")
     if mode == "online" and negatives is None:
         raise ValueError("online mode requires explicit negatives")
 
     rng = np.random.default_rng(seed)
-    positives = ordered_subsample(rng, sorted(split.warm_train), n_positives)
+    positives = ordered_subsample(rng, lexsorted(split.warm_train), n_positives)
     index = split.index(n_users)
     warm = np.asarray(split.warm_items, dtype=np.int64)
 
@@ -431,11 +431,11 @@ def prepare_finetune_data(split: ColdWarmSplit, catalog: ItemCatalog,
             neg_by_user.setdefault(u, []).append(i)
 
     plan = []   # slots: (positive, draws an unobserved warm item)
-    for k, (u, _) in enumerate(positives):
+    for k, u in enumerate(positives[:, 0].tolist()):
         if mode == "online" and neg_by_user.get(u):
             plan.append((k, False))     # a pick among u's explicit negatives
         plan.append((k, True))
-    users = np.asarray([positives[k][0] for k, _ in plan], dtype=np.int64)
+    users = positives[[k for k, _ in plan], 0]
     is_neg = np.asarray([neg for _, neg in plan], dtype=bool)
 
     def exhausted(slot):
@@ -464,7 +464,7 @@ def prepare_finetune_data(split: ColdWarmSplit, catalog: ItemCatalog,
     records: list[FinetuneRecord] = []
     dropped = 0
     for slot, (k, neg) in enumerate(plan):
-        u, i = positives[k]
+        u, i = positives[k].tolist()
         if not ok[slot]:
             dropped += 1
             continue

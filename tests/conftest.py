@@ -53,6 +53,11 @@ def tiny_cluster_setup(seed=0, n_users=40, n_warm=16, n_cold=4,
     return data, split
 
 
+def as_tuples(pairs):
+    """An (n, 2) pair array as a list of (user, item) tuples of ints."""
+    return [tuple(p) for p in pairs.tolist()]
+
+
 def pair_split(pairs, warm):
     """Split whose warm-train list is ``pairs`` (in order) over ``warm``."""
     return ColdWarmSplit(warm_items=list(warm), cold_items=[],

@@ -375,7 +375,7 @@ def test_criterion_8_finetune_export_balance():
         while checked < 100:
             log = random_toy_log(rng, max_users=8, max_items=8)
             split = make_cold_split(log, 0.0, seed=int(rng.integers(10_000)))
-            if not split.warm_train:
+            if len(split.warm_train) == 0:
                 continue
             from coldsim.corpus import ItemCatalog
 

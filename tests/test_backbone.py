@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from coldsim.corpus import InteractionLog, make_cold_split
 from coldsim.filtering import (FilterTrainConfig, TwoTowerFilter,
                                train_behavior_filter, train_coupled_filter)
 
-from conftest import pair_split, tiny_cluster_setup
+from conftest import as_tuples, pair_split, tiny_cluster_setup
 
 
 def finite_diff_grad(loss_fn, arr, h=1e-5):
@@ -58,8 +59,7 @@ class TestSampleTriples:
         # it rejects an empty warm-train split
         assert _epoch_triples(np.random.default_rng(0), pair_split([], [0]),
                               1).shape == (0, 3)
-        split = make_cold_split(toy_log, 0.0, seed=0)
-        split.warm_train.clear()
+        split = replace(make_cold_split(toy_log, 0.0, seed=0), warm_train=[])
         model = BackboneModel(user_emb=init_embeddings(6, 4, 0),
                               item_emb=init_embeddings(5, 4, 1))
         content, hist = np.ones((5, 3)), np.zeros((6, 3))
@@ -112,8 +112,8 @@ class TestEpochTriples:
         # the planted split plus one extra user who read every warm item
         data, split = tiny_cluster_setup(seed=4)
         exhausted = data.log.n_users
-        positives = list(split.warm_train) + [(exhausted, i)
-                                              for i in split.warm_items]
+        positives = as_tuples(split.warm_train) + [(exhausted, i)
+                                                   for i in split.warm_items]
         warm = np.asarray(split.warm_items, dtype=np.int64)
         return positives, warm, set(positives), exhausted
 
@@ -273,8 +273,7 @@ class TestTrainBackbone:
         assert np.array_equal(a.item_emb, b.item_emb)
 
     def test_empty_train_rejected(self, toy_log):
-        split = make_cold_split(toy_log, 0.0, seed=0)
-        split.warm_train.clear()
+        split = replace(make_cold_split(toy_log, 0.0, seed=0), warm_train=[])
         with pytest.raises(ValueError):
             train_backbone(split, BackboneConfig(dim=4), n_users=6, n_items=5)
 

@@ -1,7 +1,10 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from coldsim.cli import main
+from coldsim.config import default_config, load_config
 from coldsim.content import VectorCache
 from coldsim.synthetic import make_two_cluster_dataset
 
@@ -104,6 +107,20 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text('{"data": {"no_such_knob": 1}}', encoding="utf-8")
         assert main(["--config", str(bad), "default-config"]) == 1
+
+    @pytest.mark.parametrize("section,value", [("backbone", "adam"),
+                                               ("filter", "sgd")])
+    def test_optimizer_keys_are_gone(self, tmp_path, caplog, section, value):
+        # SGD for the backbone and AdamW for the filters are not configurable
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({section: {"optimizer": value}}),
+                       encoding="utf-8")
+        assert main(["--config", str(bad), "default-config"]) == 1
+        assert f"unknown config key: {section}.optimizer" in caplog.text
+        with pytest.raises(ValueError,
+                           match=rf"^unknown config key: {section}\.optimizer$"):
+            load_config(bad)
+        assert "optimizer" not in default_config()[section]
 
 
 class TestChain:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,11 +93,11 @@ class TestMetricClosedForms:
 
 def reference_relevant(split, task):
     """Per-user relevant items of a task, from the split's pair lists."""
-    sources = {"overall": split.warm_test + split.cold_test,
+    sources = {"overall": np.concatenate([split.warm_test, split.cold_test]),
                "warm": split.warm_test,
                "cold": split.cold_test}[task]
     rel = {}
-    for u, i in sources:
+    for u, i in sources.tolist():
         rel.setdefault(u, set()).add(i)
     return rel
 
@@ -154,8 +155,7 @@ class TestEvaluate:
         assert report.recall == 1.0
 
     def test_no_eligible_users(self):
-        split = hand_split()
-        split.cold_test.clear()
+        split = replace(hand_split(), cold_test=[])
         model = adjacency_model(hand_split(), task="cold")
         with pytest.raises(ValueError, match="no eligible users"):
             evaluate(model, split, task="cold")

@@ -14,7 +14,7 @@ from coldsim.filtering import (FilterTrainConfig,
 from coldsim.refiner import OracleDecision, OracleError
 from coldsim.synthetic import make_two_cluster_dataset, make_planted_split
 
-from conftest import tiny_cluster_setup
+from conftest import as_tuples, tiny_cluster_setup
 
 
 def mlp_reference(tower, x):
@@ -398,7 +398,7 @@ class TestTraining:
         pairs = sample_label_pairs(split, data.log.n_users, n_positives=None,
                                    seed=6)
         observed = split.warm_train_set
-        n_pos = sum(1 for p in pairs if p in observed)
+        n_pos = sum(1 for p in as_tuples(pairs) if p in observed)
         n_neg = len(pairs) - n_pos
         assert n_pos == len(split.warm_train)
         assert n_neg == n_pos

@@ -12,6 +12,8 @@ from coldsim.warmup import WarmupConfig
 from coldsim.refiner import PlantedOracle
 from coldsim.synthetic import make_planted_split, make_two_cluster_dataset
 
+from conftest import as_tuples
+
 
 def tiny_config(seed=0, **overrides):
     cfg = default_config()
@@ -138,7 +140,7 @@ class TestTrainFilter:
     def test_derived_state_matches_split(self, small_pipe):
         _, split, _, pipe = small_pipe
         expected = [[] for _ in range(pipe.log.n_users)]
-        for u, i in sorted(split.warm_train):
+        for u, i in sorted(as_tuples(split.warm_train)):
             expected[u].append(i)
         assert pipe.train_items == expected
         for u, items in enumerate(pipe.train_items):
@@ -278,7 +280,7 @@ class TestEnrichment:
         assert enriched.cold_items == unsimulated
         extra = {(u, i) for i in simulated for u in sims[i].users}
         assert len(enriched.warm_train) == len(split.warm_train) + len(extra)
-        assert set(enriched.warm_train) == set(split.warm_train) | extra
-        assert enriched.warm_train == sorted(enriched.warm_train)
+        assert enriched.warm_train_set == split.warm_train_set | extra
+        assert as_tuples(enriched.warm_train) == sorted(enriched.warm_train_set)
         for name in ("warm_val", "warm_test", "cold_val", "cold_test"):
-            assert getattr(enriched, name) == getattr(split, name)
+            assert np.array_equal(getattr(enriched, name), getattr(split, name))

@@ -4,6 +4,8 @@ The references are the per-user loops the batched code replaced: one score
 vector, one Python mask list and one full lexsort per user.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from coldsim.evaluation import evaluate, sample_eval_users
 from coldsim.filtering import filter_validation_ndcg, history_content_means
 from coldsim.metrics import PairSets, ndcg_at_k, rank_by_score, recall_at_k
 
+from conftest import as_tuples
 from test_evaluation import reference_relevant, sets_by_row
 from test_filtering import (brute_force_topk, lexsort_rank, map_user,
                             random_filter)
@@ -63,7 +66,7 @@ def reference_filter_validation_ndcg(filt, backbone, content_matrix, hist_means,
 def reference_train_items(split, n_users):
     """Each user's warm-train items, ascending."""
     hist = [[] for _ in range(n_users)]
-    for u, i in sorted(split.warm_train):
+    for u, i in sorted(as_tuples(split.warm_train)):
         hist[u].append(i)
     return hist
 
@@ -295,7 +298,6 @@ class TestCallersEqualPerUserLoops:
                 assert abs(got - want) <= 1e-12
 
     def test_users_without_validation_positives_give_zero(self):
-        split = tie_heavy_split()
+        split = replace(tie_heavy_split(), warm_val=[])
         model = tie_heavy_model(np.random.default_rng(44), 12, 10)
-        split.warm_val.clear()
         assert validation_ndcg(model, split, range(12)) == 0.0

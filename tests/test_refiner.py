@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import threading
@@ -777,7 +778,7 @@ class TestFinetuneExport:
 
     def test_no_positives_error(self):
         data, split, filt, content = self.setup_split()
-        split.warm_train.clear()
+        split = dataclasses.replace(split, warm_train=[])
         with pytest.raises(ValueError, match="no positives"):
             prepare_finetune_data(split, data.catalog, filt, content,
                                   n_users=data.log.n_users)

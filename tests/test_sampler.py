@@ -23,7 +23,7 @@ from coldsim.metrics import PairSets
 from coldsim.refiner import (FinetuneRecord, UserContext,
                              prepare_finetune_data, render_prompt)
 
-from conftest import pair_split, tiny_cluster_setup
+from conftest import as_tuples, pair_split, tiny_cluster_setup
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "coldsim"
 
@@ -69,12 +69,12 @@ def reference_epoch_triples(rng, positives, warm_items, observed):
 
 def reference_label_pairs(split, n_users, n_positives, seed):
     rng = np.random.default_rng(seed)
-    positives = split.warm_train
+    positives = as_tuples(split.warm_train)
     if n_positives is not None and n_positives < len(positives):
         pick = rng.choice(len(positives), size=n_positives, replace=False)
         positives = [positives[idx] for idx in sorted(pick)]
     users = split.index(n_users).train_users
-    warm, observed = split.warm_items, set(split.warm_train)
+    warm, observed = split.warm_items, split.warm_train_set
     pairs = list(positives)
     for _ in positives:
         for _ in range(100):
@@ -89,12 +89,12 @@ def reference_label_pairs(split, n_users, n_positives, seed):
 def reference_finetune(split, catalog, filt, content_matrix, n_users, mode,
                        seed, n_positives, negatives, top_l):
     rng = np.random.default_rng(seed)
-    positives = sorted(split.warm_train)
+    positives = sorted(as_tuples(split.warm_train))
     if n_positives is not None and n_positives < len(positives):
         pick = rng.choice(len(positives), size=n_positives, replace=False)
         positives = [positives[idx] for idx in sorted(pick)]
     train_items = split.index(n_users).train_items
-    warm, observed = split.warm_items, set(split.warm_train)
+    warm, observed = split.warm_items, split.warm_train_set
     neg_by_user = {}
     if negatives is not None:
         for u, i in sorted(negatives):
@@ -219,7 +219,7 @@ def test_draw_accepted_empty_draws_nothing():
 def test_pair_sets_contains_equals_set_membership():
     for _, split, n_users in SPLITS:
         sets = split.index(n_users).train
-        observed = set(split.warm_train)
+        observed = split.warm_train_set
         # past the last row and past the widest column too
         users, items = np.meshgrid(np.arange(n_users + 2), np.arange(70))
         got = sets.contains(users.ravel(), items.ravel())
@@ -242,7 +242,7 @@ def test_epoch_triples_equal_scalar_loop(name, split, n_users, seed, caplog):
         got_log = caplog.messages[:]
         caplog.clear()
         want = reference_epoch_triples(want_rng, split.warm_train,
-                                       split.warm_items, set(split.warm_train))
+                                       split.warm_items, split.warm_train_set)
         assert got_log == caplog.messages
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -257,7 +257,7 @@ def test_epoch_triples_on_the_planted_fixture(planted):
         got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
         got = _epoch_triples(got_rng, split, data.log.n_users)
         want = reference_epoch_triples(want_rng, split.warm_train,
-                                       split.warm_items, set(split.warm_train))
+                                       split.warm_items, split.warm_train_set)
         assert np.array_equal(got, want)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -278,7 +278,7 @@ def test_epoch_triples_empty():
                          ids=[name for name, _, _ in SPLITS])
 def test_label_pairs_equal_scalar_loop(name, split, n_users, seed,
                                        n_positives):
-    assert (sample_label_pairs(split, n_users, n_positives, seed)
+    assert (as_tuples(sample_label_pairs(split, n_users, n_positives, seed))
             == reference_label_pairs(split, n_users, n_positives, seed))
 
 
@@ -288,7 +288,7 @@ def test_label_pool_warns_about_exhausted_positives(caplog):
     split = pair_split([(u, i) for u in range(3) for i in warm], warm)
     with caplog.at_level(logging.WARNING, logger="coldsim.filtering"):
         pairs = sample_label_pairs(split, 4, None, seed=0)
-    assert pairs == split.warm_train
+    assert np.array_equal(pairs, split.warm_train)
     assert "label sampling skipped 9 exhausted positives" in caplog.text
 
 
@@ -343,7 +343,7 @@ def test_dense_split_reaches_the_fallback(monkeypatch):
     monkeypatch.setattr(refiner, "draw_accepted", spy)
     catalog, filt, content = finetune_inputs(split, 4, 0)
     prepare_finetune_data(split, catalog, filt, content, 4, seed=0)
-    users = [sorted(split.warm_train)[k][0] for k in calls]
+    users = [sorted(as_tuples(split.warm_train))[k][0] for k in calls]
     assert 0 in users and 1 in users
 
 
@@ -365,9 +365,50 @@ def test_ordered_subsample_equals_sorted_choice(n):
 
 # -- one place for generator state and pair sets -----------------------------
 
+# the split's pair arrays and the log's; code outside the warm_train_set
+# property reads them as arrays, never pair by pair
+PAIR_ARRAYS = {"warm_train", "warm_val", "warm_test", "cold_val", "cold_test",
+               "pairs"}
+# calls that turn an iterable into Python objects one element at a time
+CONVERTERS = {"sorted", "set", "frozenset", "list", "tuple", "dict", "iter",
+              "zip", "enumerate", "map", "filter", "fromiter", "chain",
+              "from_iterable"}
+
+
+def pair_loops(tree) -> list[int]:
+    """Lines that iterate over a pair array, or its ``tolist()``, or hand
+    one to a converter, outside a ``warm_train_set`` function."""
+    def is_pairs(node):
+        if (isinstance(node, ast.Call) and not node.args
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "tolist"):
+            node = node.func.value
+        return isinstance(node, ast.Attribute) and node.attr in PAIR_ARRAYS
+
+    exempt = {id(inner) for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "warm_train_set" for inner in ast.walk(node)}
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.For) and is_pairs(node.iter):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.comprehension) and is_pairs(node.iter):
+            lines.append(node.iter.lineno)
+        elif isinstance(node, ast.Call) and any(map(is_pairs, node.args)):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if name in CONVERTERS:
+                lines.append(node.lineno)
+    return lines
+
+
 def test_generator_state_and_pair_sets_read_in_one_place():
-    # only the sampler saves and restores generator state, and only tests
-    # and corpus.py read the warm-train set of tuples
+    # only the sampler saves and restores generator state, only tests and
+    # corpus.py read the warm-train set of tuples, and no module loops over
+    # a pair array or converts it element by element
     offenders = []
     for module in sorted(SRC.glob("*.py")):
         tree = ast.parse(module.read_text(encoding="utf-8"))
@@ -388,11 +429,30 @@ def test_generator_state_and_pair_sets_read_in_one_place():
                     and node.value == "warm_train_set"))
             if (state and id(node) not in allowed) or pair_set:
                 offenders.append(f"{module.name}:{node.lineno}")
+        offenders += [f"{module.name}:{line}" for line in pair_loops(tree)]
     assert offenders == []
+
+
+@pytest.mark.parametrize("source,flagged", [
+    ("set(split.warm_train) | set(extra)", True),
+    ("ordered_subsample(rng, sorted(split.warm_train), n)", True),
+    ("[p for p in log.pairs if p[1] in warm]", True),
+    ("for u, i in split.cold_test.tolist(): pass", True),
+    ("np.fromiter(itertools.chain.from_iterable(split.warm_val), int)", True),
+    ("list(zip(log.pairs, answers))", True),
+    ("positives = index.train_pairs[rng.permutation(n)]", False),
+    ("len(split.warm_train) == 0", False),
+    ("lexsorted(log.pairs).tolist()", False),
+    ("labeler(pool[:, 0].tolist(), pool[:, 1].tolist())", False),
+    ("@property\ndef warm_train_set(self):\n"
+     "    return set(map(tuple, self.warm_train.tolist()))", False),
+])
+def test_pair_loop_scan(source, flagged):
+    assert bool(pair_loops(ast.parse(source))) == flagged
 
 
 def test_warm_train_set_built_on_first_read():
     split = dense_split(0)
     assert "warm_train_set" not in vars(split)
-    assert split.warm_train_set == set(split.warm_train)
+    assert split.warm_train_set == set(as_tuples(split.warm_train))
     assert split.warm_train_set is split.warm_train_set
