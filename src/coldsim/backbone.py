@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import bisect
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from . import store
 from .corpus import ColdWarmSplit
@@ -88,6 +88,32 @@ def init_embeddings(rows: int, dim: int, seed: int) -> np.ndarray:
         raise ValueError(f"bad table shape ({rows}, {dim})")
     rng = np.random.default_rng(seed)
     return rng.standard_normal((rows, dim)) * 0.01
+
+
+def _exp_or_inf(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def expit(x) -> np.ndarray:
+    """Logistic sigmoid ``1 / (1 + exp(-x))``, elementwise in float64.
+
+    ``exp`` is the C library's, through :func:`math.exp`, and an overflow
+    gives ``inf`` (so a result of 0.0).  numpy may route float64 ``exp`` to
+    its own SIMD kernel, whose last bits differ from the C library's on some
+    inputs; the C library's ``exp`` gives the same bits as
+    ``scipy.special.expit``, so trained weights do not depend on which
+    kernel numpy picks.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    neg = (-x).ravel().tolist()
+    try:
+        e = np.fromiter(map(math.exp, neg), dtype=np.float64, count=len(neg))
+    except OverflowError:
+        e = np.fromiter(map(_exp_or_inf, neg), dtype=np.float64, count=len(neg))
+    return (1.0 / (1.0 + e)).reshape(x.shape)
 
 
 def bpr_loss(model: BackboneModel, triples) -> float:

@@ -13,6 +13,7 @@ recording provider kind, width, and hash seed.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
@@ -49,6 +50,12 @@ def fnv1a64(data: bytes, seed: int = 0) -> int:
     return h
 
 
+@functools.lru_cache(maxsize=1 << 15)
+def _bucket(token: str, hash_seed: int, dim: int) -> int:
+    # titles share most of their tokens, so each distinct one is hashed once
+    return fnv1a64(token.encode("utf-8"), hash_seed) % dim
+
+
 def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
@@ -67,7 +74,7 @@ def mock_embed(text: str, dim: int = 256, hash_seed: int = 0) -> np.ndarray:
     vec = np.zeros(dim)
     weight = 1.0 / len(tokens)
     for tok in tokens:
-        vec[fnv1a64(tok.encode("utf-8"), hash_seed) % dim] += weight
+        vec[_bucket(tok, hash_seed, dim)] += weight
     return vec / np.linalg.norm(vec)
 
 

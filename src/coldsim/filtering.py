@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from . import store
 from .backbone import (BackboneModel, DivergenceError, _epoch_triples,
-                       draw_accepted, ordered_subsample, ranked_validation_ndcg)
+                       draw_accepted, expit, ordered_subsample,
+                       ranked_validation_ndcg)
 from .corpus import ColdWarmSplit
 from .metrics import rank_by_score, row_chunks
 

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from . import store
-from .backbone import BackboneModel, draw_accepted
+from .backbone import BackboneModel, draw_accepted, expit
 from .corpus import ColdWarmSplit
 from .filtering import TwoTowerFilter, map_item
 from .refiner import SimulationResult

@@ -4,15 +4,51 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import expit as scipy_expit
 
 from coldsim.backbone import (BackboneConfig, BackboneModel, _epoch_triples,
-                              bpr_loss, bpr_step, init_embeddings, score,
-                              train_backbone)
+                              bpr_loss, bpr_step, expit, init_embeddings,
+                              score, train_backbone)
 from coldsim.corpus import InteractionLog, make_cold_split
 from coldsim.filtering import (FilterTrainConfig, TwoTowerFilter,
                                train_behavior_filter, train_coupled_filter)
 
 from conftest import as_tuples, pair_split, tiny_cluster_setup
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+EXPIT_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                        709.78, -709.78, 745.13, -745.13, 800.0, -800.0,
+                        np.inf, -np.inf, np.nan])
+
+
+class TestExpit:
+    """The C-library logistic gives scipy.special.expit's bits."""
+
+    @pytest.mark.parametrize("magnitude", 10.0 ** np.arange(-6, 4))
+    def test_seeded_values(self, magnitude):
+        x = np.random.default_rng(7).standard_normal(20_000) * magnitude
+        assert_same_bits(expit(x), scipy_expit(x))
+
+    def test_edge_values(self):
+        # the whole array overflows math.exp at -745.13 and -800; one value
+        # at a time, the others take the path without an overflow
+        assert_same_bits(expit(EXPIT_EDGES), scipy_expit(EXPIT_EDGES))
+        for v in EXPIT_EDGES:
+            assert_same_bits(expit(v), scipy_expit(v))
+
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4), (0,), (2, 0)])
+    def test_shapes(self, shape):
+        x = np.random.default_rng(1).standard_normal(shape) * 30
+        got = expit(x)
+        assert isinstance(got, np.ndarray)
+        assert_same_bits(got, scipy_expit(x))
 
 
 def finite_diff_grad(loss_fn, arr, h=1e-5):

@@ -46,6 +46,20 @@ class TestMockEmbed:
         with pytest.raises(ValueError, match="no tokens"):
             mock_embed("!!!", dim=16)
 
+    @pytest.mark.parametrize("hash_seed", [0, 7])
+    @pytest.mark.parametrize("dim", [16, 256])
+    def test_memoised_buckets_equal_uncached_hashing(self, hash_seed, dim):
+        texts = ["graph graph neural nets", "neural graph recommender",
+                 "Graph-Neural graph", "nets nets nets"]
+        for _ in range(2):  # the second pass is served from the cache
+            for text in texts:
+                tokens = re.findall(r"[a-z0-9]+", text.lower())
+                raw = np.zeros(dim)
+                for tok in tokens:
+                    raw[fnv1a64(tok.encode("utf-8"), hash_seed) % dim] += 1 / len(tokens)
+                assert np.array_equal(mock_embed(text, dim, hash_seed),
+                                      raw / np.linalg.norm(raw))
+
     def test_hash_seed_changes_buckets(self):
         assert not np.array_equal(mock_embed("word", 256, hash_seed=0),
                                   mock_embed("word", 256, hash_seed=1))

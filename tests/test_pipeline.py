@@ -284,3 +284,38 @@ class TestEnrichment:
         assert as_tuples(enriched.warm_train) == sorted(enriched.warm_train_set)
         for name in ("warm_val", "warm_test", "cold_val", "cold_test"):
             assert np.array_equal(getattr(enriched, name), getattr(split, name))
+
+
+def test_libm_expit_trains_scipy_expit_bits(monkeypatch):
+    """Backbone, filter and warmed weights equal the scipy logistic's bytes."""
+    from scipy.special import expit as scipy_expit
+
+    from coldsim import backbone, warmup
+
+    data = make_two_cluster_dataset(n_users=60, n_warm=24, n_cold=6,
+                                    groups_per_cluster=2, seed=3)
+    split = make_planted_split(data, seed=3)
+    cfg = tiny_config(seed=3, backbone={"max_epochs": 2, "patience": 2},
+                      filter={"max_epochs": 2, "patience": 2})
+    warm_cfg = pipeline.section_config(WarmupConfig, cfg["warmup"])
+
+    def weights():
+        pipe = pipeline.build_pipeline(data.log, data.catalog, split, cfg,
+                                       oracle=PlantedOracle(data.truth))
+        sims = pipeline.simulate_all(pipe, cfg)
+        warmed, _ = pipeline.warm_with_report(pipe, sims, cfg)
+        item = min(split.cold_items)
+        one = warmup.optimize_cold_embedding(item, sims[item].users,
+                                             pipe.backbone, warm_cfg)
+        assert len(pipe.backbone.history) == 2
+        return [pipe.backbone.user_emb, pipe.backbone.item_emb,
+                *tower_weights(pipe.filter_b), *tower_weights(pipe.filter_l),
+                warmed.item_emb[sorted(split.cold_items)], one.embedding]
+
+    got = weights()
+    for module in (backbone, filtering, warmup):
+        monkeypatch.setattr(module, "expit", scipy_expit)
+    want = weights()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
