@@ -40,17 +40,22 @@ threading.Thread(target=server.serve_forever, daemon=True).start()
 url = f"http://127.0.0.1:{server.server_address[1]}/simulate"
 print(f"toy oracle listening at {url}")
 
-# one decide call per item; its prompts go out on the oracle's own pool of
-# max_inflight threads, and the answers come back in context order
+# one decide call for contexts of two items; its prompts go out on the
+# oracle's own pool, max_inflight at a time across the item boundary, and
+# the answers come back in context order
 oracle = HttpOracle(url, timeout=5, max_inflight=2)
-contexts = [UserContext(user=0, items=[1, 2], texts=["astro astro notes1",
-                                                     "astro astro notes2"]),
-            UserContext(user=1, items=[7], texts=["fjord fjord notes7"])]
-for item_text in ("astro astro notes9", "fjord fjord notes40"):
-    for ctx, decision in zip(contexts, oracle.decide(9, item_text, contexts)):
-        print(f"  user {ctx.user}, {item_text!r} -> {decision.raw} "
-              f"({decision.latency * 1e3:.1f} ms)")
+histories = [(0, [1, 2], ["astro astro notes1", "astro astro notes2"]),
+             (1, [7], ["fjord fjord notes7"])]
+contexts = [UserContext(user=user, item=item, item_text=item_text,
+                        items=items, texts=texts)
+            for item, item_text in ((9, "astro astro notes9"),
+                                    (40, "fjord fjord notes40"))
+            for user, items, texts in histories]
+for ctx, decision in zip(contexts, oracle.decide(contexts)):
+    print(f"  user {ctx.user}, {ctx.item_text!r} -> {decision.raw} "
+          f"({decision.latency * 1e3:.1f} ms)")
 server.shutdown()
+server.server_close()
 
 # --- the same pipeline, driven end to end by the CLI with a mock oracle
 workdir = Path(tempfile.mkdtemp())

@@ -101,10 +101,11 @@ def oracle_labeler(pipe: Pipeline, oracle, top_l: int):
     an :class:`~coldsim.refiner.OracleDecision` or the
     :class:`~coldsim.refiner.OracleError` it failed with, in pair order.
 
-    The pairs are grouped by item, stably, so that each item gets one
-    block of contexts and one ``decide`` call.  Contexts always come from
-    the behavior filter, whose item vectors are computed once, here; a
-    coupled filter already on the pipeline never labels its successor.
+    Each item's pairs get one block of contexts; the contexts are then put
+    back in pair order and answered by one ``decide`` call.  Contexts
+    always come from the behavior filter, whose item vectors are computed
+    once, here; a coupled filter already on the pipeline never labels its
+    successor.
     """
     if pipe.filter_b is None:
         raise ValueError("oracle labels need a trained filter B to build "
@@ -115,16 +116,15 @@ def oracle_labeler(pipe: Pipeline, oracle, top_l: int):
         rows_of: dict[int, list[int]] = {}
         for j, item in enumerate(items):
             rows_of.setdefault(item, []).append(j)
-        answers = [None] * len(items)
+        contexts = [None] * len(items)
         for item, rows in rows_of.items():
             group = [users[j] for j in rows]
-            contexts = refiner.build_context(
-                group, item_vectors[item], item_vectors,
+            block = refiner.build_context(
+                group, item, item_vectors,
                 [pipe.train_items[u] for u in group], pipe.titles, top_l)
-            answers_of_item = oracle.decide(item, pipe.titles[item], contexts)
-            for j, answer in zip(rows, answers_of_item):
-                answers[j] = answer
-        return answers
+            for j, ctx in zip(rows, block):
+                contexts[j] = ctx
+        return oracle.decide(contexts)
 
     return label
 
@@ -188,7 +188,7 @@ def simulate_all(pipe: Pipeline, cfg: dict, use_b: bool = True,
                  use_l: bool = True, skip_refine: bool = False,
                  decision_log: DecisionLog | None = None) -> dict[int, SimulationResult]:
     """Run the funnel for every cold item: one ranking per filter over all of
-    them, then each item's refinement in ascending item order."""
+    them, then one refinement pass over them in ascending item order."""
     sim_cfg = section_config(SimulateConfig, cfg["refiner"])
     filt_b = pipe.filter_b if use_b else None
     filt_l = pipe.filter_l if use_l else None

@@ -14,7 +14,7 @@ import json
 import logging
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -46,9 +46,15 @@ class OracleParseError(OracleError):
 
 @dataclass
 class UserContext:
-    """Top-L history items of a user, ranked by similarity to the query item."""
+    """Top-L history items of a user, ranked by similarity to the query item.
+
+    ``item`` is the query item and ``item_text`` its title; ``items`` and
+    ``texts`` are the history items and their titles.
+    """
 
     user: int
+    item: int
+    item_text: str
     items: list[int]
     texts: list[str]
 
@@ -65,9 +71,8 @@ class FinetuneRecord(NamedTuple):
     completion: str
 
 
-def build_context(users, item_fvec: np.ndarray, item_vectors: np.ndarray,
-                  histories, titles: list[str],
-                  top_l: int = 10) -> list[UserContext]:
+def build_context(users, item: int, item_vectors: np.ndarray, histories,
+                  titles: list[str], top_l: int = 10) -> list[UserContext]:
     """Each user's ``top_l`` history items most similar to one query item.
 
     ``item_vectors`` holds every item's filter vector, one row per item id:
@@ -77,8 +82,8 @@ def build_context(users, item_fvec: np.ndarray, item_vectors: np.ndarray,
     ascending item id.  An empty history yields an empty context.
 
     The contexts come back in ``users`` order, from one gather of the
-    ``histories``, one product with ``item_fvec`` and one ``lexsort`` on
-    (candidate, -similarity, item id).
+    ``histories``, one product with ``item_vectors[item]`` and one
+    ``lexsort`` on (candidate, -similarity, item id).
     """
     if top_l < 1:
         raise ValueError(f"top_l must be >= 1, got {top_l}")
@@ -86,31 +91,34 @@ def build_context(users, item_fvec: np.ndarray, item_vectors: np.ndarray,
                        count=len(histories))
     hist_ids = np.fromiter(itertools.chain.from_iterable(histories),
                            dtype=np.int64, count=int(lens.sum()))
-    sims = item_vectors[hist_ids] @ np.asarray(item_fvec, dtype=np.float64)
+    sims = item_vectors[hist_ids] @ np.asarray(item_vectors[item],
+                                               dtype=np.float64)
     owner = np.repeat(np.arange(len(lens)), lens)
     order = np.lexsort((hist_ids, -sims, owner))
     # owner is ascending, so each candidate's run keeps its place
     rank = np.arange(len(order)) - np.repeat(np.cumsum(lens) - lens, lens)
     kept = hist_ids[order[rank < top_l]].tolist()
+    item_text = titles[item]
     contexts, start = [], 0
     for u, end in zip(users, np.cumsum(np.minimum(lens, top_l)).tolist()):
         items = kept[start:end]
-        contexts.append(UserContext(user=u, items=items,
+        contexts.append(UserContext(user=u, item=item, item_text=item_text,
+                                    items=items,
                                     texts=[titles[i] for i in items]))
         start = end
     return contexts
 
 
-def render_prompt(context: UserContext, item_text: str) -> str:
-    """Render the fixed yes/no prompt, byte-exact.
+def render_prompt(context: UserContext) -> str:
+    """Render the fixed yes/no prompt for a context's query item, byte-exact.
 
     Context titles are double-quoted and comma-joined inside the first
     bracket pair; an empty context renders ``[]``.
     """
-    if not item_text:
+    if not context.item_text:
         raise ValueError("item content must be non-empty")
     history = ", ".join(f'"{t}"' for t in context.texts)
-    return PROMPT_TEMPLATE.format(history=history, item=item_text)
+    return PROMPT_TEMPLATE.format(history=history, item=context.item_text)
 
 
 def parse_yes_no(text: str) -> int:
@@ -132,15 +140,18 @@ class PlantedOracle:
     def __init__(self, true_pairs):
         self.true_pairs = set(true_pairs)
 
-    def decide(self, item: int, item_text: str,
-               contexts: list[UserContext]) -> list[OracleDecision]:
-        """One membership test per context, in order."""
+    def decide(self, contexts: list[UserContext]) -> list[OracleDecision]:
+        """One membership test of (user, item) per context, in order."""
         answers = []
         for ctx in contexts:
-            yes = (ctx.user, item) in self.true_pairs
+            yes = (ctx.user, ctx.item) in self.true_pairs
             answers.append(OracleDecision(value=1 if yes else 0,
                                           raw="Yes" if yes else "No"))
         return answers
+
+
+# contexts gathered at once by ThresholdOracle: at most this many floats
+_GATHER_FLOATS = 1 << 16
 
 
 class ThresholdOracle:
@@ -155,25 +166,33 @@ class ThresholdOracle:
         self.content_matrix = np.asarray(content_matrix, dtype=np.float64)
         self.tau = tau
 
-    def decide(self, item: int, item_text: str,
-               contexts: list[UserContext]) -> list[OracleDecision]:
-        item_vec = self.content_matrix[item]
-        item_norm = np.sqrt(item_vec.dot(item_vec))
+    def decide(self, contexts: list[UserContext]) -> list[OracleDecision]:
+        """One cosine test per context, in order; contexts may mix items."""
+        vectors = self.content_matrix
         answers = [OracleDecision(value=0, raw="No") for _ in contexts]
+        norms = {}
         lens = [len(ctx.items) for ctx in contexts]
         # contexts of one length share a gather; X[idx].sum(axis=1) / n adds
-        # each context's rows in order, as X[items].mean(axis=0) does
+        # each context's rows in order, as X[items].mean(axis=0) does, so a
+        # context's bits do not depend on which others share its gather
         for n in set(lens) - {0}:
             rows = [j for j, size in enumerate(lens) if size == n]
-            idx = np.array([contexts[j].items for j in rows])
-            means = self.content_matrix[idx].sum(axis=1) / n
-            for j, ctx_mean in zip(rows, means):
-                # one dot per norm and per cosine, as numpy's norm takes them
-                denom = item_norm * np.sqrt(ctx_mean.dot(ctx_mean))
-                cos = float(item_vec @ ctx_mean / denom) if denom > 0 else 0.0
-                yes = cos >= self.tau
-                answers[j] = OracleDecision(value=1 if yes else 0,
-                                            raw="Yes" if yes else "No")
+            step = max(1, _GATHER_FLOATS // (n * vectors.shape[1]))
+            for start in range(0, len(rows), step):
+                chunk = rows[start:start + step]
+                idx = np.array([contexts[j].items for j in chunk])
+                means = vectors[idx].sum(axis=1) / n
+                for j, ctx_mean in zip(chunk, means):
+                    item = contexts[j].item
+                    item_vec = vectors[item]
+                    if item not in norms:
+                        norms[item] = np.sqrt(item_vec.dot(item_vec))
+                    # one dot per norm and per cosine, as numpy's norm takes them
+                    denom = norms[item] * np.sqrt(ctx_mean.dot(ctx_mean))
+                    cos = float(item_vec @ ctx_mean / denom) if denom > 0 else 0.0
+                    yes = cos >= self.tau
+                    answers[j] = OracleDecision(value=1 if yes else 0,
+                                                raw="Yes" if yes else "No")
         return answers
 
 
@@ -183,7 +202,9 @@ class HttpOracle:
     With ``chat=True`` the same prompt is wrapped as a chat completion
     request ``{"messages": [{"role": "user", "content": prompt}]}`` and the
     first message text of the response is parsed instead.  Requests run on
-    one pool of ``max_inflight`` threads that lives as long as the oracle.
+    one pool of ``max_inflight`` threads that lives as long as the oracle,
+    so a ``decide`` call keeps that many requests in flight across item
+    boundaries.
     """
 
     kind = "http"
@@ -196,7 +217,8 @@ class HttpOracle:
         self.retries = retries
         self.backoff = backoff
         self.chat = chat
-        self._pool = ThreadPoolExecutor(max_workers=max(1, max_inflight),
+        self.max_inflight = max(1, max_inflight)
+        self._pool = ThreadPoolExecutor(max_workers=self.max_inflight,
                                         thread_name_prefix="coldsim-oracle")
 
     def _answer(self, doc: dict) -> str:
@@ -208,7 +230,8 @@ class HttpOracle:
             return doc["choices"][0]["message"]["content"]
         raise OracleError("chat response carries no messages")
 
-    def _ask(self, prompt: str) -> OracleDecision | OracleError:
+    def _ask(self, context: UserContext) -> OracleDecision | OracleError:
+        prompt = render_prompt(context)
         if self.chat:
             body = {"messages": [{"role": "user", "content": prompt}]}
         else:
@@ -226,10 +249,37 @@ class HttpOracle:
         except OracleError as exc:
             return exc
 
-    def decide(self, item: int, item_text: str,
-               contexts: list[UserContext]) -> list[OracleDecision | OracleError]:
-        prompts = [render_prompt(ctx, item_text) for ctx in contexts]
-        return list(self._pool.map(self._ask, prompts))
+    def decide(self, contexts: list[UserContext]) -> list[OracleDecision | OracleError]:
+        """Every context's answer, in order, or the error it failed with.
+
+        All contexts go to the pool at once; each worker renders its own
+        prompt.  Once ``max_inflight`` answers in a row, in context order,
+        have failed every retry (a parse error does not count, and ends
+        the streak), the endpoint is taken for dead: requests not yet
+        started are cancelled and come back as an :class:`OracleError`
+        saying so, while those in flight finish.  Any other exception
+        cancels them too, then propagates.
+        """
+        futures = [self._pool.submit(self._ask, ctx) for ctx in contexts]
+        answers, streak = [], 0
+        try:
+            for future in futures:
+                if streak == self.max_inflight:
+                    break
+                answers.append(future.result())
+                failed = isinstance(answers[-1], OracleError) and \
+                    not isinstance(answers[-1], OracleParseError)
+                streak = streak + 1 if failed else 0
+        finally:
+            # cancel what has not started, and let what has finish
+            rest = futures[len(answers):]
+            cancelled = [future.cancel() for future in rest]
+            wait(rest)
+        for future, not_sent in zip(rest, cancelled):
+            answers.append(OracleError(
+                f"oracle request not sent: {streak} requests in a row failed "
+                f"before it") if not_sent else future.result())
+        return answers
 
 
 class DecisionLog:
@@ -269,15 +319,28 @@ class DecisionLog:
 
     @classmethod
     def load(cls, path: str | Path) -> "DecisionLog":
+        """The log saved at ``path``; blank lines are skipped.
+
+        A line that is not a JSON object with ``user``, ``item``, ``z``,
+        ``raw`` and ``oracle`` raises a ValueError naming the path and the
+        1-based line number.
+        """
         log = cls()
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                rec = json.loads(line)
+                try:
+                    rec = json.loads(line)
+                    key = (rec["user"], rec["item"], rec["oracle"],
+                           rec.get("ph"))
+                    log._cache[key] = OracleDecision(value=rec["z"],
+                                                     raw=rec["raw"])
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    raise ValueError(f"{path}, line {number}: not a decision "
+                                     f"record ({type(exc).__name__}: {exc})"
+                                     ) from exc
                 log.records.append(rec)
-                key = (rec["user"], rec["item"], rec["oracle"], rec.get("ph"))
-                log._cache[key] = OracleDecision(value=rec["z"], raw=rec["raw"])
         return log
 
 
@@ -296,60 +359,86 @@ class SimulationResult:
     failures: int = 0
 
 
+def refine_all(candidate_sets: list[CandidateSet], client,
+               item_vectors: np.ndarray, train_items: list[list[int]],
+               titles: list[str], top_l: int = 10,
+               decision_log: DecisionLog | None = None
+               ) -> list[tuple[list[int], int]]:
+    """Keep the candidates the oracle accepts, preserving rank order, for
+    every candidate set of one pass.
+
+    ``item_vectors`` are the context filter's item vectors and ``titles``
+    the item titles, both indexed by item id.  Each item's contexts come
+    from one block :func:`build_context` call, and every context of the
+    pass that the ``decision_log`` cannot answer goes to one
+    ``client.decide`` call.  Prompts are rendered and hashed only to key
+    the log; the HTTP oracle renders its own.  Decisions are logged in
+    item order, then candidate order.
+
+    Returns (accepted users, oracle failure count) per candidate set.
+    Raises :class:`OracleError` at the first item, in order, whose every
+    call failed (later items are then not logged); partial failures drop
+    those users with a warning.  An empty candidate set, or an item given
+    twice, raises ValueError: a pass asks each (user, item) once.
+    """
+    items = [cand.item for cand in candidate_sets]
+    if len(set(items)) < len(items):
+        twice = sorted({i for i in items if items.count(i) > 1})
+        raise ValueError(f"refine_all got items {twice} more than once in "
+                         f"one pass")
+    cached, asked = [], []      # per item: {user: logged decision}, [(ctx, ph)]
+    for cand in candidate_sets:
+        if not cand.users:
+            raise ValueError("refine requires a non-empty candidate set")
+        contexts = build_context(cand.users, cand.item, item_vectors,
+                                 [train_items[u] for u in cand.users],
+                                 titles, top_l)
+        hits, pending = {}, []
+        for ctx in contexts:
+            ph = None
+            if decision_log is not None:
+                ph = DecisionLog.prompt_hash(render_prompt(ctx))
+                hit = decision_log.lookup(ctx.user, ctx.item, client.kind, ph)
+                if hit is not None:
+                    hits[ctx.user] = hit
+                    continue
+            pending.append((ctx, ph))
+        cached.append(hits)
+        asked.append(pending)
+
+    flat = [ctx for pending in asked for ctx, _ in pending]
+    outcomes = client.decide(flat) if flat else []
+    results, start = [], 0
+    for cand, decisions, pending in zip(candidate_sets, cached, asked):
+        failures = 0
+        for (ctx, ph), outcome in zip(pending,
+                                      outcomes[start:start + len(pending)]):
+            if isinstance(outcome, OracleError):
+                failures += 1
+                logger.warning("oracle call failed: %s", outcome)
+                continue
+            decisions[ctx.user] = outcome
+            if decision_log is not None:
+                decision_log.record(ctx.user, ctx.item, client.kind, ph,
+                                    outcome)
+        start += len(pending)
+        if not decisions:
+            raise OracleError(f"every oracle call failed for item {cand.item}")
+        if failures:
+            logger.warning("item %s: %d of %d oracle calls failed",
+                           cand.item, failures, len(pending))
+        results.append(([u for u in cand.users
+                         if u in decisions and decisions[u].value == 1],
+                        failures))
+    return results
+
+
 def refine(candidates: CandidateSet, client, item_vectors: np.ndarray,
            train_items: list[list[int]], titles: list[str], top_l: int = 10,
            decision_log: DecisionLog | None = None) -> tuple[list[int], int]:
-    """Keep the candidates the oracle accepts, preserving rank order.
-
-    ``item_vectors`` are the context filter's item vectors and ``titles``
-    the item titles, both indexed by item id; all candidates' contexts
-    come from one block :func:`build_context` call, and the ones the
-    ``decision_log`` cannot answer go to one ``client.decide`` call.
-    Prompts are rendered and hashed only to key the log; the HTTP oracle
-    renders its own.  Decisions are logged in candidate order.  Returns
-    (accepted users, oracle failure count).  Raises :class:`OracleError`
-    when every single call fails; partial failures drop those users with a
-    warning.
-    """
-    if not candidates.users:
-        raise ValueError("refine requires a non-empty candidate set")
-    item = candidates.item
-    item_text = titles[item]
-    contexts = build_context(candidates.users, item_vectors[item], item_vectors,
-                             [train_items[u] for u in candidates.users],
-                             titles, top_l)
-
-    decisions: dict[int, OracleDecision] = {}
-    pending, hashes = contexts, [None] * len(contexts)
-    if decision_log is not None:
-        pending, hashes = [], []
-        for ctx in contexts:
-            ph = DecisionLog.prompt_hash(render_prompt(ctx, item_text))
-            cached = decision_log.lookup(ctx.user, item, client.kind, ph)
-            if cached is not None:
-                decisions[ctx.user] = cached
-                continue
-            pending.append(ctx)
-            hashes.append(ph)
-
-    failures = 0
-    outcomes = client.decide(item, item_text, pending) if pending else []
-    for ctx, ph, outcome in zip(pending, hashes, outcomes):
-        if isinstance(outcome, OracleError):
-            failures += 1
-            logger.warning("oracle call failed: %s", outcome)
-            continue
-        decisions[ctx.user] = outcome
-        if decision_log is not None:
-            decision_log.record(ctx.user, item, client.kind, ph, outcome)
-    if not decisions:
-        raise OracleError(f"every oracle call failed for item {item}")
-    if failures:
-        logger.warning("item %s: %d of %d oracle calls failed",
-                       item, failures, len(candidates.users))
-    kept = [u for u in candidates.users
-            if u in decisions and decisions[u].value == 1]
-    return kept, failures
+    """:func:`refine_all` over one candidate set: (accepted users, failures)."""
+    return refine_all([candidates], client, item_vectors, train_items, titles,
+                      top_l, decision_log)[0]
 
 
 def simulate_items(items, raw_items: np.ndarray, client,
@@ -362,30 +451,34 @@ def simulate_items(items, raw_items: np.ndarray, client,
                    users_l: np.ndarray | None = None,
                    decision_log: DecisionLog | None = None,
                    skip_refine: bool = False) -> list[SimulationResult]:
-    """Funnel-filter candidate users for cold items, then oracle-refine each.
+    """Funnel-filter candidate users for cold items, then oracle-refine them.
 
     ``raw_items`` holds the items' raw content vectors, one row per item
-    of ``items``; the funnel ranks them with one call per filter, and each
-    item is then refined on its own, in order.  When refinement empties an
-    item's candidate list the top-ranked filtered candidate is kept
-    (configurable; the alternative leaves the item cold with an empty
-    simulation).  ``item_vectors`` are the item vectors of the filter that
-    builds the contexts: the coupled filter when present, otherwise the
-    behavior filter, and ``titles`` every item's title by id.  Both are
-    unused with ``skip_refine``.
+    of ``items``; the funnel ranks them with one call per filter, and the
+    items with candidates are then refined in one :func:`refine_all` pass.
+    When refinement empties an item's candidate list the top-ranked
+    filtered candidate is kept (configurable; the alternative leaves the
+    item cold with an empty simulation).  ``item_vectors`` are the item
+    vectors of the filter that builds the contexts: the coupled filter
+    when present, otherwise the behavior filter, and ``titles`` every
+    item's title by id.  Both are unused with ``skip_refine``.
     """
     candidates = funnel_filter(raw_items, config.k, filter_b=filter_b,
                                filter_l=filter_l, users_b=users_b,
                                users_l=users_l, item=items)
+    if skip_refine:
+        return [SimulationResult(item=cand.item, users=list(cand.users))
+                for cand in candidates]
+    refined = iter(refine_all([cand for cand in candidates if cand.users],
+                              client, item_vectors, train_items, titles,
+                              top_l=config.context_len,
+                              decision_log=decision_log))
     results = []
     for cand in candidates:
-        if skip_refine or not cand.users:
-            results.append(SimulationResult(item=cand.item,
-                                            users=list(cand.users)))
+        if not cand.users:
+            results.append(SimulationResult(item=cand.item, users=[]))
             continue
-        kept, failures = refine(cand, client, item_vectors, train_items,
-                                titles, top_l=config.context_len,
-                                decision_log=decision_log)
+        kept, failures = next(refined)
         fallback = not kept
         if fallback:
             kept = cand.users[:1] if config.fallback_to_top1 else []
@@ -456,10 +549,9 @@ def prepare_finetune_data(split: ColdWarmSplit, catalog: ItemCatalog,
     titles = [catalog.title(i) for i in range(len(content_matrix))]
 
     def make_record(user, item, completion):
-        [ctx] = build_context([user], item_vectors[item], item_vectors,
+        [ctx] = build_context([user], item, item_vectors,
                               [index.train_items[user]], titles, top_l)
-        return FinetuneRecord(prompt=render_prompt(ctx, titles[item]),
-                              completion=completion)
+        return FinetuneRecord(prompt=render_prompt(ctx), completion=completion)
 
     records: list[FinetuneRecord] = []
     dropped = 0

@@ -1,12 +1,14 @@
-"""Per-item block paths against the per-item path they replace.
+"""Block and one-pass paths against the paths they replace.
 
 ``simulate_all`` ranks every cold item's candidates with one funnel call
 per filter, builds each item's contexts in one block and lets the oracle
-decide them in one call; the L labeller does the same for the label pool,
-grouped by item; ``warm_all_cold`` draws each item's users in blocks.  The
+decide every item's contexts in one call per pass; the L labeller builds
+one block per item of the label pool and decides the whole pool in one
+call; ``warm_all_cold`` draws each item's users in blocks.  The
 references here are the per-item path: one 1-D ``funnel_filter`` call per
 item, one context and one decision per (candidate, item) pair, and the
-scalar warmup draws.
+scalar warmup draws; and the per-item pass, one ``decide`` call per item,
+for refinement and labelling.
 
 The block products sum in another order than the per-pair ones, so CI
 runs this module a second time with one BLAS thread.
@@ -19,27 +21,28 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from coldsim import filtering, pipeline
+from coldsim import filtering, pipeline, refiner
 from coldsim.backbone import BackboneModel
 from coldsim.config import default_config, resolve_seeds
 from coldsim.filtering import TowerMlp, TwoTowerFilter, funnel_filter
 from coldsim.refiner import (DecisionLog, OracleDecision, OracleError,
                              PlantedOracle, SimulateConfig, SimulationResult,
-                             ThresholdOracle, UserContext, render_prompt)
+                             ThresholdOracle, UserContext, build_context,
+                             render_prompt)
 from coldsim.synthetic import make_planted_split, make_two_cluster_dataset
 from coldsim.warmup import WarmupConfig, draw_step_users, warm_all_cold
 
 
 # -- the per-item reference --------------------------------------------------
 
-def reference_context(user, item_fvec, item_vectors, history, catalog, top_l):
-    if not history:
-        return UserContext(user=user, items=[], texts=[])
-    hist_ids = np.asarray(history)
-    sims = item_vectors[hist_ids] @ np.asarray(item_fvec, dtype=np.float64)
-    items = hist_ids[np.lexsort((hist_ids, -sims))[:top_l]].tolist()
-    return UserContext(user=user, items=items,
-                       texts=[catalog.title(i) for i in items])
+def reference_context(user, item, item_vectors, history, catalog, top_l):
+    items = []
+    if history:
+        hist_ids = np.asarray(history)
+        sims = item_vectors[hist_ids] @ item_vectors[item]
+        items = hist_ids[np.lexsort((hist_ids, -sims))[:top_l]].tolist()
+    return UserContext(user=user, item=item, item_text=catalog.title(item),
+                       items=items, texts=[catalog.title(i) for i in items])
 
 
 def reference_threshold(oracle, item, context):
@@ -56,15 +59,15 @@ def reference_threshold(oracle, item, context):
 
 def reference_refine(candidates, oracle, item_vectors, train_items, catalog,
                      top_l, decision_log):
+    """One context and one decision per (candidate, item) pair."""
     item = candidates.item
-    item_text = catalog.title(item)
     decisions, failures = {}, 0
     for u in candidates.users:
-        ctx = reference_context(u, item_vectors[item], item_vectors,
-                                train_items[u], catalog, top_l)
+        ctx = reference_context(u, item, item_vectors, train_items[u], catalog,
+                                top_l)
         ph = None
         if decision_log is not None:
-            ph = DecisionLog.prompt_hash(render_prompt(ctx, item_text))
+            ph = DecisionLog.prompt_hash(render_prompt(ctx))
             cached = decision_log.lookup(u, item, oracle.kind, ph)
             if cached is not None:
                 decisions[u] = cached
@@ -72,7 +75,7 @@ def reference_refine(candidates, oracle, item_vectors, train_items, catalog,
         if isinstance(oracle, ThresholdOracle):
             decision = reference_threshold(oracle, item, ctx)
         else:
-            [decision] = oracle.decide(item, item_text, [ctx])
+            [decision] = oracle.decide([ctx])
         if isinstance(decision, OracleError):
             failures += 1
             continue
@@ -85,8 +88,41 @@ def reference_refine(candidates, oracle, item_vectors, train_items, catalog,
             if u in decisions and decisions[u].value == 1], failures
 
 
+def per_item_refine(candidates, oracle, item_vectors, train_items, catalog,
+                    top_l, decision_log):
+    """The per-item pass: one ``decide`` call per item, for the contexts
+    the log cannot answer, logged in candidate order."""
+    item = candidates.item
+    decisions, pending = {}, []
+    for u in candidates.users:
+        ctx = reference_context(u, item, item_vectors, train_items[u], catalog,
+                                top_l)
+        ph = None
+        if decision_log is not None:
+            ph = DecisionLog.prompt_hash(render_prompt(ctx))
+            cached = decision_log.lookup(u, item, oracle.kind, ph)
+            if cached is not None:
+                decisions[u] = cached
+                continue
+        pending.append((ctx, ph))
+    failures = 0
+    outcomes = oracle.decide([ctx for ctx, _ in pending]) if pending else []
+    for (ctx, ph), outcome in zip(pending, outcomes):
+        if isinstance(outcome, OracleError):
+            failures += 1
+            continue
+        decisions[ctx.user] = outcome
+        if decision_log is not None:
+            decision_log.record(ctx.user, item, oracle.kind, ph, outcome)
+    if not decisions:
+        raise OracleError(f"every oracle call failed for item {item}")
+    return [u for u in candidates.users
+            if u in decisions and decisions[u].value == 1], failures
+
+
 def reference_simulate_all(pipe, cfg, use_b=True, use_l=True,
-                           skip_refine=False, decision_log=None):
+                           skip_refine=False, decision_log=None,
+                           refine=reference_refine):
     sim_cfg = pipeline.section_config(SimulateConfig, cfg["refiner"])
     filt_b = pipe.filter_b if use_b else None
     filt_l = pipe.filter_l if use_l else None
@@ -101,9 +137,9 @@ def reference_simulate_all(pipe, cfg, use_b=True, use_l=True,
         if skip_refine:
             results[item] = SimulationResult(item=item, users=list(cand.users))
             continue
-        kept, failures = reference_refine(cand, pipe.oracle, item_vectors,
-                                          pipe.train_items, pipe.catalog,
-                                          sim_cfg.context_len, decision_log)
+        kept, failures = refine(cand, pipe.oracle, item_vectors,
+                                pipe.train_items, pipe.catalog,
+                                sim_cfg.context_len, decision_log)
         if kept:
             results[item] = SimulationResult(item=item, users=kept,
                                              failures=failures)
@@ -192,20 +228,20 @@ def integer_tower(rng, d_in, hidden, d_out):
                     b2=np.zeros(d_out))
 
 
-@pytest.fixture(scope="module")
-def integer_pipe():
+def small_integer_pipe(seed, content_rows, user_rows):
     """Small-integer content, embeddings and tower weights: every context
-    similarity is an exact integer, and repeated content rows and repeated
-    users give exact ties in the contexts and the funnel."""
+    similarity is an exact integer, and ``content_rows`` distinct content
+    rows and ``user_rows`` distinct users give exact ties in the contexts
+    and the funnel."""
     data = make_two_cluster_dataset(n_users=48, n_warm=24, n_cold=8,
-                                    groups_per_cluster=2, seed=9)
-    split = make_planted_split(data, seed=9)
-    rng = np.random.default_rng(9)
+                                    groups_per_cluster=2, seed=seed)
+    split = make_planted_split(data, seed=seed)
+    rng = np.random.default_rng(seed)
     n_users, n_items = data.log.n_users, data.log.n_items
-    content = rng.integers(0, 3, size=(6, 5)).astype(float)[
-        rng.integers(6, size=n_items)]
-    user_emb = rng.integers(-1, 2, size=(8, 4)).astype(float)[
-        rng.integers(8, size=n_users)]
+    content = rng.integers(0, 3, size=(content_rows, 5)).astype(float)[
+        rng.integers(content_rows, size=n_items)]
+    user_emb = rng.integers(-1, 2, size=(user_rows, 4)).astype(float)[
+        rng.integers(user_rows, size=n_users)]
     filters = [TwoTowerFilter(v, integer_tower(rng, 9, 6, 4),
                               integer_tower(rng, 5, 6, 4)) for v in "BL"]
     pipe = pipeline.Pipeline(
@@ -214,13 +250,38 @@ def integer_pipe():
                                item_emb=np.zeros((n_items, 4))),
         content_matrix=content, filter_b=filters[0], filter_l=filters[1],
         oracle=PlantedOracle(data.truth))
-    cfg = small_config(seed=9, refiner={"k": 12, "context_len": 3})
+    cfg = small_config(seed=seed, refiner={"k": 12, "context_len": 3})
     return cfg, pipe
+
+
+@pytest.fixture(scope="module")
+def integer_pipe():
+    return small_integer_pipe(9, content_rows=6, user_rows=8)
+
+
+@pytest.fixture(scope="module")
+def tie_pipe():
+    """Two distinct content rows and two distinct users: nearly every
+    context similarity and funnel score ties."""
+    return small_integer_pipe(11, content_rows=2, user_rows=2)
+
+
+class FlakyOracle(PlantedOracle):
+    """The planted oracle, failing in place on every pair whose user and
+    item sum to a multiple of three."""
+
+    def decide(self, contexts):
+        return [OracleError(f"no answer for ({ctx.user}, {ctx.item})")
+                if (ctx.user + ctx.item) % 3 == 0 else answer
+                for ctx, answer in zip(contexts, super().decide(contexts))]
 
 
 def with_oracle(pipe, kind):
     if kind == "planted":
         return pipe
+    if kind == "flaky":
+        return dataclasses.replace(pipe, oracle=FlakyOracle(
+            pipe.oracle.true_pairs))
     return dataclasses.replace(pipe, oracle=ThresholdOracle(pipe.content_matrix,
                                                             tau=0.6))
 
@@ -239,81 +300,138 @@ def assert_same_simulation(got, want):
 
 # -- simulate ----------------------------------------------------------------
 
-@pytest.mark.parametrize("pipe_name", ["planted_pipe", "integer_pipe"])
-@pytest.mark.parametrize("oracle", ["planted", "mock-threshold"])
+PIPES = ["planted_pipe", "integer_pipe", "tie_pipe"]
+
+
+def saved_bytes(log, path):
+    log.save(path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("pipe_name", PIPES)
+@pytest.mark.parametrize("oracle", ["planted", "mock-threshold", "flaky"])
 @pytest.mark.parametrize("variant", VARIANTS, ids=["full", "no-lsf", "no-bf",
                                                   "no-r"])
-def test_simulate_all_equals_per_item_path(request, pipe_name, oracle, variant):
+def test_simulate_all_equals_per_item_path(request, tmp_path, pipe_name,
+                                           oracle, variant):
     cfg, pipe = request.getfixturevalue(pipe_name)
     pipe = with_oracle(pipe, oracle)
-    got_log, want_log = DecisionLog(), DecisionLog()
+    got_log = DecisionLog()
     got = pipeline.simulate_all(pipe, cfg, decision_log=got_log, **variant)
-    want = reference_simulate_all(pipe, cfg, decision_log=want_log, **variant)
-    assert_same_simulation(got, want)
-    assert got_log.records == want_log.records
+    for refine in (reference_refine, per_item_refine):
+        want_log = DecisionLog()
+        want = reference_simulate_all(pipe, cfg, decision_log=want_log,
+                                      refine=refine, **variant)
+        assert_same_simulation(got, want)
+        assert got_log.records == want_log.records
+        assert saved_bytes(got_log, tmp_path / "got.jsonl") == \
+            saved_bytes(want_log, tmp_path / "want.jsonl")
     if not variant:
         assert len(got_log) > 0
         assert {r["z"] for r in got_log.records} == {0, 1}
+        failures = sum(sim.failures for sim in got.values())
+        assert (failures > 0) == (oracle == "flaky")
     # a rerun is served from the log, decided nowhere else
     again = pipeline.simulate_all(pipe, cfg, decision_log=got_log, **variant)
     assert_same_simulation(again, want)
     assert got_log.records == want_log.records
 
 
-@pytest.mark.parametrize("oracle", ["planted", "mock-threshold"])
-def test_simulate_all_without_log_equals_per_item_path(integer_pipe, oracle):
-    cfg, pipe = integer_pipe
-    pipe = with_oracle(pipe, oracle)
-    assert_same_simulation(pipeline.simulate_all(pipe, cfg),
-                           reference_simulate_all(pipe, cfg))
+class DeadItemOracle(PlantedOracle):
+    """The planted oracle, failing every pair of one item."""
+
+    def __init__(self, true_pairs, dead_item):
+        super().__init__(true_pairs)
+        self.dead_item = dead_item
+
+    def decide(self, contexts):
+        return [OracleError("dead") if ctx.item == self.dead_item else answer
+                for ctx, answer in zip(contexts, super().decide(contexts))]
 
 
-def test_integer_pipeline_has_exact_ties(integer_pipe):
-    cfg, pipe = integer_pipe
-    vectors = pipe.item_vectors(pipe.filter_l)
-    assert np.array_equal(vectors, np.round(vectors))
-    ties = 0
-    for history in pipe.train_items:
-        sims = vectors[history] @ vectors[pipe.split.cold_items[0]]
-        ties += len(sims) - len(np.unique(sims))
-    assert ties > 0
-    users = pipe.user_vectors(pipe.filter_b)
-    assert len(np.unique(users, axis=0)) < len(users)
+@pytest.mark.parametrize("pipe_name", PIPES)
+def test_simulate_pass_raises_at_the_first_dead_item(request, pipe_name):
+    cfg, pipe = request.getfixturevalue(pipe_name)
+    dead = sorted(pipe.split.cold_items)[2]
+    pipe = dataclasses.replace(pipe, oracle=DeadItemOracle(
+        pipe.oracle.true_pairs, dead))
+    got_log, want_log = DecisionLog(), DecisionLog()
+    with pytest.raises(OracleError, match=f"every oracle call failed for "
+                                          f"item {dead}$"):
+        pipeline.simulate_all(pipe, cfg, decision_log=got_log)
+    with pytest.raises(OracleError, match=f"item {dead}$"):
+        reference_simulate_all(pipe, cfg, decision_log=want_log,
+                               refine=per_item_refine)
+    # the items before the dead one are logged, the ones after it are not
+    assert got_log.records == want_log.records
+    assert {r["item"] for r in got_log.records} == \
+        set(sorted(pipe.split.cold_items)[:2])
 
 
-def test_block_contexts_equal_one_user_calls(integer_pipe):
-    cfg, pipe = integer_pipe
-    from coldsim.refiner import build_context
-    vectors = pipe.item_vectors(pipe.filter_b)
-    users = list(range(pipe.log.n_users)) + [0, 3]
-    # shuffled, so that only the id key can put tied items in ascending order
-    rng = np.random.default_rng(1)
-    histories = [rng.permutation(pipe.train_items[u]).tolist() for u in users]
-    histories[1] = []
-    for item in pipe.split.cold_items:
-        for top_l in (1, 3, 50):
-            got = build_context(users, vectors[item], vectors, histories,
-                                pipe.titles, top_l)
-            want = [reference_context(u, vectors[item], vectors, h,
-                                      pipe.catalog, top_l)
-                    for u, h in zip(users, histories)]
-            assert got == want
+@pytest.mark.parametrize("oracle", ["planted", "mock-threshold", "flaky"])
+def test_simulate_all_without_log_equals_per_item_path(request, oracle):
+    for pipe_name in PIPES:
+        cfg, pipe = request.getfixturevalue(pipe_name)
+        pipe = with_oracle(pipe, oracle)
+        got = pipeline.simulate_all(pipe, cfg)
+        assert_same_simulation(got, reference_simulate_all(pipe, cfg))
+        assert_same_simulation(got, reference_simulate_all(
+            pipe, cfg, refine=per_item_refine))
 
 
-def test_threshold_block_equals_per_pair(planted_pipe):
+def test_integer_pipeline_has_exact_ties(request):
+    for pipe_name in ("integer_pipe", "tie_pipe"):
+        cfg, pipe = request.getfixturevalue(pipe_name)
+        vectors = pipe.item_vectors(pipe.filter_l)
+        assert np.array_equal(vectors, np.round(vectors))
+        ties = 0
+        for history in pipe.train_items:
+            sims = vectors[history] @ vectors[pipe.split.cold_items[0]]
+            ties += len(sims) - len(np.unique(sims))
+        assert ties > 0
+        users = pipe.user_vectors(pipe.filter_b)
+        assert len(np.unique(users, axis=0)) < len(users)
+
+
+def test_block_contexts_equal_one_user_calls(request):
+    for pipe_name in ("integer_pipe", "tie_pipe"):
+        cfg, pipe = request.getfixturevalue(pipe_name)
+        vectors = pipe.item_vectors(pipe.filter_b)
+        users = list(range(pipe.log.n_users)) + [0, 3]
+        # shuffled, so that only the id key can put tied items in
+        # ascending order
+        rng = np.random.default_rng(1)
+        histories = [rng.permutation(pipe.train_items[u]).tolist()
+                     for u in users]
+        histories[1] = []
+        for item in pipe.split.cold_items:
+            for top_l in (1, 3, 50):
+                got = build_context(users, item, vectors, histories,
+                                    pipe.titles, top_l)
+                want = [reference_context(u, item, vectors, h, pipe.catalog,
+                                          top_l)
+                        for u, h in zip(users, histories)]
+                assert got == want
+
+
+def test_threshold_block_equals_per_pair(planted_pipe, monkeypatch):
     cfg, pipe = planted_pipe
     oracle = ThresholdOracle(pipe.content_matrix, tau=0.5)
     rng = np.random.default_rng(3)
-    contexts = [UserContext(user=u, items=rng.choice(
+    # the contexts of every cold item, interleaved, in one pass
+    contexts = [UserContext(user=u, item=item, item_text="x", items=rng.choice(
         pipe.log.n_items, size=int(rng.integers(0, 6)), replace=False).tolist(),
-        texts=[]) for u in range(30)]
-    for item in pipe.split.cold_items:
+        texts=[]) for item in pipe.split.cold_items for u in range(30)]
+    contexts = [contexts[j] for j in rng.permutation(len(contexts))]
+    # one gather per context length, then gathers split into chunks
+    for gather_floats in (refiner._GATHER_FLOATS, 1, 200):
+        monkeypatch.setattr(refiner, "_GATHER_FLOATS", gather_floats)
         for tau in (0.0, 0.5, 1.0):
             oracle.tau = tau
-            ref = [reference_threshold(oracle, item, ctx) for ctx in contexts]
-            got = oracle.decide(item, "x", contexts)
-            assert got == ref
-            assert [oracle.decide(item, "x", [c])[0] for c in contexts] == ref
+            ref = [reference_threshold(oracle, ctx.item, ctx)
+                   for ctx in contexts]
+            assert oracle.decide(contexts) == ref
+            assert [oracle.decide([c])[0] for c in contexts] == ref
 
 
 # -- L labelling -------------------------------------------------------------
@@ -325,30 +443,33 @@ def reference_labeler(pipe, oracle, top_l):
     def label(users, items):
         answers = []
         for u, i in zip(users, items):
-            ctx = reference_context(u, item_vectors[i], item_vectors,
-                                    pipe.train_items[u], pipe.catalog, top_l)
-            answers.extend(oracle.decide(i, pipe.catalog.title(i), [ctx]))
+            ctx = reference_context(u, i, item_vectors, pipe.train_items[u],
+                                    pipe.catalog, top_l)
+            answers.extend(oracle.decide([ctx]))
         return answers
 
     return label
 
 
-class FlakyOracle(PlantedOracle):
-    """The planted oracle, failing in place on every pair whose user and
-    item sum to a multiple of three."""
+def per_item_labeler(pipe, oracle, top_l):
+    """The per-item pass: pairs grouped by item, stably, one ``decide`` call
+    per item, answers scattered back to pair order."""
+    item_vectors = pipe.item_vectors(pipe.filter_b)
 
-    def decide(self, item, item_text, contexts):
-        return [OracleError(f"no answer for ({ctx.user}, {item})")
-                if (ctx.user + item) % 3 == 0 else answer
-                for ctx, answer in zip(contexts, super().decide(
-                    item, item_text, contexts))]
+    def label(users, items):
+        rows_of = {}
+        for j, item in enumerate(items):
+            rows_of.setdefault(item, []).append(j)
+        answers = [None] * len(items)
+        for item, rows in rows_of.items():
+            contexts = [reference_context(users[j], item, item_vectors,
+                                          pipe.train_items[users[j]],
+                                          pipe.catalog, top_l) for j in rows]
+            for j, answer in zip(rows, oracle.decide(contexts)):
+                answers[j] = answer
+        return answers
 
-
-def with_labelling_oracle(pipe, kind):
-    if kind == "flaky":
-        return dataclasses.replace(pipe, oracle=FlakyOracle(
-            pipe.oracle.true_pairs))
-    return with_oracle(pipe, kind)
+    return label
 
 
 def answer_summary(answers):
@@ -356,20 +477,25 @@ def answer_summary(answers):
             for a in answers]
 
 
-@pytest.mark.parametrize("pipe_name", ["planted_pipe", "integer_pipe"])
+@pytest.mark.parametrize("pipe_name", PIPES)
 @pytest.mark.parametrize("oracle", ["planted", "mock-threshold", "flaky"])
 def test_oracle_labeler_equals_per_pair_labels(request, monkeypatch, caplog,
                                                pipe_name, oracle):
     cfg, pipe = request.getfixturevalue(pipe_name)
-    pipe = with_labelling_oracle(pipe, oracle)
+    pipe = with_oracle(pipe, oracle)
     top_l = cfg["refiner"]["context_len"]
     pool = filtering.sample_label_pairs(pipe.split, pipe.log.n_users, None, 3)
     users, items = [u for u, _ in pool], [i for _, i in pool]
     assert len(set(items)) < len(items)     # items recur, in no sorted order
     assert items != sorted(items)
+    decided = []
+    monkeypatch.setattr(pipe.oracle, "decide", lambda contexts, real=(
+        pipe.oracle.decide): decided.append(len(contexts)) or real(contexts))
     got = pipeline.oracle_labeler(pipe, pipe.oracle, top_l)(users, items)
-    want = reference_labeler(pipe, pipe.oracle, top_l)(users, items)
-    assert answer_summary(got) == answer_summary(want)
+    assert decided == [len(pool)]           # one decide for the whole pool
+    for make_reference in (reference_labeler, per_item_labeler):
+        want = make_reference(pipe, pipe.oracle, top_l)(users, items)
+        assert answer_summary(got) == answer_summary(want)
     values = {a.value for a in got if not isinstance(a, OracleError)}
     assert values == {0, 1}
     n_failed = sum(isinstance(a, OracleError) for a in got)
@@ -384,15 +510,17 @@ def test_oracle_labeler_equals_per_pair_labels(request, monkeypatch, caplog,
                       if "oracle labeling failed" in r.getMessage()]
 
     got_filter, got_skips = train()
-    monkeypatch.setattr(pipeline, "oracle_labeler", reference_labeler)
-    want_filter, want_skips = train()
-    assert got_skips == want_skips
-    assert len(got_skips) == (oracle == "flaky")
-    for tower in ("user_tower", "item_tower"):
-        got_params = getattr(got_filter, tower).params()
-        want_params = getattr(want_filter, tower).params()
-        for name in want_params:
-            assert got_params[name].tobytes() == want_params[name].tobytes()
+    for make_reference in (reference_labeler, per_item_labeler):
+        monkeypatch.setattr(pipeline, "oracle_labeler", make_reference)
+        want_filter, want_skips = train()
+        assert got_skips == want_skips
+        assert len(got_skips) == (oracle == "flaky")
+        for tower in ("user_tower", "item_tower"):
+            got_params = getattr(got_filter, tower).params()
+            want_params = getattr(want_filter, tower).params()
+            for name in want_params:
+                assert got_params[name].tobytes() == \
+                    want_params[name].tobytes()
 
 
 # -- warmup ------------------------------------------------------------------

@@ -255,3 +255,21 @@ class TestStaleCache:
         assert main(base + ["simulate"]) == 1
         assert "lacks item 5 " in caplog.text
         assert not (out / "simulated.json").exists()
+
+    def test_simulate_over_truncated_decision_log(self, tmp_path, caplog):
+        corpus = write_corpus_from_planted(tmp_path / "corpus")
+        config = fast_config(tmp_path)
+        out = tmp_path / "run"
+        base = ["--config", str(config), "--seed", "7", "--out", str(out)]
+        assert main(base + ["ingest", "--dataset", "citeulike",
+                            "--path", str(corpus)]) == 0
+        for cmd in (["split"], ["train-backbone"], ["cache-content"],
+                    ["train-filter", "--variant", "B"], ["simulate"]):
+            assert main(base + cmd) == 0, cmd
+        decisions = out / "decisions.jsonl"
+        lines = decisions.read_text(encoding="utf-8").splitlines(keepends=True)
+        decisions.write_text("".join(lines[:2]) + lines[2][:20],
+                             encoding="utf-8")
+        caplog.clear()
+        assert main(base + ["simulate"]) == 1
+        assert f"{decisions}, line 3: not a decision record" in caplog.text

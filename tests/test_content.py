@@ -133,6 +133,9 @@ def embed_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/embed"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 class TestHttpProvider:

@@ -56,8 +56,9 @@ def server():
 
 
 def ask(oracle, item_text="a paper title"):
-    ctx = UserContext(user=0, items=[3], texts=["an old title"])
-    return ctx, oracle.decide(1, item_text, [ctx])[0]
+    ctx = UserContext(user=0, item=1, item_text=item_text, items=[3],
+                      texts=["an old title"])
+    return ctx, oracle.decide([ctx])[0]
 
 
 class TestWireBytes:
@@ -66,7 +67,7 @@ class TestWireBytes:
         server.doc = {"answer": "Yes"}
         ctx, decision = ask(HttpOracle(server.url, timeout=5), title)
         assert decision.value == 1
-        body = {"prompt": render_prompt(ctx, title)}
+        body = {"prompt": render_prompt(ctx)}
         assert server.seen == [("POST", "application/json", wire_bytes(body))]
 
     def test_oracle_chat(self, server):
@@ -74,7 +75,7 @@ class TestWireBytes:
         ctx, decision = ask(HttpOracle(server.url, timeout=5, chat=True))
         assert decision.value == 0
         body = {"messages": [{"role": "user",
-                              "content": render_prompt(ctx, "a paper title")}]}
+                              "content": render_prompt(ctx)}]}
         assert server.seen == [("POST", "application/json", wire_bytes(body))]
 
     def test_provider(self, server):

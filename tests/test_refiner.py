@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -14,11 +15,12 @@ from coldsim import pipeline
 from coldsim.backbone import BackboneModel
 from coldsim.corpus import InteractionLog, ItemCatalog
 from coldsim.filtering import CandidateSet, TwoTowerFilter, map_item
-from coldsim.refiner import (DecisionLog, HttpOracle, OracleError,
-                             OracleParseError, PlantedOracle, SimulateConfig,
+from coldsim.refiner import (DecisionLog, HttpOracle, OracleDecision,
+                             OracleError, OracleParseError, PlantedOracle, SimulateConfig,
                              ThresholdOracle, UserContext, build_context,
                              parse_yes_no, prepare_finetune_data,
-                             refine, render_prompt, simulate_items)
+                             refine, refine_all, render_prompt,
+                             simulate_items)
 from conftest import pair_split, tiny_cluster_setup
 
 
@@ -26,20 +28,20 @@ def make_filter(seed=0, content_dim=6, out=5):
     return TwoTowerFilter.init("B", 4, content_dim, hidden=6, out=out, seed=seed)
 
 
-def reference_context(user, item_fvec, filt, content_matrix, history, titles,
+def reference_context(user, item, filt, content_matrix, history, titles,
                       top_l):
     """The per-call path: forward the user's history through the item tower."""
     hist_vecs = filt.item_tower.forward(content_matrix[history])
-    sims = hist_vecs @ item_fvec
+    sims = hist_vecs @ map_item(filt, content_matrix[item])
     hist_ids = np.asarray(history)
     items = hist_ids[np.lexsort((hist_ids, -sims))[:top_l]].tolist()
-    return UserContext(user=user, items=items, texts=[titles[i] for i in items])
+    return UserContext(user=user, item=item, item_text=titles[item],
+                       items=items, texts=[titles[i] for i in items])
 
 
-def one_context(user, item_fvec, item_vectors, history, titles, top_l):
+def one_context(user, item, item_vectors, history, titles, top_l):
     """One user's context through the block :func:`build_context`."""
-    [ctx] = build_context([user], item_fvec, item_vectors, [history], titles,
-                          top_l)
+    [ctx] = build_context([user], item, item_vectors, [history], titles, top_l)
     return ctx
 
 
@@ -51,16 +53,16 @@ class TestBuildContext:
         titles = [f"t{i}" for i in range(10)]
         vectors = filt.item_tower.forward(content)
         fvec = vectors[9]
-        ctx = one_context(0, fvec, vectors, [2, 5, 7], titles, top_l=10)
+        ctx = one_context(0, 9, vectors, [2, 5, 7], titles, top_l=10)
+        assert (ctx.item, ctx.item_text) == (9, "t9")
         assert sorted(ctx.items) == [2, 5, 7]
         sims = [filt.item_tower.forward(content[i]) @ fvec for i in ctx.items]
         assert sims == sorted(sims, reverse=True)
 
     def test_empty_history(self):
         filt = make_filter()
-        ctx = one_context(3, np.zeros(5),
-                          filt.item_tower.forward(np.zeros((1, 6))), [], [],
-                          top_l=4)
+        ctx = one_context(3, 0, filt.item_tower.forward(np.zeros((1, 6))), [],
+                          ["t0"], top_l=4)
         assert ctx.items == [] and ctx.texts == []
 
     def test_matches_brute_force_argsort(self):
@@ -71,7 +73,7 @@ class TestBuildContext:
         history = list(rng.choice(40, size=30, replace=False))
         vectors = filt.item_tower.forward(content)
         fvec = vectors[0]
-        ctx = one_context(0, fvec, vectors, history, titles, top_l=10)
+        ctx = one_context(0, 0, vectors, history, titles, top_l=10)
         sims = {i: filt.item_tower.forward(content[i]) @ fvec for i in history}
         expected = sorted(history, key=lambda i: (-sims[i], i))[:10]
         assert ctx.items == expected
@@ -92,10 +94,9 @@ class TestBuildContext:
             history = [int(i) for i in rng.choice(60, size=size, replace=False)]
             item = int(rng.integers(60))
             top_l = int(rng.integers(1, 12))
-            got = one_context(user, vectors[item], vectors, history, titles,
-                              top_l)
-            want = reference_context(user, map_item(filt, content[item]), filt,
-                                     content, history, titles, top_l)
+            got = one_context(user, item, vectors, history, titles, top_l)
+            want = reference_context(user, item, filt, content, history,
+                                     titles, top_l)
             assert got == want
             sims = vectors[history] @ vectors[item]
             n_ties += len(sims) - len(np.unique(sims))
@@ -114,30 +115,31 @@ class TestBuildContext:
                                    item_emb=np.zeros((3, 4))),
             content_matrix=content)
         assert pipe.titles == ["Title 0", "Title 1", "Title 2"]
-        ctx = one_context(0, np.ones(5), filt.item_tower.forward(content), [1],
+        ctx = one_context(0, 2, filt.item_tower.forward(content), [1],
                           pipe.titles, top_l=2)
-        assert ctx.texts == ["Title 1"]
+        assert ctx.texts == ["Title 1"] and ctx.item_text == "Title 2"
 
 
 class TestRenderPrompt:
     def test_byte_exact_template(self):
-        ctx = UserContext(user=0, items=[1, 2], texts=["A", "B"])
-        assert render_prompt(ctx, "C") == (
+        ctx = UserContext(user=0, item=3, item_text="C", items=[1, 2],
+                          texts=["A", "B"])
+        assert render_prompt(ctx) == (
             'Given the user interacted with ["A", "B"], determine whether '
             "the user will interacted the [C] by answering Yes or No.")
 
     def test_empty_context_brackets(self):
-        ctx = UserContext(user=0, items=[], texts=[])
-        prompt = render_prompt(ctx, "Item")
+        ctx = UserContext(user=0, item=1, item_text="Item", items=[], texts=[])
+        prompt = render_prompt(ctx)
         assert "interacted with []," in prompt
 
     def test_contains_fixed_fragment(self):
-        ctx = UserContext(user=0, items=[], texts=[])
-        assert "by answering Yes or No" in render_prompt(ctx, "X")
+        ctx = UserContext(user=0, item=1, item_text="X", items=[], texts=[])
+        assert "by answering Yes or No" in render_prompt(ctx)
 
     def test_item_content_required(self):
         with pytest.raises(ValueError):
-            render_prompt(UserContext(0, [], []), "")
+            render_prompt(UserContext(0, 1, "", [], []))
 
     def test_injective_on_plain_titles(self):
         # distinct (context titles, item) inputs give distinct prompts as
@@ -149,7 +151,7 @@ class TestRenderPrompt:
                 for item in ("x", "y"):
                     key = ((a, b), item)
                     prompt = render_prompt(
-                        UserContext(0, [0, 1], [a, b]), item)
+                        UserContext(0, 2, item, [0, 1], [a, b]))
                     assert prompt not in seen or seen[prompt] == key
                     seen[prompt] = key
         assert len(seen) == len(titles) ** 2 * 2
@@ -181,21 +183,22 @@ def reference_threshold_cosine(content_matrix, item, context):
 class TestOracles:
     def test_planted_membership(self):
         oracle = PlantedOracle({(1, 5), (2, 6)})
-        ctx = UserContext(user=1, items=[], texts=[])
-        assert oracle.decide(5, "x", [ctx])[0].value == 1
-        assert oracle.decide(6, "x", [ctx])[0].value == 0
+        contexts = [UserContext(user=1, item=i, item_text="x", items=[],
+                                texts=[]) for i in (5, 6, 5)]
+        assert [a.value for a in oracle.decide(contexts)] == [1, 0, 1]
 
     def test_threshold_self_similarity(self):
         content = np.zeros((2, 4))
         content[0] = content[1] = [1.0, 0, 0, 0]  # identical texts
         oracle = ThresholdOracle(content, tau=0.9)
-        ctx = UserContext(user=0, items=[1], texts=["same"])
-        assert oracle.decide(0, "same", [ctx])[0].value == 1
+        ctx = UserContext(user=0, item=0, item_text="same", items=[1],
+                          texts=["same"])
+        assert oracle.decide([ctx])[0].value == 1
 
     def test_threshold_empty_context_is_no(self):
         oracle = ThresholdOracle(np.ones((2, 4)), tau=0.0)
-        ctx = UserContext(user=0, items=[], texts=[])
-        assert oracle.decide(0, "x", [ctx])[0].value == 0
+        ctx = UserContext(user=0, item=0, item_text="x", items=[], texts=[])
+        assert oracle.decide([ctx])[0].value == 0
 
     def test_threshold_equals_reference_cosine(self):
         # the cosine is bit-identical: tau at the reference cosine is a yes,
@@ -207,25 +210,27 @@ class TestOracles:
         for trial in range(200):
             items = rng.choice(40, size=int(rng.integers(1, 9)),
                                replace=False).tolist()
-            ctx = UserContext(user=0, items=items, texts=[])
             item = 0 if trial % 20 == 0 else int(rng.integers(40))
+            ctx = UserContext(user=0, item=item, item_text="x", items=items,
+                              texts=[])
             cos = reference_threshold_cosine(content_matrix, item, ctx)
             if item == 0:
                 assert cos == 0.0
                 oracle.tau = 0.3
-                assert oracle.decide(item, "x", [ctx])[0].raw == "No"
+                assert oracle.decide([ctx])[0].raw == "No"
                 continue
             for tau, value in ((cos, 1), (np.nextafter(cos, np.inf), 0)):
                 oracle.tau = tau
-                assert oracle.decide(item, "x", [ctx])[0].value == value
+                assert oracle.decide([ctx])[0].value == value
 
     def test_threshold_deterministic(self):
         rng = np.random.default_rng(2)
         content = rng.normal(size=(6, 8))
         oracle = ThresholdOracle(content, tau=0.3)
-        ctx = UserContext(user=0, items=[1, 4], texts=["a", "b"])
-        first = [oracle.decide(i, "x", [ctx])[0].value for i in range(6)]
-        second = [oracle.decide(i, "x", [ctx])[0].value for i in range(6)]
+        contexts = [UserContext(user=0, item=i, item_text="x", items=[1, 4],
+                                texts=["a", "b"]) for i in range(6)]
+        first = [oracle.decide([ctx])[0].value for ctx in contexts]
+        second = [a.value for a in oracle.decide(contexts)]
         assert first == second
 
 
@@ -265,6 +270,9 @@ def oracle_server():
     _OracleHandler.answer = "Yes"
     yield f"http://127.0.0.1:{server.server_address[1]}/simulate"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 class _SlowCountingHandler(BaseHTTPRequestHandler):
@@ -319,20 +327,40 @@ class TestHttpOracle:
         assert [r["user"] for r in log.records] == cand.users
 
     def test_labelling_never_exceeds_max_inflight(self, slow_server):
-        data, split = tiny_cluster_setup(seed=8)
-        n_users, n_items = data.log.n_users, data.log.n_items
-        pipe = pipeline.Pipeline(
-            log=data.log, catalog=data.catalog, split=split,
-            backbone=BackboneModel(user_emb=np.zeros((n_users, 4)),
-                                   item_emb=np.zeros((n_items, 4))),
-            content_matrix=np.random.default_rng(8).normal(size=(n_items, 6)),
-            filter_b=make_filter(seed=8))
+        data, pipe = label_pipe(seed=8)
         oracle = HttpOracle(slow_server, timeout=5, max_inflight=3)
         label = pipeline.oracle_labeler(pipe, oracle, 3)
         items = [data.cold_items[u % 2] for u in range(12)]
         answers = label(list(range(12)), items)
         assert 1 < _SlowCountingHandler.peak <= 3
         assert [a.value for a in answers] == [1] * 12
+
+    def test_labelling_window_spans_items(self, slow_server):
+        # every pair its own item: the pass still keeps max_inflight
+        # requests in flight
+        data, pipe = label_pipe(seed=8)
+        oracle = HttpOracle(slow_server, timeout=5, max_inflight=3)
+        label = pipeline.oracle_labeler(pipe, oracle, 3)
+        items = list(range(9))
+        answers = label([(7 * i) % data.log.n_users for i in items], items)
+        assert _SlowCountingHandler.peak == 3
+        assert [a.value for a in answers] == [1] * 9
+
+    def test_simulate_pass_never_exceeds_max_inflight(self, slow_server):
+        data, pipe = label_pipe(seed=8)
+        oracle = HttpOracle(slow_server, timeout=5, max_inflight=3)
+        vectors = pipe.item_vectors(pipe.filter_b)
+        items = data.cold_items
+        # one candidate per item, so only the pass can overlap requests
+        results = simulate_items(
+            items, pipe.content_matrix[items], oracle, vectors,
+            pipe.train_items, pipe.titles, SimulateConfig(k=1),
+            filter_b=pipe.filter_b,
+            users_b=np.random.default_rng(8).normal(size=(data.log.n_users,
+                                                          5)))
+        assert 1 < _SlowCountingHandler.peak <= 3
+        assert all(len(r.users) == 1 and not r.fallback_used
+                   for r in results)
 
     def test_programming_error_in_pool_reaches_caller(self, monkeypatch):
         def urlopen(request, timeout):
@@ -342,16 +370,18 @@ class TestHttpOracle:
 
         monkeypatch.setattr("coldsim.content.urlopen", urlopen)
         oracle = HttpOracle("http://oracle.invalid/simulate", max_inflight=2)
-        contexts = [UserContext(user=u, items=[u], texts=[text]) for u, text
+        contexts = [UserContext(user=u, item=0, item_text="anything",
+                                items=[u], texts=[text]) for u, text
                     in enumerate(["good", "bad", "good"])]
         with pytest.raises(RuntimeError, match="adapter bug"):
-            oracle.decide(0, "anything", contexts)
+            oracle.decide(contexts)
 
     def test_pool_threads_exit_with_the_oracle(self, oracle_server):
         before = set(threading.enumerate())
         oracle = HttpOracle(oracle_server, timeout=5, max_inflight=3)
-        contexts = [UserContext(user=u, items=[], texts=[]) for u in range(6)]
-        assert [a.value for a in oracle.decide(0, "x", contexts)] == [1] * 6
+        contexts = [UserContext(user=u, item=0, item_text="x", items=[],
+                                texts=[]) for u in range(6)]
+        assert [a.value for a in oracle.decide(contexts)] == [1] * 6
         workers = [t for t in set(threading.enumerate()) - before
                    if t.name.startswith("coldsim-oracle")]
         assert 1 <= len(workers) <= 3
@@ -363,42 +393,48 @@ class TestHttpOracle:
 
     def test_yes_round_trip(self, oracle_server):
         oracle = HttpOracle(oracle_server, timeout=5)
-        ctx = UserContext(user=0, items=[], texts=[])
-        decision = oracle.decide(0, "anything", [ctx])[0]
+        ctx = UserContext(user=0, item=0, item_text="anything", items=[],
+                          texts=[])
+        decision = oracle.decide([ctx])[0]
         assert decision.value == 1
         assert decision.latency > 0
 
     def test_verbose_no_parses(self, oracle_server):
         _OracleHandler.answer = "No, the user ignores this topic."
         oracle = HttpOracle(oracle_server, timeout=5)
-        ctx = UserContext(user=0, items=[], texts=[])
-        assert oracle.decide(0, "anything", [ctx])[0].value == 0
+        ctx = UserContext(user=0, item=0, item_text="anything", items=[],
+                          texts=[])
+        assert oracle.decide([ctx])[0].value == 0
 
     def test_parse_error_distinct_from_transport(self, oracle_server):
         _OracleHandler.answer = "perhaps"
         oracle = HttpOracle(oracle_server, timeout=5)
-        ctx = UserContext(user=0, items=[], texts=[])
-        assert isinstance(oracle.decide(0, "anything", [ctx])[0],
+        ctx = UserContext(user=0, item=0, item_text="anything", items=[],
+                          texts=[])
+        assert isinstance(oracle.decide([ctx])[0],
                           OracleParseError)
 
     def test_retry_then_success(self, oracle_server):
         _OracleHandler.fail_first = 2
         oracle = HttpOracle(oracle_server, timeout=5, retries=3, backoff=0.01)
-        ctx = UserContext(user=0, items=[], texts=[])
-        assert oracle.decide(0, "anything", [ctx])[0].value == 1
+        ctx = UserContext(user=0, item=0, item_text="anything", items=[],
+                          texts=[])
+        assert oracle.decide([ctx])[0].value == 1
 
     def test_transport_error_surfaced(self):
         oracle = HttpOracle("http://127.0.0.1:1/simulate", timeout=0.2,
                             retries=2, backoff=0.01)
-        ctx = UserContext(user=0, items=[], texts=[])
-        [error] = oracle.decide(0, "anything", [ctx])
+        ctx = UserContext(user=0, item=0, item_text="anything", items=[],
+                          texts=[])
+        [error] = oracle.decide([ctx])
         assert isinstance(error, OracleError)
         assert "after 2 attempts" in str(error)
 
     def test_chat_adapter(self, oracle_server):
         oracle = HttpOracle(oracle_server, timeout=5, chat=True)
-        ctx = UserContext(user=0, items=[], texts=[])
-        assert oracle.decide(0, "anything", [ctx])[0].value == 1
+        ctx = UserContext(user=0, item=0, item_text="anything", items=[],
+                          texts=[])
+        assert oracle.decide([ctx])[0].value == 1
 
 
 class _FaultyHandler(BaseHTTPRequestHandler):
@@ -453,9 +489,9 @@ class TestHttpFaults:
             np.random.default_rng(4).normal(size=(n_items, 6)))
         train_items = [[u, u + 1, u + 2] for u in range(n_items - 2)]
         cand = CandidateSet(item=n_items - 1, users=[7, 2, 9, 0, 5, 3, 8, 1, 6])
-        contexts = build_context(cand.users, vectors[cand.item], vectors,
+        contexts = build_context(cand.users, cand.item, vectors,
                                  [train_items[u] for u in cand.users], titles)
-        prompts = [render_prompt(ctx, titles[cand.item]) for ctx in contexts]
+        prompts = [render_prompt(ctx) for ctx in contexts]
         assert len(set(prompts)) == len(prompts)
         handler = _FaultyHandler
         handler.garbage = set(prompts[2::3])            # every third prompt
@@ -492,6 +528,132 @@ class TestHttpFaults:
         thread.join(timeout=5)
 
 
+def label_pipe(seed):
+    """A planted toy with a behavior filter: enough to build contexts."""
+    data, split = tiny_cluster_setup(seed=seed)
+    n_users, n_items = data.log.n_users, data.log.n_items
+    pipe = pipeline.Pipeline(
+        log=data.log, catalog=data.catalog, split=split,
+        backbone=BackboneModel(user_emb=np.zeros((n_users, 4)),
+                               item_emb=np.zeros((n_items, 4))),
+        content_matrix=np.random.default_rng(seed).normal(size=(n_items, 6)),
+        filter_b=make_filter(seed=seed))
+    return data, pipe
+
+
+class _ScriptedHandler(BaseHTTPRequestHandler):
+    """Answers 503 to every prompt while ``server.dead``, and to prompts
+    that mention "fail"; garbage to prompts that mention "junk"; Yes to the
+    rest.  Counts requests in ``server.requests``."""
+
+    def do_POST(self):
+        srv = self.server
+        prompt = json.loads(self.rfile.read(
+            int(self.headers["Content-Length"])))["prompt"]
+        with srv.lock:
+            srv.requests += 1
+        if srv.dead or "fail" in prompt:
+            self.send_response(503)
+            self.end_headers()
+            return
+        payload = json.dumps({"answer": "perhaps" if "junk" in prompt
+                              else "Yes"}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def scripted_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+    server.lock, server.requests, server.dead = threading.Lock(), 0, False
+    server.url = f"http://127.0.0.1:{server.server_address[1]}/decide"
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+class TestFailFast:
+    """A pass stops sending once ``max_inflight`` answers in a row, in
+    context order, have failed every retry."""
+
+    MAX_INFLIGHT, RETRIES = 2, 2
+
+    def oracle(self, server):
+        # the backoff gives the caller time to see the streak end before
+        # the requests in flight finish
+        return HttpOracle(server.url, timeout=5, retries=self.RETRIES,
+                          backoff=0.05, max_inflight=self.MAX_INFLIGHT)
+
+    def test_dead_endpoint_stops_a_labelling_pass(self, scripted_server):
+        scripted_server.dead = True
+        data, pipe = label_pipe(seed=8)
+        label = pipeline.oracle_labeler(pipe, self.oracle(scripted_server), 3)
+        items = list(range(12))
+        answers = label([(7 * i) % data.log.n_users for i in items], items)
+        assert all(isinstance(a, OracleError) for a in answers)
+        assert "after 2 attempts" in str(answers[0])
+        assert "not sent" in str(answers[-1])
+        assert scripted_server.requests <= \
+            2 * self.MAX_INFLIGHT * self.RETRIES
+
+    def test_dead_endpoint_stops_a_simulate_pass(self, scripted_server):
+        scripted_server.dead = True
+        data, pipe = label_pipe(seed=8)
+        items = data.cold_items
+        with pytest.raises(OracleError, match=f"every oracle call failed for "
+                                              f"item {items[0]}$"):
+            simulate_items(
+                items, pipe.content_matrix[items], self.oracle(scripted_server),
+                pipe.item_vectors(pipe.filter_b), pipe.train_items,
+                pipe.titles, SimulateConfig(k=5), filter_b=pipe.filter_b,
+                users_b=np.random.default_rng(8).normal(
+                    size=(data.log.n_users, 5)))
+        assert scripted_server.requests <= \
+            2 * self.MAX_INFLIGHT * self.RETRIES
+
+    def test_shorter_streaks_do_not_stop_the_pass(self, scripted_server):
+        # streaks of MAX_INFLIGHT - 1 failures, ended by an answer or by a
+        # parse error, which counts as an answer here
+        texts = ["fail", "ok", "fail", "junk", "fail", "junk", "junk", "junk",
+                 "ok", "fail", "ok"]
+        contexts = [UserContext(user=u, item=0, item_text="x", items=[u],
+                                texts=[text]) for u, text in enumerate(texts)]
+        answers = self.oracle(scripted_server).decide(contexts)
+        for text, answer in zip(texts, answers):
+            if text == "fail":
+                assert "after 2 attempts" in str(answer)
+            elif text == "junk":
+                assert isinstance(answer, OracleParseError)
+            else:
+                assert answer.value == 1
+        assert scripted_server.requests == \
+            len(texts) + texts.count("fail") * (self.RETRIES - 1)
+
+    def test_a_full_streak_cancels_what_has_not_started(self,
+                                                       scripted_server):
+        texts = ["fail"] * self.MAX_INFLIGHT + ["ok"] * 40
+        contexts = [UserContext(user=u, item=0, item_text="x", items=[u],
+                                texts=[text]) for u, text in enumerate(texts)]
+        answers = self.oracle(scripted_server).decide(contexts)
+        assert len(answers) == len(texts)
+        not_sent = [a for a in answers if "not sent" in str(a)]
+        # the requests in flight when the streak ended still finish
+        answered = [a for a in answers if isinstance(a, OracleDecision)]
+        assert not_sent
+        assert len(not_sent) == len(texts) - self.MAX_INFLIGHT - len(answered)
+        assert scripted_server.requests == \
+            self.MAX_INFLIGHT * self.RETRIES + len(answered)
+
+
 class _FakeResponse:
     status = 200
 
@@ -525,9 +687,10 @@ class TestPostWithRetries:
         calls = self.patch_post(monkeypatch, RuntimeError("adapter bug"))
         oracle = HttpOracle("http://oracle.invalid/simulate", retries=3,
                             backoff=0.0)
-        ctx = UserContext(user=0, items=[], texts=[])
+        ctx = UserContext(user=0, item=0, item_text="anything", items=[],
+                          texts=[])
         with pytest.raises(RuntimeError, match="adapter bug") as info:
-            oracle.decide(0, "anything", [ctx])[0]
+            oracle.decide([ctx])[0]
         assert info.type is RuntimeError
         assert len(calls) == 1
 
@@ -539,8 +702,9 @@ class TestPostWithRetries:
         calls = self.patch_post(monkeypatch, doc)
         oracle = HttpOracle("http://oracle.invalid/simulate", retries=2,
                             backoff=0.0, chat=chat)
-        ctx = UserContext(user=0, items=[], texts=[])
-        [error] = oracle.decide(0, "anything", [ctx])
+        ctx = UserContext(user=0, item=0, item_text="anything", items=[],
+                          texts=[])
+        [error] = oracle.decide([ctx])
         assert isinstance(error, OracleError)
         assert "after 2 attempts" in str(error)
         assert len(calls) == 2
@@ -611,9 +775,9 @@ class TestRefine:
         calls = {"n": 0}
 
         class CountingPlanted(PlantedOracle):
-            def decide(self, item, item_text, contexts):
+            def decide(self, contexts):
                 calls["n"] += len(contexts)
-                return super().decide(item, item_text, contexts)
+                return super().decide(contexts)
 
         oracle = CountingPlanted(truth)
         refine(cand, oracle, vectors, train_items, titles,
@@ -680,6 +844,95 @@ class TestRefine:
         refine(cand, oracle, vectors, train_items, titles)
         # every oracle takes the item's candidates in one call
         assert threads == [threading.current_thread()]
+
+    def test_one_decide_call_per_pass(self):
+        vectors, titles, train_items = refine_setup(seed=7)
+        calls = []
+
+        class Counting(PlantedOracle):
+            def decide(self, contexts):
+                calls.append([(ctx.user, ctx.item) for ctx in contexts])
+                return super().decide(contexts)
+
+        sets = [CandidateSet(item=5, users=[1, 3]),
+                CandidateSet(item=2, users=[0, 4, 1]),
+                CandidateSet(item=7, users=[6])]
+        log = DecisionLog()
+        results = refine_all(sets, Counting({(3, 5), (4, 2), (6, 7)}),
+                             vectors, train_items, titles, decision_log=log)
+        assert results == [([3], 0), ([4], 0), ([6], 0)]
+        assert calls == [[(1, 5), (3, 5), (0, 2), (4, 2), (1, 2), (6, 7)]]
+        assert [(r["user"], r["item"]) for r in log.records] == calls[0]
+
+    def test_item_twice_in_one_pass_rejected(self):
+        vectors, titles, train_items = refine_setup()
+        sets = [CandidateSet(item=3, users=[0]), CandidateSet(item=4, users=[1]),
+                CandidateSet(item=3, users=[2])]
+        with pytest.raises(ValueError, match=r"items \[3\] more than once"):
+            refine_all(sets, PlantedOracle(set()), vectors, train_items,
+                       titles)
+
+    def test_partial_failure_counted_over_contexts_asked(self, caplog):
+        vectors, titles, train_items = refine_setup(seed=4)
+        log = DecisionLog()
+        refine(CandidateSet(item=2, users=[0, 1]), PlantedOracle({(0, 2)}),
+               vectors, train_items, titles, decision_log=log)
+
+        class FailsUser3(PlantedOracle):
+            def decide(self, contexts):
+                return [OracleError("down") if ctx.user == 3 else answer
+                        for ctx, answer in zip(contexts,
+                                               super().decide(contexts))]
+
+        # users 0 and 1 come from the log: two of four candidates are asked
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="coldsim.refiner"):
+            kept, failures = refine(
+                CandidateSet(item=2, users=[0, 3, 1, 5]),
+                FailsUser3({(0, 2), (5, 2)}), vectors, train_items, titles,
+                decision_log=log)
+        assert (kept, failures) == ([0, 5], 1)
+        assert "item 2: 1 of 2 oracle calls failed" in caplog.text
+
+
+class TestDecisionLogLoad:
+    def write(self, tmp_path, *records, tail=""):
+        path = tmp_path / "decisions.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records) + tail,
+                        encoding="utf-8")
+        return path
+
+    RECORD = {"user": 1, "item": 2, "z": 1, "raw": "Yes", "oracle": "planted",
+              "ph": "0123456789abcdef"}
+
+    def test_truncated_last_line_names_file_and_line(self, tmp_path):
+        path = self.write(tmp_path, self.RECORD,
+                          tail=json.dumps(self.RECORD)[:26])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}, line 2: not a decision record")):
+            DecisionLog.load(path)
+
+    @pytest.mark.parametrize("field", ["user", "item", "z", "raw", "oracle"])
+    def test_missing_field_names_file_and_line(self, tmp_path, field):
+        broken = {k: v for k, v in self.RECORD.items() if k != field}
+        path = self.write(tmp_path, self.RECORD, self.RECORD, broken)
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: ")
+                           + f".*'{field}'"):
+            DecisionLog.load(path)
+
+    def test_not_an_object(self, tmp_path):
+        path = self.write(tmp_path, [1, 2, 3])
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 1: ")):
+            DecisionLog.load(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        other = {**self.RECORD, "user": 4, "z": 0, "raw": "No"}
+        path = tmp_path / "decisions.jsonl"
+        path.write_text("\n" + json.dumps(self.RECORD) + "\n  \n\n"
+                        + json.dumps(other) + "\n\n", encoding="utf-8")
+        log = DecisionLog.load(path)
+        assert log.records == [self.RECORD, other]
+        assert log.lookup(4, 2, "planted", "0123456789abcdef").value == 0
 
 
 @settings(max_examples=40, deadline=None)

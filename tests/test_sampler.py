@@ -106,10 +106,9 @@ def reference_finetune(split, catalog, filt, content_matrix, n_users, mode,
         hist_ids = np.asarray(train_items[user], dtype=np.int64)
         sims = item_vectors[hist_ids] @ item_vectors[item]
         items = hist_ids[np.lexsort((hist_ids, -sims))[:top_l]].tolist()
-        ctx = UserContext(user=user, items=items,
-                          texts=[catalog.title(i) for i in items])
-        return FinetuneRecord(prompt=render_prompt(ctx, catalog.title(item)),
-                              completion=completion)
+        ctx = UserContext(user=user, item=item, item_text=catalog.title(item),
+                          items=items, texts=[catalog.title(i) for i in items])
+        return FinetuneRecord(prompt=render_prompt(ctx), completion=completion)
 
     def sample_unobserved(u):
         for _ in range(100):
