@@ -7,7 +7,7 @@ ones even though the model never sees the group labels.
 
 import numpy as np
 
-from coldsim import BackboneConfig, score, train_backbone
+from coldsim import BackboneConfig, train_backbone
 from coldsim.synthetic import make_planted_split, make_two_cluster_dataset
 
 data = make_two_cluster_dataset(n_users=120, n_warm=60, n_cold=8,
@@ -31,7 +31,7 @@ warm = np.array(split.warm_items)
 same, cross = [], []
 for u in range(data.log.n_users):
     for i in warm:
-        value = score(model, u, int(i))
+        value = model.user_emb[u] @ model.item_emb[i]
         if data.user_group[u] == data.item_group[i]:
             same.append(value)
         else:

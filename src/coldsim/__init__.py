@@ -12,7 +12,7 @@ other name is imported from its submodule (``coldsim.pipeline``,
 ``coldsim.refiner``, ...).
 """
 
-from .backbone import BackboneConfig, score, train_backbone
+from .backbone import BackboneConfig, train_backbone
 from .content import MockContentProvider, mock_embed, warm_cache
 from .corpus import ColdWarmSplit, load_citeulike, make_cold_split
 from .evaluation import adoption_rate, evaluate, format_report
@@ -25,9 +25,9 @@ __all__ = [
     "BackboneConfig", "ColdWarmSplit", "FilterTrainConfig", "HttpOracle",
     "MockContentProvider", "TwoTowerFilter", "UserContext", "adoption_rate",
     "evaluate", "format_report", "history_content_means", "load_citeulike",
-    "make_cold_split", "mock_embed", "render_prompt", "score",
-    "topk_candidates", "train_backbone", "train_behavior_filter",
-    "user_filter_vectors", "warm_cache",
+    "make_cold_split", "mock_embed", "render_prompt", "topk_candidates",
+    "train_backbone", "train_behavior_filter", "user_filter_vectors",
+    "warm_cache",
 ]
 
 __version__ = "0.1.0"

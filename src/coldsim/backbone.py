@@ -28,19 +28,19 @@ DRAW_BLOCK = 256
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a training step produces a non-finite loss."""
+    """Raised when training produces a non-finite loss, weight or score."""
 
 
 @dataclass
 class BackboneConfig:
+    """The ``backbone`` section: SGD, early stopped on NDCG@20."""
+
     dim: int = 200
     lr: float = 1e-3
-    l2: float = 0.0
     max_epochs: int = 500
     patience: int = 10
     batch_size: int = 1024
     eval_users: int = 2000
-    eval_k: int = 20
     seed: int = 0
 
 
@@ -124,7 +124,7 @@ def bpr_loss(model: BackboneModel, triples) -> float:
     return float(np.mean(np.logaddexp(0.0, -margin)))
 
 
-def bpr_step(model: BackboneModel, triples, lr: float, l2: float = 0.0) -> float:
+def bpr_step(model: BackboneModel, triples, lr: float) -> float:
     """One SGD step of the BPR objective on the rows named in the batch.
 
     Returns the pre-step mean loss.  Only the user, positive, and negative
@@ -144,24 +144,11 @@ def bpr_step(model: BackboneModel, triples, lr: float, l2: float = 0.0) -> float
     grad_u = coef * (ei - ej)
     grad_i = coef * eu
     grad_j = -coef * eu
-    if l2:
-        grad_u = grad_u + (l2 / len(t)) * eu
-        grad_i = grad_i + (l2 / len(t)) * ei
-        grad_j = grad_j + (l2 / len(t)) * ej
     # scatter-add handles repeated rows within one batch
     np.add.at(model.user_emb, users, -lr * grad_u)
     np.add.at(model.item_emb, pos, -lr * grad_i)
     np.add.at(model.item_emb, neg, -lr * grad_j)
     return loss
-
-
-def score(model: BackboneModel, u: int, i: int) -> float:
-    """Dot product of user and item embedding rows."""
-    if not 0 <= u < model.n_users:
-        raise IndexError(f"user id {u} out of bounds (n_users={model.n_users})")
-    if not 0 <= i < model.n_items:
-        raise IndexError(f"item id {i} out of bounds (n_items={model.n_items})")
-    return float(model.user_emb[u] @ model.item_emb[i])
 
 
 def draw_accepted(rng: np.random.Generator, bounds, rejected,
@@ -304,14 +291,44 @@ def validation_ndcg(model: BackboneModel, split: ColdWarmSplit, users,
                                   model.n_users, k)
 
 
+def fit_epochs(name: str, run_epoch, snapshot, validate, max_epochs: int,
+               patience: int):
+    """The early-stopping loop of the backbone and both filters.
+
+    Epoch 0 is the first ``snapshot()``, scored -1.0.  Each epoch runs
+    ``run_epoch(epoch)`` (its batch losses) and ``validate()``; only a
+    strictly higher score is snapshot, and ``patience`` epochs without one
+    stop the run, logged under ``name``.  Returns (best snapshot, its
+    epoch, one ``{"epoch", "loss", "val_ndcg"}`` record per epoch).
+    """
+    best, best_epoch, best_ndcg, stale, history = snapshot(), 0, -1.0, 0, []
+    for epoch in range(1, max_epochs + 1):
+        losses = run_epoch(epoch)
+        val = validate()
+        history.append({"epoch": epoch,
+                        "loss": float(np.mean(losses)) if losses else 0.0,
+                        "val_ndcg": val})
+        if val > best_ndcg:
+            best, best_epoch, best_ndcg, stale = snapshot(), epoch, val, 0
+        else:
+            stale += 1
+            if stale >= patience:
+                logger.info("%s: early stop at epoch %d (best %d, ndcg %.4f)",
+                            name, epoch, best_epoch, best_ndcg)
+                break
+    return best, best_epoch, history
+
+
 def train_backbone(split: ColdWarmSplit, config: BackboneConfig,
                    n_users: int, n_items: int) -> BackboneModel:
-    """Train MF embeddings with BPR and NDCG early stopping.
+    """Train MF embeddings with BPR, one sampled negative per warm-train
+    positive per epoch, early stopped by :func:`fit_epochs` on NDCG@20 over
+    a fixed sample of warm-val users.  Returns the best snapshot, with
+    ``trained_epochs`` its epoch and ``history`` every epoch's record.
 
-    One sampled negative per observed warm-train positive per epoch.  After
-    each epoch, NDCG@``eval_k`` on a fixed sample of warm-val users decides
-    early stopping with the configured patience; the best-NDCG snapshot is
-    returned.  Cold item rows stay at their random initialization.
+    A batch whose loss is not finite is skipped and halves lr; an epoch
+    that leaves a weight non-finite or a validation score NaN raises
+    :class:`DivergenceError`.  Cold item rows keep their initialization.
     """
     if len(split.warm_train) == 0:
         raise ValueError("warm-train split is empty")
@@ -325,33 +342,34 @@ def train_backbone(split: ColdWarmSplit, config: BackboneConfig,
     rng = np.random.default_rng(config.seed + 2)
     val_users = ordered_subsample(rng, split.index(n_users).val_users,
                                   config.eval_users)
+    lr, last_epoch = config.lr, 0
 
-    lr = config.lr
-    best = model.copy()
-    best_ndcg, best_epoch, stale = -1.0, 0, 0
-    for epoch in range(1, config.max_epochs + 1):
+    def run_epoch(epoch):
+        nonlocal lr, last_epoch
+        last_epoch = epoch
         triples = _epoch_triples(rng, split, n_users)
         losses = []
         for start in range(0, len(triples), config.batch_size):
             batch = triples[start:start + config.batch_size]
             try:
-                losses.append(bpr_step(model, batch, lr, config.l2))
+                losses.append(bpr_step(model, batch, lr))
             except DivergenceError:
                 lr /= 2
                 logger.warning("divergence at epoch %d, halving lr to %g", epoch, lr)
-        epoch_loss = float(np.mean(losses)) if losses else 0.0
-        val = validation_ndcg(model, split, val_users, config.eval_k)
-        model.history.append({"epoch": epoch, "loss": epoch_loss, "val_ndcg": val})
-        if val > best_ndcg:
-            best_ndcg, best_epoch, stale = val, epoch, 0
-            best = model.copy()
-        else:
-            stale += 1
-            if stale >= config.patience:
-                logger.info("early stop at epoch %d (best %d, ndcg %.4f)",
-                            epoch, best_epoch, best_ndcg)
-                break
-    best.trained_epochs = best_epoch
-    best.history = model.history
-    return best
+        return losses
 
+    def validate():     # right after run_epoch(last_epoch)
+        try:
+            if all(np.isfinite(t).all() for t in (model.user_emb, model.item_emb)):
+                return validation_ndcg(model, split, val_users)
+            cause = "non-finite weights"
+        except ValueError as exc:   # NaN scores: finite weights overflowed
+            cause = exc
+        raise DivergenceError(f"backbone diverged at epoch {last_epoch} "
+                              f"(lr {lr:g}): {cause}")
+
+    best, best_epoch, history = fit_epochs(
+        "backbone", run_epoch, model.copy, validate, config.max_epochs,
+        config.patience)
+    best.trained_epochs, best.history = best_epoch, history
+    return best

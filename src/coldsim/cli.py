@@ -154,7 +154,7 @@ def _load_simulations(out: Path) -> dict[int, SimulationResult]:
 
 
 def cmd_default_config(args, cfg) -> int:
-    text = config_mod.dump_config(config_mod.default_config())
+    text = json.dumps(config_mod.default_config(), sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
     if args.out:
         out = _workdir(args)
@@ -238,8 +238,7 @@ def cmd_export_finetune(args, cfg) -> int:
     filt = _load_filter(out, "B")
     cache = _load_cache(out)
     records = prepare_finetune_data(
-        split, catalog, filt, cache.matrix(log.n_items),
-        mode=cfg["refiner"]["finetune_mode"], seed=cfg["data"]["seed"],
+        split, catalog, filt, cache.matrix(log.n_items), seed=cfg["data"]["seed"],
         n_positives=cfg["refiner"]["finetune_positives"],
         top_l=cfg["refiner"]["context_len"], out_path=out / "finetune.jsonl",
         n_users=log.n_users)

@@ -50,7 +50,6 @@ def default_config() -> dict:
             "retries": 3,
             "timeout": 30.0,
             "max_inflight": 8,
-            "finetune_mode": "offline",
             "finetune_positives": None,
             **asdict(SimulateConfig()),
         },
@@ -103,7 +102,3 @@ def fingerprint(cfg: dict) -> str:
     """Stable short hash of a resolved config."""
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
-
-
-def dump_config(cfg: dict) -> str:
-    return json.dumps(cfg, sort_keys=True, indent=2) + "\n"

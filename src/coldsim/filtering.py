@@ -23,7 +23,7 @@ import numpy as np
 
 from . import store
 from .backbone import (BackboneModel, DivergenceError, _epoch_triples,
-                       draw_accepted, expit, ordered_subsample,
+                       draw_accepted, expit, fit_epochs, ordered_subsample,
                        ranked_validation_ndcg)
 from .corpus import ColdWarmSplit
 from .metrics import rank_by_score, row_chunks
@@ -270,23 +270,22 @@ def _interleave(rankings: list[CandidateSet], k: int) -> CandidateSet:
 
 @dataclass
 class FilterTrainConfig:
+    """The ``filter`` section's training keys: Adam, early stopped on NDCG@20."""
+
     lr: float = 1e-5
     batch_size: int = 128
     max_epochs: int = 100
     patience: int = 10
-    weight_decay: float = 0.0
     coupled_weight: float = 1.0   # BPR weight in the coupled loss
     label_pairs: int | None = None  # positives in the oracle-label pool; None = all
     eval_users: int = 2000
-    eval_k: int = 20
     seed: int = 0
 
 
-class _AdamW:
-    def __init__(self, towers: dict[str, TowerMlp], lr, weight_decay,
+class _Adam:
+    def __init__(self, towers: dict[str, TowerMlp], lr,
                  beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.wd = lr, weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
         self.m = {tn: {p: np.zeros_like(a) for p, a in tw.params().items()}
                   for tn, tw in towers.items()}
@@ -295,20 +294,16 @@ class _AdamW:
 
     def step(self, towers: dict[str, TowerMlp], grads: dict[str, dict]) -> None:
         self.t += 1
-        c1 = 1 - self.beta1 ** self.t
-        c2 = 1 - self.beta2 ** self.t
+        c1, c2 = 1 - self.beta1 ** self.t, 1 - self.beta2 ** self.t
         for tn, tower in towers.items():
             params = tower.params()
             for p, g in grads[tn].items():
-                m = self.m[tn][p]
-                v = self.v[tn][p]
+                m, v = self.m[tn][p], self.v[tn][p]
                 m *= self.beta1
                 m += (1 - self.beta1) * g
                 v *= self.beta2
                 v += (1 - self.beta2) * g * g
-                arr = params[p]
-                arr -= self.lr * ((m / c1) / (np.sqrt(v / c2) + self.eps)
-                                  + self.wd * arr)
+                params[p] -= self.lr * ((m / c1) / (np.sqrt(v / c2) + self.eps))
 
 
 def _merge_grads(*grad_dicts):
@@ -382,36 +377,28 @@ def filter_validation_ndcg(filt: TwoTowerFilter, backbone: BackboneModel,
 
 def _run_filter_training(filt, backbone, content_matrix, hist_means, split,
                          config, batch_fn):
-    """Shared epoch loop: batches, optimizer step, NDCG early stop."""
+    """(``filt`` holding its best snapshot, history): one Adam step per
+    ``(loss, grads)`` that ``batch_fn(rng, user_inputs)`` yields, epoch by
+    epoch through :func:`~coldsim.backbone.fit_epochs`."""
     rng = np.random.default_rng(config.seed)
     user_inputs = np.concatenate([backbone.user_emb, hist_means], axis=1)
     towers = {"user": filt.user_tower, "item": filt.item_tower}
-    opt = _AdamW(towers, config.lr, config.weight_decay)
-
+    opt = _Adam(towers, config.lr)
     val_users = ordered_subsample(rng, split.index(backbone.n_users).val_users,
                                   config.eval_users)
 
-    best = filt.copy()
-    best_ndcg, stale = -1.0, 0
-    history = []
-    for epoch in range(1, config.max_epochs + 1):
+    def run_epoch(epoch):
         losses = []
-        for batch_inputs in batch_fn(rng, user_inputs):
-            loss, grads = batch_inputs
+        for loss, grads in batch_fn(rng, user_inputs):
             losses.append(loss)
             opt.step(towers, grads)
-        val = filter_validation_ndcg(filt, backbone, content_matrix, hist_means,
-                                     split, val_users, config.eval_k)
-        history.append({"epoch": epoch,
-                        "loss": float(np.mean(losses)) if losses else 0.0,
-                        "val_ndcg": val})
-        if val > best_ndcg:
-            best_ndcg, stale = val, 0
-            best = filt.copy()
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
+        return losses
+
+    best, _, history = fit_epochs(
+        f"filter {filt.variant}", run_epoch, filt.copy,
+        lambda: filter_validation_ndcg(filt, backbone, content_matrix,
+                                       hist_means, split, val_users),
+        config.max_epochs, config.patience)
     filt.user_tower, filt.item_tower = best.user_tower, best.item_tower
     return filt, history
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from scipy import stats
 from scipy.special import expit as scipy_expit
 
-from coldsim.backbone import (BackboneConfig, BackboneModel, _epoch_triples,
-                              bpr_loss, bpr_step, expit, init_embeddings,
-                              score, train_backbone)
+from coldsim.backbone import (BackboneConfig, BackboneModel, DivergenceError,
+                              _epoch_triples, bpr_loss, bpr_step, expit,
+                              fit_epochs, init_embeddings, train_backbone)
 from coldsim.corpus import InteractionLog, make_cold_split
 from coldsim.filtering import (FilterTrainConfig, TwoTowerFilter,
                                train_behavior_filter, train_coupled_filter)
@@ -245,32 +246,62 @@ class TestBprStep:
         assert bpr_step(model, [(0, 1, 2)], lr=0.1) == pytest.approx(expected)
 
 
-class TestScore:
-    def test_zero_user_row(self):
-        model = BackboneModel(user_emb=np.zeros((2, 4)),
-                              item_emb=np.ones((3, 4)))
-        assert all(score(model, 0, i) == 0.0 for i in range(3))
+def scripted_fit(scores, max_epochs, patience, losses=(1.0, 3.0)):
+    """fit_epochs over validation scores taken in turn from ``scores``; a
+    snapshot is the number of epochs run when it is taken."""
+    epochs, scores = [], iter(scores)
+    result = fit_epochs("scripted", lambda epoch: epochs.append(epoch) or
+                        list(losses), lambda: len(epochs),
+                        lambda: next(scores), max_epochs, patience)
+    return result, epochs
 
-    def test_unit_axis(self):
-        model = BackboneModel(user_emb=np.eye(4)[:1], item_emb=np.eye(4)[:1])
-        assert score(model, 0, 0) == 1.0
 
-    def test_matches_recomputation(self):
-        rng = np.random.default_rng(8)
-        model = BackboneModel(user_emb=rng.normal(size=(5, 16)),
-                              item_emb=rng.normal(size=(7, 16)))
-        u, i = 3, 6
-        manual = sum(model.user_emb[u][d] * model.item_emb[i][d]
-                     for d in range(16))
-        assert abs(score(model, u, i) - manual) < 1e-12
+class TestFitEpochs:
+    def test_stops_after_patience_epochs_without_a_higher_score(self, caplog):
+        with caplog.at_level("INFO", logger="coldsim.backbone"):
+            (best, epoch, history), run = scripted_fit(
+                [0.1, 0.4, 0.2, 0.3, 0.35, 0.9], max_epochs=10, patience=3)
+        assert run == [1, 2, 3, 4, 5]
+        assert (best, epoch) == (2, 2)
+        assert [h["val_ndcg"] for h in history] == [0.1, 0.4, 0.2, 0.3, 0.35]
+        assert "scripted: early stop at epoch 5 (best 2, ndcg 0.4000)" \
+            in caplog.text
 
-    def test_out_of_bounds(self):
-        model = BackboneModel(user_emb=np.zeros((2, 4)),
-                              item_emb=np.zeros((3, 4)))
-        with pytest.raises(IndexError):
-            score(model, 2, 0)
-        with pytest.raises(IndexError):
-            score(model, 0, -1)
+    def test_a_higher_score_resets_the_count(self):
+        (best, epoch, history), _ = scripted_fit(
+            [0.1, 0.0, 0.2, 0.1, 0.0], max_epochs=5, patience=2)
+        assert (best, epoch, len(history)) == (3, 3, 5)
+
+    def test_a_tie_is_not_higher(self):
+        (best, epoch, history), _ = scripted_fit(
+            [0.5, 0.5, 0.5], max_epochs=10, patience=2)
+        assert (best, epoch, len(history)) == (1, 1, 3)
+
+    def test_returns_the_best_snapshot_not_the_last(self):
+        (best, epoch, history), run = scripted_fit(
+            [0.3, 0.7, 0.6, 0.5], max_epochs=4, patience=10)
+        assert (best, epoch) == (2, 2)
+        assert len(run) == len(history) == 4
+
+    def test_epoch_zero_scores_minus_one(self):
+        # a first score of -1.0 does not replace the initial snapshot
+        (best, epoch, _), _ = scripted_fit([-1.0], max_epochs=1, patience=5)
+        assert (best, epoch) == (0, 0)
+        (best, epoch, _), _ = scripted_fit([0.0], max_epochs=1, patience=5)
+        assert (best, epoch) == (1, 1)
+
+    def test_zero_epochs_returns_the_initial_snapshot(self):
+        (best, epoch, history), run = scripted_fit([], max_epochs=0,
+                                                   patience=1)
+        assert (best, epoch, history, run) == (0, 0, [], [])
+
+    def test_history_records(self):
+        (_, _, history), _ = scripted_fit([0.25], max_epochs=1, patience=1)
+        assert history == [{"epoch": 1, "loss": 2.0, "val_ndcg": 0.25}]
+        assert list(history[0]) == ["epoch", "loss", "val_ndcg"]
+        (_, _, history), _ = scripted_fit([0.25], max_epochs=1, patience=1,
+                                          losses=())
+        assert history[0]["loss"] == 0.0
 
 
 class TestTrainBackbone:
@@ -307,6 +338,43 @@ class TestTrainBackbone:
         b = train_backbone(split, cfg, n_users=6, n_items=5)
         assert np.array_equal(a.user_emb, b.user_emb)
         assert np.array_equal(a.item_emb, b.item_emb)
+
+    def test_trained_epochs_is_the_first_best_epoch(self):
+        data, split = tiny_cluster_setup(seed=2)
+        cfg = BackboneConfig(dim=8, lr=0.3, max_epochs=40, patience=2,
+                             batch_size=64, seed=2)
+        n_users, n_items = data.log.n_users, data.log.n_items
+        model = train_backbone(split, cfg, n_users=n_users, n_items=n_items)
+        scores = [h["val_ndcg"] for h in model.history]
+        assert len(scores) < cfg.max_epochs     # stopped early
+        assert model.trained_epochs == 1 + int(np.argmax(scores))
+        assert len(scores) == model.trained_epochs + cfg.patience
+        # the weights are those after the best epoch, not the last one
+        upto = train_backbone(split, replace(cfg, max_epochs=model.trained_epochs),
+                              n_users=n_users, n_items=n_items)
+        assert np.array_equal(model.user_emb, upto.user_emb)
+        assert np.array_equal(model.item_emb, upto.item_emb)
+        assert model.history[:model.trained_epochs] == upto.history
+
+    @pytest.mark.parametrize("seed,what", [(2, r"non-finite weights"),
+                                           (0, r"NaN score in row \d+")])
+    def test_divergence_raises_naming_the_epoch_and_lr(self, caplog, seed,
+                                                       what):
+        # seed 2 overflows a weight to inf; under seed 0 the weights stay
+        # finite but their products overflow in validation
+        data, split = tiny_cluster_setup(seed=seed)
+        cfg = BackboneConfig(dim=64, lr=1e150, max_epochs=5, batch_size=16,
+                             seed=seed)
+        with pytest.raises(DivergenceError, match=r"^backbone diverged at "
+                           r"epoch 1 \(lr \S+\): " + what + "$") as info:
+            train_backbone(split, cfg, n_users=data.log.n_users,
+                           n_items=data.log.n_items)
+        # the lr named is the last halved one
+        lr = re.search(r"\(lr (\S+)\)", str(info.value))[1]
+        halved = [r.getMessage() for r in caplog.records
+                  if "halving lr" in r.getMessage()]
+        assert float(lr) < cfg.lr
+        assert halved[-1] == f"divergence at epoch 1, halving lr to {lr}"
 
     def test_empty_train_rejected(self, toy_log):
         split = replace(make_cold_split(toy_log, 0.0, seed=0), warm_train=[])

@@ -8,7 +8,9 @@ call; ``warm_all_cold`` draws each item's users in blocks.  The
 references here are the per-item path: one 1-D ``funnel_filter`` call per
 item, one context and one decision per (candidate, item) pair, and the
 scalar warmup draws; and the per-item pass, one ``decide`` call per item,
-for refinement and labelling.
+for refinement and labelling.  The backbone and both filters train through
+one epoch loop, ``backbone.fit_epochs``; their references are the two
+loops it replaced.
 
 The block products sum in another order than the per-pair ones, so CI
 runs this module a second time with one BLAS thread.
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from coldsim import filtering, pipeline, refiner
+from coldsim import backbone, filtering, pipeline, refiner
 from coldsim.backbone import BackboneModel
 from coldsim.config import default_config, resolve_seeds
 from coldsim.filtering import TowerMlp, TwoTowerFilter, funnel_filter
@@ -561,3 +563,139 @@ def test_warm_all_cold_equals_scalar_draws(planted_pipe, negatives, full,
     want = reference_warm_all_cold(pipe.split, sims, pipe.backbone, config)
     assert got.item_emb.tobytes() == want.item_emb.tobytes()
     assert got.user_emb.tobytes() == pipe.backbone.user_emb.tobytes()
+
+
+# -- training loops ----------------------------------------------------------
+
+def reference_train_backbone(split, config, n_users, n_items):
+    """The backbone's own epoch loop, as it was before ``fit_epochs``."""
+    model = BackboneModel(
+        user_emb=backbone.init_embeddings(n_users, config.dim, config.seed),
+        item_emb=backbone.init_embeddings(n_items, config.dim,
+                                          config.seed + 1))
+    if config.max_epochs <= 0:
+        return model
+    rng = np.random.default_rng(config.seed + 2)
+    val_users = backbone.ordered_subsample(rng, split.index(n_users).val_users,
+                                           config.eval_users)
+    lr = config.lr
+    best = model.copy()
+    best_ndcg, best_epoch, stale = -1.0, 0, 0
+    for epoch in range(1, config.max_epochs + 1):
+        triples = backbone._epoch_triples(rng, split, n_users)
+        losses = []
+        for start in range(0, len(triples), config.batch_size):
+            batch = triples[start:start + config.batch_size]
+            try:
+                losses.append(backbone.bpr_step(model, batch, lr))
+            except backbone.DivergenceError:
+                lr /= 2
+        epoch_loss = float(np.mean(losses)) if losses else 0.0
+        val = backbone.validation_ndcg(model, split, val_users)
+        model.history.append({"epoch": epoch, "loss": epoch_loss,
+                              "val_ndcg": val})
+        if val > best_ndcg:
+            best_ndcg, best_epoch, stale = val, epoch, 0
+            best = model.copy()
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+    best.trained_epochs = best_epoch
+    best.history = model.history
+    return best
+
+
+def reference_filter_training(filt, backbone_model, content_matrix,
+                              hist_means, split, config, batch_fn):
+    """The filters' own epoch loop, as it was before ``fit_epochs``."""
+    rng = np.random.default_rng(config.seed)
+    user_inputs = np.concatenate([backbone_model.user_emb, hist_means], axis=1)
+    towers = {"user": filt.user_tower, "item": filt.item_tower}
+    opt = filtering._Adam(towers, config.lr)
+    val_users = backbone.ordered_subsample(
+        rng, split.index(backbone_model.n_users).val_users, config.eval_users)
+    best = filt.copy()
+    best_ndcg, stale = -1.0, 0
+    history = []
+    for epoch in range(1, config.max_epochs + 1):
+        losses = []
+        for loss, grads in batch_fn(rng, user_inputs):
+            losses.append(loss)
+            opt.step(towers, grads)
+        val = filtering.filter_validation_ndcg(filt, backbone_model,
+                                               content_matrix, hist_means,
+                                               split, val_users)
+        history.append({"epoch": epoch,
+                        "loss": float(np.mean(losses)) if losses else 0.0,
+                        "val_ndcg": val})
+        if val > best_ndcg:
+            best_ndcg, stale = val, 0
+            best = filt.copy()
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+    filt.user_tower, filt.item_tower = best.user_tower, best.item_tower
+    return filt, history
+
+
+def with_rng_states(monkeypatch, train):
+    """``train()``'s result and the final state of every generator it made."""
+    made, real = [], np.random.default_rng
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng",
+                      lambda *seed: made.append(real(*seed)) or made[-1])
+        out = train()
+    return out, [g.bit_generator.state for g in made]
+
+
+def table_bytes(model):
+    if isinstance(model, BackboneModel):
+        return [model.user_emb.tobytes(), model.item_emb.tobytes()]
+    return [arr.tobytes() for tower in (model.user_tower, model.item_tower)
+            for arr in tower.params().values()]
+
+
+TRAIN_CONFIGS = {
+    "small": {},
+    "early": {"backbone": {"max_epochs": 30, "patience": 1},
+              "filter": {"max_epochs": 12, "patience": 1}},
+    "zero": {"backbone": {"max_epochs": 0}, "filter": {"max_epochs": 0}},
+}
+
+
+@pytest.mark.parametrize("pipe_name", ["planted_pipe", "integer_pipe"])
+@pytest.mark.parametrize("config_name", list(TRAIN_CONFIGS))
+@pytest.mark.parametrize("component", ["backbone", "B", "L"])
+def test_trainers_equal_their_own_loops(request, monkeypatch, pipe_name,
+                                        config_name, component):
+    # weights, histories and every generator's final state
+    _, pipe = request.getfixturevalue(pipe_name)
+    cfg = small_config(seed=pipe.split.seed, **TRAIN_CONFIGS[config_name])
+    if component == "backbone":
+        args = (pipe.split, pipeline.section_config(backbone.BackboneConfig,
+                                                    cfg["backbone"]),
+                pipe.log.n_users, pipe.log.n_items)
+        got, got_rngs = with_rng_states(
+            monkeypatch, lambda: backbone.train_backbone(*args))
+        want, want_rngs = with_rng_states(
+            monkeypatch, lambda: reference_train_backbone(*args))
+        got_history, want_history = got.history, want.history
+        assert got.trained_epochs == want.trained_epochs
+    else:
+        (got, got_history), got_rngs = with_rng_states(
+            monkeypatch, lambda: pipeline.train_filter(pipe, component, cfg))
+        monkeypatch.setattr(filtering, "_run_filter_training",
+                            reference_filter_training)
+        (want, want_history), want_rngs = with_rng_states(
+            monkeypatch, lambda: pipeline.train_filter(pipe, component, cfg))
+    assert table_bytes(got) == table_bytes(want)
+    assert repr(got_history) == repr(want_history)
+    assert got_rngs == want_rngs and len(got_rngs) >= 2
+    max_epochs = cfg["backbone" if component == "backbone" else "filter"][
+        "max_epochs"]
+    if config_name == "early":      # the early config does stop early
+        assert 0 < len(got_history) < max_epochs
+    else:
+        assert len(got_history) == max_epochs

@@ -111,7 +111,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("section,value", [("backbone", "adam"),
                                                ("filter", "sgd")])
     def test_optimizer_keys_are_gone(self, tmp_path, caplog, section, value):
-        # SGD for the backbone and AdamW for the filters are not configurable
+        # SGD for the backbone and Adam for the filters are not configurable
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({section: {"optimizer": value}}),
                        encoding="utf-8")
@@ -121,6 +121,33 @@ class TestExitCodes:
                            match=rf"^unknown config key: {section}\.optimizer$"):
             load_config(bad)
         assert "optimizer" not in default_config()[section]
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("backbone", "l2", 0.0), ("backbone", "eval_k", 20),
+        ("filter", "weight_decay", 0.0), ("filter", "eval_k", 20),
+        ("refiner", "finetune_mode", "offline")])
+    def test_unset_training_keys_are_gone(self, tmp_path, caplog, section,
+                                          key, value):
+        # keys that no caller set: even their old default is now rejected
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
+        assert main(["--config", str(bad), "default-config"]) == 1
+        assert f"unknown config key: {section}.{key}" in caplog.text
+        assert key not in default_config()[section]
+
+    def test_diverging_backbone_is_a_runtime_failure(self, tmp_path, caplog):
+        # the backbone's weights overflow: exit 2, naming the divergence
+        corpus = write_corpus_from_planted(tmp_path / "corpus")
+        config = tmp_path / "diverge.json"
+        config.write_text(json.dumps({"backbone": {"lr": 1e150}}),
+                          encoding="utf-8")
+        base = ["--config", str(config), "--out", str(tmp_path / "run")]
+        assert main(base + ["ingest", "--dataset", "citeulike",
+                            "--path", str(corpus)]) == 0
+        assert main(base + ["split"]) == 0
+        caplog.clear()
+        assert main(base + ["train-backbone"]) == 2
+        assert "runtime failure: backbone diverged at epoch" in caplog.text
 
 
 class TestChain:

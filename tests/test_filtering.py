@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -360,6 +361,37 @@ class TestTraining:
         train_behavior_filter(filt, backbone, content, hist, split, cfg)
         for p, a in filt.user_tower.params().items():
             assert np.array_equal(a, before[p])
+
+    @pytest.mark.parametrize("variant", ["B", "L"])
+    def test_early_stop_keeps_the_best_epoch(self, caplog, variant):
+        data, split, backbone, content, hist = self.setup_inputs(seed=4)
+        cfg = FilterTrainConfig(lr=0.05, max_epochs=30, patience=2,
+                                batch_size=16, label_pairs=40, seed=4)
+
+        def train(config):
+            filt = TwoTowerFilter.init(variant, 8, 6, hidden=5, out=4, seed=4)
+            if variant == "B":
+                return train_behavior_filter(filt, backbone, content, hist,
+                                             split, config)
+            return train_coupled_filter(
+                filt, backbone, content, hist, split,
+                lambda users, items: [
+                    OracleDecision(value=int((u, i) in data.truth), raw="")
+                    for u, i in zip(users, items)], config)
+
+        with caplog.at_level("INFO", logger="coldsim.backbone"):
+            filt, history = train(cfg)
+        scores = [h["val_ndcg"] for h in history]
+        best = 1 + int(np.argmax(scores))
+        assert len(history) == best + cfg.patience < cfg.max_epochs
+        assert f"filter {variant}: early stop at epoch {len(history)} " \
+            f"(best {best}, ndcg {scores[best - 1]:.4f})" in caplog.text
+        # the weights after the best epoch, not after the last one
+        upto, upto_history = train(replace(cfg, max_epochs=best))
+        assert upto_history == history[:best]
+        for tower in ("user_tower", "item_tower"):
+            for name, arr in getattr(upto, tower).params().items():
+                assert np.array_equal(getattr(filt, tower).params()[name], arr)
 
     def test_default_constants(self):
         cfg = FilterTrainConfig()
