@@ -257,11 +257,15 @@ def cmd_simulate(args, cfg) -> int:
     cache_path = out / "decisions.jsonl"
     if cache_path.exists():
         decision_log = DecisionLog.load(cache_path)
-    sims = pipeline.simulate_all(pipe, cfg, use_b=pipe.filter_b is not None,
-                                 use_l=pipe.filter_l is not None,
-                                 decision_log=decision_log)
+    try:
+        sims = pipeline.simulate_all(pipe, cfg,
+                                     use_b=pipe.filter_b is not None,
+                                     use_l=pipe.filter_l is not None,
+                                     decision_log=decision_log)
+    finally:
+        # the answers of a failed pass are kept for the rerun to reuse
+        decision_log.save(cache_path)
     _save_simulations(out, sims)
-    decision_log.save(cache_path)
     stats = adoption_rate(decision_log)
     print(f"simulated {len(sims)} cold items; adoption rate "
           f"{stats.rate:.2%} ({stats.accepted}/{stats.filtered})")

@@ -13,16 +13,20 @@ recording provider kind, width, and hash seed.
 
 from __future__ import annotations
 
+import base64
 import functools
 import json
 import logging
 import re
+import socket
+import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
-from http.client import HTTPException
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from pathlib import Path
-from urllib.error import HTTPError
-from urllib.request import Request, urlopen
+from urllib.parse import unquote, urlsplit
+from urllib.request import getproxies, proxy_bypass
 
 import numpy as np
 
@@ -35,6 +39,12 @@ FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+# Linux only; without it every connection is closed after its response
+_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
+# what a reused connection raises when the server closed it while idle
+# (http.client.RemoteDisconnected is a ConnectionResetError)
+_STALE = (ConnectionResetError, BrokenPipeError, ConnectionAbortedError)
 
 
 class ProviderError(RuntimeError):
@@ -125,12 +135,11 @@ class HttpContentProvider:
 
     def __init__(self, url: str, dim: int | None = None, timeout: float = 30.0,
                  retries: int = 3, backoff: float = 0.5):
-        self.url = url
         self.dim = dim
         self.hash_seed = None
-        self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
+        self._session = HttpSession(url, timeout)
 
     def _vector(self, doc: dict) -> np.ndarray:
         vec = np.asarray(doc["vector"], dtype=np.float64)
@@ -145,45 +154,148 @@ class HttpContentProvider:
     def embed(self, text: str, key: int | None = None) -> np.ndarray:
         if not text:
             raise ValueError("cannot embed empty text")
-        return post_with_retries(self.url, {"text": text}, self._vector,
+        return post_with_retries(self._session, {"text": text}, self._vector,
                                  ProviderError, "embed service",
-                                 timeout=self.timeout, retries=self.retries,
-                                 backoff=self.backoff)
+                                 retries=self.retries, backoff=self.backoff)
 
 
-def post_with_retries(url: str, body: dict, parse, error: type[Exception],
-                      service: str, *, timeout: float, retries: int,
+def _close_all(connections: dict) -> None:
+    for conn in list(connections.values()):
+        conn.close()
+
+
+class HttpSession:
+    """Kept-alive HTTP/1.1 connections to one URL, one per calling thread.
+
+    A pool of N threads so holds at most N connections.  Opening one closes
+    those of threads that have ended; the rest are closed when the session
+    is collected or the interpreter exits.
+
+    ``TCP_QUICKACK`` is set right after each request is sent: a server that
+    writes headers and body in separate packets otherwise holds the body
+    (Nagle) until the client's delayed ACK of the headers, 20-40 ms later.
+    Without it (not Linux) each connection is closed after its response.
+    ``http.client`` itself sets ``TCP_NODELAY`` when it connects.
+
+    Proxies are resolved once, here, with urllib's ``getproxies()`` and
+    ``proxy_bypass(netloc)``: an http URL goes to the proxy in absolute
+    form, an https URL through a ``CONNECT`` tunnel, and credentials in the
+    proxy URL become a Basic ``Proxy-Authorization``.
+    """
+
+    def __init__(self, url: str, timeout: float):
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"not an http or https URL: {url!r}")
+        self._headers = {"Content-Type": "application/json"}
+        self._target = (parts.path or "/") + (f"?{parts.query}"
+                                              if parts.query else "")
+        scheme, hostport, tunnel = parts.scheme, parts.netloc, None
+        proxy = getproxies().get(parts.scheme)
+        if proxy and not proxy_bypass(parts.netloc):
+            via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            auth = {}
+            if via.username and via.password:
+                creds = f"{unquote(via.username)}:{unquote(via.password)}"
+                auth["Proxy-Authorization"] = "Basic " + base64.b64encode(
+                    creds.encode()).decode("ascii")
+            if scheme == "https":
+                tunnel = (hostport, auth)
+            else:
+                scheme, self._target = via.scheme, url.partition("#")[0]
+                self._headers.update(auth)
+            hostport = unquote(via.netloc.rpartition("@")[2])
+        self._connect = functools.partial(
+            HTTPSConnection if scheme == "https" else HTTPConnection,
+            hostport, timeout=timeout)
+        self._tunnel = tunnel
+        self._lock = threading.Lock()
+        self._connections: dict[threading.Thread, HTTPConnection] = {}
+        weakref.finalize(self, _close_all, self._connections)
+
+    def _connection(self) -> HTTPConnection:
+        thread = threading.current_thread()
+        conn = self._connections.get(thread)
+        if conn is None:
+            conn = self._connect()
+            if self._tunnel is not None:
+                conn.set_tunnel(self._tunnel[0], headers=self._tunnel[1])
+            with self._lock:
+                for ended in [t for t in self._connections if not t.is_alive()]:
+                    self._connections.pop(ended).close()
+                self._connections[thread] = conn
+        return conn
+
+    def _send(self, conn: HTTPConnection, data: bytes):
+        conn.request("POST", self._target, data, self._headers)
+        if _QUICKACK is not None:
+            conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+        return conn.getresponse()
+
+    def post(self, data: bytes) -> tuple[int, bytes]:
+        """POST ``data`` as JSON on this thread's connection: (status, body).
+
+        The body is read in full whatever the status, so the connection
+        stays reusable.  A reused connection that fails before any answer
+        arrives with one of ``_STALE`` was closed by the server while idle:
+        the request is sent once more, at once, on a fresh connection.  Any
+        other exception closes the connection and propagates.
+        """
+        conn = self._connection()
+        reused = conn.sock is not None
+        try:
+            try:
+                resp = self._send(conn, data)
+            except _STALE:
+                if not reused:
+                    raise
+                conn.close()
+                resp = self._send(conn, data)
+            with resp:
+                body = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if _QUICKACK is None:
+            conn.close()
+        return resp.status, body
+
+    def reset(self) -> None:
+        """Close this thread's connection; its next post connects afresh."""
+        conn = self._connections.get(threading.current_thread())
+        if conn is not None:
+            conn.close()
+
+
+def post_with_retries(session: HttpSession, body: dict, parse,
+                      error: type[Exception], service: str, *, retries: int,
                       backoff: float):
-    """POST ``body`` as JSON and return ``parse`` of the decoded answer.
+    """POST ``body`` as JSON through ``session``; return ``parse`` of the answer.
 
-    Each attempt is one stdlib ``urlopen`` call on a fresh connection:
-    keep-alive reuse stalls on servers that write headers and body in
-    separate packets (Nagle plus delayed ACK).  Proxy settings are read
-    once, when urllib builds its default opener.
+    The body is ``json.dumps(body, allow_nan=False)`` encoded as UTF-8.
+    Each attempt is one :meth:`HttpSession.post` on the calling thread's
+    kept-alive connection; the resend that replaces a stale connection is
+    part of that attempt, not another one.
 
-    Transport errors (OSError, HTTPException), non-200 answers and
-    malformed bodies (``parse`` or the decoding raising ``error``,
-    ValueError, KeyError, IndexError or TypeError) are retried up to
-    ``retries`` attempts with exponential backoff, then raised as
-    ``error``.  Any other exception propagates at once.
+    Transport errors (OSError, which covers timeouts, and HTTPException),
+    non-200 answers and malformed bodies (``parse`` or the decoding
+    raising ``error``, ValueError, KeyError, IndexError or TypeError) are
+    retried up to ``retries`` attempts with exponential backoff, each on a
+    fresh connection, then raised as ``error``.  Any other exception
+    propagates at once.
     """
     last = None
     for attempt in range(retries):
         try:
             data = json.dumps(body, allow_nan=False).encode("utf-8")
-            request = Request(url, data=data, method="POST",
-                              headers={"Content-Type": "application/json"})
-            with urlopen(request, timeout=timeout) as resp:
-                if resp.status != 200:
-                    raise error(f"{service} returned {resp.status}")
-                doc = json.loads(resp.read())
-            return parse(doc)
-        except HTTPError as exc:  # urlopen raises for codes >= 400
-            exc.close()
-            last = error(f"{service} returned {exc.code}")
+            status, payload = session.post(data)
+            if status != 200:
+                raise error(f"{service} returned {status}")
+            return parse(json.loads(payload))
         except (error, OSError, HTTPException, ValueError, KeyError,
                 IndexError, TypeError) as exc:
             last = exc
+            session.reset()
         if attempt + 1 < retries:
             time.sleep(backoff * 2 ** attempt)
     raise error(f"{service} failed after {retries} attempts: {last}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import store
 from .backbone import draw_accepted, ordered_subsample
-from .content import post_with_retries
+from .content import HttpSession, post_with_retries
 from .corpus import ColdWarmSplit, ItemCatalog, lexsorted
 from .filtering import CandidateSet, TwoTowerFilter, funnel_filter
 
@@ -204,7 +204,8 @@ class HttpOracle:
     first message text of the response is parsed instead.  Requests run on
     one pool of ``max_inflight`` threads that lives as long as the oracle,
     so a ``decide`` call keeps that many requests in flight across item
-    boundaries.
+    boundaries, and each thread sends them on its own kept-alive
+    connection (:class:`~coldsim.content.HttpSession`).
     """
 
     kind = "http"
@@ -212,14 +213,13 @@ class HttpOracle:
     def __init__(self, url: str, timeout: float = 30.0, retries: int = 3,
                  backoff: float = 0.5, chat: bool = False,
                  max_inflight: int = 8):
-        self.url = url
-        self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
         self.chat = chat
         self.max_inflight = max(1, max_inflight)
         self._pool = ThreadPoolExecutor(max_workers=self.max_inflight,
                                         thread_name_prefix="coldsim-oracle")
+        self._session = HttpSession(url, timeout)
 
     def _answer(self, doc: dict) -> str:
         if not self.chat:
@@ -238,9 +238,8 @@ class HttpOracle:
             body = {"prompt": prompt}
         start = time.perf_counter()
         try:
-            answer = post_with_retries(self.url, body, self._answer,
+            answer = post_with_retries(self._session, body, self._answer,
                                        OracleError, "oracle",
-                                       timeout=self.timeout,
                                        retries=self.retries,
                                        backoff=self.backoff)
             latency = time.perf_counter() - start
@@ -376,10 +375,10 @@ def refine_all(candidate_sets: list[CandidateSet], client,
     item order, then candidate order.
 
     Returns (accepted users, oracle failure count) per candidate set.
-    Raises :class:`OracleError` at the first item, in order, whose every
-    call failed (later items are then not logged); partial failures drop
-    those users with a warning.  An empty candidate set, or an item given
-    twice, raises ValueError: a pass asks each (user, item) once.
+    Raises :class:`OracleError` naming the first item, in order, whose every
+    call failed, but only after every answer of the pass is logged; partial
+    failures drop those users with a warning.  An empty candidate set, or an
+    item given twice, raises ValueError: a pass asks each (user, item) once.
     """
     items = [cand.item for cand in candidate_sets]
     if len(set(items)) < len(items):
@@ -422,14 +421,17 @@ def refine_all(candidate_sets: list[CandidateSet], client,
                 decision_log.record(ctx.user, ctx.item, client.kind, ph,
                                     outcome)
         start += len(pending)
-        if not decisions:
-            raise OracleError(f"every oracle call failed for item {cand.item}")
         if failures:
             logger.warning("item %s: %d of %d oracle calls failed",
                            cand.item, failures, len(pending))
         results.append(([u for u in cand.users
                          if u in decisions and decisions[u].value == 1],
                         failures))
+    # raise only once every answer of the pass is logged: answers are paid for
+    dead = [cand.item for cand, decisions in zip(candidate_sets, cached)
+            if not decisions]
+    if dead:
+        raise OracleError(f"every oracle call failed for item {dead[0]}")
     return results
 
 

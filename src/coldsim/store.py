@@ -45,10 +45,20 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
 
 
 def save_table(path: str | Path, values: np.ndarray) -> None:
-    """Write a 2-D array to ``path`` in the binary table format."""
-    arr = np.ascontiguousarray(values, dtype="<f4")
+    """Write a 2-D array to ``path`` in the binary table format.
+
+    A table holding a value that is not finite as float32 (NaN, an
+    infinity, or a magnitude beyond float32's range) raises ValueError
+    naming ``path`` and the first such row, and nothing is written.
+    """
+    with np.errstate(over="ignore"):   # an overflow is reported below
+        arr = np.ascontiguousarray(values, dtype="<f4")
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D table, got shape {arr.shape}")
+    bad = ~np.isfinite(arr).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}: row {int(np.argmax(bad))} is not finite "
+                         f"as float32; the table was not saved")
     write_atomic(path, _HEADER.pack(MAGIC, VERSION, *arr.shape) + arr.tobytes())
 
 

@@ -1,9 +1,11 @@
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
-from coldsim.cli import main
+from coldsim.cli import _load_dataset, main
 from coldsim.config import default_config, load_config
 from coldsim.content import VectorCache
 from coldsim.synthetic import make_two_cluster_dataset
@@ -148,6 +150,23 @@ class TestExitCodes:
         caplog.clear()
         assert main(base + ["train-backbone"]) == 2
         assert "runtime failure: backbone diverged at epoch" in caplog.text
+
+    def test_backbone_beyond_float32_is_not_saved(self, tmp_path, caplog):
+        # finite in float64, so training ends; the float32 tables would not be
+        corpus = write_corpus_from_planted(tmp_path / "corpus")
+        config = tmp_path / "overflow.json"
+        config.write_text(json.dumps({"backbone": {"lr": 1e150, "dim": 8}}),
+                          encoding="utf-8")
+        out = tmp_path / "run"
+        base = ["--config", str(config), "--out", str(out)]
+        assert main(base + ["ingest", "--dataset", "citeulike",
+                            "--path", str(corpus)]) == 0
+        assert main(base + ["split"]) == 0
+        caplog.clear()
+        assert main(base + ["train-backbone"]) == 1
+        assert "backbone_user.cemb: row " in caplog.text
+        assert "is not finite as float32" in caplog.text
+        assert not list(out.glob("backbone*"))
 
 
 class TestChain:
@@ -300,3 +319,80 @@ class TestStaleCache:
         caplog.clear()
         assert main(base + ["simulate"]) == 1
         assert f"{decisions}, line 3: not a decision record" in caplog.text
+
+
+class _DeadItemHandler(BaseHTTPRequestHandler):
+    """Answers Yes, but 503 to every prompt about ``server.dead_title``."""
+
+    def do_POST(self):
+        prompt = json.loads(self.rfile.read(
+            int(self.headers["Content-Length"])))["prompt"]
+        self.server.prompts.append(prompt)
+        if self.server.dead_title and \
+                f"the [{self.server.dead_title}] by" in prompt:
+            self.send_response(503)
+            self.end_headers()
+            return
+        payload = json.dumps({"answer": "Yes"}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def dead_item_server():
+    srv = ThreadingHTTPServer(("127.0.0.1", 0), _DeadItemHandler)
+    srv.prompts, srv.dead_title = [], None
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    yield srv
+    srv.shutdown()
+    srv.server_close()
+    thread.join(timeout=5)
+
+
+class TestFailedSimulateKeepsAnswers:
+    def test_rerun_asks_only_the_missing_pairs(self, tmp_path, caplog,
+                                               dead_item_server):
+        corpus = write_corpus_from_planted(tmp_path / "corpus")
+        doc = json.loads(fast_config(tmp_path).read_text())
+        doc["refiner"].update(oracle="http", retries=1, endpoint=(
+            f"http://127.0.0.1:{dead_item_server.server_address[1]}/decide"))
+        config = tmp_path / "http.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "run"
+        base = ["--config", str(config), "--seed", "7", "--out", str(out)]
+        assert main(base + ["ingest", "--dataset", "citeulike",
+                            "--path", str(corpus)]) == 0
+        for cmd in (["split"], ["train-backbone"], ["cache-content"],
+                    ["train-filter", "--variant", "B"]):
+            assert main(base + cmd) == 0, cmd
+        cold = sorted(json.loads((out / "split.json").read_text())
+                      ["cold_items"])
+        assert len(cold) >= 3
+        _, catalog = _load_dataset(out)
+        dead = cold[1]
+        dead_item_server.dead_title = catalog.title(dead)
+
+        caplog.clear()
+        assert main(base + ["simulate"]) == 2
+        assert f"every oracle call failed for item {dead}" in caplog.text
+        kept = [json.loads(line) for line in
+                (out / "decisions.jsonl").read_text().splitlines()]
+        assert {r["item"] for r in kept} == set(cold) - {dead}
+        assert not (out / "simulated.json").exists()
+
+        dead_item_server.dead_title = None
+        asked_before = len(dead_item_server.prompts)
+        assert main(base + ["simulate"]) == 0
+        rerun = dead_item_server.prompts[asked_before:]
+        final = [json.loads(line) for line in
+                 (out / "decisions.jsonl").read_text().splitlines()]
+        assert final[:len(kept)] == kept
+        assert {r["item"] for r in final[len(kept):]} == {dead}
+        assert len(rerun) == len(final) - len(kept)
+        assert all(f"the [{catalog.title(dead)}] by" in p for p in rerun)

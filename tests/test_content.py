@@ -171,11 +171,11 @@ class TestProviderPostErrors:
     def test_programming_error_propagates_at_once(self, monkeypatch):
         calls = []
 
-        def urlopen(request, timeout):
-            calls.append(json.loads(request.data))
+        def post(session, data):
+            calls.append(json.loads(data))
             raise RuntimeError("adapter bug")
 
-        monkeypatch.setattr("coldsim.content.urlopen", urlopen)
+        monkeypatch.setattr("coldsim.content.HttpSession.post", post)
         provider = HttpContentProvider("http://embed.invalid/embed",
                                        retries=3, backoff=0.0)
         with pytest.raises(RuntimeError, match="adapter bug") as info:

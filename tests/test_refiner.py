@@ -363,12 +363,12 @@ class TestHttpOracle:
                    for r in results)
 
     def test_programming_error_in_pool_reaches_caller(self, monkeypatch):
-        def urlopen(request, timeout):
-            if b"bad" in request.data:
+        def post(session, data):
+            if b"bad" in data:
                 raise RuntimeError("adapter bug")
-            return _FakeResponse({"answer": "Yes"})
+            return 200, json.dumps({"answer": "Yes"}).encode()
 
-        monkeypatch.setattr("coldsim.content.urlopen", urlopen)
+        monkeypatch.setattr("coldsim.content.HttpSession.post", post)
         oracle = HttpOracle("http://oracle.invalid/simulate", max_inflight=2)
         contexts = [UserContext(user=u, item=0, item_text="anything",
                                 items=[u], texts=[text]) for u, text
@@ -654,33 +654,17 @@ class TestFailFast:
             self.MAX_INFLIGHT * self.RETRIES + len(answered)
 
 
-class _FakeResponse:
-    status = 200
-
-    def __init__(self, doc):
-        self.payload = json.dumps(doc).encode()
-
-    def read(self):
-        return self.payload
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-
 class TestPostWithRetries:
     def patch_post(self, monkeypatch, outcome):
         calls = []
 
-        def urlopen(request, timeout):
-            calls.append(json.loads(request.data))
+        def post(session, data):
+            calls.append(json.loads(data))
             if isinstance(outcome, Exception):
                 raise outcome
-            return _FakeResponse(outcome)
+            return 200, json.dumps(outcome).encode()
 
-        monkeypatch.setattr("coldsim.content.urlopen", urlopen)
+        monkeypatch.setattr("coldsim.content.HttpSession.post", post)
         return calls
 
     def test_programming_error_propagates_at_once(self, monkeypatch):
@@ -863,6 +847,27 @@ class TestRefine:
         assert results == [([3], 0), ([4], 0), ([6], 0)]
         assert calls == [[(1, 5), (3, 5), (0, 2), (4, 2), (1, 2), (6, 7)]]
         assert [(r["user"], r["item"]) for r in log.records] == calls[0]
+
+    def test_dead_middle_item_raises_after_logging_the_rest(self):
+        vectors, titles, train_items = refine_setup(seed=7)
+
+        class FailsItem2(PlantedOracle):
+            def decide(self, contexts):
+                return [OracleError("down") if ctx.item == 2 else answer
+                        for ctx, answer in zip(contexts,
+                                               super().decide(contexts))]
+
+        sets = [CandidateSet(item=5, users=[1, 3]),
+                CandidateSet(item=2, users=[0, 4, 1]),
+                CandidateSet(item=7, users=[6, 0])]
+        log = DecisionLog()
+        with pytest.raises(OracleError,
+                           match=r"^every oracle call failed for item 2$"):
+            refine_all(sets, FailsItem2({(3, 5), (6, 7)}), vectors,
+                       train_items, titles, decision_log=log)
+        # the answers paid for survive, in item order, then candidate order
+        assert [(r["user"], r["item"], r["z"]) for r in log.records] == \
+            [(1, 5, 0), (3, 5, 1), (6, 7, 1), (0, 7, 0)]
 
     def test_item_twice_in_one_pass_rejected(self):
         vectors, titles, train_items = refine_setup()

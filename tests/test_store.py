@@ -77,6 +77,16 @@ class TestBinaryTable:
         with pytest.raises(ValueError):
             save_table(tmp_path / "t.cemb", np.ones(5))
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e300])
+    def test_non_finite_rejected_before_writing(self, tmp_path, value):
+        # 1e300 is finite in float64 but not in float32
+        table = np.ones((4, 3))
+        table[2, 1], table[3, 0] = value, value
+        path = tmp_path / "t.cemb"
+        with pytest.raises(ValueError, match=rf"t\.cemb: row 2 is not finite"):
+            save_table(path, table)
+        assert list(tmp_path.iterdir()) == []
+
     def test_float64_input_truncates_deterministically(self, tmp_path):
         table = np.full((2, 2), 1 / 3)
         save_table(tmp_path / "a.cemb", table)
