@@ -46,14 +46,13 @@ from coldsim.refiner import build_context
 item_vectors = pipe.item_vectors(pipe.filter_l)
 users = sims[item].users[:3] + [u for u in range(data.log.n_users)
                                 if (u, item) not in data.truth][:3]
-contexts = build_context(users, item, item_vectors,
-                         [pipe.train_items[u] for u in users], pipe.titles,
-                         top_l=3)
+block = build_context(users, [item] * len(users), item_vectors,
+                      pipe.train_items, pipe.titles, top_l=3)
 print(f"\nprompt sent to the oracle for user {users[0]}:")
-print(" ", render_prompt(contexts[0]))
-# a context names its item, so one decide call answers contexts of any
-# items, in order: simulate_all asks every cold item's in one call
-answers = pipe.oracle.decide(contexts)
+print(" ", render_prompt(block, 0))
+# each row of a block names its item, so one decide call answers rows of
+# any items, in order: simulate_all asks every cold item's in one call
+answers = pipe.oracle.decide(block)
 print(f"oracle answers for users {users}: {[a.raw for a in answers]}")
 
 # warm the cold rows and check the frozen-warm contract

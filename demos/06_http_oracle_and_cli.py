@@ -13,7 +13,9 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from coldsim import HttpOracle, UserContext
+import numpy as np
+
+from coldsim import ContextBlock, HttpOracle
 from coldsim.synthetic import make_two_cluster_dataset
 
 
@@ -36,26 +38,33 @@ class ToyOracle(BaseHTTPRequestHandler):
 
 
 server = ThreadingHTTPServer(("127.0.0.1", 0), ToyOracle)
-threading.Thread(target=server.serve_forever, daemon=True).start()
+# a short poll interval lets shutdown() return at once
+thread = threading.Thread(target=server.serve_forever,
+                          kwargs={"poll_interval": 0.01}, daemon=True)
+thread.start()
 url = f"http://127.0.0.1:{server.server_address[1]}/simulate"
 print(f"toy oracle listening at {url}")
 
-# one decide call for contexts of two items; its prompts go out on the
-# oracle's own pool, max_inflight at a time across the item boundary, and
-# the answers come back in context order
+# one decide call for a block of contexts of two items; its prompts go out
+# on the oracle's own pool, max_inflight at a time across the item
+# boundary, and the answers come back in row order.  Each row names a user,
+# a query item and the user's context items, padded with -1; titles are
+# indexed by item id.
 oracle = HttpOracle(url, timeout=5, max_inflight=2)
-histories = [(0, [1, 2], ["astro astro notes1", "astro astro notes2"]),
-             (1, [7], ["fjord fjord notes7"])]
-contexts = [UserContext(user=user, item=item, item_text=item_text,
-                        items=items, texts=texts)
-            for item, item_text in ((9, "astro astro notes9"),
-                                    (40, "fjord fjord notes40"))
-            for user, items, texts in histories]
-for ctx, decision in zip(contexts, oracle.decide(contexts)):
-    print(f"  user {ctx.user}, {ctx.item_text!r} -> {decision.raw} "
+titles = [f"notes{i}" for i in range(41)]
+for i in (1, 2, 9):
+    titles[i] = f"astro astro notes{i}"
+for i in (7, 40):
+    titles[i] = f"fjord fjord notes{i}"
+block = ContextBlock(users=np.array([0, 1, 0, 1]), items=np.array([9, 9, 40, 40]),
+                     hist=np.array([[1, 2], [7, -1], [1, 2], [7, -1]]),
+                     titles=titles)
+for user, item, decision in zip(block.users, block.items, oracle.decide(block)):
+    print(f"  user {user}, {titles[item]!r} -> {decision.raw} "
           f"({decision.latency * 1e3:.1f} ms)")
 server.shutdown()
 server.server_close()
+thread.join()
 
 # --- the same pipeline, driven end to end by the CLI with a mock oracle
 workdir = Path(tempfile.mkdtemp())

@@ -19,11 +19,11 @@ from .evaluation import adoption_rate, evaluate, format_report
 from .filtering import (FilterTrainConfig, TwoTowerFilter,
                         history_content_means, topk_candidates,
                         train_behavior_filter, user_filter_vectors)
-from .refiner import HttpOracle, UserContext, render_prompt
+from .refiner import ContextBlock, HttpOracle, render_prompt
 
 __all__ = [
-    "BackboneConfig", "ColdWarmSplit", "FilterTrainConfig", "HttpOracle",
-    "MockContentProvider", "TwoTowerFilter", "UserContext", "adoption_rate",
+    "BackboneConfig", "ColdWarmSplit", "ContextBlock", "FilterTrainConfig",
+    "HttpOracle", "MockContentProvider", "TwoTowerFilter", "adoption_rate",
     "evaluate", "format_report", "history_content_means", "load_citeulike",
     "make_cold_split", "mock_embed", "render_prompt", "topk_candidates",
     "train_backbone", "train_behavior_filter", "user_filter_vectors",

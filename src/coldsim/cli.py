@@ -142,9 +142,20 @@ def _save_simulations(out: Path, sims: dict[int, SimulationResult]) -> None:
                        json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _load_simulations(out: Path) -> dict[int, SimulationResult]:
-    with open(_require(out / "simulated.json", "simulate"), encoding="utf-8") as fh:
+def _load_simulations(out: Path, n_users: int,
+                      cold_items) -> dict[int, SimulationResult]:
+    """``simulated.json``, its items cold and its users ints in [0, n_users)."""
+    path = _require(out / "simulated.json", "simulate")
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    cold = {str(i) for i in cold_items}
+    for key, body in doc.items():
+        bad = [u for u in body["users"]     # a bool is not a user id
+               if type(u) is not int or not 0 <= u < n_users]
+        if key not in cold or bad:
+            raise ValueError(f"{path}: item {key} " + (
+                "is not a cold item" if key not in cold else
+                f"has user {bad[0]!r}, not a user id in [0, {n_users})"))
     return {int(item): SimulationResult(item=int(item), users=body["users"],
                                         fallback_used=body["fallback_used"])
             for item, body in doc.items()}
@@ -275,7 +286,7 @@ def cmd_simulate(args, cfg) -> int:
 def cmd_warmup(args, cfg) -> int:
     out = _workdir(args)
     pipe = _assemble_pipeline(out, cfg, oracle=False)
-    sims = _load_simulations(out)
+    sims = _load_simulations(out, pipe.log.n_users, pipe.split.cold_items)
     model, report = pipeline.warm_with_report(pipe, sims, cfg)
     store.save_table(out / "warmed_item.cemb", model.item_emb)
     warmup.save_warmup_report(out / "warmup_report.json", report)

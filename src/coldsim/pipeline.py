@@ -101,11 +101,10 @@ def oracle_labeler(pipe: Pipeline, oracle, top_l: int):
     an :class:`~coldsim.refiner.OracleDecision` or the
     :class:`~coldsim.refiner.OracleError` it failed with, in pair order.
 
-    Each item's pairs get one block of contexts; the contexts are then put
-    back in pair order and answered by one ``decide`` call.  Contexts
-    always come from the behavior filter, whose item vectors are computed
-    once, here; a coupled filter already on the pipeline never labels its
-    successor.
+    The pairs' contexts come from one :func:`~coldsim.refiner.build_context`
+    call and are answered by one ``decide`` call.  Contexts always come
+    from the behavior filter, whose item vectors are computed once, here; a
+    coupled filter already on the pipeline never labels its successor.
     """
     if pipe.filter_b is None:
         raise ValueError("oracle labels need a trained filter B to build "
@@ -113,18 +112,8 @@ def oracle_labeler(pipe: Pipeline, oracle, top_l: int):
     item_vectors = pipe.item_vectors(pipe.filter_b)
 
     def label(users, items) -> list:
-        rows_of: dict[int, list[int]] = {}
-        for j, item in enumerate(items):
-            rows_of.setdefault(item, []).append(j)
-        contexts = [None] * len(items)
-        for item, rows in rows_of.items():
-            group = [users[j] for j in rows]
-            block = refiner.build_context(
-                group, item, item_vectors,
-                [pipe.train_items[u] for u in group], pipe.titles, top_l)
-            for j, ctx in zip(rows, block):
-                contexts[j] = ctx
-        return oracle.decide(contexts)
+        return oracle.decide(refiner.build_context(
+            users, items, item_vectors, pipe.train_items, pipe.titles, top_l))
 
     return label
 

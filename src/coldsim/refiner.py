@@ -26,6 +26,7 @@ from .backbone import draw_accepted, ordered_subsample
 from .content import HttpSession, post_with_retries
 from .corpus import ColdWarmSplit, ItemCatalog, lexsorted
 from .filtering import CandidateSet, TwoTowerFilter, funnel_filter
+from .metrics import row_chunks
 
 logger = logging.getLogger(__name__)
 
@@ -44,19 +45,33 @@ class OracleParseError(OracleError):
     """The oracle answered, but with neither yes nor no."""
 
 
-@dataclass
-class UserContext:
-    """Top-L history items of a user, ranked by similarity to the query item.
+@dataclass(frozen=True)
+class ContextBlock:
+    """The oracle contexts of one pass, one row per (user, query item) pair.
 
-    ``item`` is the query item and ``item_text`` its title; ``items`` and
-    ``texts`` are the history items and their titles.
+    ``users`` and ``items`` are int64 arrays; row ``j`` of the (rows,
+    top_l) int64 array ``hist`` holds user ``j``'s history items ranked by
+    similarity to item ``j``, padded with -1.  ``titles`` is every item's
+    title, indexed by item id.
     """
 
-    user: int
-    item: int
-    item_text: str
-    items: list[int]
-    texts: list[str]
+    users: np.ndarray
+    items: np.ndarray
+    hist: np.ndarray
+    titles: list[str]
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def take(self, rows) -> "ContextBlock":
+        """The block of ``rows``, in that order."""
+        return ContextBlock(self.users[rows], self.items[rows], self.hist[rows],
+                            self.titles)
+
+    def history(self, j: int) -> list[int]:
+        """Row ``j``'s context items, most similar first."""
+        row = self.hist[j]
+        return row[row >= 0].tolist()
 
 
 @dataclass
@@ -71,54 +86,59 @@ class FinetuneRecord(NamedTuple):
     completion: str
 
 
-def build_context(users, item: int, item_vectors: np.ndarray, histories,
-                  titles: list[str], top_l: int = 10) -> list[UserContext]:
-    """Each user's ``top_l`` history items most similar to one query item.
+def build_context(users, items, item_vectors: np.ndarray, train_items,
+                  titles: list[str], top_l: int = 10) -> ContextBlock:
+    """Each (user, item) pair's ``top_l`` history items most similar to the
+    item: one :class:`ContextBlock`, one row per pair, in pair order.
 
-    ``item_vectors`` holds every item's filter vector, one row per item id:
-    the context filter's item tower applied once to the whole content
-    matrix, and ``titles`` every item's title, indexed by item id.
-    Similarity is the dot product of filter vectors; ties break by
-    ascending item id.  An empty history yields an empty context.
-
-    The contexts come back in ``users`` order, from one gather of the
-    ``histories``, one product with ``item_vectors[item]`` and one
-    ``lexsort`` on (candidate, -similarity, item id).
+    ``train_items``, ``item_vectors`` (the context filter's item tower over
+    the whole catalog) and ``titles`` are indexed by user or item id.
+    Similarity is the dot product of filter vectors; ties break by ascending
+    item id, and an empty history gives an empty context.  A BLAS product's
+    bits can depend on a row's position in it, so each item's similarities
+    come from one product over its rows' histories, in row order; one
+    ``lexsort`` on (row, -similarity, item id) then ranks the whole pass.
     """
     if top_l < 1:
         raise ValueError(f"top_l must be >= 1, got {top_l}")
-    lens = np.fromiter(map(len, histories), dtype=np.int64,
-                       count=len(histories))
+    users = np.asarray(users, dtype=np.int64)
+    items = np.asarray(items, dtype=np.int64)
+    # rows grouped by item, stably: each item's histories lie together
+    by_item = np.argsort(items, kind="stable")
+    histories = [train_items[u] for u in users[by_item].tolist()]
+    lens = np.array([len(h) for h in histories], dtype=np.int64)
     hist_ids = np.fromiter(itertools.chain.from_iterable(histories),
                            dtype=np.int64, count=int(lens.sum()))
-    sims = item_vectors[hist_ids] @ np.asarray(item_vectors[item],
-                                               dtype=np.float64)
+    starts = np.cumsum(lens) - lens
+    group_items, firsts = np.unique(items[by_item], return_index=True)
+    sims = np.empty(len(hist_ids))
+    cuts = starts[firsts[1:]]
+    for item, ids, out in zip(group_items.tolist(), np.split(hist_ids, cuts),
+                              np.split(sims, cuts)):
+        out[:] = item_vectors[ids] @ np.asarray(item_vectors[item],
+                                                dtype=np.float64)
     owner = np.repeat(np.arange(len(lens)), lens)
     order = np.lexsort((hist_ids, -sims, owner))
-    # owner is ascending, so each candidate's run keeps its place
-    rank = np.arange(len(order)) - np.repeat(np.cumsum(lens) - lens, lens)
-    kept = hist_ids[order[rank < top_l]].tolist()
-    item_text = titles[item]
-    contexts, start = [], 0
-    for u, end in zip(users, np.cumsum(np.minimum(lens, top_l)).tolist()):
-        items = kept[start:end]
-        contexts.append(UserContext(user=u, item=item, item_text=item_text,
-                                    items=items,
-                                    texts=[titles[i] for i in items]))
-        start = end
-    return contexts
+    # owner is ascending, so each row's run keeps its place
+    rank = np.arange(len(order)) - np.repeat(starts, lens)
+    kept = rank < top_l
+    hist = np.full((len(lens), top_l), -1, dtype=np.int64)
+    hist[by_item[owner[kept]], rank[kept]] = hist_ids[order[kept]]
+    return ContextBlock(users, items, hist, titles)
 
 
-def render_prompt(context: UserContext) -> str:
-    """Render the fixed yes/no prompt for a context's query item, byte-exact.
+def render_prompt(block: ContextBlock, j: int) -> str:
+    """Render the fixed yes/no prompt for row ``j`` of a block, byte-exact.
 
     Context titles are double-quoted and comma-joined inside the first
     bracket pair; an empty context renders ``[]``.
     """
-    if not context.item_text:
+    titles = block.titles
+    item_text = titles[block.items[j]]
+    if not item_text:
         raise ValueError("item content must be non-empty")
-    history = ", ".join(f'"{t}"' for t in context.texts)
-    return PROMPT_TEMPLATE.format(history=history, item=context.item_text)
+    history = ", ".join(f'"{titles[i]}"' for i in block.history(j))
+    return PROMPT_TEMPLATE.format(history=history, item=item_text)
 
 
 def parse_yes_no(text: str) -> int:
@@ -140,18 +160,11 @@ class PlantedOracle:
     def __init__(self, true_pairs):
         self.true_pairs = set(true_pairs)
 
-    def decide(self, contexts: list[UserContext]) -> list[OracleDecision]:
-        """One membership test of (user, item) per context, in order."""
-        answers = []
-        for ctx in contexts:
-            yes = (ctx.user, ctx.item) in self.true_pairs
-            answers.append(OracleDecision(value=1 if yes else 0,
-                                          raw="Yes" if yes else "No"))
-        return answers
-
-
-# contexts gathered at once by ThresholdOracle: at most this many floats
-_GATHER_FLOATS = 1 << 16
+    def decide(self, block: ContextBlock) -> list[OracleDecision]:
+        """One membership test of (user, item) per row, in order."""
+        return [OracleDecision(value=1, raw="Yes") if pair in self.true_pairs
+                else OracleDecision(value=0, raw="No")
+                for pair in zip(block.users.tolist(), block.items.tolist())]
 
 
 class ThresholdOracle:
@@ -166,24 +179,20 @@ class ThresholdOracle:
         self.content_matrix = np.asarray(content_matrix, dtype=np.float64)
         self.tau = tau
 
-    def decide(self, contexts: list[UserContext]) -> list[OracleDecision]:
-        """One cosine test per context, in order; contexts may mix items."""
+    def decide(self, block: ContextBlock) -> list[OracleDecision]:
+        """One cosine test per row, in order; rows may mix items."""
         vectors = self.content_matrix
-        answers = [OracleDecision(value=0, raw="No") for _ in contexts]
-        norms = {}
-        lens = [len(ctx.items) for ctx in contexts]
-        # contexts of one length share a gather; X[idx].sum(axis=1) / n adds
-        # each context's rows in order, as X[items].mean(axis=0) does, so a
-        # context's bits do not depend on which others share its gather
-        for n in set(lens) - {0}:
-            rows = [j for j, size in enumerate(lens) if size == n]
-            step = max(1, _GATHER_FLOATS // (n * vectors.shape[1]))
-            for start in range(0, len(rows), step):
-                chunk = rows[start:start + step]
-                idx = np.array([contexts[j].items for j in chunk])
-                means = vectors[idx].sum(axis=1) / n
-                for j, ctx_mean in zip(chunk, means):
-                    item = contexts[j].item
+        answers = [OracleDecision(value=0, raw="No") for _ in range(len(block))]
+        norms, sizes = {}, (block.hist >= 0).sum(axis=1)
+        # rows of one context length share a gather; X[idx].sum(axis=1) / n
+        # adds each row's context in order, as X[items].mean(axis=0) does, so
+        # a row's bits do not depend on which others share its gather
+        for n in np.unique(sizes[sizes > 0]).tolist():
+            for rows in row_chunks(np.flatnonzero(sizes == n),
+                                   n * vectors.shape[1]):
+                means = vectors[block.hist[rows, :n]].sum(axis=1) / n
+                for j, item, ctx_mean in zip(rows.tolist(),
+                                             block.items[rows].tolist(), means):
                     item_vec = vectors[item]
                     if item not in norms:
                         norms[item] = np.sqrt(item_vec.dot(item_vec))
@@ -230,12 +239,10 @@ class HttpOracle:
             return doc["choices"][0]["message"]["content"]
         raise OracleError("chat response carries no messages")
 
-    def _ask(self, context: UserContext) -> OracleDecision | OracleError:
-        prompt = render_prompt(context)
-        if self.chat:
-            body = {"messages": [{"role": "user", "content": prompt}]}
-        else:
-            body = {"prompt": prompt}
+    def _ask(self, block: ContextBlock, j: int) -> OracleDecision | OracleError:
+        prompt = render_prompt(block, j)
+        body = {"messages": [{"role": "user", "content": prompt}]} \
+            if self.chat else {"prompt": prompt}
         start = time.perf_counter()
         try:
             answer = post_with_retries(self._session, body, self._answer,
@@ -248,18 +255,19 @@ class HttpOracle:
         except OracleError as exc:
             return exc
 
-    def decide(self, contexts: list[UserContext]) -> list[OracleDecision | OracleError]:
-        """Every context's answer, in order, or the error it failed with.
+    def decide(self, block: ContextBlock) -> list[OracleDecision | OracleError]:
+        """Every row's answer, in order, or the error it failed with.
 
-        All contexts go to the pool at once; each worker renders its own
-        prompt.  Once ``max_inflight`` answers in a row, in context order,
+        All rows go to the pool at once; each worker renders its own
+        prompt.  Once ``max_inflight`` answers in a row, in row order,
         have failed every retry (a parse error does not count, and ends
         the streak), the endpoint is taken for dead: requests not yet
         started are cancelled and come back as an :class:`OracleError`
         saying so, while those in flight finish.  Any other exception
         cancels them too, then propagates.
         """
-        futures = [self._pool.submit(self._ask, ctx) for ctx in contexts]
+        futures = [self._pool.submit(self._ask, block, j)
+                   for j in range(len(block))]
         answers, streak = [], 0
         try:
             for future in futures:
@@ -366,13 +374,11 @@ def refine_all(candidate_sets: list[CandidateSet], client,
     """Keep the candidates the oracle accepts, preserving rank order, for
     every candidate set of one pass.
 
-    ``item_vectors`` are the context filter's item vectors and ``titles``
-    the item titles, both indexed by item id.  Each item's contexts come
-    from one block :func:`build_context` call, and every context of the
-    pass that the ``decision_log`` cannot answer goes to one
+    ``item_vectors`` (the context filter's) and ``titles`` are indexed by
+    item id.  The pass's contexts come from one :func:`build_context` call,
+    and the rows the ``decision_log`` cannot answer go to one
     ``client.decide`` call.  Prompts are rendered and hashed only to key
-    the log; the HTTP oracle renders its own.  Decisions are logged in
-    item order, then candidate order.
+    the log.  Decisions are logged in item order, then candidate order.
 
     Returns (accepted users, oracle failure count) per candidate set.
     Raises :class:`OracleError` naming the first item, in order, whose every
@@ -385,51 +391,43 @@ def refine_all(candidate_sets: list[CandidateSet], client,
         twice = sorted({i for i in items if items.count(i) > 1})
         raise ValueError(f"refine_all got items {twice} more than once in "
                          f"one pass")
-    cached, asked = [], []      # per item: {user: logged decision}, [(ctx, ph)]
-    for cand in candidate_sets:
-        if not cand.users:
-            raise ValueError("refine requires a non-empty candidate set")
-        contexts = build_context(cand.users, cand.item, item_vectors,
-                                 [train_items[u] for u in cand.users],
-                                 titles, top_l)
-        hits, pending = {}, []
-        for ctx in contexts:
-            ph = None
-            if decision_log is not None:
-                ph = DecisionLog.prompt_hash(render_prompt(ctx))
-                hit = decision_log.lookup(ctx.user, ctx.item, client.kind, ph)
-                if hit is not None:
-                    hits[ctx.user] = hit
-                    continue
-            pending.append((ctx, ph))
-        cached.append(hits)
-        asked.append(pending)
+    if not all(cand.users for cand in candidate_sets):
+        raise ValueError("refine requires a non-empty candidate set")
+    users = [u for cand in candidate_sets for u in cand.users]
+    block = build_context(users, [c.item for c in candidate_sets for _ in c.users],
+                          item_vectors, train_items, titles, top_l)
+    phs = cached = [None] * len(block)      # per row: the logged decision
+    if decision_log is not None:
+        phs = [DecisionLog.prompt_hash(render_prompt(block, j))
+               for j in range(len(block))]
+        cached = [decision_log.lookup(u, i, client.kind, ph) for u, i, ph
+                  in zip(users, block.items.tolist(), phs)]
+    asked = [j for j, hit in enumerate(cached) if hit is None]
+    fresh = dict(zip(asked, client.decide(block.take(asked)) if asked else ()))
 
-    flat = [ctx for pending in asked for ctx, _ in pending]
-    outcomes = client.decide(flat) if flat else []
-    results, start = [], 0
-    for cand, decisions, pending in zip(candidate_sets, cached, asked):
-        failures = 0
-        for (ctx, ph), outcome in zip(pending,
-                                      outcomes[start:start + len(pending)]):
-            if isinstance(outcome, OracleError):
+    results, dead, start = [], [], 0
+    for cand in candidate_sets:
+        rows = range(start, start + len(cand.users))
+        start = rows.stop
+        decided, failures = {}, 0
+        for j in rows:
+            answer = fresh.get(j, cached[j])
+            if isinstance(answer, OracleError):
                 failures += 1
-                logger.warning("oracle call failed: %s", outcome)
+                logger.warning("oracle call failed: %s", answer)
                 continue
-            decisions[ctx.user] = outcome
-            if decision_log is not None:
-                decision_log.record(ctx.user, ctx.item, client.kind, ph,
-                                    outcome)
-        start += len(pending)
+            decided[users[j]] = answer
+            if decision_log is not None and j in fresh:
+                decision_log.record(users[j], cand.item, client.kind, phs[j],
+                                    answer)
         if failures:
-            logger.warning("item %s: %d of %d oracle calls failed",
-                           cand.item, failures, len(pending))
-        results.append(([u for u in cand.users
-                         if u in decisions and decisions[u].value == 1],
-                        failures))
+            logger.warning("item %s: %d of %d oracle calls failed", cand.item,
+                           failures, sum(j in fresh for j in rows))
+        if not decided:
+            dead.append(cand.item)
+        results.append(([u for u in cand.users if u in decided
+                         and decided[u].value == 1], failures))
     # raise only once every answer of the pass is logged: answers are paid for
-    dead = [cand.item for cand, decisions in zip(candidate_sets, cached)
-            if not decisions]
     if dead:
         raise OracleError(f"every oracle call failed for item {dead[0]}")
     return results
@@ -551,9 +549,10 @@ def prepare_finetune_data(split: ColdWarmSplit, catalog: ItemCatalog,
     titles = [catalog.title(i) for i in range(len(content_matrix))]
 
     def make_record(user, item, completion):
-        [ctx] = build_context([user], item, item_vectors,
-                              [index.train_items[user]], titles, top_l)
-        return FinetuneRecord(prompt=render_prompt(ctx), completion=completion)
+        # one call per record: a context never depends on other records
+        block = build_context([user], [item], item_vectors, index.train_items,
+                              titles, top_l)
+        return FinetuneRecord(render_prompt(block, 0), completion)
 
     records: list[FinetuneRecord] = []
     dropped = 0

@@ -1,6 +1,12 @@
+import contextlib
+import threading
+from http.server import ThreadingHTTPServer
+
+import numpy as np
 import pytest
 
 from coldsim.corpus import ColdWarmSplit, InteractionLog
+from coldsim.refiner import ContextBlock
 from coldsim.synthetic import make_two_cluster_dataset, make_planted_split
 
 
@@ -63,3 +69,38 @@ def pair_split(pairs, warm):
     return ColdWarmSplit(warm_items=list(warm), cold_items=[],
                          warm_train=list(pairs), warm_val=[], warm_test=[],
                          cold_val=[], cold_test=[], seed=0, cold_frac=0.0)
+
+
+def context_block(rows, titles):
+    """A :class:`~coldsim.refiner.ContextBlock` built by hand: one row per
+    (user, query item, context items) triple, context items most similar
+    first; ``titles`` holds every item's title by id."""
+    hist = np.full((len(rows), max([1] + [len(h) for _, _, h in rows])), -1,
+                   dtype=np.int64)
+    for j, (_, _, history) in enumerate(rows):
+        hist[j, :len(history)] = history
+    return ContextBlock(users=np.array([r[0] for r in rows], dtype=np.int64),
+                        items=np.array([r[1] for r in rows], dtype=np.int64),
+                        hist=hist, titles=list(titles))
+
+
+@contextlib.contextmanager
+def http_server(handler, server_class=ThreadingHTTPServer):
+    """A local ``server_class`` on a free port, serving ``handler`` on a
+    thread until the block ends; ``server.base_url`` is its address.
+
+    The server polls for shutdown every 10 ms rather than every 0.5 s, so
+    stopping it does not stall the test.
+    """
+    server = server_class(("127.0.0.1", 0), handler)
+    server.base_url = f"http://127.0.0.1:{server.server_address[1]}"
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()

@@ -114,7 +114,7 @@ def test_failed_finetune_export_keeps_previous_file(tmp_path, monkeypatch):
     save_finetune(path, refiner.render_prompt, monkeypatch)
     before = path.read_bytes()
     with pytest.raises(TypeError):
-        save_finetune(path, lambda ctx: object(), monkeypatch)
+        save_finetune(path, lambda block, j: object(), monkeypatch)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["finetune.jsonl"]
 

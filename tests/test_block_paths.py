@@ -1,50 +1,139 @@
 """Block and one-pass paths against the paths they replace.
 
 ``simulate_all`` ranks every cold item's candidates with one funnel call
-per filter, builds each item's contexts in one block and lets the oracle
-decide every item's contexts in one call per pass; the L labeller builds
-one block per item of the label pool and decides the whole pool in one
-call; ``warm_all_cold`` draws each item's users in blocks.  The
-references here are the per-item path: one 1-D ``funnel_filter`` call per
-item, one context and one decision per (candidate, item) pair, and the
-scalar warmup draws; and the per-item pass, one ``decide`` call per item,
-for refinement and labelling.  The backbone and both filters train through
-one epoch loop, ``backbone.fit_epochs``; their references are the two
-loops it replaced.
+per filter, builds the whole pass's contexts as one ``ContextBlock`` and
+lets the oracle decide it in one call; the L labeller builds and decides
+its label pool the same way; ``warm_all_cold`` draws each item's users in
+blocks.  The references here are the per-item path: one 1-D
+``funnel_filter`` call per item, one context and one decision per
+(candidate, item) pair, and the scalar warmup draws; and the per-item
+pass, one ``decide`` call per item, for refinement and labelling.  The
+contexts' reference is the list-of-contexts path the block replaced: one
+``build_context`` call per item giving one context object per user, and
+the threshold oracle's per-context gather.  The backbone and both
+filters train through one epoch loop, ``backbone.fit_epochs``; their
+references are the two loops it replaced.
 
 The block products sum in another order than the per-pair ones, so CI
 runs this module a second time with one BLAS thread.
 """
 
 import dataclasses
+import itertools
 import logging
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from coldsim import backbone, filtering, pipeline, refiner
+from coldsim import backbone, filtering, metrics, pipeline
 from coldsim.backbone import BackboneModel
 from coldsim.config import default_config, resolve_seeds
 from coldsim.filtering import TowerMlp, TwoTowerFilter, funnel_filter
-from coldsim.refiner import (DecisionLog, OracleDecision, OracleError,
-                             PlantedOracle, SimulateConfig, SimulationResult,
-                             ThresholdOracle, UserContext, build_context,
-                             render_prompt)
+from coldsim.refiner import (PROMPT_TEMPLATE, DecisionLog, OracleDecision,
+                             OracleError, PlantedOracle, SimulateConfig, SimulationResult,
+                             ThresholdOracle, build_context, render_prompt)
 from coldsim.synthetic import make_planted_split, make_two_cluster_dataset
 from coldsim.warmup import WarmupConfig, draw_step_users, warm_all_cold
+from conftest import context_block
+
+
+# -- the list-of-contexts reference ------------------------------------------
+
+class Context(NamedTuple):
+    """One (user, query item) pair's context items, most similar first."""
+
+    user: int
+    item: int
+    items: list
+
+
+def list_build_context(users, item, item_vectors, histories, top_l):
+    """One item's contexts, one per user: one gather of the histories, one
+    product with the item's vector, one ``lexsort`` on (user, -similarity,
+    item id)."""
+    lens = np.fromiter(map(len, histories), dtype=np.int64,
+                       count=len(histories))
+    hist_ids = np.fromiter(itertools.chain.from_iterable(histories),
+                           dtype=np.int64, count=int(lens.sum()))
+    sims = item_vectors[hist_ids] @ np.asarray(item_vectors[item],
+                                               dtype=np.float64)
+    owner = np.repeat(np.arange(len(lens)), lens)
+    order = np.lexsort((hist_ids, -sims, owner))
+    rank = np.arange(len(order)) - np.repeat(np.cumsum(lens) - lens, lens)
+    kept = hist_ids[order[rank < top_l]].tolist()
+    contexts, start = [], 0
+    for u, end in zip(users, np.cumsum(np.minimum(lens, top_l)).tolist()):
+        contexts.append(Context(u, item, kept[start:end]))
+        start = end
+    return contexts
+
+
+def list_pass_contexts(users, items, item_vectors, train_items, top_l):
+    """A pass's contexts in pair order: the pairs grouped by item, stably,
+    and one :func:`list_build_context` call per item."""
+    rows_of = {}
+    for j, item in enumerate(items):
+        rows_of.setdefault(item, []).append(j)
+    contexts = [None] * len(items)
+    for item, rows in rows_of.items():
+        group = [users[j] for j in rows]
+        for j, ctx in zip(rows, list_build_context(
+                group, item, item_vectors, [train_items[u] for u in group],
+                top_l)):
+            contexts[j] = ctx
+    return contexts
+
+
+def list_threshold_decide(oracle, contexts, gather_floats=1 << 16):
+    """The threshold oracle's per-context path: contexts of one length share
+    a gather, split into chunks of at most ``gather_floats`` floats."""
+    vectors = oracle.content_matrix
+    answers = [OracleDecision(value=0, raw="No") for _ in contexts]
+    lens = [len(ctx.items) for ctx in contexts]
+    for n in set(lens) - {0}:
+        rows = [j for j, size in enumerate(lens) if size == n]
+        step = max(1, gather_floats // (n * vectors.shape[1]))
+        for start in range(0, len(rows), step):
+            chunk = rows[start:start + step]
+            means = vectors[np.array([contexts[j].items
+                                      for j in chunk])].sum(axis=1) / n
+            for j, ctx_mean in zip(chunk, means):
+                item_vec = vectors[contexts[j].item]
+                denom = np.sqrt(item_vec.dot(item_vec)) * \
+                    np.sqrt(ctx_mean.dot(ctx_mean))
+                cos = float(item_vec @ ctx_mean / denom) if denom > 0 else 0.0
+                yes = cos >= oracle.tau
+                answers[j] = OracleDecision(value=1 if yes else 0,
+                                            raw="Yes" if yes else "No")
+    return answers
+
+
+def list_render_prompt(ctx, titles):
+    """The prompt of one context, rendered from its titles."""
+    history = ", ".join(f'"{titles[i]}"' for i in ctx.items)
+    return PROMPT_TEMPLATE.format(history=history, item=titles[ctx.item])
+
+
+def as_block(contexts, titles):
+    return context_block([(c.user, c.item, c.items) for c in contexts], titles)
+
+
+def block_contexts(block):
+    return [Context(u, i, block.history(j)) for j, (u, i) in enumerate(
+        zip(block.users.tolist(), block.items.tolist()))]
 
 
 # -- the per-item reference --------------------------------------------------
 
-def reference_context(user, item, item_vectors, history, catalog, top_l):
+def reference_context(user, item, item_vectors, history, top_l):
     items = []
     if history:
         hist_ids = np.asarray(history)
         sims = item_vectors[hist_ids] @ item_vectors[item]
         items = hist_ids[np.lexsort((hist_ids, -sims))[:top_l]].tolist()
-    return UserContext(user=user, item=item, item_text=catalog.title(item),
-                       items=items, texts=[catalog.title(i) for i in items])
+    return Context(user, item, items)
 
 
 def reference_threshold(oracle, item, context):
@@ -59,17 +148,16 @@ def reference_threshold(oracle, item, context):
     return OracleDecision(value=1 if yes else 0, raw="Yes" if yes else "No")
 
 
-def reference_refine(candidates, oracle, item_vectors, train_items, catalog,
+def reference_refine(candidates, oracle, item_vectors, train_items, titles,
                      top_l, decision_log):
     """One context and one decision per (candidate, item) pair."""
     item = candidates.item
     decisions, failures = {}, 0
     for u in candidates.users:
-        ctx = reference_context(u, item, item_vectors, train_items[u], catalog,
-                                top_l)
+        ctx = reference_context(u, item, item_vectors, train_items[u], top_l)
         ph = None
         if decision_log is not None:
-            ph = DecisionLog.prompt_hash(render_prompt(ctx))
+            ph = DecisionLog.prompt_hash(list_render_prompt(ctx, titles))
             cached = decision_log.lookup(u, item, oracle.kind, ph)
             if cached is not None:
                 decisions[u] = cached
@@ -77,7 +165,7 @@ def reference_refine(candidates, oracle, item_vectors, train_items, catalog,
         if isinstance(oracle, ThresholdOracle):
             decision = reference_threshold(oracle, item, ctx)
         else:
-            [decision] = oracle.decide([ctx])
+            [decision] = oracle.decide(as_block([ctx], titles))
         if isinstance(decision, OracleError):
             failures += 1
             continue
@@ -90,25 +178,25 @@ def reference_refine(candidates, oracle, item_vectors, train_items, catalog,
             if u in decisions and decisions[u].value == 1], failures
 
 
-def per_item_refine(candidates, oracle, item_vectors, train_items, catalog,
+def per_item_refine(candidates, oracle, item_vectors, train_items, titles,
                     top_l, decision_log):
     """The per-item pass: one ``decide`` call per item, for the contexts
     the log cannot answer, logged in candidate order."""
     item = candidates.item
     decisions, pending = {}, []
     for u in candidates.users:
-        ctx = reference_context(u, item, item_vectors, train_items[u], catalog,
-                                top_l)
+        ctx = reference_context(u, item, item_vectors, train_items[u], top_l)
         ph = None
         if decision_log is not None:
-            ph = DecisionLog.prompt_hash(render_prompt(ctx))
+            ph = DecisionLog.prompt_hash(list_render_prompt(ctx, titles))
             cached = decision_log.lookup(u, item, oracle.kind, ph)
             if cached is not None:
                 decisions[u] = cached
                 continue
         pending.append((ctx, ph))
     failures = 0
-    outcomes = oracle.decide([ctx for ctx, _ in pending]) if pending else []
+    outcomes = oracle.decide(as_block([ctx for ctx, _ in pending], titles)) \
+        if pending else []
     for (ctx, ph), outcome in zip(pending, outcomes):
         if isinstance(outcome, OracleError):
             failures += 1
@@ -140,7 +228,7 @@ def reference_simulate_all(pipe, cfg, use_b=True, use_l=True,
             results[item] = SimulationResult(item=item, users=list(cand.users))
             continue
         kept, failures = refine(cand, pipe.oracle, item_vectors,
-                                pipe.train_items, pipe.catalog,
+                                pipe.train_items, pipe.titles,
                                 sim_cfg.context_len, decision_log)
         if kept:
             results[item] = SimulationResult(item=item, users=kept,
@@ -223,29 +311,38 @@ def planted_pipe():
     return cfg, pipe
 
 
-def integer_tower(rng, d_in, hidden, d_out):
-    return TowerMlp(w1=rng.integers(-2, 3, size=(d_in, hidden)).astype(float),
-                    b1=np.zeros(hidden),
-                    w2=rng.integers(-2, 3, size=(hidden, d_out)).astype(float),
-                    b2=np.zeros(d_out))
+def integer_tower(rng, d_in, hidden, d_out, integer=True):
+    def weights(shape):
+        if integer:
+            return rng.integers(-2, 3, size=shape).astype(float)
+        return rng.normal(size=shape)
+    return TowerMlp(w1=weights((d_in, hidden)), b1=np.zeros(hidden),
+                    w2=weights((hidden, d_out)), b2=np.zeros(d_out))
 
 
-def small_integer_pipe(seed, content_rows, user_rows):
+def small_integer_pipe(seed, content_rows, user_rows, integer=True, out=4):
     """Small-integer content, embeddings and tower weights: every context
     similarity is an exact integer, and ``content_rows`` distinct content
     rows and ``user_rows`` distinct users give exact ties in the contexts
-    and the funnel."""
+    and the funnel.  With ``integer=False`` the rows and weights are
+    random floats instead: items with equal content still have equal
+    filter vectors, but whether their similarities tie to the bit may
+    depend on their positions in a BLAS product."""
     data = make_two_cluster_dataset(n_users=48, n_warm=24, n_cold=8,
                                     groups_per_cluster=2, seed=seed)
     split = make_planted_split(data, seed=seed)
     rng = np.random.default_rng(seed)
     n_users, n_items = data.log.n_users, data.log.n_items
-    content = rng.integers(0, 3, size=(content_rows, 5)).astype(float)[
+    draw = (lambda low, high, shape: rng.integers(low, high, size=shape)
+            .astype(float)) if integer else \
+        (lambda low, high, shape: rng.normal(size=shape))
+    content = draw(0, 3, (content_rows, 5))[
         rng.integers(content_rows, size=n_items)]
-    user_emb = rng.integers(-1, 2, size=(user_rows, 4)).astype(float)[
-        rng.integers(user_rows, size=n_users)]
-    filters = [TwoTowerFilter(v, integer_tower(rng, 9, 6, 4),
-                              integer_tower(rng, 5, 6, 4)) for v in "BL"]
+    user_emb = draw(-1, 2, (user_rows, 4))[rng.integers(user_rows,
+                                                        size=n_users)]
+    filters = [TwoTowerFilter(v, integer_tower(rng, 9, 6, out, integer),
+                              integer_tower(rng, 5, 6, out, integer))
+               for v in "BL"]
     pipe = pipeline.Pipeline(
         log=data.log, catalog=data.catalog, split=split,
         backbone=BackboneModel(user_emb=user_emb,
@@ -268,14 +365,24 @@ def tie_pipe():
     return small_integer_pipe(11, content_rows=2, user_rows=2)
 
 
+@pytest.fixture(scope="module")
+def float_dup_pipe():
+    """Three distinct random content rows: duplicate-content items whose
+    similarities tie, or not, as their product positions decide."""
+    return small_integer_pipe(13, content_rows=3, user_rows=48,
+                              integer=False, out=8)
+
+
 class FlakyOracle(PlantedOracle):
     """The planted oracle, failing in place on every pair whose user and
     item sum to a multiple of three."""
 
-    def decide(self, contexts):
-        return [OracleError(f"no answer for ({ctx.user}, {ctx.item})")
-                if (ctx.user + ctx.item) % 3 == 0 else answer
-                for ctx, answer in zip(contexts, super().decide(contexts))]
+    def decide(self, block):
+        return [OracleError(f"no answer for ({user}, {item})")
+                if (user + item) % 3 == 0 else answer
+                for user, item, answer in zip(block.users.tolist(),
+                                              block.items.tolist(),
+                                              super().decide(block))]
 
 
 def with_oracle(pipe, kind):
@@ -346,9 +453,10 @@ class DeadItemOracle(PlantedOracle):
         super().__init__(true_pairs)
         self.dead_item = dead_item
 
-    def decide(self, contexts):
-        return [OracleError("dead") if ctx.item == self.dead_item else answer
-                for ctx, answer in zip(contexts, super().decide(contexts))]
+    def decide(self, block):
+        return [OracleError("dead") if item == self.dead_item else answer
+                for item, answer in zip(block.items.tolist(),
+                                        super().decide(block))]
 
 
 @pytest.mark.parametrize("pipe_name", PIPES)
@@ -408,19 +516,61 @@ def test_block_contexts_equal_one_user_calls(request):
         vectors = pipe.item_vectors(pipe.filter_b)
         users = list(range(pipe.log.n_users)) + [0, 3]
         # shuffled, so that only the id key can put tied items in
-        # ascending order
+        # ascending order; rows index the histories
         rng = np.random.default_rng(1)
         histories = [rng.permutation(pipe.train_items[u]).tolist()
                      for u in users]
         histories[1] = []
+        rows = list(range(len(users)))
         for item in pipe.split.cold_items:
             for top_l in (1, 3, 50):
-                got = build_context(users, item, vectors, histories,
-                                    pipe.titles, top_l)
-                want = [reference_context(u, item, vectors, h, pipe.catalog,
-                                          top_l)
-                        for u, h in zip(users, histories)]
-                assert got == want
+                got = build_context(rows, [item] * len(rows), vectors,
+                                    histories, pipe.titles, top_l)
+                want = [reference_context(j, item, vectors, h, top_l)
+                        for j, h in enumerate(histories)]
+                assert block_contexts(got) == want
+                assert got.hist.shape == (len(rows), top_l)
+
+
+def label_pool(pipe):
+    pool = filtering.sample_label_pairs(pipe.split, pipe.log.n_users, None, 3)
+    return [u for u, _ in pool], [i for _, i in pool]
+
+
+def short_histories(pipe):
+    """The pipe's histories, every fifth emptied and every fifth cut to one
+    item."""
+    return [[] if u % 5 == 0 else h[:1] if u % 5 == 1 else h
+            for u, h in enumerate(pipe.train_items)]
+
+
+@pytest.mark.parametrize("pipe_name", PIPES + ["float_dup_pipe"])
+@pytest.mark.parametrize("top_l", [1, 3, 10])
+def test_block_equals_list_path(request, pipe_name, top_l):
+    # the integer and tie pipes hold duplicate-content items that tie exactly
+    _, pipe = request.getfixturevalue(pipe_name)
+    vectors = pipe.item_vectors(pipe.filter_b)
+    users, items = label_pool(pipe)
+    # one item recurs at rows that are not adjacent
+    assert any(np.diff(np.flatnonzero(np.array(items) == i)).max(initial=1)
+               > 1 for i in set(items))
+    for short in (False, True):
+        train_items = short_histories(pipe) if short else pipe.train_items
+        got = build_context(users, items, vectors, train_items, pipe.titles,
+                            top_l)
+        want = list_pass_contexts(users, items, vectors, train_items, top_l)
+        assert block_contexts(got) == want
+        assert got.titles is pipe.titles
+        assert [render_prompt(got, j) for j in range(len(got))] == \
+            [list_render_prompt(ctx, pipe.titles) for ctx in want]
+        if short:   # empty contexts, and contexts shorter than top_l
+            lens = {len(ctx.items) for ctx in want}
+            assert 0 in lens and (top_l == 1 or min(lens - {0}) < top_l)
+        # a take of mixed rows: repeated, out of order, across items
+        rows = np.random.default_rng(top_l).integers(len(got), size=40)
+        assert block_contexts(got.take(rows)) == [want[j] for j in rows]
+        assert [render_prompt(got.take(rows), k) for k in range(len(rows))] \
+            == [list_render_prompt(want[j], pipe.titles) for j in rows]
 
 
 def test_threshold_block_equals_per_pair(planted_pipe, monkeypatch):
@@ -428,19 +578,28 @@ def test_threshold_block_equals_per_pair(planted_pipe, monkeypatch):
     oracle = ThresholdOracle(pipe.content_matrix, tau=0.5)
     rng = np.random.default_rng(3)
     # the contexts of every cold item, interleaved, in one pass
-    contexts = [UserContext(user=u, item=item, item_text="x", items=rng.choice(
-        pipe.log.n_items, size=int(rng.integers(0, 6)), replace=False).tolist(),
-        texts=[]) for item in pipe.split.cold_items for u in range(30)]
+    contexts = [Context(u, item, rng.choice(
+        pipe.log.n_items, size=int(rng.integers(0, 6)), replace=False).tolist())
+        for item in pipe.split.cold_items for u in range(30)]
     contexts = [contexts[j] for j in rng.permutation(len(contexts))]
-    # one gather per context length, then gathers split into chunks
-    for gather_floats in (refiner._GATHER_FLOATS, 1, 200):
-        monkeypatch.setattr(refiner, "_GATHER_FLOATS", gather_floats)
+    block = as_block(contexts, pipe.titles)
+    rows = rng.integers(len(contexts), size=50)
+    # one gather per context length, then gathers split into row chunks
+    for scores, min_rows in ((metrics.RANK_CHUNK_SCORES,
+                              metrics.RANK_CHUNK_MIN_ROWS),
+                             (1, metrics.RANK_CHUNK_MIN_ROWS), (1, 1),
+                             (200, 1)):
+        monkeypatch.setattr(metrics, "RANK_CHUNK_SCORES", scores)
+        monkeypatch.setattr(metrics, "RANK_CHUNK_MIN_ROWS", min_rows)
         for tau in (0.0, 0.5, 1.0):
             oracle.tau = tau
             ref = [reference_threshold(oracle, ctx.item, ctx)
                    for ctx in contexts]
-            assert oracle.decide(contexts) == ref
-            assert [oracle.decide([c])[0] for c in contexts] == ref
+            assert list_threshold_decide(oracle, contexts) == ref
+            assert oracle.decide(block) == ref
+            assert [oracle.decide(block.take([j]))[0]
+                    for j in range(len(block))] == ref
+            assert oracle.decide(block.take(rows)) == [ref[j] for j in rows]
 
 
 # -- L labelling -------------------------------------------------------------
@@ -453,8 +612,8 @@ def reference_labeler(pipe, oracle, top_l):
         answers = []
         for u, i in zip(users, items):
             ctx = reference_context(u, i, item_vectors, pipe.train_items[u],
-                                    pipe.catalog, top_l)
-            answers.extend(oracle.decide([ctx]))
+                                    top_l)
+            answers.extend(oracle.decide(as_block([ctx], pipe.titles)))
         return answers
 
     return label
@@ -472,9 +631,10 @@ def per_item_labeler(pipe, oracle, top_l):
         answers = [None] * len(items)
         for item, rows in rows_of.items():
             contexts = [reference_context(users[j], item, item_vectors,
-                                          pipe.train_items[users[j]],
-                                          pipe.catalog, top_l) for j in rows]
-            for j, answer in zip(rows, oracle.decide(contexts)):
+                                          pipe.train_items[users[j]], top_l)
+                        for j in rows]
+            for j, answer in zip(rows, oracle.decide(as_block(contexts,
+                                                              pipe.titles))):
                 answers[j] = answer
         return answers
 
@@ -493,15 +653,14 @@ def test_oracle_labeler_equals_per_pair_labels(request, monkeypatch, caplog,
     cfg, pipe = request.getfixturevalue(pipe_name)
     pipe = with_oracle(pipe, oracle)
     top_l = cfg["refiner"]["context_len"]
-    pool = filtering.sample_label_pairs(pipe.split, pipe.log.n_users, None, 3)
-    users, items = [u for u, _ in pool], [i for _, i in pool]
+    users, items = label_pool(pipe)
     assert len(set(items)) < len(items)     # items recur, in no sorted order
     assert items != sorted(items)
     decided = []
-    monkeypatch.setattr(pipe.oracle, "decide", lambda contexts, real=(
-        pipe.oracle.decide): decided.append(len(contexts)) or real(contexts))
+    monkeypatch.setattr(pipe.oracle, "decide", lambda block, real=(
+        pipe.oracle.decide): decided.append(len(block)) or real(block))
     got = pipeline.oracle_labeler(pipe, pipe.oracle, top_l)(users, items)
-    assert decided == [len(pool)]           # one decide for the whole pool
+    assert decided == [len(users)]          # one decide for the whole pool
     for make_reference in (reference_labeler, per_item_labeler):
         want = make_reference(pipe, pipe.oracle, top_l)(users, items)
         assert answer_summary(got) == answer_summary(want)

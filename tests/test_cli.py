@@ -1,6 +1,6 @@
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import shutil
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import pytest
@@ -10,7 +10,7 @@ from coldsim.config import default_config, load_config
 from coldsim.content import VectorCache
 from coldsim.synthetic import make_two_cluster_dataset
 
-from conftest import write_citeulike_fixture
+from conftest import http_server, write_citeulike_fixture
 
 
 def write_corpus_from_planted(root, seed=0):
@@ -167,6 +167,45 @@ class TestExitCodes:
         assert "backbone_user.cemb: row " in caplog.text
         assert "is not finite as float32" in caplog.text
         assert not list(out.glob("backbone*"))
+
+
+@pytest.fixture(scope="module")
+def simulated_run(tmp_path_factory):
+    """The CHAIN corpus (seed 7) run up to and including ``simulate``."""
+    root = tmp_path_factory.mktemp("simulated")
+    config = fast_config(root)
+    out = root / "run"
+    base = ["--config", str(config), "--seed", "7", "--out", str(out)]
+    assert main(base + ["ingest", "--dataset", "citeulike", "--path",
+                        str(write_corpus_from_planted(root / "corpus"))]) == 0
+    for command in CHAIN[:CHAIN.index(["simulate"]) + 1]:
+        assert main(base + command) == 0, command
+    return config, out
+
+
+class TestWarmupChecksSimulations:
+    @pytest.mark.parametrize("users,extra", [
+        ([1000000], None), ([-1], None), ([1.5], None), ([True], None),
+        (["3"], None), (None, "999999"), (None, "x")])
+    def test_bad_simulations_are_validation_errors(self, tmp_path, caplog,
+                                                   simulated_run, users,
+                                                   extra):
+        config, run = simulated_run
+        out = tmp_path / "run"
+        shutil.copytree(run, out)
+        doc = json.loads((out / "simulated.json").read_text())
+        item = min(doc, key=int)
+        if extra is None:
+            doc[item]["users"] = users
+        else:
+            item = extra
+            doc[extra] = {"users": [0], "fallback_used": False}
+        (out / "simulated.json").write_text(json.dumps(doc))
+        caplog.clear()
+        assert main(["--config", str(config), "--seed", "7", "--out",
+                     str(out), "warmup"]) == 1
+        assert f"simulated.json: item {item} " in caplog.text
+        assert not (out / "warmed_item.cemb").exists()
 
 
 class TestChain:
@@ -345,14 +384,9 @@ class _DeadItemHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def dead_item_server():
-    srv = ThreadingHTTPServer(("127.0.0.1", 0), _DeadItemHandler)
-    srv.prompts, srv.dead_title = [], None
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    yield srv
-    srv.shutdown()
-    srv.server_close()
-    thread.join(timeout=5)
+    with http_server(_DeadItemHandler) as srv:
+        srv.prompts, srv.dead_title = [], None
+        yield srv
 
 
 class TestFailedSimulateKeepsAnswers:
@@ -361,7 +395,7 @@ class TestFailedSimulateKeepsAnswers:
         corpus = write_corpus_from_planted(tmp_path / "corpus")
         doc = json.loads(fast_config(tmp_path).read_text())
         doc["refiner"].update(oracle="http", retries=1, endpoint=(
-            f"http://127.0.0.1:{dead_item_server.server_address[1]}/decide"))
+            f"{dead_item_server.base_url}/decide"))
         config = tmp_path / "http.json"
         config.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "run"

@@ -1,7 +1,6 @@
 import json
 import re
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from coldsim.content import (FileContentProvider, HttpContentProvider,
                              MockContentProvider, ProviderError, VectorCache,
                              fnv1a64, mock_embed, warm_cache)
 from coldsim.corpus import ItemCatalog
+from conftest import http_server
 
 
 class TestMockEmbed:
@@ -128,14 +128,8 @@ class _EmbedHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def embed_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _EmbedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/embed"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
+    with http_server(_EmbedHandler) as server:
+        yield f"{server.base_url}/embed"
 
 
 class TestHttpProvider:

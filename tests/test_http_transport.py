@@ -23,8 +23,8 @@ import pytest
 import coldsim
 from coldsim.content import HttpContentProvider, HttpSession, warm_cache
 from coldsim.corpus import ItemCatalog
-from coldsim.refiner import (HttpOracle, OracleError, UserContext,
-                             render_prompt)
+from coldsim.refiner import HttpOracle, OracleError, render_prompt
+from conftest import context_block, http_server
 
 SRC = Path(coldsim.__file__).resolve().parent
 _NETWORK_MODULES = {"http.client", "socket", "urllib.request"}
@@ -58,38 +58,32 @@ class _RecordingHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def server():
-    srv = ThreadingHTTPServer(("127.0.0.1", 0), _RecordingHandler)
-    srv.seen, srv.status, srv.doc = [], 200, {}
-    srv.url = f"http://127.0.0.1:{srv.server_address[1]}/endpoint"
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    yield srv
-    srv.shutdown()
-    srv.server_close()
-    thread.join(timeout=5)
+    with http_server(_RecordingHandler) as srv:
+        srv.seen, srv.status, srv.doc = [], 200, {}
+        srv.url = f"{srv.base_url}/endpoint"
+        yield srv
 
 
 def ask(oracle, item_text="a paper title"):
-    ctx = UserContext(user=0, item=1, item_text=item_text, items=[3],
-                      texts=["an old title"])
-    return ctx, oracle.decide([ctx])[0]
+    block = context_block([(0, 1, [3])], ["", item_text, "", "an old title"])
+    return block, oracle.decide(block)[0]
 
 
 class TestWireBytes:
     @pytest.mark.parametrize("title", ["a paper title", "Über α-Zerfall"])
     def test_oracle_plain(self, server, title):
         server.doc = {"answer": "Yes"}
-        ctx, decision = ask(HttpOracle(server.url, timeout=5), title)
+        block, decision = ask(HttpOracle(server.url, timeout=5), title)
         assert decision.value == 1
-        body = {"prompt": render_prompt(ctx)}
+        body = {"prompt": render_prompt(block, 0)}
         assert server.seen == [("POST", "application/json", wire_bytes(body))]
 
     def test_oracle_chat(self, server):
         server.doc = {"messages": [{"role": "assistant", "content": "No"}]}
-        ctx, decision = ask(HttpOracle(server.url, timeout=5, chat=True))
+        block, decision = ask(HttpOracle(server.url, timeout=5, chat=True))
         assert decision.value == 0
         body = {"messages": [{"role": "user",
-                              "content": render_prompt(ctx)}]}
+                              "content": render_prompt(block, 0)}]}
         assert server.seen == [("POST", "application/json", wire_bytes(body))]
 
     def test_provider(self, server):
@@ -152,24 +146,21 @@ class _ProxyHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def proxy():
-    srv = ThreadingHTTPServer(("127.0.0.1", 0), _ProxyHandler)
-    srv.seen = []
-    srv.netloc = f"127.0.0.1:{srv.server_address[1]}"
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    yield srv
-    srv.shutdown()
-    srv.server_close()
-    thread.join(timeout=5)
+    with http_server(_ProxyHandler) as srv:
+        srv.seen = []
+        srv.netloc = f"127.0.0.1:{srv.server_address[1]}"
+        yield srv
 
 
 # proxy settings are read from the environment a process starts with, so
 # each case asks one question from a fresh interpreter
 _ASK_ONCE = """
 import sys
-from coldsim.refiner import HttpOracle, UserContext
-ctx = UserContext(user=0, item=1, item_text="a title", items=[], texts=[])
-print(HttpOracle(sys.argv[1], timeout=5, retries=1).decide([ctx])[0])
+import numpy as np
+from coldsim.refiner import ContextBlock, HttpOracle
+block = ContextBlock(users=np.array([0]), items=np.array([1]),
+                     hist=np.full((1, 1), -1), titles=["", "a title"])
+print(HttpOracle(sys.argv[1], timeout=5, retries=1).decide(block)[0])
 """
 
 
@@ -275,20 +266,16 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def keepalive():
-    srv = _KeepAliveServer(("127.0.0.1", 0), _KeepAliveHandler)
-    srv.url = f"http://127.0.0.1:{srv.server_address[1]}/decide"
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    yield srv
-    srv.shutdown()
-    srv.server_close()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
+    with http_server(_KeepAliveHandler, _KeepAliveServer) as srv:
+        srv.url = f"{srv.base_url}/decide"
+        yield srv
 
 
 def contexts(n):
-    return [UserContext(user=u, item=1, item_text="a paper title", items=[u],
-                        texts=[f"old title {u}"]) for u in range(n)]
+    """A block of ``n`` rows of query item ``n``, each with its own context."""
+    return context_block([(u, n, [u]) for u in range(n)],
+                         [f"old title {u}" for u in range(n)]
+                         + ["a paper title"])
 
 
 class TestKeptAlive:
@@ -330,11 +317,12 @@ class TestKeptAlive:
         monkeypatch.setattr("coldsim.content.time.sleep", sleeps.append)
         oracle = HttpOracle(keepalive.url, timeout=5, retries=1,
                             max_inflight=1)
-        first, second = contexts(2)
-        assert oracle.decide([first])[0].value == 1
+        block = contexts(2)
+        first, second = block.take([0]), block.take([1])
+        assert oracle.decide(first)[0].value == 1
         assert keepalive.closed.wait(5)
         # one attempt allowed: the resend on a fresh connection is not one
-        assert oracle.decide([second])[0].value == 1
+        assert oracle.decide(second)[0].value == 1
         assert sleeps == []
         assert len(keepalive.seen) == 2
         assert keepalive.connections == 2
@@ -343,9 +331,10 @@ class TestKeptAlive:
         keepalive.answered, keepalive.stall_s = 1, 0.5
         oracle = HttpOracle(keepalive.url, timeout=0.2, retries=2,
                             backoff=0.0, max_inflight=1)
-        first, second = contexts(2)
-        assert oracle.decide([first])[0].value == 1
-        [error] = oracle.decide([second])
+        block = contexts(2)
+        first, second = block.take([0]), block.take([1])
+        assert oracle.decide(first)[0].value == 1
+        [error] = oracle.decide(second)
         assert isinstance(error, OracleError)
         assert "after 2 attempts: timed out" in str(error)
         # one request per attempt, and the retry on a fresh connection

@@ -4,7 +4,7 @@ import json
 import re
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 
 import gc
 import numpy as np
@@ -17,32 +17,30 @@ from coldsim.corpus import InteractionLog, ItemCatalog
 from coldsim.filtering import CandidateSet, TwoTowerFilter, map_item
 from coldsim.refiner import (DecisionLog, HttpOracle, OracleDecision,
                              OracleError, OracleParseError, PlantedOracle, SimulateConfig,
-                             ThresholdOracle, UserContext, build_context,
+                             ThresholdOracle, build_context,
                              parse_yes_no, prepare_finetune_data,
                              refine, refine_all, render_prompt,
                              simulate_items)
-from conftest import pair_split, tiny_cluster_setup
+from conftest import (context_block, http_server, pair_split,
+                      tiny_cluster_setup)
 
 
 def make_filter(seed=0, content_dim=6, out=5):
     return TwoTowerFilter.init("B", 4, content_dim, hidden=6, out=out, seed=seed)
 
 
-def reference_context(user, item, filt, content_matrix, history, titles,
-                      top_l):
-    """The per-call path: forward the user's history through the item tower."""
+def reference_context(item, filt, content_matrix, history, top_l):
+    """The per-call path: forward the user's history through the item tower;
+    the context items, most similar first."""
     hist_vecs = filt.item_tower.forward(content_matrix[history])
     sims = hist_vecs @ map_item(filt, content_matrix[item])
     hist_ids = np.asarray(history)
-    items = hist_ids[np.lexsort((hist_ids, -sims))[:top_l]].tolist()
-    return UserContext(user=user, item=item, item_text=titles[item],
-                       items=items, texts=[titles[i] for i in items])
+    return hist_ids[np.lexsort((hist_ids, -sims))[:top_l]].tolist()
 
 
-def one_context(user, item, item_vectors, history, titles, top_l):
-    """One user's context through the block :func:`build_context`."""
-    [ctx] = build_context([user], item, item_vectors, [history], titles, top_l)
-    return ctx
+def one_context(item, item_vectors, history, titles, top_l):
+    """One user's context through :func:`build_context`: a one-row block."""
+    return build_context([0], [item], item_vectors, [history], titles, top_l)
 
 
 class TestBuildContext:
@@ -53,17 +51,19 @@ class TestBuildContext:
         titles = [f"t{i}" for i in range(10)]
         vectors = filt.item_tower.forward(content)
         fvec = vectors[9]
-        ctx = one_context(0, 9, vectors, [2, 5, 7], titles, top_l=10)
-        assert (ctx.item, ctx.item_text) == (9, "t9")
-        assert sorted(ctx.items) == [2, 5, 7]
-        sims = [filt.item_tower.forward(content[i]) @ fvec for i in ctx.items]
+        block = one_context(9, vectors, [2, 5, 7], titles, top_l=10)
+        assert block.items.tolist() == [9] and block.titles[9] == "t9"
+        assert sorted(block.history(0)) == [2, 5, 7]
+        assert block.hist.shape == (1, 10) and (block.hist[0, 3:] == -1).all()
+        sims = [filt.item_tower.forward(content[i]) @ fvec
+                for i in block.history(0)]
         assert sims == sorted(sims, reverse=True)
 
     def test_empty_history(self):
         filt = make_filter()
-        ctx = one_context(3, 0, filt.item_tower.forward(np.zeros((1, 6))), [],
-                          ["t0"], top_l=4)
-        assert ctx.items == [] and ctx.texts == []
+        block = one_context(0, filt.item_tower.forward(np.zeros((1, 6))), [],
+                            ["t0"], top_l=4)
+        assert block.history(0) == [] and block.hist.tolist() == [[-1] * 4]
 
     def test_matches_brute_force_argsort(self):
         rng = np.random.default_rng(1)
@@ -73,10 +73,10 @@ class TestBuildContext:
         history = list(rng.choice(40, size=30, replace=False))
         vectors = filt.item_tower.forward(content)
         fvec = vectors[0]
-        ctx = one_context(0, 0, vectors, history, titles, top_l=10)
+        block = one_context(0, vectors, history, titles, top_l=10)
         sims = {i: filt.item_tower.forward(content[i]) @ fvec for i in history}
         expected = sorted(history, key=lambda i: (-sims[i], i))[:10]
-        assert ctx.items == expected
+        assert block.history(0) == expected
 
     @pytest.mark.parametrize("seed", range(5))
     def test_precomputed_vectors_match_per_call_forward(self, seed):
@@ -94,10 +94,9 @@ class TestBuildContext:
             history = [int(i) for i in rng.choice(60, size=size, replace=False)]
             item = int(rng.integers(60))
             top_l = int(rng.integers(1, 12))
-            got = one_context(user, item, vectors, history, titles, top_l)
-            want = reference_context(user, item, filt, content, history,
-                                     titles, top_l)
-            assert got == want
+            got = one_context(item, vectors, history, titles, top_l)
+            want = reference_context(item, filt, content, history, top_l)
+            assert got.history(0) == want
             sims = vectors[history] @ vectors[item]
             n_ties += len(sims) - len(np.unique(sims))
         assert n_ties > 0
@@ -115,31 +114,31 @@ class TestBuildContext:
                                    item_emb=np.zeros((3, 4))),
             content_matrix=content)
         assert pipe.titles == ["Title 0", "Title 1", "Title 2"]
-        ctx = one_context(0, 2, filt.item_tower.forward(content), [1],
-                          pipe.titles, top_l=2)
-        assert ctx.texts == ["Title 1"] and ctx.item_text == "Title 2"
+        block = one_context(2, filt.item_tower.forward(content), [1],
+                            pipe.titles, top_l=2)
+        assert render_prompt(block, 0).startswith(
+            'Given the user interacted with ["Title 1"], determine whether '
+            "the user will interacted the [Title 2]")
 
 
 class TestRenderPrompt:
     def test_byte_exact_template(self):
-        ctx = UserContext(user=0, item=3, item_text="C", items=[1, 2],
-                          texts=["A", "B"])
-        assert render_prompt(ctx) == (
+        block = context_block([(0, 3, [1, 2])], ["", "A", "B", "C"])
+        assert render_prompt(block, 0) == (
             'Given the user interacted with ["A", "B"], determine whether '
             "the user will interacted the [C] by answering Yes or No.")
 
     def test_empty_context_brackets(self):
-        ctx = UserContext(user=0, item=1, item_text="Item", items=[], texts=[])
-        prompt = render_prompt(ctx)
+        prompt = render_prompt(context_block([(0, 1, [])], ["", "Item"]), 0)
         assert "interacted with []," in prompt
 
     def test_contains_fixed_fragment(self):
-        ctx = UserContext(user=0, item=1, item_text="X", items=[], texts=[])
-        assert "by answering Yes or No" in render_prompt(ctx)
+        block = context_block([(0, 1, [])], ["", "X"])
+        assert "by answering Yes or No" in render_prompt(block, 0)
 
     def test_item_content_required(self):
         with pytest.raises(ValueError):
-            render_prompt(UserContext(0, 1, "", [], []))
+            render_prompt(context_block([(0, 1, [])], ["t0", ""]), 0)
 
     def test_injective_on_plain_titles(self):
         # distinct (context titles, item) inputs give distinct prompts as
@@ -151,7 +150,7 @@ class TestRenderPrompt:
                 for item in ("x", "y"):
                     key = ((a, b), item)
                     prompt = render_prompt(
-                        UserContext(0, 2, item, [0, 1], [a, b]))
+                        context_block([(0, 2, [0, 1])], [a, b, item]), 0)
                     assert prompt not in seen or seen[prompt] == key
                     seen[prompt] = key
         assert len(seen) == len(titles) ** 2 * 2
@@ -172,10 +171,10 @@ class TestParseYesNo:
             parse_yes_no(text)
 
 
-def reference_threshold_cosine(content_matrix, item, context):
+def reference_threshold_cosine(content_matrix, item, context_items):
     """The former ``ThresholdOracle.decide`` body, up to the cosine."""
     item_vec = content_matrix[item]
-    ctx_mean = content_matrix[context.items].mean(axis=0)
+    ctx_mean = content_matrix[context_items].mean(axis=0)
     denom = np.linalg.norm(item_vec) * np.linalg.norm(ctx_mean)
     return float(item_vec @ ctx_mean / denom) if denom > 0 else 0.0
 
@@ -183,22 +182,20 @@ def reference_threshold_cosine(content_matrix, item, context):
 class TestOracles:
     def test_planted_membership(self):
         oracle = PlantedOracle({(1, 5), (2, 6)})
-        contexts = [UserContext(user=1, item=i, item_text="x", items=[],
-                                texts=[]) for i in (5, 6, 5)]
-        assert [a.value for a in oracle.decide(contexts)] == [1, 0, 1]
+        block = context_block([(1, i, []) for i in (5, 6, 5)], ["x"] * 7)
+        assert [a.value for a in oracle.decide(block)] == [1, 0, 1]
 
     def test_threshold_self_similarity(self):
         content = np.zeros((2, 4))
         content[0] = content[1] = [1.0, 0, 0, 0]  # identical texts
         oracle = ThresholdOracle(content, tau=0.9)
-        ctx = UserContext(user=0, item=0, item_text="same", items=[1],
-                          texts=["same"])
-        assert oracle.decide([ctx])[0].value == 1
+        block = context_block([(0, 0, [1])], ["same", "same"])
+        assert oracle.decide(block)[0].value == 1
 
     def test_threshold_empty_context_is_no(self):
         oracle = ThresholdOracle(np.ones((2, 4)), tau=0.0)
-        ctx = UserContext(user=0, item=0, item_text="x", items=[], texts=[])
-        assert oracle.decide([ctx])[0].value == 0
+        block = context_block([(0, 0, [])], ["x", "y"])
+        assert oracle.decide(block)[0].value == 0
 
     def test_threshold_equals_reference_cosine(self):
         # the cosine is bit-identical: tau at the reference cosine is a yes,
@@ -211,26 +208,24 @@ class TestOracles:
             items = rng.choice(40, size=int(rng.integers(1, 9)),
                                replace=False).tolist()
             item = 0 if trial % 20 == 0 else int(rng.integers(40))
-            ctx = UserContext(user=0, item=item, item_text="x", items=items,
-                              texts=[])
-            cos = reference_threshold_cosine(content_matrix, item, ctx)
+            block = context_block([(0, item, items)], ["x"] * 40)
+            cos = reference_threshold_cosine(content_matrix, item, items)
             if item == 0:
                 assert cos == 0.0
                 oracle.tau = 0.3
-                assert oracle.decide([ctx])[0].raw == "No"
+                assert oracle.decide(block)[0].raw == "No"
                 continue
             for tau, value in ((cos, 1), (np.nextafter(cos, np.inf), 0)):
                 oracle.tau = tau
-                assert oracle.decide([ctx])[0].value == value
+                assert oracle.decide(block)[0].value == value
 
     def test_threshold_deterministic(self):
         rng = np.random.default_rng(2)
         content = rng.normal(size=(6, 8))
         oracle = ThresholdOracle(content, tau=0.3)
-        contexts = [UserContext(user=0, item=i, item_text="x", items=[1, 4],
-                                texts=["a", "b"]) for i in range(6)]
-        first = [oracle.decide([ctx])[0].value for ctx in contexts]
-        second = [a.value for a in oracle.decide(contexts)]
+        block = context_block([(0, i, [1, 4]) for i in range(6)], ["x"] * 6)
+        first = [oracle.decide(block.take([j]))[0].value for j in range(6)]
+        second = [a.value for a in oracle.decide(block)]
         assert first == second
 
 
@@ -263,16 +258,10 @@ class _OracleHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def oracle_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _OracleHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
     _OracleHandler.fail_first = 0
     _OracleHandler.answer = "Yes"
-    yield f"http://127.0.0.1:{server.server_address[1]}/simulate"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
+    with http_server(_OracleHandler) as server:
+        yield f"{server.base_url}/simulate"
 
 
 class _SlowCountingHandler(BaseHTTPRequestHandler):
@@ -303,15 +292,9 @@ class _SlowCountingHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def slow_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _SlowCountingHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
     _SlowCountingHandler.in_flight = _SlowCountingHandler.peak = 0
-    yield f"http://127.0.0.1:{server.server_address[1]}/simulate"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
+    with http_server(_SlowCountingHandler) as server:
+        yield f"{server.base_url}/simulate"
 
 
 class TestHttpOracle:
@@ -370,18 +353,16 @@ class TestHttpOracle:
 
         monkeypatch.setattr("coldsim.content.HttpSession.post", post)
         oracle = HttpOracle("http://oracle.invalid/simulate", max_inflight=2)
-        contexts = [UserContext(user=u, item=0, item_text="anything",
-                                items=[u], texts=[text]) for u, text
-                    in enumerate(["good", "bad", "good"])]
+        block = context_block([(u, 3, [u]) for u in range(3)],
+                              ["good", "bad", "good", "anything"])
         with pytest.raises(RuntimeError, match="adapter bug"):
-            oracle.decide(contexts)
+            oracle.decide(block)
 
     def test_pool_threads_exit_with_the_oracle(self, oracle_server):
         before = set(threading.enumerate())
         oracle = HttpOracle(oracle_server, timeout=5, max_inflight=3)
-        contexts = [UserContext(user=u, item=0, item_text="x", items=[],
-                                texts=[]) for u in range(6)]
-        assert [a.value for a in oracle.decide(contexts)] == [1] * 6
+        block = context_block([(u, 0, []) for u in range(6)], ["x"])
+        assert [a.value for a in oracle.decide(block)] == [1] * 6
         workers = [t for t in set(threading.enumerate()) - before
                    if t.name.startswith("coldsim-oracle")]
         assert 1 <= len(workers) <= 3
@@ -393,48 +374,42 @@ class TestHttpOracle:
 
     def test_yes_round_trip(self, oracle_server):
         oracle = HttpOracle(oracle_server, timeout=5)
-        ctx = UserContext(user=0, item=0, item_text="anything", items=[],
-                          texts=[])
-        decision = oracle.decide([ctx])[0]
+        block = context_block([(0, 0, [])], ["anything"])
+        decision = oracle.decide(block)[0]
         assert decision.value == 1
         assert decision.latency > 0
 
     def test_verbose_no_parses(self, oracle_server):
         _OracleHandler.answer = "No, the user ignores this topic."
         oracle = HttpOracle(oracle_server, timeout=5)
-        ctx = UserContext(user=0, item=0, item_text="anything", items=[],
-                          texts=[])
-        assert oracle.decide([ctx])[0].value == 0
+        block = context_block([(0, 0, [])], ["anything"])
+        assert oracle.decide(block)[0].value == 0
 
     def test_parse_error_distinct_from_transport(self, oracle_server):
         _OracleHandler.answer = "perhaps"
         oracle = HttpOracle(oracle_server, timeout=5)
-        ctx = UserContext(user=0, item=0, item_text="anything", items=[],
-                          texts=[])
-        assert isinstance(oracle.decide([ctx])[0],
+        block = context_block([(0, 0, [])], ["anything"])
+        assert isinstance(oracle.decide(block)[0],
                           OracleParseError)
 
     def test_retry_then_success(self, oracle_server):
         _OracleHandler.fail_first = 2
         oracle = HttpOracle(oracle_server, timeout=5, retries=3, backoff=0.01)
-        ctx = UserContext(user=0, item=0, item_text="anything", items=[],
-                          texts=[])
-        assert oracle.decide([ctx])[0].value == 1
+        block = context_block([(0, 0, [])], ["anything"])
+        assert oracle.decide(block)[0].value == 1
 
     def test_transport_error_surfaced(self):
         oracle = HttpOracle("http://127.0.0.1:1/simulate", timeout=0.2,
                             retries=2, backoff=0.01)
-        ctx = UserContext(user=0, item=0, item_text="anything", items=[],
-                          texts=[])
-        [error] = oracle.decide([ctx])
+        block = context_block([(0, 0, [])], ["anything"])
+        [error] = oracle.decide(block)
         assert isinstance(error, OracleError)
         assert "after 2 attempts" in str(error)
 
     def test_chat_adapter(self, oracle_server):
         oracle = HttpOracle(oracle_server, timeout=5, chat=True)
-        ctx = UserContext(user=0, item=0, item_text="anything", items=[],
-                          texts=[])
-        assert oracle.decide([ctx])[0].value == 1
+        block = context_block([(0, 0, [])], ["anything"])
+        assert oracle.decide(block)[0].value == 1
 
 
 class _FaultyHandler(BaseHTTPRequestHandler):
@@ -489,22 +464,18 @@ class TestHttpFaults:
             np.random.default_rng(4).normal(size=(n_items, 6)))
         train_items = [[u, u + 1, u + 2] for u in range(n_items - 2)]
         cand = CandidateSet(item=n_items - 1, users=[7, 2, 9, 0, 5, 3, 8, 1, 6])
-        contexts = build_context(cand.users, cand.item, vectors,
-                                 [train_items[u] for u in cand.users], titles)
-        prompts = [render_prompt(ctx) for ctx in contexts]
+        block = build_context(cand.users, [cand.item] * len(cand.users),
+                              vectors, train_items, titles)
+        prompts = [render_prompt(block, j) for j in range(len(block))]
         assert len(set(prompts)) == len(prompts)
         handler = _FaultyHandler
         handler.garbage = set(prompts[2::3])            # every third prompt
         handler.stall, handler.stall_s = prompts[0], 0.6
         handler.requests = {}
         handler.in_flight = handler.peak = 0
-        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            oracle = HttpOracle(
-                f"http://127.0.0.1:{server.server_address[1]}/d",
-                timeout=0.2, retries=2, backoff=0.01, max_inflight=3)
+        with http_server(handler) as server:
+            oracle = HttpOracle(f"{server.base_url}/d", timeout=0.2,
+                                retries=2, backoff=0.01, max_inflight=3)
             log = DecisionLog()
             kept, failures = refine(cand, oracle, vectors, train_items, titles,
                                     decision_log=log)
@@ -522,10 +493,6 @@ class TestHttpFaults:
                            decision_log=rerun)
             assert again == (kept, failures)
             assert handler.requests == {p: 1 for p in prompts[2::3]}
-        finally:
-            server.shutdown()
-            server.server_close()
-        thread.join(timeout=5)
 
 
 def label_pipe(seed):
@@ -569,16 +536,10 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def scripted_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
-    server.lock, server.requests, server.dead = threading.Lock(), 0, False
-    server.url = f"http://127.0.0.1:{server.server_address[1]}/decide"
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
+    with http_server(_ScriptedHandler) as server:
+        server.lock, server.requests, server.dead = threading.Lock(), 0, False
+        server.url = f"{server.base_url}/decide"
+        yield server
 
 
 class TestFailFast:
@@ -625,9 +586,9 @@ class TestFailFast:
         # parse error, which counts as an answer here
         texts = ["fail", "ok", "fail", "junk", "fail", "junk", "junk", "junk",
                  "ok", "fail", "ok"]
-        contexts = [UserContext(user=u, item=0, item_text="x", items=[u],
-                                texts=[text]) for u, text in enumerate(texts)]
-        answers = self.oracle(scripted_server).decide(contexts)
+        block = context_block([(u, len(texts), [u]) for u in range(len(texts))],
+                              texts + ["x"])
+        answers = self.oracle(scripted_server).decide(block)
         for text, answer in zip(texts, answers):
             if text == "fail":
                 assert "after 2 attempts" in str(answer)
@@ -641,9 +602,9 @@ class TestFailFast:
     def test_a_full_streak_cancels_what_has_not_started(self,
                                                        scripted_server):
         texts = ["fail"] * self.MAX_INFLIGHT + ["ok"] * 40
-        contexts = [UserContext(user=u, item=0, item_text="x", items=[u],
-                                texts=[text]) for u, text in enumerate(texts)]
-        answers = self.oracle(scripted_server).decide(contexts)
+        block = context_block([(u, len(texts), [u]) for u in range(len(texts))],
+                              texts + ["x"])
+        answers = self.oracle(scripted_server).decide(block)
         assert len(answers) == len(texts)
         not_sent = [a for a in answers if "not sent" in str(a)]
         # the requests in flight when the streak ended still finish
@@ -671,10 +632,9 @@ class TestPostWithRetries:
         calls = self.patch_post(monkeypatch, RuntimeError("adapter bug"))
         oracle = HttpOracle("http://oracle.invalid/simulate", retries=3,
                             backoff=0.0)
-        ctx = UserContext(user=0, item=0, item_text="anything", items=[],
-                          texts=[])
+        block = context_block([(0, 0, [])], ["anything"])
         with pytest.raises(RuntimeError, match="adapter bug") as info:
-            oracle.decide([ctx])[0]
+            oracle.decide(block)[0]
         assert info.type is RuntimeError
         assert len(calls) == 1
 
@@ -686,9 +646,8 @@ class TestPostWithRetries:
         calls = self.patch_post(monkeypatch, doc)
         oracle = HttpOracle("http://oracle.invalid/simulate", retries=2,
                             backoff=0.0, chat=chat)
-        ctx = UserContext(user=0, item=0, item_text="anything", items=[],
-                          texts=[])
-        [error] = oracle.decide([ctx])
+        block = context_block([(0, 0, [])], ["anything"])
+        [error] = oracle.decide(block)
         assert isinstance(error, OracleError)
         assert "after 2 attempts" in str(error)
         assert len(calls) == 2
@@ -759,9 +718,9 @@ class TestRefine:
         calls = {"n": 0}
 
         class CountingPlanted(PlantedOracle):
-            def decide(self, contexts):
-                calls["n"] += len(contexts)
-                return super().decide(contexts)
+            def decide(self, block):
+                calls["n"] += len(block)
+                return super().decide(block)
 
         oracle = CountingPlanted(truth)
         refine(cand, oracle, vectors, train_items, titles,
@@ -834,9 +793,10 @@ class TestRefine:
         calls = []
 
         class Counting(PlantedOracle):
-            def decide(self, contexts):
-                calls.append([(ctx.user, ctx.item) for ctx in contexts])
-                return super().decide(contexts)
+            def decide(self, block):
+                calls.append(list(zip(block.users.tolist(),
+                                      block.items.tolist())))
+                return super().decide(block)
 
         sets = [CandidateSet(item=5, users=[1, 3]),
                 CandidateSet(item=2, users=[0, 4, 1]),
@@ -852,10 +812,10 @@ class TestRefine:
         vectors, titles, train_items = refine_setup(seed=7)
 
         class FailsItem2(PlantedOracle):
-            def decide(self, contexts):
-                return [OracleError("down") if ctx.item == 2 else answer
-                        for ctx, answer in zip(contexts,
-                                               super().decide(contexts))]
+            def decide(self, block):
+                return [OracleError("down") if item == 2 else answer
+                        for item, answer in zip(block.items.tolist(),
+                                                super().decide(block))]
 
         sets = [CandidateSet(item=5, users=[1, 3]),
                 CandidateSet(item=2, users=[0, 4, 1]),
@@ -884,10 +844,10 @@ class TestRefine:
                vectors, train_items, titles, decision_log=log)
 
         class FailsUser3(PlantedOracle):
-            def decide(self, contexts):
-                return [OracleError("down") if ctx.user == 3 else answer
-                        for ctx, answer in zip(contexts,
-                                               super().decide(contexts))]
+            def decide(self, block):
+                return [OracleError("down") if user == 3 else answer
+                        for user, answer in zip(block.users.tolist(),
+                                                super().decide(block))]
 
         # users 0 and 1 come from the log: two of four candidates are asked
         caplog.clear()

@@ -20,10 +20,10 @@ from coldsim.backbone import _epoch_triples, draw_accepted, ordered_subsample
 from coldsim.corpus import ColdWarmSplit, ItemCatalog
 from coldsim.filtering import TwoTowerFilter, sample_label_pairs
 from coldsim.metrics import PairSets
-from coldsim.refiner import (FinetuneRecord, UserContext,
-                             prepare_finetune_data, render_prompt)
+from coldsim.refiner import (FinetuneRecord, prepare_finetune_data,
+                             render_prompt)
 
-from conftest import as_tuples, pair_split, tiny_cluster_setup
+from conftest import as_tuples, context_block, pair_split, tiny_cluster_setup
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "coldsim"
 
@@ -100,15 +100,16 @@ def reference_finetune(split, catalog, filt, content_matrix, n_users, mode,
         for u, i in sorted(negatives):
             neg_by_user.setdefault(u, []).append(i)
     item_vectors = filt.item_tower.forward(content_matrix)
+    titles = [catalog.title(i) for i in range(len(content_matrix))]
 
     def make_record(user, item, completion):
         # one user's context: the history's top_l by similarity, then id
         hist_ids = np.asarray(train_items[user], dtype=np.int64)
         sims = item_vectors[hist_ids] @ item_vectors[item]
         items = hist_ids[np.lexsort((hist_ids, -sims))[:top_l]].tolist()
-        ctx = UserContext(user=user, item=item, item_text=catalog.title(item),
-                          items=items, texts=[catalog.title(i) for i in items])
-        return FinetuneRecord(prompt=render_prompt(ctx), completion=completion)
+        block = context_block([(user, item, items)], titles)
+        return FinetuneRecord(prompt=render_prompt(block, 0),
+                              completion=completion)
 
     def sample_unobserved(u):
         for _ in range(100):
