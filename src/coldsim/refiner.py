@@ -96,8 +96,8 @@ def build_context(users, items, item_vectors: np.ndarray, train_items,
     Similarity is the dot product of filter vectors; ties break by ascending
     item id, and an empty history gives an empty context.  A BLAS product's
     bits can depend on a row's position in it, so each item's similarities
-    come from one product over its rows' histories, in row order; one
-    ``lexsort`` on (row, -similarity, item id) then ranks the whole pass.
+    come from one product over its rows' histories, in row order, and one
+    ``lexsort`` on (row, -similarity, item id) ranks that item's rows.
     """
     if top_l < 1:
         raise ValueError(f"top_l must be >= 1, got {top_l}")
@@ -110,20 +110,19 @@ def build_context(users, items, item_vectors: np.ndarray, train_items,
     hist_ids = np.fromiter(itertools.chain.from_iterable(histories),
                            dtype=np.int64, count=int(lens.sum()))
     starts = np.cumsum(lens) - lens
-    group_items, firsts = np.unique(items[by_item], return_index=True)
-    sims = np.empty(len(hist_ids))
-    cuts = starts[firsts[1:]]
-    for item, ids, out in zip(group_items.tolist(), np.split(hist_ids, cuts),
-                              np.split(sims, cuts)):
-        out[:] = item_vectors[ids] @ np.asarray(item_vectors[item],
-                                                dtype=np.float64)
     owner = np.repeat(np.arange(len(lens)), lens)
-    order = np.lexsort((hist_ids, -sims, owner))
-    # owner is ascending, so each row's run keeps its place
-    rank = np.arange(len(order)) - np.repeat(starts, lens)
+    group_items, firsts = np.unique(items[by_item], return_index=True)
+    bounds = np.append(starts[firsts], len(hist_ids)).tolist()
+    for item, lo, hi in zip(group_items.tolist(), bounds, bounds[1:]):
+        ids = hist_ids[lo:hi]
+        sims = item_vectors[ids] @ np.asarray(item_vectors[item],
+                                              dtype=np.float64)
+        # ranked in place; owner is ascending, so each row keeps its run
+        hist_ids[lo:hi] = ids[np.lexsort((ids, -sims, owner[lo:hi]))]
+    rank = np.arange(len(hist_ids)) - np.repeat(starts, lens)
     kept = rank < top_l
     hist = np.full((len(lens), top_l), -1, dtype=np.int64)
-    hist[by_item[owner[kept]], rank[kept]] = hist_ids[order[kept]]
+    hist[by_item[owner[kept]], rank[kept]] = hist_ids[kept]
     return ContextBlock(users, items, hist, titles)
 
 
@@ -133,12 +132,21 @@ def render_prompt(block: ContextBlock, j: int) -> str:
     Context titles are double-quoted and comma-joined inside the first
     bracket pair; an empty context renders ``[]``.
     """
+    return next(_prompts(block.take([j])))
+
+
+def _prompts(block: ContextBlock):
+    """Every row's prompt, in row order, from one walk over the block's rows
+    as Python lists, each context title quoted once."""
     titles = block.titles
-    item_text = titles[block.items[j]]
-    if not item_text:
-        raise ValueError("item content must be non-empty")
-    history = ", ".join(f'"{titles[i]}"' for i in block.history(j))
-    return PROMPT_TEMPLATE.format(history=history, item=item_text)
+    quoted = {i: f'"{titles[i]}"' for i in np.unique(block.hist).tolist()
+              if i >= 0}
+    for item, row in zip(block.items.tolist(), block.hist.tolist()):
+        item_text = titles[item]
+        if not item_text:
+            raise ValueError("item content must be non-empty")
+        history = ", ".join([quoted[i] for i in row if i >= 0])
+        yield PROMPT_TEMPLATE.format(history=history, item=item_text)
 
 
 def parse_yes_no(text: str) -> int:
@@ -182,8 +190,7 @@ class ThresholdOracle:
     def decide(self, block: ContextBlock) -> list[OracleDecision]:
         """One cosine test per row, in order; rows may mix items."""
         vectors = self.content_matrix
-        answers = [OracleDecision(value=0, raw="No") for _ in range(len(block))]
-        norms, sizes = {}, (block.hist >= 0).sum(axis=1)
+        sizes, yes = (block.hist >= 0).sum(axis=1), np.zeros(len(block), bool)
         # rows of one context length share a gather; X[idx].sum(axis=1) / n
         # adds each row's context in order, as X[items].mean(axis=0) does, so
         # a row's bits do not depend on which others share its gather
@@ -191,18 +198,20 @@ class ThresholdOracle:
             for rows in row_chunks(np.flatnonzero(sizes == n),
                                    n * vectors.shape[1]):
                 means = vectors[block.hist[rows, :n]].sum(axis=1) / n
-                for j, item, ctx_mean in zip(rows.tolist(),
-                                             block.items[rows].tolist(), means):
-                    item_vec = vectors[item]
-                    if item not in norms:
-                        norms[item] = np.sqrt(item_vec.dot(item_vec))
-                    # one dot per norm and per cosine, as numpy's norm takes them
-                    denom = norms[item] * np.sqrt(ctx_mean.dot(ctx_mean))
-                    cos = float(item_vec @ ctx_mean / denom) if denom > 0 else 0.0
-                    yes = cos >= self.tau
-                    answers[j] = OracleDecision(value=1 if yes else 0,
-                                                raw="Yes" if yes else "No")
-        return answers
+                item_vecs = vectors[block.items[rows]]
+                denom = np.sqrt(_row_dots(item_vecs, item_vecs)) * \
+                    np.sqrt(_row_dots(means, means))
+                cos = np.divide(_row_dots(item_vecs, means), denom,
+                                out=np.zeros(len(rows)), where=denom > 0)
+                yes[rows] = cos >= self.tau
+        return [OracleDecision(value=1, raw="Yes") if y
+                else OracleDecision(value=0, raw="No") for y in yes.tolist()]
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row's ``a[j] @ b[j]`` with the bits of that 1-D dot (a BLAS dot
+    per row); a row-wise ``einsum`` changes some of them."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 class HttpOracle:
@@ -398,8 +407,7 @@ def refine_all(candidate_sets: list[CandidateSet], client,
                           item_vectors, train_items, titles, top_l)
     phs = cached = [None] * len(block)      # per row: the logged decision
     if decision_log is not None:
-        phs = [DecisionLog.prompt_hash(render_prompt(block, j))
-               for j in range(len(block))]
+        phs = [DecisionLog.prompt_hash(prompt) for prompt in _prompts(block)]
         cached = [decision_log.lookup(u, i, client.kind, ph) for u, i, ph
                   in zip(users, block.items.tolist(), phs)]
     asked = [j for j, hit in enumerate(cached) if hit is None]

@@ -74,6 +74,8 @@ def load_table(path: str | Path) -> np.ndarray:
         if version != VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
         payload = fh.read(rows * dim * 4)
+        if fh.read(1):
+            raise ValueError(f"{path}: bytes after the payload of {rows} rows")
     if len(payload) != rows * dim * 4:
         raise ValueError(f"{path}: truncated payload")
     return np.frombuffer(payload, dtype="<f4").reshape(rows, dim).copy()

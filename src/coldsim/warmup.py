@@ -190,20 +190,20 @@ def warm_all_cold(split: ColdWarmSplit, simulations: dict[int, SimulationResult]
     if not warmed:
         return model, report
 
-    n_items, n_negs = len(warmed), config.negatives_per_positive
+    n_negs = config.negatives_per_positive
     pos_ids, neg_ids = np.stack(pos_ids), np.stack(neg_ids)
     emb = np.stack(inits)
-    loss = np.zeros(n_items)
     for step in range(config.steps):
         diff = (backbone.user_emb[pos_ids[:, step]][:, None, :]
                 - backbone.user_emb[neg_ids[:, step]])
         margin = np.einsum("cnd,cd->cn", diff, emb)
-        loss = np.logaddexp(0.0, -margin).mean(axis=1)
         coef = -expit(-margin) / n_negs
         emb -= config.lr * (coef[:, :, None] * diff).sum(axis=1)
     model.item_emb[[entry["item"] for entry in warmed]] = emb
-    for entry, final_loss in zip(warmed, loss.tolist()):
-        entry["final_loss"] = final_loss
+    if config.steps > 0:    # the loss of the last step, before its update
+        loss = np.logaddexp(0.0, -margin).mean(axis=1).tolist()
+        for entry, final_loss in zip(warmed, loss):
+            entry["final_loss"] = final_loss
     return model, report
 
 

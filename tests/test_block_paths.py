@@ -532,6 +532,38 @@ def test_block_contexts_equal_one_user_calls(request):
                 assert got.hist.shape == (len(rows), top_l)
 
 
+def test_block_ranks_exact_ties_and_signed_zeros_by_id():
+    # small integer vectors, so every similarity is exact in any kernel
+    vectors = np.array([
+        [9, 9, 9, 9],           # 0: the other query item
+        [0, 0, 0, 1],           # 1: similarity 1
+        [0.0, 0.0, 0.0, 0.0],   # 2: similarity +0.0
+        [1, 1, 5, 0],           # 3: similarity 3
+        [0, 0, 3, 0],           # 4: similarity 0
+        [-0.0, -0.0, -0.0, -0.0],   # 5: every product -0.0
+        [-1, 0, 0, 0],          # 6: similarity -1
+        [1, 1, 5, 0],           # 7: item 3's vector, similarity 3
+        [2, 1, 0, 0],           # 8: similarity 4
+        [1, 2, 0, 1],           # 9: the query item
+    ])
+    assert np.signbit(vectors[5]).all() and not np.signbit(vectors[2]).any()
+    ranked = [8, 3, 7, 1, 2, 4, 5, 6]
+    rng = np.random.default_rng(4)
+    # the tie row at several positions of the query item's product, among
+    # rows of the other item, each time with its history shuffled
+    users = list(range(12))
+    items = [9, 0, 9, 9, 0, 9, 9, 9, 0, 9, 9, 0]
+    histories = [rng.permutation(ranked).tolist() for _ in users]
+    titles = [f"t{i}" for i in range(len(vectors))]
+    for top_l in (1, 3, 5, 8, 10):
+        got = build_context(users, items, vectors, histories, titles, top_l)
+        assert block_contexts(got) == list_pass_contexts(
+            users, items, vectors, histories, top_l)
+        for j, item in enumerate(items):
+            if item == 9:
+                assert got.history(j) == ranked[:top_l]
+
+
 def label_pool(pipe):
     pool = filtering.sample_label_pairs(pipe.split, pipe.log.n_users, None, 3)
     return [u for u, _ in pool], [i for _, i in pool]
@@ -581,6 +613,10 @@ def test_threshold_block_equals_per_pair(planted_pipe, monkeypatch):
     contexts = [Context(u, item, rng.choice(
         pipe.log.n_items, size=int(rng.integers(0, 6)), replace=False).tolist())
         for item in pipe.split.cold_items for u in range(30)]
+    # contexts whose mean is the item's own vector: their cosine is 1.0 up
+    # to an ulp, and at tau 1.0 one ulp flips the answer
+    contexts += [Context(u, item, [item]) for item in pipe.split.cold_items
+                 for u in (30, 31)]
     contexts = [contexts[j] for j in rng.permutation(len(contexts))]
     block = as_block(contexts, pipe.titles)
     rows = rng.integers(len(contexts), size=50)

@@ -65,6 +65,24 @@ class TestBuildContext:
                             ["t0"], top_l=4)
         assert block.history(0) == [] and block.hist.tolist() == [[-1] * 4]
 
+    def test_zero_pairs_give_an_empty_block(self):
+        vectors = np.ones((3, 2))
+        block = build_context([], [], vectors, [[1], [2]], ["a", "b", "c"],
+                              top_l=4)
+        assert len(block) == 0 and block.hist.shape == (0, 4)
+        for oracle in (PlantedOracle({(0, 1)}), ThresholdOracle(vectors)):
+            assert oracle.decide(block) == []
+
+    def test_all_empty_histories_give_rows_of_minus_one(self):
+        vectors = np.random.default_rng(0).normal(size=(4, 3))
+        block = build_context([0, 1, 0], [2, 3, 3], vectors, [[], []],
+                              ["a", "b", "c", "d"], top_l=3)
+        assert block.hist.tolist() == [[-1] * 3] * 3
+        oracle = ThresholdOracle(vectors)
+        for tau in (-1.0, 0.0, 0.3):
+            oracle.tau = tau
+            assert [a.raw for a in oracle.decide(block)] == ["No"] * 3
+
     def test_matches_brute_force_argsort(self):
         rng = np.random.default_rng(1)
         filt = make_filter(seed=2)
@@ -196,6 +214,16 @@ class TestOracles:
         oracle = ThresholdOracle(np.ones((2, 4)), tau=0.0)
         block = context_block([(0, 0, [])], ["x", "y"])
         assert oracle.decide(block)[0].value == 0
+
+    def test_threshold_zero_item_vector_answers_as_cosine_zero(self):
+        # a non-empty context, but the cosine's denominator is 0
+        content = np.zeros((3, 4))
+        content[1:] = [[1.0, 2, 0, 0], [0, 1, 1, 0]]
+        oracle = ThresholdOracle(content)
+        block = context_block([(0, 0, [1, 2]), (1, 0, [2])], ["x"] * 3)
+        for tau, raw in ((0.0, "Yes"), (0.3, "No")):
+            oracle.tau = tau
+            assert [a.raw for a in oracle.decide(block)] == [raw, raw]
 
     def test_threshold_equals_reference_cosine(self):
         # the cosine is bit-identical: tau at the reference cosine is a yes,

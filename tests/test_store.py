@@ -1,3 +1,4 @@
+import re
 import stat
 import struct
 
@@ -71,6 +72,15 @@ class TestBinaryTable:
         save_table(path, np.ones((4, 4)))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated"):
+            load_table(path)
+
+    def test_bytes_after_payload_rejected(self, tmp_path):
+        # a header that under-counts its rows
+        path = tmp_path / "t.cemb"
+        save_table(path, np.ones((3, 4)))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: bytes after the payload")):
             load_table(path)
 
     def test_non_2d_rejected(self, tmp_path):
