@@ -277,6 +277,9 @@ def cmd_simulate(args, cfg) -> int:
         # the answers of a failed pass are kept for the rerun to reuse
         decision_log.save(cache_path)
     _save_simulations(out, sims)
+    if not sims:
+        print("simulated 0 cold items; no oracle decision was made")
+        return 0
     stats = adoption_rate(decision_log)
     print(f"simulated {len(sims)} cold items; adoption rate "
           f"{stats.rate:.2%} ({stats.accepted}/{stats.filtered})")

@@ -249,6 +249,41 @@ def _persist_idmap(path, raw_user_ids, raw_item_ids) -> None:
     store.write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
+def _dense_corpus(source: str, raw_user_ids, users: np.ndarray,
+                  raw_items: np.ndarray, items_path: Path,
+                  texts: dict[int, tuple[str, str]], mapping_path):
+    """(InteractionLog, ItemCatalog) of parsed interactions: dense ``users``
+    (positions in ``raw_user_ids``) with ``raw_items``, and ``texts``, each
+    raw item id of ``items_path`` to its (title, content).  Items are
+    re-indexed densely in ascending raw order.  An interaction whose item
+    has no catalog row, or an item with empty content, raises ValueError.
+    """
+    raw_item_ids = sorted(texts)
+    items = sorted_positions(_raw_ids(raw_item_ids, items_path), raw_items)
+    missing = np.unique(raw_items[items < 0])
+    if len(missing):
+        raise ValueError(f"{len(missing)} items referenced without metadata "
+                         f"(e.g. raw id {missing[0]})")
+    extra = np.count_nonzero(np.bincount(items, minlength=len(texts)) == 0)
+    if extra:
+        logger.info("%d catalog items have no interactions", extra)
+    log = InteractionLog.from_pairs(len(raw_user_ids), len(raw_item_ids),
+                                    np.column_stack([users, items]),
+                                    raw_user_ids=raw_user_ids,
+                                    raw_item_ids=raw_item_ids)
+    dense = {raw: idx for idx, raw in enumerate(raw_item_ids)}
+    content, titles = {}, {}
+    for raw, (title, text) in texts.items():
+        if not text:
+            raise ValueError(f"item raw id {raw} has empty content")
+        titles[dense[raw]], content[dense[raw]] = title, text
+    if mapping_path is not None:
+        _persist_idmap(mapping_path, log.raw_user_ids, log.raw_item_ids)
+    logger.info("%s corpus: %d users, %d items, %d interactions", source,
+                log.n_users, log.n_items, len(log.pairs))
+    return log, ItemCatalog(content=content, titles=titles)
+
+
 def load_citeulike(path: str | Path, mapping_path: str | Path | None = None,
                    users_file: str = "users.dat", items_file: str = "items.tsv"):
     """Load a CiteULike-style corpus.
@@ -265,7 +300,7 @@ def load_citeulike(path: str | Path, mapping_path: str | Path | None = None,
         if not p.exists():
             raise FileNotFoundError(f"missing file: {p}")
 
-    meta: dict[int, tuple[str, str]] = {}
+    texts: dict[int, tuple[str, str]] = {}   # raw id: (title, content)
     with open(items_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -282,7 +317,8 @@ def load_citeulike(path: str | Path, mapping_path: str | Path | None = None,
                                  f"{fields[0]!r}") from None
             title = fields[1]
             abstract = fields[2] if len(fields) > 2 else ""
-            meta[raw] = (title, abstract)
+            texts[raw] = (title, f"{title}. {abstract}".strip()
+                          if abstract else title)
 
     raw_items: list[int] = []   # every user's raw items, user after user
     counts: list[int] = []      # items per user
@@ -300,36 +336,10 @@ def load_citeulike(path: str | Path, mapping_path: str | Path | None = None,
     if not raw_items:
         raise ValueError(f"{users_path}: no interactions")
 
-    raw_item_ids = sorted(meta)
-    raw = _raw_ids(raw_items, users_path)
-    items = sorted_positions(_raw_ids(raw_item_ids, items_path), raw)
-    missing = np.unique(raw[items < 0])
-    if len(missing):
-        raise ValueError(f"{len(missing)} items referenced without metadata "
-                         f"(e.g. raw id {missing[0]})")
-    extra = np.count_nonzero(np.bincount(items, minlength=len(meta)) == 0)
-    if extra:
-        logger.info("%d catalog items have no interactions", extra)
-
-    users = np.repeat(np.arange(len(counts)), counts)
-    log = InteractionLog.from_pairs(len(counts), len(raw_item_ids),
-                                    np.column_stack([users, items]),
-                                    raw_item_ids=raw_item_ids)
-    item_of_raw = {raw: idx for idx, raw in enumerate(raw_item_ids)}
-    content = {}
-    titles = {}
-    for raw, (title, abstract) in meta.items():
-        i = item_of_raw[raw]
-        titles[i] = title
-        content[i] = f"{title}. {abstract}".strip() if abstract else title
-        if not content[i]:
-            raise ValueError(f"item raw id {raw} has empty content")
-    catalog = ItemCatalog(content=content, titles=titles)
-    if mapping_path is not None:
-        _persist_idmap(mapping_path, log.raw_user_ids, log.raw_item_ids)
-    logger.info("citeulike corpus: %d users, %d items, %d interactions",
-                log.n_users, log.n_items, len(log.pairs))
-    return log, catalog
+    return _dense_corpus("citeulike", range(len(counts)),
+                         np.repeat(np.arange(len(counts)), counts),
+                         _raw_ids(raw_items, users_path), items_path, texts,
+                         mapping_path)
 
 
 def load_movielens(path: str | Path, mapping_path: str | Path | None = None,
@@ -351,7 +361,7 @@ def load_movielens(path: str | Path, mapping_path: str | Path | None = None,
         if not p.exists():
             raise FileNotFoundError(f"missing file: {p}")
 
-    meta: dict[int, tuple[str, str]] = {}
+    texts: dict[int, tuple[str, str]] = {}   # raw id: (title, content)
     with open(movies_path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -366,7 +376,8 @@ def load_movielens(path: str | Path, mapping_path: str | Path | None = None,
             except ValueError:
                 raise ValueError(f"{movies_path}:{lineno}: non-integer movie id "
                                  f"{fields[0]!r}") from None
-            meta[raw] = (fields[1], fields[2])
+            genre_text = " ".join(g for g in fields[2].split("|") if g)
+            texts[raw] = (fields[1], f"{fields[1]} {genre_text}".strip())
 
     records: list[tuple[int, int]] = []
     with open(ratings_path, encoding="utf-8", errors="replace") as fh:
@@ -382,7 +393,7 @@ def load_movielens(path: str | Path, mapping_path: str | Path | None = None,
                 ru, ri, rating = int(fields[0]), int(fields[1]), float(fields[2])
             except ValueError:
                 raise ValueError(f"{ratings_path}:{lineno}: non-numeric field") from None
-            if ri not in meta:
+            if ri not in texts:
                 raise ValueError(f"{ratings_path}:{lineno}: item {ri} referenced "
                                  f"without metadata")
             if rating < min_rating:
@@ -394,25 +405,8 @@ def load_movielens(path: str | Path, mapping_path: str | Path | None = None,
 
     raw = _raw_ids(records, ratings_path)
     raw_user_ids, users = np.unique(raw[:, 0], return_inverse=True)
-    raw_item_ids = sorted(meta)
-    items = sorted_positions(_raw_ids(raw_item_ids, movies_path), raw[:, 1])
-    log = InteractionLog.from_pairs(len(raw_user_ids), len(raw_item_ids),
-                                    np.column_stack([users, items]),
-                                    raw_user_ids=raw_user_ids.tolist(),
-                                    raw_item_ids=raw_item_ids)
-    item_of_raw = {raw: idx for idx, raw in enumerate(raw_item_ids)}
-    content, titles = {}, {}
-    for raw, (title, genres) in meta.items():
-        i = item_of_raw[raw]
-        titles[i] = title
-        genre_text = " ".join(g for g in genres.split("|") if g)
-        content[i] = f"{title} {genre_text}".strip()
-    catalog = ItemCatalog(content=content, titles=titles)
-    if mapping_path is not None:
-        _persist_idmap(mapping_path, log.raw_user_ids, log.raw_item_ids)
-    logger.info("movielens corpus: %d users, %d items, %d interactions",
-                log.n_users, log.n_items, len(log.pairs))
-    return log, catalog
+    return _dense_corpus("movielens", raw_user_ids.tolist(), users, raw[:, 1],
+                         movies_path, texts, mapping_path)
 
 
 def make_cold_split(log: InteractionLog, cold_frac: float, seed: int,

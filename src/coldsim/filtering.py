@@ -185,27 +185,26 @@ def user_filter_vectors(filt: TwoTowerFilter, user_emb: np.ndarray,
 def topk_candidates(filt: TwoTowerFilter, raw_item: np.ndarray,
                     user_vectors: np.ndarray, k: int,
                     item=None) -> CandidateSet | list[CandidateSet]:
-    """Exact top-K users by dot product with the item's filter vector.
+    """Exact top-K users by dot product with each item's filter vector.
 
     Ties break by ascending user id; K beyond the user count returns the
-    full ranking.  A 2-D ``raw_item`` (items x content width) ranks every
-    row's users at once and returns one candidate set per row, ``item``
-    then naming the rows.  Each row's scores are computed as for a 1-D
-    call, so both give the same ids; the score block is ranked in
-    :func:`~coldsim.metrics.row_chunks` slices.
+    full ranking.  A block ``raw_item`` (items x content width) gives one
+    candidate set per row, ``item`` naming the rows; a 1-D one is a
+    one-row block whose set is returned alone.  The item tower runs once
+    over the block, and each :func:`~coldsim.metrics.row_chunks` slice is
+    scored against all users with one product: the ids of one matvec per
+    item, not its score bits.
     """
     raw = np.asarray(raw_item, dtype=np.float64)
-    if raw.ndim == 1:
-        ranked = rank_by_score(user_vectors @ map_item(filt, raw), k=k)
-        return CandidateSet(item=item, users=ranked.tolist())
-    items = [None] * len(raw) if item is None else list(item)
+    vecs = map_item(filt, np.atleast_2d(raw))
+    items = [item] if raw.ndim == 1 else \
+        [None] * len(vecs) if item is None else list(item)
     out: list[CandidateSet] = []
-    for rows in row_chunks(np.arange(len(raw)), len(user_vectors)):
-        scores = np.stack([user_vectors @ map_item(filt, raw[r]) for r in rows])
+    for rows in row_chunks(np.arange(len(vecs)), len(user_vectors)):
+        ranked = rank_by_score(vecs[rows] @ user_vectors.T, k=k)
         out.extend(CandidateSet(item=items[r], users=users)
-                   for r, users in zip(rows.tolist(),
-                                       rank_by_score(scores, k=k).tolist()))
-    return out
+                   for r, users in zip(rows.tolist(), ranked.tolist()))
+    return out[0] if raw.ndim == 1 else out
 
 
 class InnerProductIndex:
@@ -235,8 +234,9 @@ def funnel_filter(raw_item: np.ndarray, k: int,
     Candidates are drawn alternately from the coupled (L) and behavior (B)
     rankings, L first, skipping duplicates, until K distinct users are
     collected.  With a single filter supplied, its ranking is used alone.
-    A 2-D ``raw_item`` block gives one merged list per row, from one
-    :func:`topk_candidates` call per filter (see there).
+    A block ``raw_item`` gives one merged list per row, from one
+    :func:`topk_candidates` call per filter (see there); a 1-D one is a
+    one-row block whose list is returned alone.
     """
     rankings = []
     if filter_l is not None:

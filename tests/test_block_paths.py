@@ -4,10 +4,13 @@
 per filter, builds the whole pass's contexts as one ``ContextBlock`` and
 lets the oracle decide it in one call; the L labeller builds and decides
 its label pool the same way; ``warm_all_cold`` draws each item's users in
-blocks.  The references here are the per-item path: one 1-D
-``funnel_filter`` call per item, one context and one decision per
-(candidate, item) pair, and the scalar warmup draws; and the per-item
-pass, one ``decide`` call per item, for refinement and labelling.  The
+blocks.  The references here are the per-item path: per filter one
+item-tower forward and one matvec against all users per item, ranked and
+interleaved L first; one context and one decision per (candidate, item)
+pair; and the scalar warmup draws; and the per-item pass, one ``decide``
+call per item, for refinement and labelling.  The funnel's block product
+sums in another order than the matvecs, so it promises their ids, not
+their score bits.  The
 contexts' reference is the list-of-contexts path the block replaced: one
 ``build_context`` call per item giving one context object per user, and
 the threshold oracle's per-context gather.  The backbone and both
@@ -25,18 +28,23 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
 from coldsim import backbone, filtering, metrics, pipeline
 from coldsim.backbone import BackboneModel
 from coldsim.config import default_config, resolve_seeds
-from coldsim.filtering import TowerMlp, TwoTowerFilter, funnel_filter
+from coldsim.filtering import (CandidateSet, TowerMlp, TwoTowerFilter,
+                               funnel_filter, map_item, topk_candidates)
+from coldsim.metrics import rank_by_score
 from coldsim.refiner import (PROMPT_TEMPLATE, DecisionLog, OracleDecision,
                              OracleError, PlantedOracle, SimulateConfig, SimulationResult,
                              ThresholdOracle, build_context, render_prompt)
 from coldsim.synthetic import make_planted_split, make_two_cluster_dataset
 from coldsim.warmup import WarmupConfig, draw_step_users, warm_all_cold
 from conftest import context_block
+from test_filtering import lexsort_rank
 
 
 # -- the list-of-contexts reference ------------------------------------------
@@ -127,6 +135,28 @@ def block_contexts(block):
 
 # -- the per-item reference --------------------------------------------------
 
+def per_row_topk(filt, raw, user_vectors, k):
+    """One item's top-K users: one item-tower forward and one matvec."""
+    return rank_by_score(user_vectors @ map_item(filt, raw), k=k).tolist()
+
+
+def reference_funnel(raw, k, filters):
+    """The per-row rankings of ``filters``, (filter, user vectors) pairs
+    with L first, interleaved."""
+    return reference_interleave(
+        [per_row_topk(filt, raw, users, k) for filt, users in filters], k)
+
+
+def reference_interleave(rankings, k):
+    """Rankings merged rank by rank without repeats, cut to K."""
+    merged = []
+    for pos in range(max(map(len, rankings))):
+        for ranking in rankings:
+            if pos < len(ranking) and ranking[pos] not in merged:
+                merged.append(ranking[pos])
+    return merged[:k]
+
+
 def reference_context(user, item, item_vectors, history, top_l):
     items = []
     if history:
@@ -216,14 +246,13 @@ def reference_simulate_all(pipe, cfg, use_b=True, use_l=True,
     sim_cfg = pipeline.section_config(SimulateConfig, cfg["refiner"])
     filt_b = pipe.filter_b if use_b else None
     filt_l = pipe.filter_l if use_l else None
-    users_b = pipe.user_vectors(filt_b) if filt_b is not None else None
-    users_l = pipe.user_vectors(filt_l) if filt_l is not None else None
+    filters = [(filt, pipe.user_vectors(filt)) for filt in (filt_l, filt_b)
+               if filt is not None]
     item_vectors = pipe.item_vectors(filt_l if filt_l is not None else filt_b)
     results = {}
     for item in sorted(pipe.split.cold_items):
-        cand = funnel_filter(pipe.content_matrix[item], sim_cfg.k,
-                             filter_b=filt_b, filter_l=filt_l, users_b=users_b,
-                             users_l=users_l, item=item)
+        cand = CandidateSet(item=item, users=reference_funnel(
+            pipe.content_matrix[item], sim_cfg.k, filters))
         if skip_refine:
             results[item] = SimulationResult(item=item, users=list(cand.users))
             continue
@@ -494,6 +523,87 @@ def test_simulate_all_without_log_equals_per_item_path(request, oracle):
         assert_same_simulation(got, reference_simulate_all(pipe, cfg))
         assert_same_simulation(got, reference_simulate_all(
             pipe, cfg, refine=per_item_refine))
+
+
+# -- the funnel --------------------------------------------------------------
+
+def chunk_constants(n_users):
+    """(RANK_CHUNK_SCORES, RANK_CHUNK_MIN_ROWS) pairs: the defaults, one
+    item per chunk, and three items per chunk."""
+    return [(metrics.RANK_CHUNK_SCORES, metrics.RANK_CHUNK_MIN_ROWS), (1, 1),
+            (3 * n_users, 3)]
+
+
+@pytest.mark.parametrize("pipe_name", PIPES + ["float_dup_pipe"])
+def test_funnel_equals_per_row_reference(request, monkeypatch, pipe_name):
+    cfg, pipe = request.getfixturevalue(pipe_name)
+    items = sorted(pipe.split.cold_items)
+    raw = pipe.content_matrix[items]
+    filters = [(filt, pipe.user_vectors(filt))
+               for filt in (pipe.filter_l, pipe.filter_b)]
+    (filt_l, users_l), (filt_b, users_b) = filters
+    n_users = pipe.log.n_users
+    for k in (1, 5, cfg["refiner"]["k"], n_users + 2):
+        per_row = [[per_row_topk(filt, row, users, k) for row in raw]
+                   for filt, users in filters]
+        for scores, min_rows in chunk_constants(n_users):
+            monkeypatch.setattr(metrics, "RANK_CHUNK_SCORES", scores)
+            monkeypatch.setattr(metrics, "RANK_CHUNK_MIN_ROWS", min_rows)
+            block = []
+            for (filt, users), want in zip(filters, per_row):
+                got = topk_candidates(filt, raw, users, k, item=items)
+                assert [c.item for c in got] == items
+                block.append([c.users for c in got])
+                for row, g, w in zip(raw, block[-1], want):
+                    if g != w:
+                        # different vectors whose scores are equal in exact
+                        # arithmetic can round apart in one product and
+                        # together in the other
+                        ref = users @ map_item(filt, row)
+                        np.testing.assert_allclose(ref[g], ref[w], rtol=1e-13)
+            got = funnel_filter(raw, k, filter_b=filt_b, filter_l=filt_l,
+                                users_b=users_b, users_l=users_l, item=items)
+            assert [(c.item, c.users) for c in got] == list(zip(
+                items, [reference_interleave(r, k) for r in zip(*block)]))
+        # a 1-D item is a one-row block
+        one = funnel_filter(raw[-1], k, filter_b=filt_b, filter_l=filt_l,
+                            users_b=users_b, users_l=users_l, item=items[-1])
+        assert one.item == items[-1]
+        assert one.users == reference_interleave(
+            [topk_candidates(filt, raw[-1:], users, k)[0].users
+             for filt, users in filters], k)
+
+
+SMALL_INTS = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n_items=st.integers(0, 8), n_users=st.integers(1, 24),
+       out=st.integers(1, 3))
+def test_topk_on_integer_vectors_equals_per_row_reference(data, n_items,
+                                                          n_users, out):
+    """Small-integer weights and vectors make every score an exact integer
+    and ties common; any chunking of the block gives the per-row ids, and
+    those are a full sort of the scores by (-score, id)."""
+    def ints(*shape):
+        return data.draw(hnp.arrays(np.float64, shape, elements=SMALL_INTS))
+
+    tower = TowerMlp(w1=ints(3, 4), b1=ints(4), w2=ints(4, out), b2=ints(out))
+    filt = TwoTowerFilter("B", user_tower=tower, item_tower=tower)
+    raw, users = ints(n_items, 3), ints(n_users, out)
+    k = data.draw(st.integers(1, n_users + 2))
+    want = [per_row_topk(filt, row, users, k) for row in raw]
+    assert want == [lexsort_rank(row, k=k).tolist()
+                    for row in map_item(filt, raw) @ users.T]
+    scores, min_rows = data.draw(st.sampled_from(chunk_constants(n_users)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "RANK_CHUNK_SCORES", scores)
+        patch.setattr(metrics, "RANK_CHUNK_MIN_ROWS", min_rows)
+        got = topk_candidates(filt, raw, users, k, item=range(10, 10 + n_items))
+    assert [(c.item, c.users) for c in got] == \
+        list(zip(range(10, 10 + n_items), want))
+    if n_items:
+        assert topk_candidates(filt, raw[0], users, k).users == want[0]
 
 
 def test_integer_pipeline_has_exact_ties(request):

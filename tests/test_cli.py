@@ -322,6 +322,30 @@ class TestDeterminism:
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 
 
+class TestNoColdItems:
+    def test_simulate_and_warmup_exit_zero(self, tmp_path, capsys):
+        corpus = write_corpus_from_planted(tmp_path / "corpus")
+        config = fast_config(tmp_path)
+        cfg = json.loads(config.read_text(encoding="utf-8"))
+        cfg["data"]["cold_frac"] = 0.0
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "run"
+        base = ["--config", str(config), "--seed", "7", "--out", str(out)]
+        assert main(base + ["ingest", "--dataset", "citeulike",
+                            "--path", str(corpus)]) == 0
+        for command in CHAIN[:CHAIN.index(["simulate"])]:
+            assert main(base + command) == 0, command
+        assert json.loads((out / "split.json").read_text())["cold_items"] == []
+        capsys.readouterr()
+        assert main(base + ["simulate"]) == 0
+        assert capsys.readouterr().out == \
+            "simulated 0 cold items; no oracle decision was made\n"
+        assert json.loads((out / "simulated.json").read_text()) == {}
+        assert (out / "decisions.jsonl").read_text() == ""
+        assert main(base + ["warmup"]) == 0
+        assert "warmed 0 cold items" in capsys.readouterr().out
+
+
 class TestStaleCache:
     def test_simulate_over_cache_missing_an_item(self, tmp_path, caplog):
         corpus = write_corpus_from_planted(tmp_path / "corpus")

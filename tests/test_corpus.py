@@ -164,6 +164,13 @@ class TestLoadCiteulike:
         with pytest.raises(ValueError, match="outside the int64 range"):
             load_citeulike(root)
 
+    def test_empty_content_rejected(self, tmp_path):
+        root = write_citeulike_fixture(tmp_path / "cu", [[5]],
+                                       [(5, "T", "A"), (3, "", "")])
+        with pytest.raises(ValueError,
+                           match="^item raw id 3 has empty content$"):
+            load_citeulike(root)
+
     def test_duplicate_pairs_collapse(self, tmp_path):
         root = write_citeulike_fixture(tmp_path / "cu", [[5, 5]],
                                        [(5, "T", "A")])
@@ -219,6 +226,14 @@ class TestLoadMovielens:
         root = write_movielens_fixture(tmp_path / "ml", [(2**63, 1, 5, 0)],
                                        [(1, "M", "Drama")])
         with pytest.raises(ValueError, match="ratings.dat: an id is outside"):
+            load_movielens(root)
+
+    def test_empty_content_rejected(self, tmp_path):
+        # "7::::" has neither a title nor a genre
+        root = write_movielens_fixture(tmp_path / "ml", [(1, 1, 5, 0)],
+                                       [(1, "M", "Drama"), (7, "", "")])
+        with pytest.raises(ValueError,
+                           match="^item raw id 7 has empty content$"):
             load_movielens(root)
 
     def test_malformed_record(self, tmp_path):

@@ -222,6 +222,13 @@ class TestFunnel:
         with pytest.raises(ValueError):
             funnel_filter(np.ones(5), 10)
 
+    def test_empty_block_gives_no_candidate_sets(self):
+        filt_b, filt_l, users_b, users_l = self.build(3)
+        assert funnel_filter(np.ones((0, 5)), 10, filter_b=filt_b,
+                             filter_l=filt_l, users_b=users_b,
+                             users_l=users_l, item=[]) == []
+        assert topk_candidates(filt_b, np.ones((0, 5)), users_b, k=10) == []
+
     def test_size_is_min_k_available(self):
         for seed in range(50):
             filt_b, filt_l, users_b, users_l = self.build(seed)

@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coldsim import metrics
 from coldsim.backbone import BackboneModel, validation_ndcg
@@ -126,6 +128,27 @@ class TestKernel:
             masked = np.where(exclude, -np.inf, block)
             for row, scores in zip(ranked, masked):
                 assert row.tolist() == lexsort_rank(scores, ids=ids, k=k).tolist()
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data(), shape=st.tuples(st.integers(1, 5),
+                                           st.integers(0, 12)))
+    def test_equals_a_full_lexsort(self, data, shape):
+        # few distinct values, signed zeros and -inf, so ties are common
+        block = data.draw(hnp.arrays(np.float64, shape, elements=st.sampled_from(
+            [-np.inf, -1.5, -0.0, 0.0, 1.0, 2.5])))
+        exclude = data.draw(hnp.arrays(bool, shape))
+        if data.draw(st.booleans()):
+            exclude[data.draw(st.integers(0, shape[0] - 1))] = True
+        ids = np.asarray(data.draw(st.permutations(range(shape[1])))) * 3 + 7
+        k = data.draw(st.one_of(st.none(), st.integers(1, shape[1] + 3)))
+        one_row = shape[0] == 1 and data.draw(st.booleans())
+        # exclude names (row, column) entries of the one-row block too
+        ranked = rank_by_score(block[0] if one_row else block, ids=ids, k=k,
+                               exclude=np.nonzero(exclude))
+        want = [lexsort_rank(row, ids=ids, k=k).tolist()
+                for row in np.where(exclude, -np.inf, block)]
+        assert ranked.tolist() == (want[0] if one_row else want)
 
     def test_vector_is_the_one_row_case(self):
         scores = np.array([0.5, 2.0, 0.5, -1.0, 2.0])
