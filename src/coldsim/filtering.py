@@ -192,8 +192,10 @@ def topk_candidates(filt: TwoTowerFilter, raw_item: np.ndarray,
     candidate set per row, ``item`` naming the rows; a 1-D one is a
     one-row block whose set is returned alone.  The item tower runs once
     over the block, and each :func:`~coldsim.metrics.row_chunks` slice is
-    scored against all users with one product: the ids of one matvec per
-    item, not its score bits.
+    scored against all users with one product.  That product sums in
+    another order than one matvec per item: it gives the matvec's ids
+    except where scores equal in exact arithmetic, from different user
+    vectors, round apart in one and together in the other.
     """
     raw = np.asarray(raw_item, dtype=np.float64)
     vecs = map_item(filt, np.atleast_2d(raw))

@@ -9,9 +9,9 @@ item-tower forward and one matvec against all users per item, ranked and
 interleaved L first; one context and one decision per (candidate, item)
 pair; and the scalar warmup draws; and the per-item pass, one ``decide``
 call per item, for refinement and labelling.  The funnel's block product
-sums in another order than the matvecs, so it promises their ids, not
-their score bits.  The
-contexts' reference is the list-of-contexts path the block replaced: one
+sums in another order than the matvecs, so it gives their ids except
+where scores equal in exact arithmetic, from different user vectors,
+round apart in one and together in the other.  The contexts' reference is the list-of-contexts path the block replaced: one
 ``build_context`` call per item giving one context object per user, and
 the threshold oracle's per-context gather.  The backbone and both
 filters train through one epoch loop, ``backbone.fit_epochs``; their
