@@ -14,7 +14,9 @@ from pathlib import Path
 from coldsim import load_citeulike, make_cold_split
 from coldsim.synthetic import make_two_cluster_dataset
 
-root = Path(tempfile.mkdtemp()) / "corpus"
+# removed at the end, or at exit if the demo fails first
+tmp = tempfile.TemporaryDirectory()
+root = Path(tmp.name) / "corpus"
 root.mkdir(parents=True)
 
 # render a planted dataset in the on-disk format
@@ -49,3 +51,4 @@ from coldsim import ColdWarmSplit
 ColdWarmSplit.load(root / "split.json").save(root / "split_again.json")
 assert (root / "split.json").read_bytes() == (root / "split_again.json").read_bytes()
 print(f"\nsplit persisted and reloaded from {root / 'split.json'}")
+tmp.cleanup()

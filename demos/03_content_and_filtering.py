@@ -27,7 +27,9 @@ data = make_two_cluster_dataset(n_users=120, n_warm=60, n_cold=8,
 split = make_planted_split(data, seed=5)
 
 # --- cache every item's content vector once; reruns are pure cache hits
-workdir = Path(tempfile.mkdtemp())
+# removed at the end, or at exit if the demo fails first
+tmp = tempfile.TemporaryDirectory()
+workdir = Path(tmp.name)
 provider = MockContentProvider(dim=64)
 cache = warm_cache(provider, data.catalog, workdir / "content.cemb")
 print(f"\ncached {len(cache)} content vectors -> {workdir / 'content.cemb'}")
@@ -59,3 +61,4 @@ own_group = sum(data.user_group[u] == data.item_group[item]
 print(f"\ncold item {item} (group {data.item_group[item]}): "
       f"top-15 candidates {cand.users}")
 print(f"{own_group}/15 candidates come from the item's own interest group")
+tmp.cleanup()

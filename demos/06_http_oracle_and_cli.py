@@ -67,7 +67,9 @@ server.server_close()
 thread.join()
 
 # --- the same pipeline, driven end to end by the CLI with a mock oracle
-workdir = Path(tempfile.mkdtemp())
+# removed at the end, or at exit if the demo fails first
+tmp = tempfile.TemporaryDirectory()
+workdir = Path(tmp.name)
 corpus = workdir / "corpus"
 corpus.mkdir()
 data = make_two_cluster_dataset(n_users=60, n_warm=24, n_cold=0,
@@ -112,3 +114,4 @@ from coldsim import ColdWarmSplit
 split = ColdWarmSplit.load(workdir / "run" / "split.json")
 print(f"split.json: warm_train {split.warm_train.shape} {split.warm_train.dtype}, "
       f"first rows {split.warm_train[:2].tolist()}")
+tmp.cleanup()

@@ -31,6 +31,7 @@ from urllib.request import getproxies, proxy_bypass
 import numpy as np
 
 from . import store
+from .metrics import row_dots
 
 logger = logging.getLogger(__name__)
 
@@ -74,18 +75,32 @@ def mock_embed(text: str, dim: int = 256, hash_seed: int = 0) -> np.ndarray:
     """Hashed bag-of-tokens vector: mean of token one-hots, L2-normalized.
 
     Tokens are lowercased alphanumeric runs; each token lands in bucket
-    ``fnv1a64(token) % dim``.
+    ``fnv1a64(token) % dim``.  The one-row call of :func:`mock_embed_block`.
     """
+    return mock_embed_block([text], dim, hash_seed)[0]
+
+
+def mock_embed_block(texts, dim: int = 256, hash_seed: int = 0) -> np.ndarray:
+    """:func:`mock_embed` of each text, one row each: one ``np.add.at`` adds
+    every weight in token order, and each row is divided by the square root
+    of its BLAS dot, which is ``np.linalg.norm`` of the row bit for bit."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    tokens = tokenize(text)
-    if not tokens:
-        raise ValueError(f"no tokens after splitting: {text!r}")
-    vec = np.zeros(dim)
-    weight = 1.0 / len(tokens)
-    for tok in tokens:
-        vec[_bucket(tok, hash_seed, dim)] += weight
-    return vec / np.linalg.norm(vec)
+    tokens = [tokenize(text) for text in texts]
+    for text, toks in zip(texts, tokens):
+        if not toks:
+            raise ValueError(f"no tokens after splitting: {text!r}" if text
+                             else "cannot embed empty text")
+    counts = np.array([len(toks) for toks in tokens], dtype=np.int64)
+    flat = [tok for toks in tokens for tok in toks]
+    bucket = {tok: _bucket(tok, hash_seed, dim) for tok in set(flat)}
+    cols = np.fromiter(map(bucket.__getitem__, flat), dtype=np.int64,
+                       count=len(flat))
+    vecs = np.zeros((len(texts), dim))
+    np.add.at(vecs.reshape(-1), np.repeat(np.arange(len(texts)) * dim, counts)
+              + cols, np.repeat(1.0 / counts, counts))
+    vecs /= np.sqrt(row_dots(vecs, vecs))[:, None]
+    return vecs
 
 
 class MockContentProvider:
@@ -98,8 +113,6 @@ class MockContentProvider:
         self.hash_seed = hash_seed
 
     def embed(self, text: str, key: int | None = None) -> np.ndarray:
-        if not text:
-            raise ValueError("cannot embed empty text")
         return mock_embed(text, self.dim, self.hash_seed)
 
 

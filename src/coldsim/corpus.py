@@ -35,8 +35,12 @@ TASKS = ("overall", "warm", "cold")
 
 
 def lexsorted(pairs: np.ndarray) -> np.ndarray:
-    """The rows of an (n, 2) pair array sorted by user, then item."""
-    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    """The rows of an (n, 2) pair array sorted by user, then item, equal rows
+    in their order: one stable sort of ``user * width + item``, ``width`` the
+    largest item plus 1, which orders rows as ``np.lexsort`` does for ids in
+    ``[0, 2**31)``, as every caller's dense ids are."""
+    width = np.int64(pairs[:, 1].max(initial=-1)) + 1
+    return pairs[np.argsort(pairs[:, 0] * width + pairs[:, 1], kind="stable")]
 
 
 def _groups(keys: np.ndarray, values: np.ndarray, n: int) -> list[np.ndarray]:

@@ -198,6 +198,12 @@ def row_chunks(rows, n_cols: int):
         yield rows[start:start + step]
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row's ``a[j] @ b[j]`` with the bits of that 1-D dot (a BLAS dot
+    per row); a row-wise ``einsum`` changes some of them."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def hit_metrics(ranked: np.ndarray, relevant: PairSets, rows: np.ndarray,
                 k: int) -> np.ndarray:
     """Per-row Recall@k and NDCG@k as a (2, rows) array.

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import filtering, refiner, warmup
 from .backbone import BackboneConfig, BackboneModel, train_backbone
-from .content import MockContentProvider, VectorCache
+from .content import VectorCache, mock_embed_block
 from .corpus import ColdWarmSplit, InteractionLog, ItemCatalog
 from .evaluation import EvalReport, evaluate
 from .filtering import FilterTrainConfig, TwoTowerFilter
@@ -155,11 +155,11 @@ def build_pipeline(log: InteractionLog, catalog: ItemCatalog,
                          f"content.provider is {c['provider']!r}; run "
                          f"`cache-content` and load its cache instead")
     backbone = fit_backbone(split, log, cfg)
-    provider = MockContentProvider(dim=c["dim"], hash_seed=c["hash_seed"])
-    cache = VectorCache(dim=provider.dim, provider_kind=provider.kind,
-                        hash_seed=provider.hash_seed)
-    for i, text in catalog.content.items():
-        cache.put(i, provider.embed(text))
+    cache = VectorCache(dim=c["dim"], provider_kind="mock",
+                        hash_seed=c["hash_seed"])
+    cache.vectors = dict(zip(catalog.content, mock_embed_block(
+        list(catalog.content.values()), c["dim"], c["hash_seed"]
+    ).astype(np.float32)))      # the rows VectorCache.put would store
     content_matrix = cache.matrix(log.n_items)
 
     if oracle is None:

@@ -26,7 +26,7 @@ from .backbone import draw_accepted, ordered_subsample
 from .content import HttpSession, post_with_retries
 from .corpus import ColdWarmSplit, ItemCatalog, lexsorted
 from .filtering import CandidateSet, TwoTowerFilter, funnel_filter
-from .metrics import row_chunks
+from .metrics import row_chunks, row_dots
 
 logger = logging.getLogger(__name__)
 
@@ -96,8 +96,9 @@ def build_context(users, items, item_vectors: np.ndarray, train_items,
     Similarity is the dot product of filter vectors; ties break by ascending
     item id, and an empty history gives an empty context.  A BLAS product's
     bits can depend on a row's position in it, so each item's similarities
-    come from one product over its rows' histories, in row order, and one
-    ``lexsort`` on (row, -similarity, item id) ranks that item's rows.
+    come from one product over its rows' histories, in row order.  The
+    rows of one history length are then ranked together, one ``lexsort``
+    on (-similarity, item id) along each row of their (rows, length) block.
     """
     if top_l < 1:
         raise ValueError(f"top_l must be >= 1, got {top_l}")
@@ -110,19 +111,19 @@ def build_context(users, items, item_vectors: np.ndarray, train_items,
     hist_ids = np.fromiter(itertools.chain.from_iterable(histories),
                            dtype=np.int64, count=int(lens.sum()))
     starts = np.cumsum(lens) - lens
-    owner = np.repeat(np.arange(len(lens)), lens)
     group_items, firsts = np.unique(items[by_item], return_index=True)
+    queries = np.asarray(item_vectors[group_items], dtype=np.float64)
     bounds = np.append(starts[firsts], len(hist_ids)).tolist()
-    for item, lo, hi in zip(group_items.tolist(), bounds, bounds[1:]):
-        ids = hist_ids[lo:hi]
-        sims = item_vectors[ids] @ np.asarray(item_vectors[item],
-                                              dtype=np.float64)
-        # ranked in place; owner is ascending, so each row keeps its run
-        hist_ids[lo:hi] = ids[np.lexsort((ids, -sims, owner[lo:hi]))]
-    rank = np.arange(len(hist_ids)) - np.repeat(starts, lens)
-    kept = rank < top_l
+    sims = np.empty(len(hist_ids))
+    for query, lo, hi in zip(queries, bounds, bounds[1:]):
+        sims[lo:hi] = item_vectors[hist_ids[lo:hi]] @ query
     hist = np.full((len(lens), top_l), -1, dtype=np.int64)
-    hist[by_item[owner[kept]], rank[kept]] = hist_ids[kept]
+    for n in np.unique(lens[lens > 0]).tolist():
+        rows = np.flatnonzero(lens == n)
+        cols = starts[rows, None] + np.arange(n)
+        ids = hist_ids[cols]
+        order = np.lexsort((ids, -sims[cols]), axis=-1)[:, :top_l]
+        hist[by_item[rows], :order.shape[1]] = np.take_along_axis(ids, order, 1)
     return ContextBlock(users, items, hist, titles)
 
 
@@ -188,30 +189,29 @@ class ThresholdOracle:
         self.tau = tau
 
     def decide(self, block: ContextBlock) -> list[OracleDecision]:
-        """One cosine test per row, in order; rows may mix items."""
+        """One cosine test per row, in order; rows may mix items.
+
+        Rows of one context length go in ``row_chunks`` of (rows, width)
+        sums, each adding one ``hist`` column at a time: a row's context is
+        added in order, as ``X[items].mean(axis=0)`` adds it at widths
+        above 1, so its bits do not depend on which rows share its chunk."""
         vectors = self.content_matrix
         sizes, yes = (block.hist >= 0).sum(axis=1), np.zeros(len(block), bool)
-        # rows of one context length share a gather; X[idx].sum(axis=1) / n
-        # adds each row's context in order, as X[items].mean(axis=0) does, so
-        # a row's bits do not depend on which others share its gather
         for n in np.unique(sizes[sizes > 0]).tolist():
-            for rows in row_chunks(np.flatnonzero(sizes == n),
-                                   n * vectors.shape[1]):
-                means = vectors[block.hist[rows, :n]].sum(axis=1) / n
+            for rows in row_chunks(np.flatnonzero(sizes == n), vectors.shape[1]):
+                hist = block.hist[rows, :n]
+                means = vectors[hist[:, 0]]
+                for j in range(1, n):
+                    means += vectors[hist[:, j]]
+                means /= n
                 item_vecs = vectors[block.items[rows]]
-                denom = np.sqrt(_row_dots(item_vecs, item_vecs)) * \
-                    np.sqrt(_row_dots(means, means))
-                cos = np.divide(_row_dots(item_vecs, means), denom,
+                denom = np.sqrt(row_dots(item_vecs, item_vecs)) * \
+                    np.sqrt(row_dots(means, means))
+                cos = np.divide(row_dots(item_vecs, means), denom,
                                 out=np.zeros(len(rows)), where=denom > 0)
                 yes[rows] = cos >= self.tau
         return [OracleDecision(value=1, raw="Yes") if y
                 else OracleDecision(value=0, raw="No") for y in yes.tolist()]
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Each row's ``a[j] @ b[j]`` with the bits of that 1-D dot (a BLAS dot
-    per row); a row-wise ``einsum`` changes some of them."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 class HttpOracle:

@@ -97,8 +97,17 @@ def list_pass_contexts(users, items, item_vectors, train_items, top_l):
 def list_threshold_decide(oracle, contexts, gather_floats=1 << 16):
     """The threshold oracle's per-context path: contexts of one length share
     a gather, split into chunks of at most ``gather_floats`` floats."""
+    return [OracleDecision(value=1, raw="Yes")
+            if cos is not None and cos >= oracle.tau
+            else OracleDecision(value=0, raw="No")
+            for cos in list_threshold_cosines(oracle, contexts, gather_floats)]
+
+
+def list_threshold_cosines(oracle, contexts, gather_floats=1 << 16):
+    """Each context's cosine on :func:`list_threshold_decide`'s path; None
+    for an empty context."""
     vectors = oracle.content_matrix
-    answers = [OracleDecision(value=0, raw="No") for _ in contexts]
+    cosines = [None] * len(contexts)
     lens = [len(ctx.items) for ctx in contexts]
     for n in set(lens) - {0}:
         rows = [j for j, size in enumerate(lens) if size == n]
@@ -111,11 +120,9 @@ def list_threshold_decide(oracle, contexts, gather_floats=1 << 16):
                 item_vec = vectors[contexts[j].item]
                 denom = np.sqrt(item_vec.dot(item_vec)) * \
                     np.sqrt(ctx_mean.dot(ctx_mean))
-                cos = float(item_vec @ ctx_mean / denom) if denom > 0 else 0.0
-                yes = cos >= oracle.tau
-                answers[j] = OracleDecision(value=1 if yes else 0,
-                                            raw="Yes" if yes else "No")
-    return answers
+                cosines[j] = float(item_vec @ ctx_mean / denom) \
+                    if denom > 0 else 0.0
+    return cosines
 
 
 def list_render_prompt(ctx, titles):
@@ -674,6 +681,37 @@ def test_block_ranks_exact_ties_and_signed_zeros_by_id():
                 assert got.history(j) == ranked[:top_l]
 
 
+@st.composite
+def integer_pass(draw):
+    """A pass over small-integer item vectors, whose similarities are exact
+    and tie often: shuffled histories of any length from 0 to every item,
+    and pairs that repeat users and items in any order."""
+    n_items, width = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    vectors = draw(hnp.arrays(np.float64, (n_items, width),
+                              elements=SMALL_INTS))
+    histories = []
+    for _ in range(draw(st.integers(1, 8))):
+        order = draw(st.permutations(range(n_items)))
+        histories.append(order[:draw(st.integers(0, n_items))])
+    n_rows = draw(st.integers(0, 40))
+    users = draw(st.lists(st.integers(0, len(histories) - 1),
+                          min_size=n_rows, max_size=n_rows))
+    items = draw(st.lists(st.integers(0, n_items - 1), min_size=n_rows,
+                          max_size=n_rows))
+    return vectors, histories, users, items
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=integer_pass(), top_l=st.integers(1, 6))
+def test_block_contexts_on_integer_vectors_equal_list_path(case, top_l):
+    vectors, histories, users, items = case
+    titles = [f"t{i}" for i in range(len(vectors))]
+    got = build_context(users, items, vectors, histories, titles, top_l)
+    assert got.hist.shape == (len(users), top_l)
+    assert block_contexts(got) == list_pass_contexts(users, items, vectors,
+                                                     histories, top_l)
+
+
 def label_pool(pipe):
     pool = filtering.sample_label_pairs(pipe.split, pipe.log.n_users, None, 3)
     return [u for u, _ in pool], [i for _, i in pool]
@@ -746,6 +784,38 @@ def test_threshold_block_equals_per_pair(planted_pipe, monkeypatch):
             assert [oracle.decide(block.take([j]))[0]
                     for j in range(len(block))] == ref
             assert oracle.decide(block.take(rows)) == [ref[j] for j in rows]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), width=st.integers(1, 5),
+       chunking=st.sampled_from([(1, 1), (1, 3), (64, 1), (1 << 16, 16)]))
+def test_threshold_decide_equals_list_path(data, width, chunking):
+    """Random normal vectors at widths above 1, whose sums round; at width 1
+    numpy sums a context's column pairwise, so there the vectors are small
+    integers, whose sums are exact.  Chunks of one row and of many rows.
+    Each tau is a row's cosine or the float just above it, so a cosine one
+    ulp off the list path's flips that row's answer."""
+    n_items = data.draw(st.integers(1, 10))
+    if width == 1:
+        vectors = data.draw(hnp.arrays(np.float64, (n_items, 1),
+                                       elements=SMALL_INTS))
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        vectors = rng.standard_normal((n_items, width))
+    contexts = [Context(j, data.draw(st.integers(0, n_items - 1)), data.draw(
+        st.lists(st.integers(0, n_items - 1), max_size=12)))
+        for j in range(data.draw(st.integers(0, 30)))]
+    block = as_block(contexts, [""] * n_items)
+    oracle = ThresholdOracle(vectors)
+    cosines = sorted({c for c in list_threshold_cosines(oracle, contexts)
+                      if c is not None})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "RANK_CHUNK_SCORES", chunking[0])
+        patch.setattr(metrics, "RANK_CHUNK_MIN_ROWS", chunking[1])
+        for cos in [0.3] + cosines[:4] + cosines[-4:]:
+            for oracle.tau in (cos, np.nextafter(cos, np.inf)):
+                assert oracle.decide(block) == \
+                    list_threshold_decide(oracle, contexts)
 
 
 # -- L labelling -------------------------------------------------------------

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coldsim import pipeline
+from coldsim.config import default_config, resolve_seeds
 from coldsim.content import (FileContentProvider, HttpContentProvider,
                              MockContentProvider, ProviderError, VectorCache,
-                             fnv1a64, mock_embed, warm_cache)
+                             fnv1a64, mock_embed, mock_embed_block, warm_cache)
 from coldsim.corpus import ItemCatalog
+from coldsim.refiner import PlantedOracle
+from coldsim.synthetic import make_planted_split, make_two_cluster_dataset
 from conftest import http_server
 
 
@@ -73,6 +77,105 @@ class TestMockEmbed:
         except ValueError:
             return  # texts with no alphanumeric runs are rejected
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+
+
+def loop_embed(text, dim, hash_seed):
+    """The one-text loop the block replaced: each token's weight added in
+    token order, then a division by ``np.linalg.norm``."""
+    tokens = re.findall(r"[a-z0-9]+", text.lower())
+    vec = np.zeros(dim)
+    for tok in tokens:
+        vec[fnv1a64(tok.encode("utf-8"), hash_seed) % dim] += 1.0 / len(tokens)
+    return vec / np.linalg.norm(vec)
+
+
+BLOCK_TEXTS = [
+    "graph graph graph neural",         # a repeated token
+    "solo",                             # one token
+    "Caf\u00e9 na\u00efve \u00fcber \u6771\u4eac 2024",  # non-ASCII splits tokens
+    "a b c d e f g h i j k l m n o p q r s t u v w x y z 0 1 2 3",
+    "solo",                             # a text given twice
+    "Deep-Learning, deep learning; DEEP learning!",
+]
+
+
+class TestMockEmbedBlock:
+    @pytest.mark.parametrize("hash_seed", [0, 7, 2**64 + 3])
+    @pytest.mark.parametrize("dim", [1, 3, 16, 256])
+    def test_rows_equal_one_text_calls_and_the_loop(self, dim, hash_seed):
+        block = mock_embed_block(BLOCK_TEXTS, dim, hash_seed)
+        assert block.shape == (len(BLOCK_TEXTS), dim)
+        for text, row in zip(BLOCK_TEXTS, block):
+            assert row.tobytes() == mock_embed(text, dim, hash_seed).tobytes()
+            assert row.tobytes() == loop_embed(text, dim, hash_seed).tobytes()
+        # a row's bits do not depend on the other texts of its block
+        assert mock_embed_block(BLOCK_TEXTS[::-1], dim, hash_seed)[::-1] \
+            .tobytes() == block.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(texts=st.lists(st.text(alphabet="ab c\u00e9D1-", min_size=1)
+                          .filter(lambda t: re.search(r"[a-z0-9]", t.lower())),
+                          max_size=8),
+           dim=st.sampled_from([1, 2, 5, 64]), hash_seed=st.integers(0, 3))
+    def test_block_equals_loop_property(self, texts, dim, hash_seed):
+        block = mock_embed_block(texts, dim, hash_seed)
+        assert block.shape == (len(texts), dim)
+        for text, row in zip(texts, block):
+            assert row.tobytes() == loop_embed(text, dim, hash_seed).tobytes()
+
+    def test_kept_errors(self):
+        with pytest.raises(ValueError, match="^cannot embed empty text$"):
+            mock_embed("")
+        with pytest.raises(ValueError, match="^cannot embed empty text$"):
+            MockContentProvider(dim=8).embed("")
+        with pytest.raises(ValueError, match="^cannot embed empty text$"):
+            mock_embed_block(["fine", ""], 8)
+        with pytest.raises(ValueError, match="^no tokens after splitting: '!!!'$"):
+            mock_embed_block(["fine", "!!!"], 8)
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            mock_embed_block(["fine"], 0)
+
+
+def tiny_pipeline_inputs():
+    data = make_two_cluster_dataset(n_users=20, n_warm=8, n_cold=2,
+                                    groups_per_cluster=1, seed=4)
+    cfg = default_config()
+    cfg["backbone"].update({"dim": 4, "max_epochs": 1, "eval_users": 10})
+    cfg["content"].update({"dim": 8})
+    cfg["filter"].update({"hidden": 4, "out": 4, "max_epochs": 1,
+                          "label_pairs": 10, "eval_users": 10})
+    cfg["refiner"].update({"oracle": "planted"})
+    return data, make_planted_split(data, seed=4), resolve_seeds(cfg, 4)
+
+
+class TestBuildPipelineContent:
+    def test_content_matrix_is_the_float32_cache_of_each_text(self):
+        data, split, cfg = tiny_pipeline_inputs()
+        pipe = pipeline.build_pipeline(data.log, data.catalog, split, cfg,
+                                       oracle=PlantedOracle(data.truth),
+                                       variants=())
+        provider = MockContentProvider(dim=8, hash_seed=cfg["content"]["hash_seed"])
+        want = np.stack([provider.embed(data.catalog.content[i]).astype(np.float32)
+                         for i in range(data.log.n_items)]).astype(np.float64)
+        assert pipe.content_matrix.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text,error", [
+        ("", "^cannot embed empty text$"),
+        ("?!", "^no tokens after splitting: '\\?!'$")])
+    def test_unembeddable_item_text_is_rejected(self, text, error):
+        data, split, cfg = tiny_pipeline_inputs()
+        catalog = ItemCatalog(content={**data.catalog.content, 3: text})
+        with pytest.raises(ValueError, match=error):
+            pipeline.build_pipeline(data.log, catalog, split, cfg,
+                                    oracle=PlantedOracle(data.truth))
+
+    def test_catalog_with_ids_not_dense_is_rejected(self):
+        data, split, cfg = tiny_pipeline_inputs()
+        content = dict(data.catalog.content)
+        content[data.log.n_items] = content.pop(1)
+        with pytest.raises(ValueError, match="lacks item 1 .*another catalog"):
+            pipeline.build_pipeline(data.log, ItemCatalog(content=content),
+                                    split, cfg, oracle=PlantedOracle(data.truth))
 
 
 class TestEmbedContent:

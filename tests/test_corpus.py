@@ -19,9 +19,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coldsim.corpus import (PAIR_FIELDS, ColdWarmSplit, InteractionLog,
-                            load_citeulike, load_movielens, make_cold_split)
+                            lexsorted, load_citeulike, load_movielens,
+                            make_cold_split)
 from coldsim.synthetic import random_toy_log
 
 from conftest import (as_tuples, pair_split, write_citeulike_fixture,
@@ -394,6 +396,21 @@ def test_saved_split_reloads_to_the_same_bytes(log_args, seed):
         for name in PAIR_FIELDS:
             got, want = getattr(loaded, name), getattr(split, name)
             assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(pairs=st.sampled_from([np.int32, np.int64]).flatmap(
+    lambda dtype: hnp.arrays(dtype, st.tuples(st.integers(0, 40), st.just(2)),
+                             elements=st.integers(0, 6)
+                             | st.integers(0, 2**31 - 1))))
+def test_lexsorted_equals_lexsort(pairs):
+    # small ids repeat rows; ids up to 2**31 - 1 fill most of the int64 key,
+    # and overflow an int32 one
+    for rows in (pairs, pairs[:1], pairs[:0]):
+        want = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+        got = lexsorted(rows)
+        assert got.dtype == rows.dtype and got.shape == rows.shape
+        assert np.array_equal(got, want)
 
 
 def test_citeulike_scale_split_equals_the_tuple_loops(tmp_path):
