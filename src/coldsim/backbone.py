@@ -69,16 +69,23 @@ class BackboneModel:
         return BackboneModel(self.user_emb.copy(), self.item_emb.copy(),
                              self.trained_epochs, list(self.history))
 
-    def save(self, out_dir: str | Path, prefix: str = "backbone") -> None:
+    def save(self, out_dir: str | Path) -> None:
         out = Path(out_dir)
-        store.save_table(out / f"{prefix}_user.cemb", self.user_emb)
-        store.save_table(out / f"{prefix}_item.cemb", self.item_emb)
+        store.save_table(out / "backbone_user.cemb", self.user_emb)
+        store.save_table(out / "backbone_item.cemb", self.item_emb)
 
     @classmethod
-    def load(cls, out_dir: str | Path, prefix: str = "backbone") -> "BackboneModel":
+    def load(cls, out_dir: str | Path) -> "BackboneModel":
+        """The model saved in ``out_dir``; user and item tables of different
+        widths raise ValueError naming the item table."""
         out = Path(out_dir)
-        user = store.load_table(out / f"{prefix}_user.cemb").astype(np.float64)
-        item = store.load_table(out / f"{prefix}_item.cemb").astype(np.float64)
+        user = store.load_table(out / "backbone_user.cemb").astype(np.float64)
+        item_path = out / "backbone_item.cemb"
+        item = store.load_table(item_path).astype(np.float64)
+        if item.shape[1] != user.shape[1]:
+            raise ValueError(f"{item_path}: width {item.shape[1]} != user "
+                             f"table width {user.shape[1]}; the tables are "
+                             f"from different models")
         return cls(user_emb=user, item_emb=item)
 
 

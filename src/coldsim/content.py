@@ -334,9 +334,6 @@ class VectorCache:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def get(self, item: int) -> np.ndarray:
-        return self.vectors[item]
-
     def put(self, item: int, vec: np.ndarray) -> None:
         vec = np.asarray(vec, dtype=np.float32)
         if vec.shape != (self.dim,):
@@ -382,8 +379,10 @@ class VectorCache:
         cache = cls(dim=int(sidecar["dim"]), provider_kind=sidecar["kind"],
                     hash_seed=sidecar["hash_seed"])
         items = sidecar["items"]
-        if table.shape[0] != len(items):
-            raise ValueError(f"{path}: table rows != sidecar items")
+        if table.shape != (len(items), cache.dim):
+            raise ValueError(f"{path}: table shape {table.shape} != "
+                             f"({len(items)}, {cache.dim}), the sidecar's "
+                             f"items and dim")
         for row, item in zip(table, items):
             cache.vectors[int(item)] = row
         return cache

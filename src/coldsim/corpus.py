@@ -288,18 +288,17 @@ def _dense_corpus(source: str, raw_user_ids, users: np.ndarray,
     return log, ItemCatalog(content=content, titles=titles)
 
 
-def load_citeulike(path: str | Path, mapping_path: str | Path | None = None,
-                   users_file: str = "users.dat", items_file: str = "items.tsv"):
-    """Load a CiteULike-style corpus.
+def load_citeulike(path: str | Path, mapping_path: str | Path | None = None):
+    """Load a CiteULike-style corpus: ``users.dat`` and ``items.tsv`` in ``path``.
 
-    Line number in ``users_file`` is the user id.  Raw item indices are
+    Line number in ``users.dat`` is the user id.  Raw item indices are
     re-indexed densely in ascending raw order.  Every item referenced by the
     interaction file must have a metadata row.
 
     Returns ``(InteractionLog, ItemCatalog)``.
     """
     root = Path(path)
-    users_path, items_path = root / users_file, root / items_file
+    users_path, items_path = root / "users.dat", root / "items.tsv"
     for p in (users_path, items_path):
         if not p.exists():
             raise FileNotFoundError(f"missing file: {p}")
@@ -347,10 +346,9 @@ def load_citeulike(path: str | Path, mapping_path: str | Path | None = None,
 
 
 def load_movielens(path: str | Path, mapping_path: str | Path | None = None,
-                   min_rating: float = 0,
-                   ratings_file: str = "ratings.dat",
-                   movies_file: str = "movies.dat"):
-    """Load a MovieLens-style corpus.
+                   min_rating: float = 0):
+    """Load a MovieLens-style corpus: ``ratings.dat`` and ``movies.dat`` in
+    ``path``.
 
     Every rating record with rating >= ``min_rating`` becomes a positive
     interaction (default keeps all records).  The item universe is the
@@ -360,7 +358,7 @@ def load_movielens(path: str | Path, mapping_path: str | Path | None = None,
     Returns ``(InteractionLog, ItemCatalog)``.
     """
     root = Path(path)
-    ratings_path, movies_path = root / ratings_file, root / movies_file
+    ratings_path, movies_path = root / "ratings.dat", root / "movies.dat"
     for p in (ratings_path, movies_path):
         if not p.exists():
             raise FileNotFoundError(f"missing file: {p}")

@@ -130,13 +130,23 @@ class TwoTowerFilter:
 
     @classmethod
     def load(cls, out_dir: str | Path) -> "TwoTowerFilter":
+        """The filter saved in ``out_dir``; a table whose shape is not the
+        one the manifest gives raises ValueError naming the table."""
         out = Path(out_dir)
         with open(out / "manifest.json", encoding="utf-8") as fh:
             manifest = json.load(fh)
+        hidden, d_out = manifest["hidden"], manifest["out"]
         towers = {}
         for tower_name in ("user", "item"):
-            raw = {p: store.load_table(out / f"{tower_name}_{p}.cemb").astype(np.float64)
-                   for p in ("w1", "b1", "w2", "b2")}
+            d_in = manifest[f"{tower_name}_d_in"]
+            raw = {}
+            for p, shape in (("w1", (d_in, hidden)), ("b1", (1, hidden)),
+                             ("w2", (hidden, d_out)), ("b2", (1, d_out))):
+                path = out / f"{tower_name}_{p}.cemb"
+                raw[p] = store.load_table(path).astype(np.float64)
+                if raw[p].shape != shape:
+                    raise ValueError(f"{path}: shape {raw[p].shape} != "
+                                     f"{shape}, the manifest's")
             towers[tower_name] = TowerMlp(w1=raw["w1"], b1=raw["b1"][0],
                                           w2=raw["w2"], b2=raw["b2"][0])
         return cls(variant=manifest["variant"], user_tower=towers["user"],

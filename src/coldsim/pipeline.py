@@ -75,17 +75,16 @@ def fit_backbone(split: ColdWarmSplit, log: InteractionLog, cfg: dict) -> Backbo
                           n_users=log.n_users, n_items=log.n_items)
 
 
-def make_oracle(cfg: dict, content_matrix: np.ndarray,
-                planted_pairs=None):
-    """Oracle client from the refiner config section."""
+def make_oracle(cfg: dict, content_matrix: np.ndarray):
+    """Oracle client from the refiner config section; not the planted
+    oracle, whose ground-truth pairs no config holds."""
     r = cfg["refiner"]
     kind = r["oracle"]
     if kind == "mock-threshold":
         return refiner.ThresholdOracle(content_matrix, tau=r["tau"])
     if kind == "planted":
-        if planted_pairs is None:
-            raise ValueError("planted oracle needs ground-truth pairs")
-        return refiner.PlantedOracle(planted_pairs)
+        raise ValueError("the planted oracle needs ground-truth pairs, which "
+                         "no config holds: pass oracle=PlantedOracle(pairs)")
     if kind == "http":
         if not r["endpoint"]:
             raise ValueError("http oracle needs refiner.endpoint")
@@ -142,8 +141,7 @@ def train_filter(pipe: Pipeline, variant: str, cfg: dict):
 
 
 def build_pipeline(log: InteractionLog, catalog: ItemCatalog,
-                   split: ColdWarmSplit, cfg: dict, oracle=None,
-                   planted_pairs=None, variants=("B", "L")) -> Pipeline:
+                   split: ColdWarmSplit, cfg: dict, oracle=None) -> Pipeline:
     """Train backbone, content cache (mock provider), and both filters.
 
     Only the mock provider embeds in process; content from a file or an
@@ -163,38 +161,54 @@ def build_pipeline(log: InteractionLog, catalog: ItemCatalog,
     content_matrix = cache.matrix(log.n_items)
 
     if oracle is None:
-        oracle = make_oracle(cfg, content_matrix, planted_pairs)
+        oracle = make_oracle(cfg, content_matrix)
     pipe = Pipeline(log=log, catalog=catalog, split=split, backbone=backbone,
                     content_matrix=content_matrix, oracle=oracle)
-    if "B" in variants:
-        pipe.filter_b, _ = train_filter(pipe, "B", cfg)
-    if "L" in variants:
-        pipe.filter_l, _ = train_filter(pipe, "L", cfg)
+    pipe.filter_b, _ = train_filter(pipe, "B", cfg)
+    pipe.filter_l, _ = train_filter(pipe, "L", cfg)
     return pipe
 
 
 def simulate_all(pipe: Pipeline, cfg: dict, use_b: bool = True,
                  use_l: bool = True, skip_refine: bool = False,
                  decision_log: DecisionLog | None = None) -> dict[int, SimulationResult]:
-    """Run the funnel for every cold item: one ranking per filter over all of
-    them, then one refinement pass over them in ascending item order."""
+    """Simulate every cold item: funnel, refine pass, then fallback.
+
+    One :func:`~coldsim.filtering.funnel_filter` call ranks the cold items
+    with each filter in use, and the items with candidates go, in ascending
+    item order, to one :func:`~coldsim.refiner.refine_all` pass with
+    contexts from filter L when in use, else filter B.  An item whose
+    candidates the oracle all rejects keeps its top candidate under
+    ``refiner.fallback_to_top1``, else stays cold.  ``skip_refine`` makes
+    the candidates the simulation.
+    """
     sim_cfg = section_config(SimulateConfig, cfg["refiner"])
     filt_b = pipe.filter_b if use_b else None
     filt_l = pipe.filter_l if use_l else None
-    if filt_b is None and filt_l is None:
-        raise ValueError("simulation needs at least one filter")
-    users_b = pipe.user_vectors(filt_b) if filt_b is not None else None
-    users_l = pipe.user_vectors(filt_l) if filt_l is not None else None
-    # contexts come from the coupled filter when present, else the behavior one
-    item_vectors = None if skip_refine else pipe.item_vectors(
-        filt_l if filt_l is not None else filt_b)
     items = sorted(pipe.split.cold_items)
-    results = refiner.simulate_items(
-        items, pipe.content_matrix[items], pipe.oracle, item_vectors,
-        pipe.train_items, pipe.titles, sim_cfg,
-        filter_b=filt_b, filter_l=filt_l, users_b=users_b, users_l=users_l,
-        decision_log=decision_log, skip_refine=skip_refine)
-    return {result.item: result for result in results}
+    candidates = filtering.funnel_filter(
+        pipe.content_matrix[items], sim_cfg.k, filter_b=filt_b,
+        filter_l=filt_l, item=items,
+        users_b=pipe.user_vectors(filt_b) if filt_b is not None else None,
+        users_l=pipe.user_vectors(filt_l) if filt_l is not None else None)
+    if skip_refine:
+        return {cand.item: SimulationResult(item=cand.item, users=cand.users)
+                for cand in candidates}
+    asked = [cand for cand in candidates if cand.users]
+    refined = dict(zip([cand.item for cand in asked], refiner.refine_all(
+        asked, pipe.oracle,
+        pipe.item_vectors(filt_l if filt_l is not None else filt_b),
+        pipe.train_items, pipe.titles, sim_cfg.context_len, decision_log)))
+    results = {}
+    for cand in candidates:
+        kept, failures = refined.get(cand.item, ([], 0))
+        fallback = bool(cand.users) and not kept
+        if fallback and sim_cfg.fallback_to_top1:
+            kept = cand.users[:1]
+        results[cand.item] = SimulationResult(item=cand.item, users=kept,
+                                              fallback_used=fallback,
+                                              failures=failures)
+    return results
 
 
 def warm_with_report(pipe: Pipeline, simulations,

@@ -25,7 +25,7 @@ from . import store
 from .backbone import draw_accepted, ordered_subsample
 from .content import HttpSession, post_with_retries
 from .corpus import ColdWarmSplit, ItemCatalog, lexsorted
-from .filtering import CandidateSet, TwoTowerFilter, funnel_filter
+from .filtering import CandidateSet, TwoTowerFilter
 from .metrics import row_chunks, row_dots
 
 logger = logging.getLogger(__name__)
@@ -447,53 +447,6 @@ def refine(candidates: CandidateSet, client, item_vectors: np.ndarray,
     """:func:`refine_all` over one candidate set: (accepted users, failures)."""
     return refine_all([candidates], client, item_vectors, train_items, titles,
                       top_l, decision_log)[0]
-
-
-def simulate_items(items, raw_items: np.ndarray, client,
-                   item_vectors: np.ndarray | None,
-                   train_items: list[list[int]], titles: list[str],
-                   config: SimulateConfig,
-                   filter_b: TwoTowerFilter | None = None,
-                   filter_l: TwoTowerFilter | None = None,
-                   users_b: np.ndarray | None = None,
-                   users_l: np.ndarray | None = None,
-                   decision_log: DecisionLog | None = None,
-                   skip_refine: bool = False) -> list[SimulationResult]:
-    """Funnel-filter candidate users for cold items, then oracle-refine them.
-
-    ``raw_items`` holds the items' raw content vectors, one row per item
-    of ``items``; the funnel ranks them with one call per filter, and the
-    items with candidates are then refined in one :func:`refine_all` pass.
-    When refinement empties an item's candidate list the top-ranked
-    filtered candidate is kept (configurable; the alternative leaves the
-    item cold with an empty simulation).  ``item_vectors`` are the item
-    vectors of the filter that builds the contexts: the coupled filter
-    when present, otherwise the behavior filter, and ``titles`` every
-    item's title by id.  Both are unused with ``skip_refine``.
-    """
-    candidates = funnel_filter(raw_items, config.k, filter_b=filter_b,
-                               filter_l=filter_l, users_b=users_b,
-                               users_l=users_l, item=items)
-    if skip_refine:
-        return [SimulationResult(item=cand.item, users=list(cand.users))
-                for cand in candidates]
-    refined = iter(refine_all([cand for cand in candidates if cand.users],
-                              client, item_vectors, train_items, titles,
-                              top_l=config.context_len,
-                              decision_log=decision_log))
-    results = []
-    for cand in candidates:
-        if not cand.users:
-            results.append(SimulationResult(item=cand.item, users=[]))
-            continue
-        kept, failures = next(refined)
-        fallback = not kept
-        if fallback:
-            kept = cand.users[:1] if config.fallback_to_top1 else []
-        results.append(SimulationResult(item=cand.item, users=kept,
-                                        fallback_used=fallback,
-                                        failures=failures))
-    return results
 
 
 def prepare_finetune_data(split: ColdWarmSplit, catalog: ItemCatalog,

@@ -166,16 +166,13 @@ def warm_all_cold(split: ColdWarmSplit, simulations: dict[int, SimulationResult]
             logger.warning("cold item %d skipped: %s", item, msg)
             report.append({"item": item, "skipped": msg})
             continue
-        init = None
         raw = content_matrix[item] if content_matrix is not None else None
-        if (config.init == "user-mean" and sim.fallback_used
-                and filt_b is not None and raw is not None):
-            init = init_cold_embedding(item, sim.users, backbone, "filter-map",
-                                       filt_b=filt_b, raw=raw)
+        mode = "filter-map" if (config.init == "user-mean"
+                                and sim.fallback_used and filt_b is not None
+                                and raw is not None) else config.init
         users = sorted(int(u) for u in sim.users)
-        if init is None:
-            init = init_cold_embedding(item, users, backbone, config.init,
-                                       filt_b=filt_b, raw=raw)
+        init = init_cold_embedding(item, users, backbone, mode, filt_b=filt_b,
+                                   raw=raw)
         # the draws never depend on the embedding, so they all come first
         pos, negs = draw_step_users(
             np.random.default_rng((config.seed, item)),

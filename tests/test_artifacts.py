@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coldsim import cli, corpus, refiner
+from coldsim import cli, corpus, refiner, store
+from coldsim.backbone import BackboneModel
 from coldsim.corpus import ColdWarmSplit, InteractionLog, ItemCatalog
 from coldsim.content import VectorCache
 from coldsim.evaluation import EvalReport, reports_to_csv
@@ -117,6 +118,36 @@ def test_failed_finetune_export_keeps_previous_file(tmp_path, monkeypatch):
         save_finetune(path, lambda block, j: object(), monkeypatch)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["finetune.jsonl"]
+
+
+def stale_cache(out):
+    """A cache whose sidecar says width 4 over a 5-wide table."""
+    cache = VectorCache(dim=4, provider_kind="mock")
+    cache.put(0, np.ones(4))
+    cache.save(out / "c.cemb")
+    store.save_table(out / "c.cemb", np.ones((1, 5)))
+    return out / "c.cemb", lambda: VectorCache.load(out / "c.cemb")
+
+
+def stale_filter(out):
+    """A filter whose manifest says out 5 over a 7-wide ``item_w2``."""
+    TwoTowerFilter.init("B", 4, 6, hidden=3, out=5).save(out)
+    store.save_table(out / "item_w2.cemb", np.ones((3, 7)))
+    return out / "item_w2.cemb", lambda: TwoTowerFilter.load(out)
+
+
+def stale_backbone(out):
+    """A backbone whose item table is wider than its user table."""
+    BackboneModel(user_emb=np.ones((3, 4)), item_emb=np.ones((5, 4))).save(out)
+    store.save_table(out / "backbone_item.cemb", np.ones((5, 6)))
+    return out / "backbone_item.cemb", lambda: BackboneModel.load(out)
+
+
+@pytest.mark.parametrize("make", [stale_cache, stale_filter, stale_backbone])
+def test_loader_rejects_table_shape_its_metadata_disagrees_with(tmp_path, make):
+    path, load = make(tmp_path)
+    with pytest.raises(ValueError, match=f"^{path}: "):
+        load()
 
 
 def _writes_a_file(call: ast.Call) -> bool:

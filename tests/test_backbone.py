@@ -391,6 +391,7 @@ class TestPersistence:
         assert np.array_equal(loaded.user_emb,
                               model.user_emb.astype(np.float32))
         # a second save/load cycle is lossless
-        loaded.save(tmp_path, prefix="again")
-        again = BackboneModel.load(tmp_path, prefix="again")
+        (tmp_path / "again").mkdir()
+        loaded.save(tmp_path / "again")
+        again = BackboneModel.load(tmp_path / "again")
         assert np.array_equal(again.user_emb, loaded.user_emb)

@@ -3,8 +3,10 @@ import shutil
 from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from coldsim import store
 from coldsim.cli import _load_dataset, main
 from coldsim.config import default_config, load_config
 from coldsim.content import VectorCache
@@ -382,6 +384,23 @@ class TestStaleCache:
         caplog.clear()
         assert main(base + ["simulate"]) == 1
         assert f"{decisions}, line 3: not a decision record" in caplog.text
+
+
+    @pytest.mark.parametrize("name,widen", [
+        ("content_cache.cemb", 1), ("filter_L/item_w2.cemb", 2),
+        ("backbone_item.cemb", 1)])
+    def test_simulate_over_table_of_wrong_width(self, tmp_path, caplog,
+                                                simulated_run, name, widen):
+        config, run = simulated_run
+        out = tmp_path / "run"
+        shutil.copytree(run, out)
+        table = store.load_table(out / name)
+        store.save_table(out / name, np.ones((len(table),
+                                              table.shape[1] + widen)))
+        caplog.clear()
+        assert main(["--config", str(config), "--seed", "7", "--out",
+                     str(out), "simulate"]) == 1
+        assert f"{out / name}: " in caplog.text
 
 
 class _DeadItemHandler(BaseHTTPRequestHandler):

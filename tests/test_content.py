@@ -152,8 +152,7 @@ class TestBuildPipelineContent:
     def test_content_matrix_is_the_float32_cache_of_each_text(self):
         data, split, cfg = tiny_pipeline_inputs()
         pipe = pipeline.build_pipeline(data.log, data.catalog, split, cfg,
-                                       oracle=PlantedOracle(data.truth),
-                                       variants=())
+                                       oracle=PlantedOracle(data.truth))
         provider = MockContentProvider(dim=8, hash_seed=cfg["content"]["hash_seed"])
         want = np.stack([provider.embed(data.catalog.content[i]).astype(np.float32)
                          for i in range(data.log.n_items)]).astype(np.float64)
@@ -195,7 +194,7 @@ class TestEmbedContent:
         cache.save(tmp_path / "vecs.cemb")
         provider = FileContentProvider(tmp_path / "vecs.cemb")
         got = provider.embed("ignored text", key=3)
-        assert np.array_equal(got.astype(np.float32), cache.get(3))
+        assert np.array_equal(got.astype(np.float32), cache.vectors[3])
 
     def test_file_provider_unknown_key(self, tmp_path):
         cache = VectorCache(dim=4, provider_kind="mock")
@@ -309,7 +308,7 @@ class TestWarmCache:
         assert len(cache) == 10
         for i, text in catalog.content.items():
             direct = mock_embed(text, 32).astype(np.float32)
-            assert np.array_equal(cache.get(i), direct)
+            assert np.array_equal(cache.vectors[i], direct)
 
     def test_rerun_hits_cache(self, tmp_path):
         catalog = self.make_catalog(6)
@@ -374,7 +373,7 @@ class TestVectorCache:
         cache.put(4, vec)
         cache.save(tmp_path / "c.cemb")
         loaded = VectorCache.load(tmp_path / "c.cemb")
-        assert loaded.get(4).tobytes() == vec.tobytes()
+        assert loaded.vectors[4].tobytes() == vec.tobytes()
 
     def test_width_enforced(self):
         cache = VectorCache(dim=8, provider_kind="mock")

@@ -177,6 +177,15 @@ class TestTrainFilter:
                                     make_planted_split(data, seed=2), cfg,
                                     oracle=PlantedOracle(data.truth))
 
+    def test_planted_oracle_kind_needs_the_pairs_passed_in(self):
+        # tiny_config's refiner.oracle is "planted": its pairs are in no config
+        data = make_two_cluster_dataset(n_users=30, n_warm=12, n_cold=3,
+                                        groups_per_cluster=1, seed=2)
+        cfg = tiny_config(seed=2, backbone={"max_epochs": 1})
+        with pytest.raises(ValueError, match=r"oracle=PlantedOracle\(pairs\)$"):
+            pipeline.build_pipeline(data.log, data.catalog,
+                                    make_planted_split(data, seed=2), cfg)
+
     def test_retrained_l_ignores_existing_l(self, small_pipe):
         # labels take their contexts from filter B, so a filter L already on
         # the pipeline (here: B itself in its place) leaves the result as built

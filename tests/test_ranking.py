@@ -324,3 +324,16 @@ class TestCallersEqualPerUserLoops:
         split = replace(tie_heavy_split(), warm_val=[])
         model = tie_heavy_model(np.random.default_rng(44), 12, 10)
         assert validation_ndcg(model, split, range(12)) == 0.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), shape=st.tuples(st.integers(0, 12), st.integers(1, 70)))
+def test_row_dots_equal_one_dot_per_row(data, shape):
+    # widths past the unrolled blocks of a BLAS dot
+    elements = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    a, b = (data.draw(hnp.arrays(np.float64, shape, elements=elements))
+            for _ in range(2))
+    got = metrics.row_dots(a, b)
+    assert got.shape == (shape[0],)
+    assert got.tobytes() == np.array([a[j] @ b[j] for j in range(shape[0])],
+                                     dtype=np.float64).tobytes()

@@ -9,7 +9,7 @@ from http.server import BaseHTTPRequestHandler
 import gc
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from coldsim import pipeline
 from coldsim.backbone import BackboneModel
@@ -19,8 +19,7 @@ from coldsim.refiner import (DecisionLog, HttpOracle, OracleDecision,
                              OracleError, OracleParseError, PlantedOracle, SimulateConfig,
                              ThresholdOracle, build_context,
                              parse_yes_no, prepare_finetune_data,
-                             refine, refine_all, render_prompt,
-                             simulate_items)
+                             refine, refine_all, render_prompt)
 from conftest import (context_block, http_server, pair_split,
                       tiny_cluster_setup)
 
@@ -359,19 +358,13 @@ class TestHttpOracle:
 
     def test_simulate_pass_never_exceeds_max_inflight(self, slow_server):
         data, pipe = label_pipe(seed=8)
-        oracle = HttpOracle(slow_server, timeout=5, max_inflight=3)
-        vectors = pipe.item_vectors(pipe.filter_b)
-        items = data.cold_items
+        pipe.oracle = HttpOracle(slow_server, timeout=5, max_inflight=3)
         # one candidate per item, so only the pass can overlap requests
-        results = simulate_items(
-            items, pipe.content_matrix[items], oracle, vectors,
-            pipe.train_items, pipe.titles, SimulateConfig(k=1),
-            filter_b=pipe.filter_b,
-            users_b=np.random.default_rng(8).normal(size=(data.log.n_users,
-                                                          5)))
+        results = pipeline.simulate_all(pipe, simulate_cfg(k=1))
+        assert len(results) == len(data.cold_items)
         assert 1 < _SlowCountingHandler.peak <= 3
         assert all(len(r.users) == 1 and not r.fallback_used
-                   for r in results)
+                   for r in results.values())
 
     def test_programming_error_in_pool_reaches_caller(self, monkeypatch):
         def post(session, data):
@@ -524,7 +517,8 @@ class TestHttpFaults:
 
 
 def label_pipe(seed):
-    """A planted toy with a behavior filter: enough to build contexts."""
+    """A planted toy with a behavior filter: enough to build contexts and
+    to simulate."""
     data, split = tiny_cluster_setup(seed=seed)
     n_users, n_items = data.log.n_users, data.log.n_items
     pipe = pipeline.Pipeline(
@@ -597,15 +591,10 @@ class TestFailFast:
     def test_dead_endpoint_stops_a_simulate_pass(self, scripted_server):
         scripted_server.dead = True
         data, pipe = label_pipe(seed=8)
-        items = data.cold_items
+        pipe.oracle = self.oracle(scripted_server)
         with pytest.raises(OracleError, match=f"every oracle call failed for "
-                                              f"item {items[0]}$"):
-            simulate_items(
-                items, pipe.content_matrix[items], self.oracle(scripted_server),
-                pipe.item_vectors(pipe.filter_b), pipe.train_items,
-                pipe.titles, SimulateConfig(k=5), filter_b=pipe.filter_b,
-                users_b=np.random.default_rng(8).normal(
-                    size=(data.log.n_users, 5)))
+                                              f"item {min(data.cold_items)}$"):
+            pipeline.simulate_all(pipe, simulate_cfg(k=5))
         assert scripted_server.requests <= \
             2 * self.MAX_INFLIGHT * self.RETRIES
 
@@ -942,66 +931,69 @@ def test_refine_subset_property(accept, users):
     assert kept == [u for u in users if u in accept]
 
 
-def simulate_one(item, content, *args, **kwargs):
-    """One cold item through :func:`simulate_items`."""
-    return simulate_items([item], content[[item]], *args, **kwargs)[0]
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(answers=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9),
+                                  st.booleans(), st.text(), st.text()),
+                        max_size=8))
+@example(answers=[(1, 2, True, "Ja, natürlich \u2028 はい", "«prompt»"),
+                  (1, 2, False, "Nein\r\n", "«prompt»")])
+def test_decision_log_round_trip_keeps_any_answer(tmp_path, answers):
+    # answers and prompts in any script, with line and paragraph separators;
+    # a repeated key answers as its last record, before and after the trip
+    log = DecisionLog()
+    for user, item, yes, raw, prompt in answers:
+        log.record(user, item, "http", DecisionLog.prompt_hash(prompt),
+                   OracleDecision(value=int(yes), raw=raw))
+    log.save(tmp_path / "decisions.jsonl")
+    loaded = DecisionLog.load(tmp_path / "decisions.jsonl")
+    assert loaded.records == log.records
+    for rec in log.records:
+        key = (rec["user"], rec["item"], "http", rec["ph"])
+        got, want = loaded.lookup(*key), log.lookup(*key)
+        assert (got.value, got.raw) == (want.value, want.raw)
+
+
+def simulate_cfg(**fields):
+    """A config whose refiner section holds :class:`SimulateConfig`'s fields."""
+    return {"refiner": dataclasses.asdict(SimulateConfig(**fields))}
 
 
 class TestSimulateForItem:
-    def setup(self, seed=0):
-        data, split = tiny_cluster_setup(seed=seed)
-        rng = np.random.default_rng(seed)
-        filt = TwoTowerFilter.init("B", 4, 6, hidden=6, out=5, seed=seed)
-        content = rng.normal(size=(data.log.n_items, 6))
-        user_vecs = rng.normal(size=(data.log.n_users, 5))
-        titles = [data.catalog.title(i) for i in range(data.log.n_items)]
-        train_items = split.index(data.log.n_users).train_items
-        return data, split, filt, content, user_vecs, titles, train_items
+    """One cold item's simulation out of :func:`pipeline.simulate_all`."""
+
+    def simulate(self, seed, item_index, oracle, **fields):
+        data, pipe = label_pipe(seed)
+        item = data.cold_items[item_index]
+        pipe.oracle = oracle(data, item)
+        return pipe, item, pipeline.simulate_all(pipe, simulate_cfg(**fields))[item]
 
     def test_always_yes_keeps_topk(self):
-        data, split, filt, content, user_vecs, titles, train_items = self.setup()
-        item = data.cold_items[0]
-        truth = {(u, item) for u in range(data.log.n_users)}
-        cfg = SimulateConfig(k=7)
-        result = simulate_one(item, content, PlantedOracle(truth),
-                              filt.item_tower.forward(content),
-                              train_items, titles, cfg,
-                              filter_b=filt, users_b=user_vecs)
+        _, _, result = self.simulate(
+            0, 0, lambda data, item: PlantedOracle(
+                {(u, item) for u in range(data.log.n_users)}), k=7)
         assert len(result.users) == 7
         assert not result.fallback_used
 
     def test_always_no_falls_back_to_top1(self):
-        data, split, filt, content, user_vecs, titles, train_items = self.setup()
-        item = data.cold_items[1]
-        cfg = SimulateConfig(k=5)
-        result = simulate_one(item, content, PlantedOracle(set()),
-                              filt.item_tower.forward(content),
-                              train_items, titles, cfg,
-                              filter_b=filt, users_b=user_vecs)
+        pipe, item, result = self.simulate(
+            0, 1, lambda data, item: PlantedOracle(set()), k=5)
         from coldsim.filtering import topk_candidates
-        top = topk_candidates(filt, content[item], user_vecs, k=5).users
+        top = topk_candidates(pipe.filter_b, pipe.content_matrix[item],
+                              pipe.user_vectors(pipe.filter_b), k=5).users
         assert result.users == top[:1]
         assert result.fallback_used
 
     def test_fallback_disabled_leaves_cold(self):
-        data, split, filt, content, user_vecs, titles, train_items = self.setup()
-        item = data.cold_items[0]
-        cfg = SimulateConfig(k=5, fallback_to_top1=False)
-        result = simulate_one(item, content, PlantedOracle(set()),
-                              filt.item_tower.forward(content),
-                              train_items, titles, cfg,
-                              filter_b=filt, users_b=user_vecs)
+        _, _, result = self.simulate(
+            0, 0, lambda data, item: PlantedOracle(set()), k=5,
+            fallback_to_top1=False)
         assert result.users == []
 
     def test_size_bounded_by_k(self):
-        data, split, filt, content, user_vecs, titles, train_items = self.setup(1)
-        item = data.cold_items[2]
-        truth = {(u, item) for u in range(0, data.log.n_users, 2)}
-        cfg = SimulateConfig(k=20)
-        result = simulate_one(item, content, PlantedOracle(truth),
-                              filt.item_tower.forward(content),
-                              train_items, titles, cfg,
-                              filter_b=filt, users_b=user_vecs)
+        _, _, result = self.simulate(
+            1, 2, lambda data, item: PlantedOracle(
+                {(u, item) for u in range(0, data.log.n_users, 2)}), k=20)
         assert len(result.users) <= 20
 
 

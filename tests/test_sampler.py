@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coldsim.backbone import _epoch_triples, draw_accepted, ordered_subsample
 from coldsim.corpus import ColdWarmSplit, ItemCatalog
@@ -31,7 +32,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "coldsim"
 # -- the scalar references ---------------------------------------------------
 
 def scalar_draw_accepted(rng, bounds, rejected, tries, exhausted=None):
-    bounds = np.asarray(bounds, dtype=np.int64).reshape(len(bounds), -1)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    if bounds.ndim == 1:
+        bounds = bounds[:, None]
     draws = np.zeros_like(bounds)
     ok = np.zeros(len(bounds), dtype=bool)
     for slot in range(len(bounds)):
@@ -166,22 +169,17 @@ SPLITS = [("planted", tiny_cluster_setup(seed=4)[1], 40),
 
 # -- the sampler itself ------------------------------------------------------
 
-@pytest.mark.parametrize("tries", [1, 3, 100, None])
-@pytest.mark.parametrize("seed", range(4))
-def test_draw_accepted_equals_scalar_loop(seed, tries):
-    # mixed bounds, so shifted rows sometimes fit and sometimes not, over
-    # one or more blocks; per-slot rejection rates up to always (exhausted
-    # slots) when tries are limited
-    rng = np.random.default_rng(seed)
-    n, width = int(rng.integers(0, 300)), int(rng.integers(1, 3))
-    bounds = rng.choice([2, 3, 7, 7, 7, 50], size=(n, width))
-    rate = rng.choice([0, 0, 10, 50, 90], size=n)
-    if tries and n:
-        rate[rng.choice(n, size=min(n, 4), replace=False)] = 100
+def assert_draws_equal_scalar_loop(seed, bounds, rate, tries):
+    """``draw_accepted`` against the scalar loop, without and with an
+    ``exhausted`` fallback: the same draws and acceptances, the same
+    ``exhausted`` calls and the same final generator state.  Slot ``s``
+    rejects about ``rate[s]`` percent of its attempts, and every one at 100."""
+    rate = np.asarray(rate, dtype=np.int64)
+    width = 1 if np.ndim(bounds) == 1 else np.shape(bounds)[1]
 
     def rejected(slots, rows):
         # a first draw of 0 passes unless the slot rejects everything
-        mix = slots * 7919 + rows @ np.array([104729, 1299709])[:width]
+        mix = slots * 7919 + rows @ np.array([104729, 1299709])[:rows.shape[1]]
         return (mix % 100 < rate[slots]) & ((rows[:, 0] > 0)
                                             | (rate[slots] == 100))
 
@@ -207,6 +205,40 @@ def test_draw_accepted_equals_scalar_loop(seed, tries):
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("tries", [1, 3, 100, None])
+@pytest.mark.parametrize("seed", range(4))
+def test_draw_accepted_equals_scalar_loop(seed, tries):
+    # mixed bounds, so shifted rows sometimes fit and sometimes not, over
+    # one or more blocks; per-slot rejection rates up to always (exhausted
+    # slots) when tries are limited
+    rng = np.random.default_rng(seed)
+    n, width = int(rng.integers(0, 300)), int(rng.integers(1, 3))
+    bounds = rng.choice([2, 3, 7, 7, 7, 50], size=(n, width))
+    rate = rng.choice([0, 0, 10, 50, 90], size=n)
+    if tries and n:
+        rate[rng.choice(n, size=min(n, 4), replace=False)] = 100
+    assert_draws_equal_scalar_loop(seed, bounds, rate, tries)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(slots=st.lists(st.tuples(st.sampled_from([1, 2, 3, 7, 50]),
+                                st.sampled_from([1, 2, 3, 7, 50]),
+                                st.sampled_from([0, 10, 50, 90, 100])),
+                      max_size=60),
+       width=st.integers(1, 2), tries=st.sampled_from([1, 3, None]),
+       seed=st.integers(0, 2**32 - 1))
+@example(slots=[], width=1, tries=None, seed=27)
+@example(slots=[], width=2, tries=3, seed=27)
+def test_draw_accepted_equals_scalar_loop_property(slots, width, tries, seed):
+    # width 1 goes in as 1-D bounds; no limit on tries needs a slot that
+    # accepts something
+    bounds = np.array([s[:width] for s in slots],
+                      dtype=np.int64).reshape(len(slots), width)
+    rate = [min(s[2], 90) if tries is None else s[2] for s in slots]
+    assert_draws_equal_scalar_loop(seed, bounds[:, 0] if width == 1 else bounds,
+                                   rate, tries)
+
+
 def test_draw_accepted_empty_draws_nothing():
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
@@ -228,6 +260,33 @@ def test_pair_sets_contains_equals_set_membership():
                                                 items.ravel().tolist())]
     assert not PairSets.from_pairs([], 3).contains(np.arange(3),
                                                    np.zeros(3, int)).any()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 30)),
+                      max_size=40),
+       columns=st.none() | st.lists(st.integers(0, 30), unique=True),
+       queries=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 40)),
+                        max_size=30),
+       rows=st.lists(st.integers(0, 5), max_size=10))
+def test_pair_sets_equal_python_sets(pairs, columns, queries, rows):
+    # repeated pairs, items outside ``columns``, queries past the widest
+    # column and repeated rows in a selection
+    columns = None if columns is None else sorted(columns)
+    sets = PairSets.from_pairs(pairs, 6, None if columns is None
+                               else np.array(columns, dtype=np.int64))
+    column_of = {i: i for _, i in pairs} if columns is None else \
+        {i: j for j, i in enumerate(columns)}
+    want = [set() for _ in range(6)]
+    for u, i in pairs:
+        if i in column_of:
+            want[u].add(column_of[i])
+    got = sets.contains(np.array([u for u, _ in queries], dtype=np.int64),
+                        np.array([c for _, c in queries], dtype=np.int64))
+    assert got.tolist() == [c in want[u] for u, c in queries]
+    at, cols = sets.select(np.array(rows, dtype=np.int64))
+    assert list(zip(at.tolist(), cols.tolist())) == \
+        [(k, c) for k, u in enumerate(rows) for c in sorted(want[u])]
 
 
 # -- the callers against their scalar loops ----------------------------------

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coldsim import store
 from coldsim.store import (MAGIC, VERSION, export_tsv, load_table, save_table,
@@ -103,6 +105,26 @@ class TestBinaryTable:
         save_table(tmp_path / "b.cemb", table)
         assert (tmp_path / "a.cemb").read_bytes() == \
             (tmp_path / "b.cemb").read_bytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), shape=st.tuples(st.integers(0, 6), st.integers(1, 6)))
+    def test_round_trip_and_damaged_payloads(self, tmp_path, data, shape):
+        # every finite float32 comes back bit for bit, signed zeros too; a
+        # payload cut short or run long is rejected
+        table = data.draw(hnp.arrays(np.float32, shape, elements=st.floats(
+            width=32, allow_nan=False, allow_infinity=False)))
+        path = tmp_path / "t.cemb"
+        save_table(path, table)
+        raw = path.read_bytes()
+        assert load_table(path).tobytes() == table.astype("<f4").tobytes()
+        cut = data.draw(st.integers(1, len(raw)))
+        path.write_bytes(raw[:-cut])
+        with pytest.raises(ValueError, match="truncated"):
+            load_table(path)
+        path.write_bytes(raw + bytes(data.draw(st.integers(1, 8))))
+        with pytest.raises(ValueError, match="bytes after the payload"):
+            load_table(path)
 
 
 class TestTsvExport:

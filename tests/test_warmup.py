@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from coldsim import warmup
 from coldsim.backbone import BackboneModel, init_embeddings
 from coldsim.filtering import TwoTowerFilter, map_item
 from coldsim.refiner import SimulationResult
@@ -268,6 +269,24 @@ class TestWarmAllColdMatchesPerItem:
             assert g["item"] == w["item"] and g["n_users"] == w["n_users"]
             assert g["fallback_used"] == w["fallback_used"]
             assert abs(g["final_loss"] - w["final_loss"]) <= 1e-12
+
+    @pytest.mark.parametrize("with_filter", [False, True])
+    def test_one_init_per_item_filter_map_for_fallbacks(self, monkeypatch,
+                                                        with_filter):
+        split, model, filt, content, sims = self.setup(seed=3)
+        modes = []
+
+        def init(item, users, backbone, mode, **kwargs):
+            modes.append((item, mode))
+            return init_cold_embedding(item, users, backbone, mode, **kwargs)
+
+        monkeypatch.setattr(warmup, "init_cold_embedding", init)
+        warm_all_cold(split, sims, model, WarmupConfig(steps=5),
+                      filt_b=filt if with_filter else None,
+                      content_matrix=content)
+        assert modes == [(item, "filter-map" if with_filter
+                          and sims[item].fallback_used else "user-mean")
+                         for item in sorted(split.cold_items)]
 
     def test_skips_match(self):
         split, model, filt, content, sims = self.setup(seed=1)
