@@ -75,18 +75,17 @@ class BackboneModel:
         store.save_table(out / "backbone_item.cemb", self.item_emb)
 
     @classmethod
-    def load(cls, out_dir: str | Path) -> "BackboneModel":
-        """The model saved in ``out_dir``; user and item tables of different
-        widths raise ValueError naming the item table."""
+    def load(cls, out_dir: str | Path, n_users: int | None = None,
+             n_items: int | None = None) -> "BackboneModel":
+        """The model saved in ``out_dir``: a user table of ``n_users`` rows
+        and an item table of ``n_items`` rows and the user table's width
+        (``None``: any count), else ValueError naming the table."""
         out = Path(out_dir)
-        user = store.load_table(out / "backbone_user.cemb").astype(np.float64)
-        item_path = out / "backbone_item.cemb"
-        item = store.load_table(item_path).astype(np.float64)
-        if item.shape[1] != user.shape[1]:
-            raise ValueError(f"{item_path}: width {item.shape[1]} != user "
-                             f"table width {user.shape[1]}; the tables are "
-                             f"from different models")
-        return cls(user_emb=user, item_emb=item)
+        user = store.load_table(out / "backbone_user.cemb", (n_users, None))
+        item = store.load_table(out / "backbone_item.cemb",
+                                (n_items, user.shape[1]))
+        return cls(user_emb=user.astype(np.float64),
+                   item_emb=item.astype(np.float64))
 
 
 def init_embeddings(rows: int, dim: int, seed: int) -> np.ndarray:

@@ -76,21 +76,9 @@ def _load_split(out: Path) -> ColdWarmSplit:
     return ColdWarmSplit.load(_require(out / "split.json", "split"))
 
 
-def _load_backbone(out: Path) -> BackboneModel:
+def _load_backbone(out: Path, log: InteractionLog) -> BackboneModel:
     _require(out / "backbone_user.cemb", "train-backbone")
-    return BackboneModel.load(out)
-
-
-def _load_cache(out: Path) -> VectorCache:
-    return VectorCache.load(_require(out / "content_cache.cemb", "cache-content"))
-
-
-def _load_filter(out: Path, variant: str, required: bool = True):
-    manifest = out / f"filter_{variant}" / "manifest.json"
-    if not required and not manifest.exists():
-        return None
-    return TwoTowerFilter.load(
-        _require(manifest, f"train-filter --variant {variant}").parent)
+    return BackboneModel.load(out, log.n_users, log.n_items)
 
 
 def _content_provider(cfg, out: Path):
@@ -110,28 +98,29 @@ def _content_provider(cfg, out: Path):
     raise ValueError(f"unknown content provider {c['provider']!r}")
 
 
-def _assemble_pipeline(out: Path, cfg, oracle: bool) -> pipeline.Pipeline:
-    """Load a pipeline's artifacts; build the oracle only if ``oracle``."""
+def _assemble_pipeline(out: Path, cfg, filters: str = "",
+                       oracle: bool = False) -> pipeline.Pipeline:
+    """Load a pipeline's artifacts; build the oracle only if ``oracle``.
+
+    Each table must fit the dataset, the backbone and the content cache.
+    Of the filters, the trained ones among ``filters`` ("B", "L") are read:
+    a command names only those it uses, so that a retrain can replace its
+    own stale output."""
     log, catalog = _load_dataset(out)
     split = _load_split(out)
-    backbone = _load_backbone(out)
-    content_matrix = _load_cache(out).matrix(log.n_items)
+    backbone = _load_backbone(out, log)
+    cache = VectorCache.load(_require(out / "content_cache.cemb", "cache-content"))
+    trained = {v: TwoTowerFilter.load(out / f"filter_{v}", backbone.dim,
+                                      cache.dim)
+               for v in filters if (out / f"filter_{v}" / "manifest.json").exists()}
     pipe = pipeline.Pipeline(log=log, catalog=catalog, split=split,
-                             backbone=backbone, content_matrix=content_matrix,
-                             filter_b=_load_filter(out, "B", required=False),
-                             filter_l=_load_filter(out, "L", required=False))
+                             backbone=backbone,
+                             content_matrix=cache.matrix(log.n_items),
+                             filter_b=trained.get("B"),
+                             filter_l=trained.get("L"))
     if oracle:
-        pipe.oracle = pipeline.make_oracle(cfg, content_matrix)
+        pipe.oracle = pipeline.make_oracle(cfg, pipe.content_matrix)
     return pipe
-
-
-def _eval_model(out: Path) -> BackboneModel:
-    """Backbone with the warmed item table when warmup has run."""
-    model = _load_backbone(out)
-    warmed = out / "warmed_item.cemb"
-    if warmed.exists():
-        model.item_emb = store.load_table(warmed).astype(np.float64)
-    return model
 
 
 def _save_simulations(out: Path, sims: dict[int, SimulationResult]) -> None:
@@ -232,7 +221,8 @@ def cmd_cache_content(args, cfg) -> int:
 def cmd_train_filter(args, cfg) -> int:
     out = _workdir(args)
     variant = args.variant
-    pipe = _assemble_pipeline(out, cfg, oracle=variant == "L")
+    pipe = _assemble_pipeline(out, cfg, filters="B" if variant == "L" else "",
+                              oracle=variant == "L")
     filt, history = pipeline.train_filter(pipe, variant, cfg)
     filt.save(out / f"filter_{variant}",
               train_config={**cfg["filter"], "variant": variant})
@@ -244,15 +234,14 @@ def cmd_train_filter(args, cfg) -> int:
 
 def cmd_export_finetune(args, cfg) -> int:
     out = _workdir(args)
-    log, catalog = _load_dataset(out)
-    split = _load_split(out)
-    filt = _load_filter(out, "B")
-    cache = _load_cache(out)
+    _require(out / "filter_B" / "manifest.json", "train-filter --variant B")
+    pipe = _assemble_pipeline(out, cfg, filters="B")
     records = prepare_finetune_data(
-        split, catalog, filt, cache.matrix(log.n_items), seed=cfg["data"]["seed"],
+        pipe.split, pipe.catalog, pipe.filter_b, pipe.content_matrix,
+        seed=cfg["data"]["seed"],
         n_positives=cfg["refiner"]["finetune_positives"],
         top_l=cfg["refiner"]["context_len"], out_path=out / "finetune.jsonl",
-        n_users=log.n_users)
+        n_users=pipe.log.n_users)
     n_yes = sum(1 for r in records if r.completion == "Yes")
     print(f"finetune export: {len(records)} records ({n_yes} Yes / "
           f"{len(records) - n_yes} No)")
@@ -261,7 +250,7 @@ def cmd_export_finetune(args, cfg) -> int:
 
 def cmd_simulate(args, cfg) -> int:
     out = _workdir(args)
-    pipe = _assemble_pipeline(out, cfg, oracle=True)
+    pipe = _assemble_pipeline(out, cfg, filters="BL", oracle=True)
     if pipe.filter_b is None and pipe.filter_l is None:
         raise ValueError("no trained filters found; run `train-filter` first")
     decision_log = DecisionLog()
@@ -288,7 +277,7 @@ def cmd_simulate(args, cfg) -> int:
 
 def cmd_warmup(args, cfg) -> int:
     out = _workdir(args)
-    pipe = _assemble_pipeline(out, cfg, oracle=False)
+    pipe = _assemble_pipeline(out, cfg, filters="B")
     sims = _load_simulations(out, pipe.log.n_users, pipe.split.cold_items)
     model, report = pipeline.warm_with_report(pipe, sims, cfg)
     store.save_table(out / "warmed_item.cemb", model.item_emb)
@@ -300,8 +289,13 @@ def cmd_warmup(args, cfg) -> int:
 
 def cmd_evaluate(args, cfg) -> int:
     out = _workdir(args)
+    log, _ = _load_dataset(out)
     split = _load_split(out)
-    model = _eval_model(out)
+    model = _load_backbone(out, log)
+    warmed = out / "warmed_item.cemb"
+    if warmed.exists():     # warmup has run: evaluate the warmed items
+        model.item_emb = store.load_table(
+            warmed, model.item_emb.shape).astype(np.float64)
     e = cfg["eval"]
     report = evaluate(model, split, task=args.task, k=e["k"],
                       n_users=e["users"], seed=e["seed"],
@@ -315,7 +309,7 @@ def cmd_evaluate(args, cfg) -> int:
 
 def cmd_ablate(args, cfg) -> int:
     out = _workdir(args)
-    pipe = _assemble_pipeline(out, cfg, oracle=True)
+    pipe = _assemble_pipeline(out, cfg, filters="BL", oracle=True)
     reports = pipeline.run_ablation(args.variant, pipe, cfg,
                                     tasks=("overall", "warm", "cold"))
     doc = {task: {"recall": r.recall, "ndcg": r.ndcg, "k": r.k,
@@ -331,7 +325,7 @@ def cmd_ablate(args, cfg) -> int:
 
 def cmd_sweep(args, cfg) -> int:
     out = _workdir(args)
-    pipe = _assemble_pipeline(out, cfg, oracle=True)
+    pipe = _assemble_pipeline(out, cfg, filters="BL", oracle=True)
     try:
         values = [json.loads(v) for v in args.values.split(",") if v]
     except json.JSONDecodeError:

@@ -375,14 +375,10 @@ class VectorCache:
         path = Path(path)
         with open(path.with_suffix(".json"), encoding="utf-8") as fh:
             sidecar = json.load(fh)
-        table = store.load_table(path)
         cache = cls(dim=int(sidecar["dim"]), provider_kind=sidecar["kind"],
                     hash_seed=sidecar["hash_seed"])
         items = sidecar["items"]
-        if table.shape != (len(items), cache.dim):
-            raise ValueError(f"{path}: table shape {table.shape} != "
-                             f"({len(items)}, {cache.dim}), the sidecar's "
-                             f"items and dim")
+        table = store.load_table(path, (len(items), cache.dim))
         for row, item in zip(table, items):
             cache.vectors[int(item)] = row
         return cache
@@ -395,19 +391,20 @@ def warm_cache(provider, catalog, cache_path: str | Path,
     Already-cached items are not re-fetched, so a rerun over a complete
     cache issues zero provider calls.  Fetches run on up to ``max_inflight``
     threads; rows are written back in ascending item id order regardless of
-    completion order.  A cache built by another provider kind, width or
-    hash seed, or holding an item the catalog lacks, raises ValueError
-    naming the cache before any provider call.
+    completion order.  A cache of another width than the provider's holds
+    no vector to keep, so it is rebuilt.  Any other cache built by another
+    provider kind or hash seed, or holding an item the catalog lacks,
+    raises ValueError naming the cache before any provider call.
     """
     cache_path = Path(cache_path)
-    if cache_path.exists():
-        cache = VectorCache.load(cache_path)
+    cache = VectorCache.load(cache_path) if cache_path.exists() else None
+    if cache is not None and provider.dim not in (None, cache.dim):
+        logger.info("rebuilding %s at width %d", cache_path, provider.dim)
+        cache = None
+    if cache is not None:
         if cache.provider_kind != provider.kind:
             raise ValueError(f"cache at {cache_path} was built by provider "
                              f"{cache.provider_kind!r}, not {provider.kind!r}")
-        if provider.dim is not None and cache.dim != provider.dim:
-            raise ValueError(f"cache width {cache.dim} != provider width "
-                             f"{provider.dim}")
         seed = getattr(provider, "hash_seed", None)
         if cache.hash_seed != seed:
             raise ValueError(f"cache at {cache_path} was built with hash seed "
@@ -418,16 +415,16 @@ def warm_cache(provider, catalog, cache_path: str | Path,
                              f"which the catalog lacks; it was built for "
                              f"another catalog")
     else:
-        dim = provider.dim
-        if dim is None:
+        cache = VectorCache(dim=provider.dim, provider_kind=provider.kind,
+                            hash_seed=getattr(provider, "hash_seed", None))
+        if cache.dim is None:
             if not catalog.content:
                 raise ValueError("cannot size a cache from an empty catalog "
                                  "and a width-agnostic provider")
-            first = min(catalog.content)
+            first = min(catalog.content)   # its vector sizes the cache
             probe = provider.embed(catalog.content[first], key=first)
-            dim = probe.size
-        cache = VectorCache(dim=dim, provider_kind=provider.kind,
-                            hash_seed=getattr(provider, "hash_seed", None))
+            cache.dim = probe.size
+            cache.put(first, probe)
 
     missing = sorted(i for i in catalog.content if i not in cache)
     if missing:

@@ -353,7 +353,7 @@ def load_movielens(path: str | Path, mapping_path: str | Path | None = None,
     Every rating record with rating >= ``min_rating`` becomes a positive
     interaction (default keeps all records).  The item universe is the
     movies file; movies never rated stay in the catalog with an empty
-    interaction sequence.
+    interaction sequence, and :func:`make_cold_split` makes them cold.
 
     Returns ``(InteractionLog, ItemCatalog)``.
     """
@@ -415,29 +415,34 @@ def make_cold_split(log: InteractionLog, cold_frac: float, seed: int,
                     cold_items=None) -> ColdWarmSplit:
     """Designate cold items and partition interactions.
 
-    floor(cold_frac * n_items) items are sampled uniformly as cold (or
-    taken from ``cold_items`` when given, e.g. planted experiments).  Each
-    cold item's interactions split 1:1 into validation and test, the odd
-    record going to test; an item with a single interaction contributes it
-    to test only.  Warm interactions split 8:1:1 globally at random.
-    Deterministic given the seed.
+    floor(cold_frac * rated) of the ``rated`` items, those with an
+    interaction, are sampled uniformly as cold (or taken from
+    ``cold_items`` when given, e.g. planted experiments).  Every item with
+    no interaction is cold as well: it is the cold-start case itself, and
+    has no pairs to train or evaluate on.  Each cold item's interactions
+    split 1:1 into validation and test, the odd record going to test; an
+    item with a single interaction contributes it to test only.  Warm
+    interactions split 8:1:1 globally at random.  Deterministic given the
+    seed.
     """
     if not (0 <= cold_frac < 1):
         raise ValueError(f"cold_frac must be in [0, 1), got {cold_frac}")
     sizes = np.bincount(log.pairs[:, 1], minlength=log.n_items)
-    empty = np.flatnonzero(sizes == 0)
-    if len(empty):
-        raise ValueError(f"{len(empty)} items have no interactions "
-                         f"(e.g. item {empty[0]}); cannot split")
+    rated = np.flatnonzero(sizes)
+    unrated = np.flatnonzero(sizes == 0).tolist()
 
     rng = np.random.default_rng(seed)
     if cold_items is None:
-        n_cold = math.floor(cold_frac * log.n_items)
-        cold = sorted(rng.choice(log.n_items, size=n_cold, replace=False).tolist())
+        # with every item rated, rated[i] == i: the draw is the same
+        n_cold = math.floor(cold_frac * len(rated))
+        cold = rated[rng.choice(len(rated), size=n_cold, replace=False)].tolist()
     else:
         cold = sorted(int(i) for i in cold_items)
         if len(set(cold)) != len(cold) or any(not 0 <= i < log.n_items for i in cold):
             raise ValueError("cold_items must be distinct in-range item ids")
+    if unrated:
+        logger.info("%d items have no interactions; they are cold", len(unrated))
+    cold = sorted(set(cold).union(unrated))
     cold_ids = np.asarray(cold, dtype=np.int64)
     is_cold = np.zeros(log.n_items, dtype=bool)
     is_cold[cold_ids] = True

@@ -129,24 +129,26 @@ class TwoTowerFilter:
                            json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
     @classmethod
-    def load(cls, out_dir: str | Path) -> "TwoTowerFilter":
-        """The filter saved in ``out_dir``; a table whose shape is not the
-        one the manifest gives raises ValueError naming the table."""
+    def load(cls, out_dir: str | Path, backbone_dim: int | None = None,
+             content_dim: int | None = None) -> "TwoTowerFilter":
+        """The filter saved in ``out_dir``, each table of the shape its
+        manifest gives, but with the tower inputs :meth:`init` gives for
+        ``backbone_dim`` and ``content_dim`` when both are given; a table
+        that does not fit raises ValueError naming it."""
         out = Path(out_dir)
         with open(out / "manifest.json", encoding="utf-8") as fh:
             manifest = json.load(fh)
+        if content_dim is not None:
+            manifest.update(user_d_in=backbone_dim + content_dim,
+                            item_d_in=content_dim)
         hidden, d_out = manifest["hidden"], manifest["out"]
         towers = {}
         for tower_name in ("user", "item"):
             d_in = manifest[f"{tower_name}_d_in"]
-            raw = {}
-            for p, shape in (("w1", (d_in, hidden)), ("b1", (1, hidden)),
-                             ("w2", (hidden, d_out)), ("b2", (1, d_out))):
-                path = out / f"{tower_name}_{p}.cemb"
-                raw[p] = store.load_table(path).astype(np.float64)
-                if raw[p].shape != shape:
-                    raise ValueError(f"{path}: shape {raw[p].shape} != "
-                                     f"{shape}, the manifest's")
+            raw = {p: store.load_table(out / f"{tower_name}_{p}.cemb",
+                                       shape).astype(np.float64)
+                   for p, shape in (("w1", (d_in, hidden)), ("b1", (1, hidden)),
+                                    ("w2", (hidden, d_out)), ("b2", (1, d_out)))}
             towers[tower_name] = TowerMlp(w1=raw["w1"], b1=raw["b1"][0],
                                           w2=raw["w2"], b2=raw["b2"][0])
         return cls(variant=manifest["variant"], user_tower=towers["user"],

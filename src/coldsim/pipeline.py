@@ -142,26 +142,28 @@ def train_filter(pipe: Pipeline, variant: str, cfg: dict):
 
 def build_pipeline(log: InteractionLog, catalog: ItemCatalog,
                    split: ColdWarmSplit, cfg: dict, oracle=None) -> Pipeline:
-    """Train backbone, content cache (mock provider), and both filters.
+    """Embed content (mock provider), then train backbone and both filters.
 
     Only the mock provider embeds in process; content from a file or an
-    HTTP service is cached by the CLI's ``cache-content``.
+    HTTP service is cached by the CLI's ``cache-content``.  The content
+    and the oracle come first, so a config whose oracle cannot be built
+    fails before any training.
     """
     c = cfg["content"]
     if c["provider"] != "mock":
         raise ValueError(f"build_pipeline embeds with the mock provider, but "
                          f"content.provider is {c['provider']!r}; run "
                          f"`cache-content` and load its cache instead")
-    backbone = fit_backbone(split, log, cfg)
     cache = VectorCache(dim=c["dim"], provider_kind="mock",
                         hash_seed=c["hash_seed"])
     cache.vectors = dict(zip(catalog.content, mock_embed_block(
         list(catalog.content.values()), c["dim"], c["hash_seed"]
     ).astype(np.float32)))      # the rows VectorCache.put would store
     content_matrix = cache.matrix(log.n_items)
-
     if oracle is None:
         oracle = make_oracle(cfg, content_matrix)
+
+    backbone = fit_backbone(split, log, cfg)
     pipe = Pipeline(log=log, catalog=catalog, split=split, backbone=backbone,
                     content_matrix=content_matrix, oracle=oracle)
     pipe.filter_b, _ = train_filter(pipe, "B", cfg)

@@ -62,8 +62,11 @@ def save_table(path: str | Path, values: np.ndarray) -> None:
     write_atomic(path, _HEADER.pack(MAGIC, VERSION, *arr.shape) + arr.tobytes())
 
 
-def load_table(path: str | Path) -> np.ndarray:
-    """Read a binary table; returns a float32 array of shape (rows, dim)."""
+def load_table(path: str | Path, shape: tuple[int | None, int | None]) -> np.ndarray:
+    """Read a binary table of the (rows, dim) ``shape`` the reader needs,
+    ``None`` accepting any value; returns a float32 array.  A header that
+    does not fit raises ValueError naming ``path`` before the payload is
+    read: this is the one place a table's shape is checked."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -73,6 +76,11 @@ def load_table(path: str | Path) -> np.ndarray:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
+        if any(want not in (None, got) for want, got in zip(shape, (rows, dim))):
+            need = ", ".join("any" if n is None else str(n) for n in shape)
+            raise ValueError(f"{path}: table shape ({rows}, {dim}) where "
+                             f"({need}) is needed; it is stale or from "
+                             f"another run")
         payload = fh.read(rows * dim * 4)
         if fh.read(1):
             raise ValueError(f"{path}: bytes after the payload of {rows} rows")

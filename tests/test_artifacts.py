@@ -143,7 +143,23 @@ def stale_backbone(out):
     return out / "backbone_item.cemb", lambda: BackboneModel.load(out)
 
 
-@pytest.mark.parametrize("make", [stale_cache, stale_filter, stale_backbone])
+def filter_for_another_backbone(out):
+    """A filter built for a 4-wide backbone, read by a run whose is 5 wide."""
+    TwoTowerFilter.init("B", 4, 6, hidden=3, out=5).save(out)
+    TwoTowerFilter.load(out, backbone_dim=4, content_dim=6)
+    return out / "user_w1.cemb", lambda: TwoTowerFilter.load(out, 5, 6)
+
+
+def backbone_for_another_dataset(out):
+    """A backbone of 3 users, read for a dataset of 4."""
+    BackboneModel(user_emb=np.ones((3, 4)), item_emb=np.ones((5, 4))).save(out)
+    BackboneModel.load(out, n_users=3, n_items=5)
+    return out / "backbone_user.cemb", lambda: BackboneModel.load(out, 4, 5)
+
+
+@pytest.mark.parametrize("make", [stale_cache, stale_filter, stale_backbone,
+                                  filter_for_another_backbone,
+                                  backbone_for_another_dataset])
 def test_loader_rejects_table_shape_its_metadata_disagrees_with(tmp_path, make):
     path, load = make(tmp_path)
     with pytest.raises(ValueError, match=f"^{path}: "):

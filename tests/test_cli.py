@@ -12,7 +12,8 @@ from coldsim.config import default_config, load_config
 from coldsim.content import VectorCache
 from coldsim.synthetic import make_two_cluster_dataset
 
-from conftest import http_server, write_citeulike_fixture
+from conftest import (http_server, write_citeulike_fixture,
+                      write_movielens_fixture)
 
 
 def write_corpus_from_planted(root, seed=0):
@@ -394,13 +395,121 @@ class TestStaleCache:
         config, run = simulated_run
         out = tmp_path / "run"
         shutil.copytree(run, out)
-        table = store.load_table(out / name)
+        table = store.load_table(out / name, (None, None))
         store.save_table(out / name, np.ones((len(table),
                                               table.shape[1] + widen)))
         caplog.clear()
         assert main(["--config", str(config), "--seed", "7", "--out",
                      str(out), "simulate"]) == 1
         assert f"{out / name}: " in caplog.text
+
+
+def changed_config(config, path, **sections):
+    """``config`` with the keys in ``sections`` replaced, written to ``path``."""
+    doc = json.loads(config.read_text(encoding="utf-8"))
+    for section, keys in sections.items():
+        doc[section].update(keys)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def cut_rows(out, name, rows):
+    table = store.load_table(out / name, (None, None))
+    store.save_table(out / name, table[:-rows])
+
+
+def widen(out, name):
+    table = store.load_table(out / name, (None, None))
+    store.save_table(out / name, np.ones((len(table), table.shape[1] + 1)))
+
+
+RETRAINED_BACKBONE = ({"backbone": {"dim": 12}}, ["train-backbone"])
+RECACHED_CONTENT = ({"content": {"dim": 16}}, ["cache-content"])
+
+
+class TestStaleArtifacts:
+    """A table that no longer fits the run reading it exits 1 naming it."""
+
+    @pytest.mark.parametrize("rerun,edit,command,name", [
+        (None, lambda out: cut_rows(out, "warmed_item.cemb", 3),
+         ["evaluate", "--task", "warm"], "warmed_item.cemb"),
+        (None, lambda out: widen(out, "warmed_item.cemb"),
+         ["evaluate", "--task", "cold"], "warmed_item.cemb"),
+        (RETRAINED_BACKBONE, None, ["simulate"], "filter_B/user_w1.cemb"),
+        (RETRAINED_BACKBONE, None, ["ablate", "--variant", "no-r"],
+         "filter_B/user_w1.cemb"),
+        (RETRAINED_BACKBONE, None, ["train-filter", "--variant", "L"],
+         "filter_B/user_w1.cemb"),
+        (RETRAINED_BACKBONE, None, ["warmup"], "filter_B/user_w1.cemb"),
+        (RECACHED_CONTENT, None, ["simulate"], "filter_B/user_w1.cemb"),
+        (RECACHED_CONTENT, None, ["export-finetune"], "filter_B/user_w1.cemb"),
+        (RECACHED_CONTENT, None, ["train-filter", "--variant", "L"],
+         "filter_B/user_w1.cemb"),
+        (None, lambda out: cut_rows(out, "backbone_user.cemb", 2),
+         ["simulate"], "backbone_user.cemb"),
+    ], ids=["warmed-short", "warmed-wide", "dim-simulate", "dim-ablate",
+            "dim-filter-L", "dim-warmup", "content-simulate",
+            "content-export", "content-filter-L", "users-short"])
+    def test_stale_table_named(self, tmp_path, caplog, simulated_run, rerun,
+                               edit, command, name):
+        config, run = simulated_run
+        out = tmp_path / "run"
+        shutil.copytree(run, out)
+        base = ["--out", str(out), "--seed", "7", "--config"]
+        assert main(base + [str(config), "warmup"]) == 0
+        if rerun is not None:
+            sections, stage = rerun
+            config = changed_config(config, tmp_path / "changed.json",
+                                    **sections)
+            assert main(base + [str(config)] + stage) == 0
+        if edit is not None:
+            edit(out)
+        caplog.clear()
+        assert main(base + [str(config)] + command) == 1
+        assert f"{out / name}: table shape (" in caplog.text
+
+    def test_rerun_after_changing_dims(self, tmp_path):
+        # every stage replaces its own stale output, so the whole CHAIN
+        # reruns over the outputs of other backbone and content widths
+        corpus = write_corpus_from_planted(tmp_path / "corpus")
+        config = fast_config(tmp_path)
+        out = tmp_path / "run"
+        run_chain(corpus, out, config)
+        changed = changed_config(config, tmp_path / "changed.json",
+                                 backbone={"dim": 12}, content={"dim": 16})
+        base = ["--config", str(changed), "--seed", "7", "--out", str(out)]
+        for command in CHAIN[CHAIN.index(["train-backbone"]):]:
+            assert main(base + command) == 0, command
+        assert store.load_table(out / "warmed_item.cemb", (None, None)).shape[1] == 12
+        assert VectorCache.load(out / "content_cache.cemb").dim == 16
+
+
+def test_unrated_movies_are_cold_and_the_chain_runs(tmp_path, capsys):
+    # MovieLens keeps movies nobody rated in the catalog; the split makes
+    # them cold, with no val/test pairs, and every stage runs over them
+    data = make_two_cluster_dataset(n_users=40, n_warm=18, n_cold=0,
+                                    groups_per_cluster=1, seed=0)
+    ratings = [(u + 1, i + 1, 5, 0) for u, i in data.log.pairs.tolist()]
+    movies = [(i + 1, data.catalog.titles[i], "Drama")
+              for i in range(data.log.n_items)]
+    unrated = [(data.log.n_items + j + 1, f"Unseen {j}", "Horror")
+               for j in range(5)]
+    corpus = write_movielens_fixture(tmp_path / "ml", ratings, movies + unrated)
+    out = tmp_path / "run"
+    base = ["--config", str(fast_config(tmp_path)), "--seed", "7",
+            "--out", str(out)]
+    assert main(base + ["ingest", "--dataset", "movielens",
+                        "--path", str(corpus)]) == 0
+    for command in CHAIN[:CHAIN.index(["simulate"])] + [
+            ["simulate"], ["warmup"], ["evaluate", "--task", "cold"]]:
+        assert main(base + command) == 0, command
+    split = json.loads((out / "split.json").read_text())
+    unrated_ids = list(range(data.log.n_items, data.log.n_items + 5))
+    assert set(unrated_ids) <= set(split["cold_items"])
+    assert not {i for _, i in split["cold_test"] + split["cold_val"]} \
+        & set(unrated_ids)
+    assert set(unrated_ids) <= set(map(int, json.loads(
+        (out / "simulated.json").read_text())))
 
 
 class _DeadItemHandler(BaseHTTPRequestHandler):

@@ -290,6 +290,19 @@ class CountingProvider(MockContentProvider):
         return super().embed(text, key=key)
 
 
+class KeyRecordingProvider:
+    """A width-agnostic provider (16-wide mock vectors) recording each key."""
+
+    kind, dim = "http", None
+
+    def __init__(self):
+        self.keys = []
+
+    def embed(self, text, key=None):
+        self.keys.append(key)
+        return mock_embed(text, 16)
+
+
 class TestWarmCache:
     def make_catalog(self, n=10):
         return ItemCatalog(content={i: f"item number {i}" for i in range(n)})
@@ -357,6 +370,31 @@ class TestWarmCache:
             warm_cache(provider, self.make_catalog(3), path)
         assert provider.calls == 0
         assert len(VectorCache.load(path)) == 5
+
+    def test_width_agnostic_provider_embeds_each_item_once(self, tmp_path):
+        # the vector that sizes the cache is kept, not fetched again
+        provider = KeyRecordingProvider()
+        cache = warm_cache(provider, self.make_catalog(3), tmp_path / "c.cemb",
+                           max_inflight=1)
+        assert provider.keys == [0, 1, 2]
+        assert cache.dim == 16
+        for i, text in self.make_catalog(3).content.items():
+            assert np.array_equal(cache.vectors[i],
+                                  mock_embed(text, 16).astype(np.float32))
+
+    def test_cache_of_another_width_is_rebuilt(self, tmp_path):
+        # no vector of another width can be kept, so a rerun after a
+        # change of width embeds every item again
+        catalog = self.make_catalog(4)
+        path = tmp_path / "c.cemb"
+        warm_cache(MockContentProvider(dim=8), catalog, path)
+        provider = CountingProvider(dim=16)
+        warm_cache(provider, catalog, path)
+        assert provider.calls == 4
+        assert VectorCache.load(path).dim == 16
+        fresh = tmp_path / "fresh.cemb"
+        warm_cache(MockContentProvider(dim=16), catalog, fresh)
+        assert path.read_bytes() == fresh.read_bytes()
 
     def test_sidecar_records_provenance(self, tmp_path):
         provider = MockContentProvider(dim=24, hash_seed=5)

@@ -259,10 +259,28 @@ class TestMakeColdSplit:
         with pytest.raises(ValueError):
             make_cold_split(toy_log, -0.1, seed=0)
 
-    def test_zero_interaction_item_rejected(self):
-        log = InteractionLog.from_pairs(2, 2, [(0, 0), (1, 0)])
-        with pytest.raises(ValueError, match="no interactions"):
-            make_cold_split(log, 0.5, seed=0)
+    def test_zero_interaction_items_go_cold(self):
+        # floor(cold_frac * rated) rated items are sampled, and every
+        # unrated item is cold on top of them, with no val/test pairs
+        rng = np.random.default_rng(1)
+        unrated = [2, 5, 9]
+        pairs = sorted({(int(rng.integers(12)), i) for i in range(10)
+                        if i not in unrated}
+                       | {(int(rng.integers(12)), int(rng.choice([0, 1, 3])))
+                          for _ in range(20)})
+        log = InteractionLog.from_pairs(12, 10, pairs)
+        split = make_cold_split(log, 0.3, seed=0)
+        split.check_invariants(log)
+        rated_cold = sorted(set(split.cold_items) - set(unrated))
+        assert set(unrated) <= set(split.cold_items)
+        assert len(rated_cold) == math.floor(0.3 * 7)
+        held_out = np.concatenate([split.cold_val, split.cold_test])
+        assert not set(held_out[:, 1].tolist()) & set(unrated)
+        given = make_cold_split(log, 0.0, seed=0, cold_items=[0])
+        assert given.cold_items == [0] + unrated
+        given.check_invariants(log)
+        only = InteractionLog.from_pairs(2, 2, [(0, 0), (1, 0)])
+        assert make_cold_split(only, 0.5, seed=0).cold_items == [1]
 
     def test_cold_item_val_test_ratio(self):
         # item 0 has 5 interactions: 2 go to val, 3 to test

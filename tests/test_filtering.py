@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coldsim.backbone import BackboneModel, init_embeddings
+from coldsim.backbone import BackboneModel, DivergenceError, init_embeddings
 from coldsim.filtering import (FilterTrainConfig,
                                InnerProductIndex, TowerMlp, TwoTowerFilter,
                                behavior_bpr_batch, coupled_ce_batch,
@@ -346,6 +346,24 @@ class TestGradients:
         loss, _ = coupled_ce_batch(filt, np.ones((1, 2)), np.ones((1, 2)),
                                    np.array([1.0]))
         assert loss < 1e-6
+
+
+    @pytest.mark.parametrize("variant", ["B", "L"])
+    def test_non_finite_loss_is_a_divergence(self, variant):
+        # a NaN weight makes the batch loss NaN: training stops, no step
+        tower = TowerMlp(w1=np.zeros((2, 2)), b1=np.zeros(2),
+                         w2=np.zeros((2, 2)), b2=np.full(2, np.nan))
+        filt = TwoTowerFilter(variant, user_tower=tower.copy(),
+                              item_tower=tower.copy())
+        ones = np.ones((1, 2))
+        with np.errstate(invalid="ignore"), pytest.raises(
+                DivergenceError, match=("^non-finite filter BPR loss nan$"
+                                        if variant == "B" else
+                                        "^non-finite coupled CE loss nan$")):
+            if variant == "B":
+                behavior_bpr_batch(filt, ones, ones, ones)
+            else:
+                coupled_ce_batch(filt, ones, ones, np.array([1.0]))
 
 
 class TestTraining:

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from coldsim import evaluation, filtering, pipeline
+from coldsim import backbone, evaluation, filtering, pipeline
 from coldsim.backbone import BackboneConfig
 from coldsim.config import default_config, resolve_seeds
 from coldsim.filtering import FilterTrainConfig
@@ -185,6 +185,23 @@ class TestTrainFilter:
         with pytest.raises(ValueError, match=r"oracle=PlantedOracle\(pairs\)$"):
             pipeline.build_pipeline(data.log, data.catalog,
                                     make_planted_split(data, seed=2), cfg)
+
+    @pytest.mark.parametrize("refiner,error", [
+        ({"oracle": "planted"}, r"oracle=PlantedOracle\(pairs\)$"),
+        ({"oracle": "http", "endpoint": None}, "needs refiner.endpoint")])
+    def test_unbuildable_oracle_fails_before_training(self, monkeypatch,
+                                                      refiner, error):
+        def no_training(*args, **kwargs):
+            raise AssertionError("the backbone trained before the oracle "
+                                 "was built")
+
+        monkeypatch.setattr(backbone, "bpr_step", no_training)
+        data = make_two_cluster_dataset(n_users=30, n_warm=12, n_cold=3,
+                                        groups_per_cluster=1, seed=2)
+        with pytest.raises(ValueError, match=error):
+            pipeline.build_pipeline(data.log, data.catalog,
+                                    make_planted_split(data, seed=2),
+                                    tiny_config(seed=2, refiner=refiner))
 
     def test_retrained_l_ignores_existing_l(self, small_pipe):
         # labels take their contexts from filter B, so a filter L already on

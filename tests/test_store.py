@@ -45,7 +45,7 @@ class TestBinaryTable:
         rng = np.random.default_rng(0)
         table = rng.normal(size=(13, 7)).astype(np.float32)
         save_table(tmp_path / "t.cemb", table)
-        assert np.array_equal(load_table(tmp_path / "t.cemb"), table)
+        assert np.array_equal(load_table(tmp_path / "t.cemb", (None, None)), table)
 
     def test_header_layout(self, tmp_path):
         save_table(tmp_path / "t.cemb", np.zeros((3, 5), dtype=np.float32))
@@ -58,7 +58,7 @@ class TestBinaryTable:
 
     def test_empty_table(self, tmp_path):
         save_table(tmp_path / "t.cemb", np.zeros((0, 4)))
-        assert load_table(tmp_path / "t.cemb").shape == (0, 4)
+        assert load_table(tmp_path / "t.cemb", (None, None)).shape == (0, 4)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "t.cemb"
@@ -67,14 +67,14 @@ class TestBinaryTable:
         raw[:4] = b"XXXX"
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="magic"):
-            load_table(path)
+            load_table(path, (None, None))
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "t.cemb"
         save_table(path, np.ones((4, 4)))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated"):
-            load_table(path)
+            load_table(path, (None, None))
 
     def test_bytes_after_payload_rejected(self, tmp_path):
         # a header that under-counts its rows
@@ -83,7 +83,26 @@ class TestBinaryTable:
         path.write_bytes(path.read_bytes() + bytes(8))
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: bytes after the payload")):
-            load_table(path)
+            load_table(path, (None, None))
+
+    @pytest.mark.parametrize("shape,fits", [
+        ((3, 4), True), ((None, 4), True), ((3, None), True),
+        ((None, None), True), ((2, 4), False), ((3, 5), False),
+        ((None, 3), False), ((4, None), False)])
+    def test_shape_checked_from_the_header(self, tmp_path, shape, fits):
+        # the header is compared before the payload is read, so a table
+        # cut short reports its shape, not its truncation
+        path = tmp_path / "t.cemb"
+        save_table(path, np.ones((3, 4)))
+        need = ", ".join("any" if n is None else str(n) for n in shape)
+        error = re.escape(f"{path}: table shape (3, 4) where ({need}) is "
+                          f"needed; it is stale or from another run")
+        if fits:
+            assert load_table(path, shape).shape == (3, 4)
+            error = re.escape(f"{path}: truncated payload")
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            load_table(path, shape)
 
     def test_non_2d_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -117,14 +136,14 @@ class TestBinaryTable:
         path = tmp_path / "t.cemb"
         save_table(path, table)
         raw = path.read_bytes()
-        assert load_table(path).tobytes() == table.astype("<f4").tobytes()
+        assert load_table(path, (None, None)).tobytes() == table.astype("<f4").tobytes()
         cut = data.draw(st.integers(1, len(raw)))
         path.write_bytes(raw[:-cut])
         with pytest.raises(ValueError, match="truncated"):
-            load_table(path)
+            load_table(path, (None, None))
         path.write_bytes(raw + bytes(data.draw(st.integers(1, 8))))
         with pytest.raises(ValueError, match="bytes after the payload"):
-            load_table(path)
+            load_table(path, (None, None))
 
 
 class TestTsvExport:

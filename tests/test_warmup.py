@@ -79,6 +79,21 @@ class TestInitCold:
         with pytest.raises(ValueError, match="init mode"):
             init_cold_embedding(0, [1], make_backbone(), "magic")
 
+    def test_filter_map_needs_filter_and_content(self):
+        filt = TwoTowerFilter.init("B", 6, 4, hidden=5, out=6, seed=3)
+        for kwargs in ({"raw": np.ones(4)}, {"filt_b": filt}):
+            with pytest.raises(ValueError, match="^filter-map init needs the "
+                                                 "behavior filter and the "):
+                init_cold_embedding(0, [1], make_backbone(), "filter-map",
+                                    **kwargs)
+
+    def test_filter_map_width_must_be_the_embedding_dim(self):
+        filt = TwoTowerFilter.init("B", 6, 4, hidden=5, out=7, seed=3)
+        with pytest.raises(ValueError, match="^filter output width 7 != "
+                                             "embedding dim 6$"):
+            init_cold_embedding(0, [1], make_backbone(), "filter-map",
+                                filt_b=filt, raw=np.ones(4))
+
 
 class TestOptimize:
     def test_zero_steps_returns_init(self):
@@ -137,6 +152,11 @@ class TestOptimize:
             if after > before:
                 wins += 1
         assert wins >= 95
+
+    def test_empty_simulation_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^item 3: simulated user set is empty$"):
+            optimize_cold_embedding(3, [], make_backbone(), WarmupConfig())
 
     def test_all_users_simulated_rejected(self):
         model = make_backbone(n_users=4)
