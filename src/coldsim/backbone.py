@@ -240,7 +240,7 @@ def _epoch_triples(rng, split: ColdWarmSplit, n_users: int) -> np.ndarray:
     skipped after ``MAX_REJECTS`` draws.
     """
     index = split.index(n_users)
-    positives = index.train_pairs[rng.permutation(len(index.train_pairs))]
+    positives = split.warm_train[rng.permutation(len(split.warm_train))]
     warm = np.asarray(split.warm_items, dtype=np.int64)
     draws, ok = draw_accepted(
         rng, np.full(len(positives), len(warm)),

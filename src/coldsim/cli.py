@@ -28,7 +28,8 @@ from .content import (FileContentProvider, HttpContentProvider,
                       MockContentProvider, VectorCache, warm_cache)
 from .corpus import (ColdWarmSplit, InteractionLog, ItemCatalog, lexsorted,
                      load_citeulike, load_movielens, make_cold_split)
-from .evaluation import TASKS, adoption_rate, evaluate, format_report, reports_to_csv
+from .evaluation import (TASKS, AdoptionStats, evaluate, format_report,
+                         reports_to_csv)
 from .filtering import TwoTowerFilter
 from .refiner import DecisionLog, SimulationResult, prepare_finetune_data
 
@@ -81,7 +82,7 @@ def _load_backbone(out: Path, log: InteractionLog) -> BackboneModel:
     return BackboneModel.load(out, log.n_users, log.n_items)
 
 
-def _content_provider(cfg, out: Path):
+def _content_provider(cfg):
     c = cfg["content"]
     if c["provider"] == "mock":
         return MockContentProvider(dim=c["dim"], hash_seed=c["hash_seed"])
@@ -211,7 +212,7 @@ def cmd_train_backbone(args, cfg) -> int:
 def cmd_cache_content(args, cfg) -> int:
     out = _workdir(args)
     _, catalog = _load_dataset(out)
-    provider = _content_provider(cfg, out)
+    provider = _content_provider(cfg)
     cache = warm_cache(provider, catalog, out / "content_cache.cemb",
                        max_inflight=cfg["content"]["max_inflight"])
     print(f"content cache: {len(cache)} vectors, dim {cache.dim}")
@@ -258,18 +259,20 @@ def cmd_simulate(args, cfg) -> int:
     if cache_path.exists():
         decision_log = DecisionLog.load(cache_path)
     try:
-        sims = pipeline.simulate_all(pipe, cfg,
-                                     use_b=pipe.filter_b is not None,
-                                     use_l=pipe.filter_l is not None,
-                                     decision_log=decision_log)
+        sims = pipeline.simulate_all(pipe, cfg, decision_log=decision_log)
     finally:
         # the answers of a failed pass are kept for the rerun to reuse
         decision_log.save(cache_path)
     _save_simulations(out, sims)
-    if not sims:
-        print("simulated 0 cold items; no oracle decision was made")
+    # this pass's answers: a rerun extends decisions.jsonl, and answers
+    # served from it are part of the pass
+    stats = AdoptionStats(
+        filtered=sum(sim.decided for sim in sims.values()),
+        accepted=sum(len(sim.users) for sim in sims.values()
+                     if not sim.fallback_used))
+    if not stats.filtered:
+        print(f"simulated {len(sims)} cold items; no oracle decision was made")
         return 0
-    stats = adoption_rate(decision_log)
     print(f"simulated {len(sims)} cold items; adoption rate "
           f"{stats.rate:.2%} ({stats.accepted}/{stats.filtered})")
     return 0

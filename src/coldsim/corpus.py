@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -67,12 +67,9 @@ class InteractionLog:
     pairs: np.ndarray
     user_items: list[np.ndarray]
     item_users: list[np.ndarray]
-    raw_user_ids: list = field(default_factory=list)
-    raw_item_ids: list = field(default_factory=list)
 
     @classmethod
-    def from_pairs(cls, n_users: int, n_items: int, pairs,
-                   raw_user_ids=None, raw_item_ids=None) -> "InteractionLog":
+    def from_pairs(cls, n_users: int, n_items: int, pairs) -> "InteractionLog":
         """Build adjacency from (user, item) pairs, an (n, 2) array or a
         sequence of 2-sequences.
 
@@ -94,9 +91,7 @@ class InteractionLog:
         pairs = pairs[np.sort(order[first])]
         return cls(n_users=n_users, n_items=n_items, pairs=pairs,
                    user_items=_groups(pairs[:, 0], pairs[:, 1], n_users),
-                   item_users=_groups(ascending[:, 1], ascending[:, 0], n_items),
-                   raw_user_ids=list(raw_user_ids or range(n_users)),
-                   raw_item_ids=list(raw_item_ids or range(n_items)))
+                   item_users=_groups(ascending[:, 1], ascending[:, 0], n_items))
 
 
 @dataclass
@@ -128,7 +123,6 @@ class SplitIndex:
     """
 
     warm: np.ndarray                # warm item ids, ascending
-    train_pairs: np.ndarray         # the split's warm_train
     train: PairSets                 # warm-train; column j is item j
     train_warm: PairSets            # warm-train; column j is item warm[j]
     val_warm: PairSets              # warm-val; column j is item warm[j]
@@ -144,7 +138,7 @@ class SplitIndex:
         train_sets = PairSets.from_pairs(train, n_users)
         flat, ptr = train_sets.indices.tolist(), train_sets.indptr.tolist()
         return cls(
-            warm=warm, train_pairs=train, train=train_sets,
+            warm=warm, train=train_sets,
             train_warm=PairSets.from_pairs(train, n_users, columns=warm),
             val_warm=PairSets.from_pairs(val, n_users, columns=warm),
             val_users=np.flatnonzero(np.bincount(val[:, 0],
@@ -223,22 +217,6 @@ class ColdWarmSplit:
                    **{name: doc[name] for name in PAIR_FIELDS},
                    seed=int(doc["seed"]), cold_frac=float(doc["cold_frac"]))
 
-    def check_invariants(self, log: InteractionLog) -> None:
-        """Raise AssertionError if the partition contracts are violated."""
-        warm, cold = set(self.warm_items), set(self.cold_items)
-        assert not warm & cold, "warm and cold item sets overlap"
-        assert warm | cold == set(range(log.n_items)), "items lost by the split"
-        is_cold = np.zeros(log.n_items, dtype=bool)
-        is_cold[self.cold_items] = True
-        in_cold = is_cold[log.pairs[:, 1]]
-        for kind, got, want in (
-                ("warm", (self.warm_train, self.warm_val, self.warm_test),
-                 log.pairs[~in_cold]),
-                ("cold", (self.cold_val, self.cold_test), log.pairs[in_cold])):
-            got = lexsorted(np.concatenate(got))
-            assert np.array_equal(got, lexsorted(want)), \
-                f"{kind} splits do not partition"
-
 
 def _raw_ids(ids, path) -> np.ndarray:
     """Raw ids read from ``path`` as an int64 array."""
@@ -272,9 +250,7 @@ def _dense_corpus(source: str, raw_user_ids, users: np.ndarray,
     if extra:
         logger.info("%d catalog items have no interactions", extra)
     log = InteractionLog.from_pairs(len(raw_user_ids), len(raw_item_ids),
-                                    np.column_stack([users, items]),
-                                    raw_user_ids=raw_user_ids,
-                                    raw_item_ids=raw_item_ids)
+                                    np.column_stack([users, items]))
     dense = {raw: idx for idx, raw in enumerate(raw_item_ids)}
     content, titles = {}, {}
     for raw, (title, text) in texts.items():
@@ -282,7 +258,7 @@ def _dense_corpus(source: str, raw_user_ids, users: np.ndarray,
             raise ValueError(f"item raw id {raw} has empty content")
         titles[dense[raw]], content[dense[raw]] = title, text
     if mapping_path is not None:
-        _persist_idmap(mapping_path, log.raw_user_ids, log.raw_item_ids)
+        _persist_idmap(mapping_path, raw_user_ids, raw_item_ids)
     logger.info("%s corpus: %d users, %d items, %d interactions", source,
                 log.n_users, log.n_items, len(log.pairs))
     return log, ItemCatalog(content=content, titles=titles)

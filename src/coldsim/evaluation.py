@@ -101,7 +101,7 @@ def adoption_rate(decisions) -> AdoptionStats:
     records = list(records)
     if not records:
         raise ValueError("decision log is empty")
-    accepted = sum(1 for r in records if (r["z"] if isinstance(r, dict) else r.value))
+    accepted = sum(1 for r in records if r["z"])
     return AdoptionStats(filtered=len(records), accepted=accepted)
 
 

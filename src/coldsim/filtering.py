@@ -297,10 +297,10 @@ class FilterTrainConfig:
 
 
 class _Adam:
-    def __init__(self, towers: dict[str, TowerMlp], lr,
-                 beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.t = 0
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, towers: dict[str, TowerMlp], lr):
+        self.lr, self.t = lr, 0
         self.m = {tn: {p: np.zeros_like(a) for p, a in tw.params().items()}
                   for tn, tw in towers.items()}
         self.v = {tn: {p: np.zeros_like(a) for p, a in tw.params().items()}
@@ -508,22 +508,19 @@ def train_coupled_filter(filt: TwoTowerFilter, backbone: BackboneModel,
     def batches(rng, user_inputs):
         order = rng.permutation(len(labeled_arr))
         triples = _epoch_triples(rng, split, backbone.n_users)
-        n_batches = max(1, int(np.ceil(len(order) / config.batch_size)))
-        for bi in range(n_batches):
-            sel = labeled_arr[order[bi * config.batch_size:(bi + 1) * config.batch_size]]
+        for start in range(0, len(order), config.batch_size):
+            sel = labeled_arr[order[start:start + config.batch_size]]
             loss, grads = coupled_ce_batch(filt, user_inputs[sel[:, 0]],
                                            content_matrix[sel[:, 1]],
                                            sel[:, 2].astype(np.float64))
             if config.coupled_weight > 0 and len(triples):
-                tsel = triples[(bi * config.batch_size) % len(triples):]
-                tsel = tsel[:config.batch_size]
-                if len(tsel):
-                    bpr_loss, bpr_grads = behavior_bpr_batch(
-                        filt, user_inputs[tsel[:, 0]], content_matrix[tsel[:, 1]],
-                        content_matrix[tsel[:, 2]], scale=config.coupled_weight)
-                    loss += bpr_loss
-                    grads = {tn: _merge_grads(grads[tn], bpr_grads[tn])
-                             for tn in grads}
+                tsel = triples[start % len(triples):][:config.batch_size]
+                bpr_loss, bpr_grads = behavior_bpr_batch(
+                    filt, user_inputs[tsel[:, 0]], content_matrix[tsel[:, 1]],
+                    content_matrix[tsel[:, 2]], scale=config.coupled_weight)
+                loss += bpr_loss
+                grads = {tn: _merge_grads(grads[tn], bpr_grads[tn])
+                         for tn in grads}
             yield loss, grads
 
     return _run_filter_training(filt, backbone, content_matrix, hist_means,

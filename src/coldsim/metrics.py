@@ -48,29 +48,27 @@ def ndcg_at_k(ranked, relevant, k: int) -> float:
     return dcg / ideal
 
 
-def rank_by_score(scores: np.ndarray, ids: np.ndarray | None = None,
-                  k: int | None = None, exclude=None) -> np.ndarray:
-    """Ids of each row's ``k`` best scores, descending, ties by ascending id.
+def rank_by_score(scores: np.ndarray, k: int | None = None,
+                  exclude=None) -> np.ndarray:
+    """Each row's ``k`` best columns by descending score, ties to the lower.
 
-    ``scores`` is a 2-D (rows, m) block or a 1-D vector (one row); ``ids``
-    names the m columns (default ``arange(m)``).  ``k`` defaults to m, and
-    ``k > m`` returns all m.  ``exclude`` is an optional pair of index
-    arrays (rows, columns) naming entries that are scored -inf before
-    ranking, so a row with fewer than ``k`` unmasked entries lists its
-    unmasked ids by score and then fills up with masked ids in ascending
-    order.  The result has the shape of ``scores`` with the last axis cut
-    to ``min(k, m)``.
+    ``scores`` is a 2-D (rows, m) block or a 1-D vector (one row).  ``k``
+    defaults to m, and ``k > m`` returns all m.  ``exclude`` is an optional
+    pair of index arrays (rows, columns) naming entries that are scored -inf
+    before ranking, so a row with fewer than ``k`` unmasked entries lists
+    its unmasked columns by score and then fills up with masked columns in
+    ascending order.  The result has the shape of ``scores`` with the last
+    axis cut to ``min(k, m)``.
 
     Each row's K best come from ``argpartition``; a row whose K-th score is
-    tied beyond the free slots takes the tied ids in ascending order, so
-    the output equals a full sort by (-score, id).  A NaN score raises
+    tied beyond the free slots takes the tied columns in ascending order, so
+    the output equals a full sort by (-score, column).  A NaN score raises
     ValueError naming the first row that holds one.
     """
     block = np.asarray(scores, dtype=np.float64)
     one_row = block.ndim == 1
     block = np.atleast_2d(block)
     n, m = block.shape
-    ids = np.arange(m) if ids is None else np.asarray(ids)
     if k is not None and k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     k = m if k is None else min(k, m)
@@ -86,21 +84,19 @@ def rank_by_score(scores: np.ndarray, ids: np.ndarray | None = None,
         kth = neg[rows, cols].max(axis=1)
         # rows with more entries at or above the K-th score than K slots
         for r in np.flatnonzero((neg <= kth[:, None]).sum(axis=1) > k):
-            cols[r] = _repair_ties(neg[r], ids, kth[r], k)
+            cols[r] = _repair_ties(neg[r], kth[r], k)
     else:
         cols = np.broadcast_to(np.arange(m), neg.shape)
-    kept_ids = ids[cols]
-    order = np.lexsort((kept_ids, neg[rows, cols]), axis=1)
-    ranked = kept_ids[rows, order]
+    order = np.lexsort((cols, neg[rows, cols]), axis=1)
+    ranked = cols[rows, order]
     return ranked[0] if one_row else ranked
 
 
-def _repair_ties(neg: np.ndarray, ids: np.ndarray, kth: float, k: int):
+def _repair_ties(neg: np.ndarray, kth: float, k: int):
     """Columns of a row's K best: every negated score below ``kth``, then the
-    tied ids ascending."""
+    tied columns ascending."""
     above = np.flatnonzero(neg < kth)
-    ties = np.flatnonzero(neg == kth)
-    ties = ties[np.argsort(ids[ties], kind="stable")][:k - len(above)]
+    ties = np.flatnonzero(neg == kth)[:k - len(above)]
     return np.concatenate([above, ties])
 
 

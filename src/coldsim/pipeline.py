@@ -207,9 +207,9 @@ def simulate_all(pipe: Pipeline, cfg: dict, use_b: bool = True,
         fallback = bool(cand.users) and not kept
         if fallback and sim_cfg.fallback_to_top1:
             kept = cand.users[:1]
-        results[cand.item] = SimulationResult(item=cand.item, users=kept,
-                                              fallback_used=fallback,
-                                              failures=failures)
+        results[cand.item] = SimulationResult(
+            item=cand.item, users=kept, fallback_used=fallback,
+            failures=failures, decided=len(cand.users) - failures)
     return results
 
 

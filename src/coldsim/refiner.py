@@ -373,6 +373,7 @@ class SimulationResult:
     users: list[int]
     fallback_used: bool = False
     failures: int = 0
+    decided: int = 0    # oracle answers, fresh or served from the decision log
 
 
 def refine_all(candidate_sets: list[CandidateSet], client,

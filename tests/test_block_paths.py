@@ -266,13 +266,15 @@ def reference_simulate_all(pipe, cfg, use_b=True, use_l=True,
         kept, failures = refine(cand, pipe.oracle, item_vectors,
                                 pipe.train_items, pipe.titles,
                                 sim_cfg.context_len, decision_log)
+        decided = len(cand.users) - failures
         if kept:
             results[item] = SimulationResult(item=item, users=kept,
-                                             failures=failures)
+                                             failures=failures, decided=decided)
         else:
             results[item] = SimulationResult(
                 item=item, users=cand.users[:1] if sim_cfg.fallback_to_top1
-                else [], fallback_used=True, failures=failures)
+                else [], fallback_used=True, failures=failures,
+                decided=decided)
     return results
 
 
@@ -439,8 +441,8 @@ def assert_same_simulation(got, want):
     assert list(got) == list(want)
     for item in want:
         g, w = got[item], want[item]
-        assert (g.users, g.fallback_used, g.failures) == \
-            (w.users, w.fallback_used, w.failures), item
+        assert (g.users, g.fallback_used, g.failures, g.decided) == \
+            (w.users, w.fallback_used, w.failures, w.decided), item
 
 
 # -- simulate ----------------------------------------------------------------

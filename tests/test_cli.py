@@ -256,6 +256,64 @@ class TestChain:
         assert len(sweep_lines) == 3  # header + 2 values
 
 
+class TestCommandErrors:
+    """A bad config value or argument exits 1 with a message naming it."""
+
+    @pytest.mark.parametrize("sections,command,message", [
+        ({"content": {"provider": "file"}}, ["cache-content"],
+         "file provider needs content.endpoint (path to a vector table)"),
+        ({"content": {"provider": "http"}}, ["cache-content"],
+         "http provider needs content.endpoint"),
+        ({"content": {"provider": "telepathy"}}, ["cache-content"],
+         "unknown content provider 'telepathy'"),
+        ({"refiner": {"oracle": "crystal-ball"}}, ["simulate"],
+         "unknown oracle kind 'crystal-ball'"),
+        ({}, ["sweep", "--param", "K", "--values", "4,six"],
+         "could not parse sweep values: '4,six'"),
+    ], ids=["file-provider", "http-provider", "unknown-provider",
+            "unknown-oracle", "sweep-values"])
+    def test_config_and_argument_errors(self, tmp_path, caplog, simulated_run,
+                                        sections, command, message):
+        config, run = simulated_run
+        out = tmp_path / "run"
+        shutil.copytree(run, out)
+        config = changed_config(config, tmp_path / "changed.json", **sections)
+        before = sorted(p.name for p in out.iterdir())
+        caplog.clear()
+        assert main(["--config", str(config), "--seed", "7", "--out",
+                     str(out)] + command) == 1
+        assert message in caplog.messages
+        assert sorted(p.name for p in out.iterdir()) == before
+
+    def test_simulate_without_a_trained_filter(self, tmp_path, caplog,
+                                               simulated_run):
+        config, run = simulated_run
+        out = tmp_path / "run"
+        shutil.copytree(run, out)
+        for variant in "BL":
+            shutil.rmtree(out / f"filter_{variant}")
+        caplog.clear()
+        assert main(["--config", str(config), "--seed", "7", "--out",
+                     str(out), "simulate"]) == 1
+        assert "no trained filters found; run `train-filter` first" \
+            in caplog.messages
+
+    @pytest.mark.parametrize("data,args,message", [
+        ({}, ["--dataset", "citeulike"],
+         "ingest needs --path (or data.path in the config)"),
+        ({"dataset": "netflix"}, ["--path", "corpus"],
+         "unknown dataset 'netflix'"),
+    ], ids=["no-path", "unknown-dataset"])
+    def test_ingest_errors(self, tmp_path, caplog, data, args, message):
+        config = changed_config(fast_config(tmp_path), tmp_path / "c.json",
+                                data=data)
+        caplog.clear()
+        assert main(["--config", str(config), "--out", str(tmp_path / "run"),
+                     "ingest"] + args) == 1
+        assert message in caplog.messages
+        assert not (tmp_path / "run" / "dataset.json").exists()
+
+
 class TestRetrainFilter:
     def test_filter_l_rerun_byte_identical(self, tmp_path):
         # filter L's oracle labels take contexts from filter B, never from
@@ -482,6 +540,63 @@ class TestStaleArtifacts:
             assert main(base + command) == 0, command
         assert store.load_table(out / "warmed_item.cemb", (None, None)).shape[1] == 12
         assert VectorCache.load(out / "content_cache.cemb").dim == 16
+
+
+def simulate_output(config, out, capsys) -> str:
+    """The stdout of a ``simulate`` run under ``config`` in ``out``."""
+    capsys.readouterr()
+    assert main(["--config", str(config), "--seed", "7", "--out", str(out),
+                 "simulate"]) == 0
+    return capsys.readouterr().out
+
+
+class TestAdoptionOverThePass:
+    """``simulate`` rates this pass's decisions, answers served from
+    ``decisions.jsonl`` included, not every decision the file holds."""
+
+    def test_rerun_over_changed_prompts_prints_the_fresh_figure(
+            self, tmp_path, capsys, simulated_run):
+        config, run = simulated_run
+        changed = changed_config(config, tmp_path / "changed.json",
+                                 content={"dim": 16})
+        outputs, grown = [], []
+        for name, keep_log in (("rerun", True), ("fresh", False)):
+            out = tmp_path / name
+            shutil.copytree(run, out)
+            if not keep_log:
+                (out / "decisions.jsonl").unlink()
+            base = ["--config", str(changed), "--seed", "7", "--out", str(out)]
+            for command in (["cache-content"],
+                            ["train-filter", "--variant", "B"],
+                            ["train-filter", "--variant", "L"]):
+                assert main(base + command) == 0, command
+            outputs.append(simulate_output(changed, out, capsys))
+            grown.append(len((out / "decisions.jsonl").read_text().splitlines()))
+        # every prompt changed, so the rerun asked every pair again and its
+        # log holds both passes
+        first = len((run / "decisions.jsonl").read_text().splitlines())
+        assert grown == [first + grown[1], grown[1]]
+        fresh = f"({grown[1]}/{grown[1]})"
+        assert outputs[0] == outputs[1] == \
+            f"simulated 3 cold items; adoption rate 100.00% {fresh}\n"
+
+    def test_plain_rerun_prints_the_first_figure(self, tmp_path, capsys):
+        # tau 0.94 rejects every candidate of this corpus, so each cold item
+        # falls back to its top candidate, which counts as no acceptance
+        config = changed_config(fast_config(tmp_path), tmp_path / "c.json",
+                                refiner={"tau": 0.94})
+        out = tmp_path / "run"
+        base = ["--config", str(config), "--seed", "7", "--out", str(out)]
+        corpus = write_corpus_from_planted(tmp_path / "corpus")
+        assert main(base + ["ingest", "--dataset", "citeulike", "--path",
+                            str(corpus)]) == 0
+        for command in CHAIN[:CHAIN.index(["simulate"])]:
+            assert main(base + command) == 0, command
+        first = simulate_output(config, out, capsys)
+        logged = (out / "decisions.jsonl").read_bytes()
+        assert first == "simulated 3 cold items; adoption rate 0.00% (0/18)\n"
+        assert simulate_output(config, out, capsys) == first
+        assert (out / "decisions.jsonl").read_bytes() == logged
 
 
 def test_unrated_movies_are_cold_and_the_chain_runs(tmp_path, capsys):

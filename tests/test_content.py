@@ -280,6 +280,33 @@ class TestProviderPostErrors:
         assert calls == [{"text": "x"}]
 
 
+def replying_provider(monkeypatch, vectors):
+    """An HTTP provider, one attempt per call, whose service answers
+    ``{"vector": v}`` for each of ``vectors`` in turn."""
+    replies = iter(vectors)
+    monkeypatch.setattr("coldsim.content.HttpSession.post", lambda session, data: (
+        200, json.dumps({"vector": next(replies)}).encode()))
+    return HttpContentProvider("http://embed.invalid/embed", retries=1,
+                               backoff=0.0)
+
+
+class TestProviderAnswers:
+    @pytest.mark.parametrize("vector", [[], [[1.0, 2.0]], 3.0])
+    def test_non_vector_named(self, monkeypatch, vector):
+        provider = replying_provider(monkeypatch, [vector])
+        with pytest.raises(ProviderError,
+                           match="embed service returned a non-vector$"):
+            provider.embed("x")
+        assert provider.dim is None
+
+    def test_changed_width_named(self, monkeypatch):
+        provider = replying_provider(monkeypatch, [[1.0, 2.0], [1.0, 2.0, 3.0]])
+        assert provider.embed("x").tolist() == [1.0, 2.0]
+        with pytest.raises(ProviderError,
+                           match=r"vector width changed: 3 != 2$"):
+            provider.embed("y")
+
+
 class CountingProvider(MockContentProvider):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -313,6 +340,33 @@ class TestWarmCache:
                            tmp_path / "c.cemb")
         assert len(cache) == 0
         assert (tmp_path / "c.cemb").exists()
+
+    def test_empty_catalog_cannot_size_a_width_agnostic_cache(self, tmp_path):
+        provider = KeyRecordingProvider()
+        with pytest.raises(ValueError, match="^cannot size a cache from an "
+                                             "empty catalog"):
+            warm_cache(provider, ItemCatalog(content={}), tmp_path / "c.cemb")
+        assert provider.keys == [] and not (tmp_path / "c.cemb").exists()
+
+    def test_failed_call_saves_the_vectors_before_it(self, tmp_path):
+        # one call at a time: the items before the failing one are cached,
+        # and the resume embeds only the rest
+        catalog = self.make_catalog(8)
+
+        class FailingProvider(CountingProvider):
+            def embed(self, text, key=None):
+                if key == 5:
+                    raise ProviderError("embed service failed after 3 attempts")
+                return super().embed(text, key=key)
+
+        with pytest.raises(ProviderError, match="after 3 attempts"):
+            warm_cache(FailingProvider(dim=16), catalog, tmp_path / "c.cemb",
+                       max_inflight=1)
+        assert sorted(VectorCache.load(tmp_path / "c.cemb").vectors) == \
+            [0, 1, 2, 3, 4]
+        provider = CountingProvider(dim=16)
+        cache = warm_cache(provider, catalog, tmp_path / "c.cemb")
+        assert provider.calls == 3 and len(cache) == 8
 
     def test_matches_direct_calls(self, tmp_path):
         provider = MockContentProvider(dim=32)

@@ -94,6 +94,23 @@ def reference_split_json(fields) -> bytes:
     return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
 
 
+def check_invariants(split, log) -> None:
+    """Raise AssertionError if the partition contracts are violated."""
+    warm, cold = set(split.warm_items), set(split.cold_items)
+    assert not warm & cold, "warm and cold item sets overlap"
+    assert warm | cold == set(range(log.n_items)), "items lost by the split"
+    is_cold = np.zeros(log.n_items, dtype=bool)
+    is_cold[split.cold_items] = True
+    in_cold = is_cold[log.pairs[:, 1]]
+    for kind, got, want in (
+            ("warm", (split.warm_train, split.warm_val, split.warm_test),
+             log.pairs[~in_cold]),
+            ("cold", (split.cold_val, split.cold_test), log.pairs[in_cold])):
+        got = lexsorted(np.concatenate(got))
+        assert np.array_equal(got, lexsorted(want)), \
+            f"{kind} splits do not partition"
+
+
 def saved_bytes(split) -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         split.save(Path(tmp) / "split.json")
@@ -107,8 +124,8 @@ def index_arrays(index) -> dict:
             **{f"test_{task}": index.test[task] for task in index.test}}
     out = {name: [s.indptr.tolist(), s.indices.tolist()]
            for name, s in sets.items()}
-    out.update(warm=index.warm.tolist(), train_pairs=index.train_pairs.tolist(),
-               val_users=index.val_users, train_users=index.train_users,
+    out.update(warm=index.warm.tolist(), val_users=index.val_users,
+               train_users=index.train_users,
                train_items=index.train_items)
     return out
 
@@ -143,6 +160,17 @@ class TestLoadCiteulike:
                                        [(1, "T", "A")])
         (root / "users.dat").write_text("1\nfoo 1\n", encoding="utf-8")
         with pytest.raises(ValueError, match="users.dat:2"):
+            load_citeulike(root)
+
+    @pytest.mark.parametrize("line,message", [
+        ("5 no tab here", "items.tsv:2: malformed line, expected "
+                          "id<TAB>title[<TAB>abstract]"),
+        ("x5\tT\tA", "items.tsv:2: non-integer item id 'x5'")])
+    def test_bad_items_line_named(self, tmp_path, line, message):
+        root = write_citeulike_fixture(tmp_path / "cu", [[1]], [(1, "T", "A")])
+        with open(root / "items.tsv", "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_citeulike(root)
 
     def test_item_without_metadata(self, tmp_path):
@@ -245,6 +273,38 @@ class TestLoadMovielens:
         with pytest.raises(ValueError, match="ratings.dat:1"):
             load_movielens(root)
 
+    @pytest.mark.parametrize("name", ["ratings.dat", "movies.dat"])
+    def test_missing_file_named(self, tmp_path, name):
+        root = write_movielens_fixture(tmp_path / "ml", [(1, 1, 5, 0)],
+                                       [(1, "M", "Drama")])
+        (root / name).unlink()
+        path = re.escape(str(root / name))
+        with pytest.raises(FileNotFoundError, match=f"^missing file: {path}$"):
+            load_movielens(root)
+
+    @pytest.mark.parametrize("name,text,message", [
+        ("movies.dat", "1::M\n",
+         "movies.dat:1: malformed line, expected id::title::genres"),
+        ("movies.dat", "one::M::Drama\n",
+         "movies.dat:1: non-integer movie id 'one'"),
+        ("ratings.dat", "1::1::5::0\n1::1::five::0\n",
+         "ratings.dat:2: non-numeric field"),
+        ("ratings.dat", "1::9::5::0\n",
+         "ratings.dat:1: item 9 referenced without metadata"),
+        ("ratings.dat", "\n", "ratings.dat: no interactions")])
+    def test_bad_record_named(self, tmp_path, name, text, message):
+        root = write_movielens_fixture(tmp_path / "ml", [(1, 1, 5, 0)],
+                                       [(1, "M", "Drama")])
+        (root / name).write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_movielens(root)
+
+    def test_no_rating_above_the_minimum(self, tmp_path):
+        root = write_movielens_fixture(tmp_path / "ml", [(1, 1, 3, 0)],
+                                       [(1, "M", "Drama")])
+        with pytest.raises(ValueError, match="ratings.dat: no interactions$"):
+            load_movielens(root, min_rating=4)
+
 
 class TestMakeColdSplit:
     def test_cold_frac_zero(self, toy_log):
@@ -270,7 +330,7 @@ class TestMakeColdSplit:
                           for _ in range(20)})
         log = InteractionLog.from_pairs(12, 10, pairs)
         split = make_cold_split(log, 0.3, seed=0)
-        split.check_invariants(log)
+        check_invariants(split, log)
         rated_cold = sorted(set(split.cold_items) - set(unrated))
         assert set(unrated) <= set(split.cold_items)
         assert len(rated_cold) == math.floor(0.3 * 7)
@@ -278,9 +338,15 @@ class TestMakeColdSplit:
         assert not set(held_out[:, 1].tolist()) & set(unrated)
         given = make_cold_split(log, 0.0, seed=0, cold_items=[0])
         assert given.cold_items == [0] + unrated
-        given.check_invariants(log)
+        check_invariants(given, log)
         only = InteractionLog.from_pairs(2, 2, [(0, 0), (1, 0)])
         assert make_cold_split(only, 0.5, seed=0).cold_items == [1]
+
+    @pytest.mark.parametrize("cold_items", [[1, 1], [5], [-1]])
+    def test_given_cold_items_distinct_and_in_range(self, toy_log, cold_items):
+        with pytest.raises(ValueError, match="^cold_items must be distinct "
+                                             "in-range item ids$"):
+            make_cold_split(toy_log, 0.0, seed=0, cold_items=cold_items)
 
     def test_cold_item_val_test_ratio(self):
         # item 0 has 5 interactions: 2 go to val, 3 to test
@@ -346,7 +412,7 @@ class TestMakeColdSplit:
 def test_split_partition_properties(seed, frac, split_seed):
     log = random_toy_log(np.random.default_rng(seed))
     split = make_cold_split(log, frac, seed=split_seed)
-    split.check_invariants(log)
+    check_invariants(split, log)
 
 
 # -- the array path against the tuple loops ----------------------------------

@@ -116,19 +116,6 @@ class TestKernel:
             for row, scores in zip(ranked, masked):
                 assert row.tolist() == brute_force_topk(scores.tolist(), k)
 
-    def test_ties_follow_ids_not_positions(self):
-        rng = np.random.default_rng(32)
-        for _ in range(300):
-            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 25))
-            block, exclude = masked_block(rng, n, m)
-            ids = rng.permutation(m) * 3 + 7
-            k = int(rng.integers(1, m + 4))
-            ranked = rank_by_score(block, ids=ids, k=k,
-                                   exclude=np.nonzero(exclude))
-            masked = np.where(exclude, -np.inf, block)
-            for row, scores in zip(ranked, masked):
-                assert row.tolist() == lexsort_rank(scores, ids=ids, k=k).tolist()
-
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
     @given(data=st.data(), shape=st.tuples(st.integers(1, 5),
@@ -140,13 +127,12 @@ class TestKernel:
         exclude = data.draw(hnp.arrays(bool, shape))
         if data.draw(st.booleans()):
             exclude[data.draw(st.integers(0, shape[0] - 1))] = True
-        ids = np.asarray(data.draw(st.permutations(range(shape[1])))) * 3 + 7
         k = data.draw(st.one_of(st.none(), st.integers(1, shape[1] + 3)))
         one_row = shape[0] == 1 and data.draw(st.booleans())
         # exclude names (row, column) entries of the one-row block too
-        ranked = rank_by_score(block[0] if one_row else block, ids=ids, k=k,
+        ranked = rank_by_score(block[0] if one_row else block, k=k,
                                exclude=np.nonzero(exclude))
-        want = [lexsort_rank(row, ids=ids, k=k).tolist()
+        want = [lexsort_rank(row, k=k).tolist()
                 for row in np.where(exclude, -np.inf, block)]
         assert ranked.tolist() == (want[0] if one_row else want)
 

@@ -72,6 +72,12 @@ class TestBuildContext:
         for oracle in (PlantedOracle({(0, 1)}), ThresholdOracle(vectors)):
             assert oracle.decide(block) == []
 
+    @pytest.mark.parametrize("top_l", [0, -1])
+    def test_top_l_below_one_rejected(self, top_l):
+        with pytest.raises(ValueError,
+                           match=f"^top_l must be >= 1, got {top_l}$"):
+            build_context([0], [1], np.ones((2, 2)), [[0]], ["a", "b"], top_l)
+
     def test_all_empty_histories_give_rows_of_minus_one(self):
         vectors = np.random.default_rng(0).normal(size=(4, 3))
         block = build_context([0, 1, 0], [2, 3, 3], vectors, [[], []],

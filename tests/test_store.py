@@ -69,6 +69,15 @@ class TestBinaryTable:
         with pytest.raises(ValueError, match="magic"):
             load_table(path, (None, None))
 
+    def test_other_version_rejected(self, tmp_path):
+        path = tmp_path / "t.cemb"
+        save_table(path, np.ones((2, 2)))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<I", VERSION + 1) + raw[8:])
+        with pytest.raises(ValueError,
+                           match=f": unsupported version {VERSION + 1}$"):
+            load_table(path, (None, None))
+
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "t.cemb"
         save_table(path, np.ones((4, 4)))
