@@ -22,7 +22,7 @@ import socket
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from pathlib import Path
 from urllib.parse import unquote, urlsplit
@@ -391,7 +391,9 @@ def warm_cache(provider, catalog, cache_path: str | Path,
     Already-cached items are not re-fetched, so a rerun over a complete
     cache issues zero provider calls.  Fetches run on up to ``max_inflight``
     threads; rows are written back in ascending item id order regardless of
-    completion order.  A cache of another width than the provider's holds
+    completion order.  A failed fetch cancels the items not yet started;
+    the vectors that did come back are saved, then the first failure in
+    item order is raised.  A cache of another width than the provider's holds
     no vector to keep, so it is rebuilt.  Any other cache built by another
     provider kind or hash seed, or holding an item the catalog lacks,
     raises ValueError naming the cache before any provider call.
@@ -428,16 +430,23 @@ def warm_cache(provider, catalog, cache_path: str | Path,
 
     missing = sorted(i for i in catalog.content if i not in cache)
     if missing:
-        def fetch(item):
-            return item, provider.embed(catalog.content[item], key=item)
-
+        pool = ThreadPoolExecutor(max_workers=max(1, max_inflight))
         try:
-            with ThreadPoolExecutor(max_workers=max(1, max_inflight)) as pool:
-                for item, vec in pool.map(fetch, missing):
-                    cache.put(item, vec)
-        except Exception:
-            cache.save(cache_path)  # keep partial progress for the next resume
-            raise
+            futures = [pool.submit(provider.embed, catalog.content[item],
+                                   key=item) for item in missing]
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:    # after a failure, start no other item; finish those begun
+            pool.shutdown(cancel_futures=True)
+        failure = None
+        for item, future in zip(missing, futures):
+            try:
+                if not future.cancelled():
+                    cache.put(item, future.result())
+            except Exception as exc:
+                failure = failure or exc
+        if failure is not None:
+            cache.save(cache_path)  # every vector paid for, for the next resume
+            raise failure
         logger.info("cached %d new content vectors (%d total)",
                     len(missing), len(cache))
     cache.save(cache_path)

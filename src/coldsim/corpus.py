@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -226,6 +227,38 @@ def _raw_ids(ids, path) -> np.ndarray:
         raise ValueError(f"{path}: an id is outside the int64 range") from None
 
 
+def _corpus_files(root, *names: str) -> list[Path]:
+    """The paths of ``names`` in ``root``, each of which must exist."""
+    paths = [Path(root) / name for name in names]
+    missing = [p for p in paths if not p.exists()]
+    if missing:
+        raise FileNotFoundError(f"missing file: {missing[0]}")
+    return paths
+
+
+def _records(path: Path, sep: str, least: int, most: int, expected: str,
+             errors: str | None = None):
+    """(line number, fields) of each line of ``path`` not all whitespace,
+    split at ``sep``; not ``least`` to ``most`` fields raises ValueError."""
+    with open(path, encoding="utf-8", errors=errors) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            fields = line.rstrip("\n").split(sep)
+            if not least <= len(fields) <= most:
+                raise ValueError(f"{path}:{lineno}: malformed line, "
+                                 f"expected {expected}")
+            yield lineno, fields
+
+
+def _record_id(text: str, path: Path, lineno: int, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: non-integer {what} id "
+                         f"{text!r}") from None
+
+
 def _persist_idmap(path, raw_user_ids, raw_item_ids) -> None:
     doc = {"users": list(raw_user_ids), "items": list(raw_item_ids)}
     store.write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
@@ -273,31 +306,14 @@ def load_citeulike(path: str | Path, mapping_path: str | Path | None = None):
 
     Returns ``(InteractionLog, ItemCatalog)``.
     """
-    root = Path(path)
-    users_path, items_path = root / "users.dat", root / "items.tsv"
-    for p in (users_path, items_path):
-        if not p.exists():
-            raise FileNotFoundError(f"missing file: {p}")
-
+    users_path, items_path = _corpus_files(path, "users.dat", "items.tsv")
     texts: dict[int, tuple[str, str]] = {}   # raw id: (title, content)
-    with open(items_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) < 2:
-                raise ValueError(f"{items_path}:{lineno}: malformed line, "
-                                 f"expected id<TAB>title[<TAB>abstract]")
-            try:
-                raw = int(fields[0])
-            except ValueError:
-                raise ValueError(f"{items_path}:{lineno}: non-integer item id "
-                                 f"{fields[0]!r}") from None
-            title = fields[1]
-            abstract = fields[2] if len(fields) > 2 else ""
-            texts[raw] = (title, f"{title}. {abstract}".strip()
-                          if abstract else title)
+    for lineno, fields in _records(items_path, "\t", 2, sys.maxsize,
+                                   "id<TAB>title[<TAB>abstract]"):
+        raw = _record_id(fields[0], items_path, lineno, "item")
+        title, abstract = fields[1], fields[2] if len(fields) > 2 else ""
+        texts[raw] = (title, f"{title}. {abstract}".strip()
+                      if abstract else title)
 
     raw_items: list[int] = []   # every user's raw items, user after user
     counts: list[int] = []      # items per user
@@ -333,50 +349,28 @@ def load_movielens(path: str | Path, mapping_path: str | Path | None = None,
 
     Returns ``(InteractionLog, ItemCatalog)``.
     """
-    root = Path(path)
-    ratings_path, movies_path = root / "ratings.dat", root / "movies.dat"
-    for p in (ratings_path, movies_path):
-        if not p.exists():
-            raise FileNotFoundError(f"missing file: {p}")
-
+    ratings_path, movies_path = _corpus_files(path, "ratings.dat", "movies.dat")
     texts: dict[int, tuple[str, str]] = {}   # raw id: (title, content)
-    with open(movies_path, encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("::")
-            if len(fields) != 3:
-                raise ValueError(f"{movies_path}:{lineno}: malformed line, "
-                                 f"expected id::title::genres")
-            try:
-                raw = int(fields[0])
-            except ValueError:
-                raise ValueError(f"{movies_path}:{lineno}: non-integer movie id "
-                                 f"{fields[0]!r}") from None
-            genre_text = " ".join(g for g in fields[2].split("|") if g)
-            texts[raw] = (fields[1], f"{fields[1]} {genre_text}".strip())
+    for lineno, fields in _records(movies_path, "::", 3, 3, "id::title::genres",
+                                   errors="replace"):
+        raw = _record_id(fields[0], movies_path, lineno, "movie")
+        genre_text = " ".join(g for g in fields[2].split("|") if g)
+        texts[raw] = (fields[1], f"{fields[1]} {genre_text}".strip())
 
     records: list[tuple[int, int]] = []
-    with open(ratings_path, encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split("::")
-            if len(fields) != 4:
-                raise ValueError(f"{ratings_path}:{lineno}: malformed line, "
-                                 f"expected user::item::rating::timestamp")
-            try:
-                ru, ri, rating = int(fields[0]), int(fields[1]), float(fields[2])
-            except ValueError:
-                raise ValueError(f"{ratings_path}:{lineno}: non-numeric field") from None
-            if ri not in texts:
-                raise ValueError(f"{ratings_path}:{lineno}: item {ri} referenced "
-                                 f"without metadata")
-            if rating < min_rating:
-                continue
-            records.append((ru, ri))
+    for lineno, fields in _records(ratings_path, "::", 4, 4,
+                                   "user::item::rating::timestamp",
+                                   errors="replace"):
+        try:
+            ru, ri, rating = int(fields[0]), int(fields[1]), float(fields[2])
+        except ValueError:
+            raise ValueError(f"{ratings_path}:{lineno}: non-numeric field") from None
+        if ri not in texts:
+            raise ValueError(f"{ratings_path}:{lineno}: item {ri} referenced "
+                             f"without metadata")
+        if rating < min_rating:
+            continue
+        records.append((ru, ri))
 
     if not records:
         raise ValueError(f"{ratings_path}: no interactions")

@@ -66,26 +66,20 @@ class TowerMlp:
                         self.w2.copy(), self.b2.copy())
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        hidden = np.maximum(x @ self.w1 + self.b1, 0.0)
-        out = hidden @ self.w2 + self.b2
-        return out[0] if squeeze else out
+        """:meth:`forward_cached`'s output; a 1-D ``x`` is a one-row block."""
+        out = self.forward_cached(np.atleast_2d(x))[0]
+        return out[0] if np.ndim(x) == 1 else out
 
     def forward_cached(self, x: np.ndarray):
         """Forward pass keeping activations for :meth:`backward`."""
         x = np.asarray(x, dtype=np.float64)
-        pre = x @ self.w1 + self.b1
-        hidden = np.maximum(pre, 0.0)
-        out = hidden @ self.w2 + self.b2
-        return out, (x, pre, hidden)
+        hidden = np.maximum(x @ self.w1 + self.b1, 0.0)
+        return hidden @ self.w2 + self.b2, (x, hidden)
 
     def backward(self, ctx, d_out: np.ndarray) -> dict[str, np.ndarray]:
         """Parameter gradients for a batch given d(loss)/d(output)."""
-        x, pre, hidden = ctx
-        d_hidden = (d_out @ self.w2.T) * (pre > 0.0)
+        x, hidden = ctx
+        d_hidden = (d_out @ self.w2.T) * (hidden > 0.0)
         return {"w1": x.T @ d_hidden, "b1": d_hidden.sum(axis=0),
                 "w2": hidden.T @ d_out, "b2": d_out.sum(axis=0)}
 
@@ -253,14 +247,12 @@ def funnel_filter(raw_item: np.ndarray, k: int,
     one-row block whose list is returned alone.
     """
     rankings = []
-    if filter_l is not None:
-        if users_l is None:
-            raise ValueError("filter L supplied without its user vectors")
-        rankings.append(topk_candidates(filter_l, raw_item, users_l, k, item))
-    if filter_b is not None:
-        if users_b is None:
-            raise ValueError("filter B supplied without its user vectors")
-        rankings.append(topk_candidates(filter_b, raw_item, users_b, k, item))
+    for name, filt, users in (("L", filter_l, users_l), ("B", filter_b, users_b)):
+        if filt is None:
+            continue
+        if users is None:
+            raise ValueError(f"filter {name} supplied without its user vectors")
+        rankings.append(topk_candidates(filt, raw_item, users, k, item))
     if not rankings:
         raise ValueError("funnel_filter needs at least one trained filter")
     if np.ndim(raw_item) == 1:
@@ -379,12 +371,9 @@ def filter_validation_ndcg(filt: TwoTowerFilter, backbone: BackboneModel,
                            content_matrix: np.ndarray, hist_means: np.ndarray,
                            split: ColdWarmSplit, users, k: int = 20) -> float:
     """NDCG@k of filter-scored warm-item rankings against warm-val positives."""
-    def user_vectors(rows):
-        return filt.user_tower.forward(
-            np.concatenate([backbone.user_emb[rows], hist_means[rows]], axis=1))
-
     return ranked_validation_ndcg(
-        split, users, user_vectors,
+        split, users, lambda rows: user_filter_vectors(
+            filt, backbone.user_emb[rows], hist_means[rows]),
         lambda warm: filt.item_tower.forward(content_matrix[warm]),
         backbone.n_users, k)
 

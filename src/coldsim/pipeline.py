@@ -288,7 +288,7 @@ SWEEP_PARAMS = {"K": ("refiner", "k"), "warmup-lr": ("warmup", "lr")}
 
 def sweep(param: str, values, pipe: Pipeline, cfg: dict,
           tasks=("overall", "warm", "cold")) -> list[dict]:
-    """One full simulate/warm/evaluate cycle per parameter value.
+    """One ``full`` :func:`run_ablation` cycle (both filters) per value.
 
     Returns CSV-ready rows with the swept value and per-task metrics.
     """
@@ -302,13 +302,8 @@ def sweep(param: str, values, pipe: Pipeline, cfg: dict,
     rows = []
     for value in values:
         run_cfg = {**cfg, section: {**cfg[section], key: value}}
-        sims = simulate_all(pipe, run_cfg)
-        warmed = warm_from_simulations(pipe, sims, run_cfg)
         row = {"param": param, "value": value}
-        e = run_cfg["eval"]
-        for task in tasks:
-            report = evaluate(warmed, pipe.split, task=task, k=e["k"],
-                              n_users=e["users"], seed=e["seed"])
+        for task, report in run_ablation("full", pipe, run_cfg, tasks=tasks).items():
             row[f"{task}_recall"] = round(report.recall, 6)
             row[f"{task}_ndcg"] = round(report.ndcg, 6)
         rows.append(row)

@@ -189,6 +189,14 @@ class TestBprStep:
         loss = bpr_step(model, [(0, 1, 2)], lr=0.0)
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
+    def test_no_triples_is_a_zero_loss_no_op(self):
+        model = self.make_model(seed=4)
+        user, item = model.user_emb.tobytes(), model.item_emb.tobytes()
+        assert bpr_step(model, np.zeros((0, 3), dtype=np.int64), lr=1.0) == 0.0
+        assert bpr_step(model, [], lr=1.0) == 0.0
+        assert model.user_emb.tobytes() == user
+        assert model.item_emb.tobytes() == item
+
     def test_large_margin_loss_vanishes(self):
         model = self.make_model()
         model.user_emb[0] = np.full(6, 10.0)

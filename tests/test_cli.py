@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
@@ -9,7 +12,7 @@ import pytest
 from coldsim import store
 from coldsim.cli import _load_dataset, main
 from coldsim.config import default_config, load_config
-from coldsim.content import VectorCache
+from coldsim.content import VectorCache, mock_embed
 from coldsim.synthetic import make_two_cluster_dataset
 
 from conftest import (http_server, write_citeulike_fixture,
@@ -107,6 +110,20 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("command,code", [(["default-config"], 0),
+                                              (["frobnicate"], 1)])
+    def test_module_entry_point_exits_with_main_status(self, command, code):
+        # ``python -m coldsim.cli`` runs main() and exits with its status
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "coldsim.cli"] + command,
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == code, done.stderr
+        if code == 0:
+            assert json.loads(done.stdout) == default_config()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -298,6 +315,20 @@ class TestCommandErrors:
         assert "no trained filters found; run `train-filter` first" \
             in caplog.messages
 
+    @pytest.mark.parametrize("variant,named", [("L", "coupled"),
+                                               ("B", "behavior")])
+    def test_sweep_names_the_missing_filter(self, tmp_path, caplog,
+                                            simulated_run, variant, named):
+        config, run = simulated_run
+        out = tmp_path / "run"
+        shutil.copytree(run, out)
+        shutil.rmtree(out / f"filter_{variant}")
+        caplog.clear()
+        assert main(["--config", str(config), "--seed", "7", "--out",
+                     str(out), "sweep", "--param", "K", "--values", "4"]) == 1
+        assert f"variant 'full' needs the {named} filter" in caplog.messages
+        assert not (out / "sweep_K.csv").exists()
+
     @pytest.mark.parametrize("data,args,message", [
         ({}, ["--dataset", "citeulike"],
          "ingest needs --path (or data.path in the config)"),
@@ -312,6 +343,72 @@ class TestCommandErrors:
                      "ingest"] + args) == 1
         assert message in caplog.messages
         assert not (tmp_path / "run" / "dataset.json").exists()
+
+
+class _MockEmbedHandler(BaseHTTPRequestHandler):
+    """An embedding service answering each text with its 32-wide mock vector."""
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        payload = json.dumps({"vector": mock_embed(body["text"], 32).tolist()})
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.end_headers()
+        self.wfile.write(payload.encode())
+
+    def log_message(self, *args):
+        pass
+
+
+class TestCacheContentProviders:
+    """``cache-content`` with a ``file`` or ``http`` provider at
+    ``content.endpoint`` caches every catalog item's vector."""
+
+    def cache_content(self, config, out, capsys, **content):
+        config = changed_config(config, out.parent / "provider.json",
+                                content=content)
+        capsys.readouterr()
+        assert main(["--config", str(config), "--seed", "7", "--out",
+                     str(out), "cache-content"]) == 0
+        return capsys.readouterr().out
+
+    def test_file_provider_serves_a_saved_cache(self, tmp_path, capsys,
+                                                simulated_run):
+        config, run = simulated_run
+        out = tmp_path / "run"
+        shutil.copytree(run, out)
+        saved = tmp_path / "vectors.cemb"
+        for suffix in (".cemb", ".json"):
+            (out / "content_cache.cemb").with_suffix(suffix).rename(
+                saved.with_suffix(suffix))
+        stdout = self.cache_content(config, out, capsys, provider="file",
+                                    endpoint=str(saved))
+        assert stdout == "content cache: 18 vectors, dim 32\n"
+        want, got = VectorCache.load(saved), VectorCache.load(
+            out / "content_cache.cemb")
+        assert got.provider_kind == "file" and got.dim == 32
+        assert sorted(got.vectors) == sorted(want.vectors) == list(range(18))
+        assert all(got.vectors[i].tobytes() == want.vectors[i].tobytes()
+                   for i in want.vectors)
+
+    def test_http_provider_embeds_through_the_service(self, tmp_path, capsys,
+                                                      simulated_run):
+        config, run = simulated_run
+        out = tmp_path / "run"
+        shutil.copytree(run, out)
+        for suffix in (".cemb", ".json"):
+            (out / "content_cache.cemb").with_suffix(suffix).unlink()
+        with http_server(_MockEmbedHandler) as server:
+            stdout = self.cache_content(config, out, capsys, provider="http",
+                                        endpoint=f"{server.base_url}/embed")
+        assert stdout == "content cache: 18 vectors, dim 32\n"
+        _, catalog = _load_dataset(out)
+        got = VectorCache.load(out / "content_cache.cemb")
+        assert got.provider_kind == "http" and sorted(got.vectors) == \
+            sorted(catalog.content)
+        for item, text in catalog.content.items():
+            assert got.vectors[item].tobytes() == \
+                mock_embed(text, 32).astype(np.float32).tobytes()
 
 
 class TestRetrainFilter:

@@ -1,5 +1,6 @@
 import json
 import re
+import threading
 from http.server import BaseHTTPRequestHandler
 
 import numpy as np
@@ -196,6 +197,23 @@ class TestEmbedContent:
         got = provider.embed("ignored text", key=3)
         assert np.array_equal(got.astype(np.float32), cache.vectors[3])
 
+    def test_file_provider_refuses_empty_text(self, tmp_path):
+        cache = VectorCache(dim=16, provider_kind="mock", hash_seed=0)
+        cache.put(3, mock_embed("three", 16))
+        cache.save(tmp_path / "vecs.cemb")
+        provider = FileContentProvider(tmp_path / "vecs.cemb")
+        with pytest.raises(ValueError, match="^cannot embed empty text$"):
+            provider.embed("", key=3)
+
+    def test_http_provider_refuses_empty_text_before_any_request(
+            self, monkeypatch):
+        provider = HttpContentProvider("http://127.0.0.1:9/embed", timeout=1)
+        sent = []
+        monkeypatch.setattr(provider._session, "post", sent.append)
+        with pytest.raises(ValueError, match="^cannot embed empty text$"):
+            provider.embed("")
+        assert sent == []
+
     def test_file_provider_unknown_key(self, tmp_path):
         cache = VectorCache(dim=4, provider_kind="mock")
         cache.put(0, np.ones(4))
@@ -350,23 +368,82 @@ class TestWarmCache:
 
     def test_failed_call_saves_the_vectors_before_it(self, tmp_path):
         # one call at a time: the items before the failing one are cached,
-        # and the resume embeds only the rest
+        # and the resume embeds only the rest; the one worker may start
+        # item 6 before the failure cancels it, and its vector is kept too
         catalog = self.make_catalog(8)
 
-        class FailingProvider(CountingProvider):
+        class FailingProvider(KeyRecordingProvider):
+            kind, dim, hash_seed = "mock", 16, 0     # CountingProvider's
+
             def embed(self, text, key=None):
                 if key == 5:
                     raise ProviderError("embed service failed after 3 attempts")
                 return super().embed(text, key=key)
 
+        failing = FailingProvider()
         with pytest.raises(ProviderError, match="after 3 attempts"):
-            warm_cache(FailingProvider(dim=16), catalog, tmp_path / "c.cemb",
-                       max_inflight=1)
-        assert sorted(VectorCache.load(tmp_path / "c.cemb").vectors) == \
-            [0, 1, 2, 3, 4]
+            warm_cache(failing, catalog, tmp_path / "c.cemb", max_inflight=1)
+        saved = sorted(VectorCache.load(tmp_path / "c.cemb").vectors)
+        assert saved == sorted(failing.keys) and saved[:5] == [0, 1, 2, 3, 4]
         provider = CountingProvider(dim=16)
         cache = warm_cache(provider, catalog, tmp_path / "c.cemb")
-        assert provider.calls == 3 and len(cache) == 8
+        assert provider.calls == 8 - len(saved) and len(cache) == 8
+
+    def test_failed_call_keeps_every_vector_that_came_back(self, tmp_path):
+        # item 5 fails only once items 6 and 7 have returned: their vectors
+        # were paid for, so they are saved, and the resume skips them
+        catalog = self.make_catalog(40)
+        later = {6: threading.Event(), 7: threading.Event()}
+
+        class LateFailingProvider(KeyRecordingProvider):
+            kind, dim = "mock", 16
+
+            def embed(self, text, key=None):
+                if key == 5:
+                    assert all(e.wait(10) for e in later.values())
+                    raise ProviderError("embed service failed after 3 attempts")
+                vec = super().embed(text, key=key)
+                if key in later:
+                    later[key].set()
+                return vec
+
+        failing = LateFailingProvider()
+        with pytest.raises(ProviderError, match="after 3 attempts"):
+            warm_cache(failing, catalog, tmp_path / "c.cemb", max_inflight=8)
+        saved = VectorCache.load(tmp_path / "c.cemb").vectors
+        assert sorted(saved) == sorted(failing.keys)
+        assert {0, 1, 2, 3, 4, 6, 7} <= set(saved) and 5 not in saved
+        for item, vec in saved.items():
+            assert np.array_equal(vec, mock_embed(catalog.content[item], 16)
+                                  .astype(np.float32))
+        resumed = KeyRecordingProvider()
+        resumed.kind, resumed.dim = "mock", 16
+        cache = warm_cache(resumed, catalog, tmp_path / "c.cemb")
+        assert sorted(resumed.keys) == sorted(set(range(40)) - set(saved))
+        assert len(cache) == 40
+
+    def test_first_failure_in_item_order_is_raised(self, tmp_path):
+        # item 9 fails first in time, item 3 after it: item 3's error is raised
+        nine_failed = threading.Event()
+
+        class TwoFailures(KeyRecordingProvider):
+            kind, dim = "mock", 16
+
+            def embed(self, text, key=None):
+                if key == 3:
+                    assert nine_failed.wait(10)
+                    raise ProviderError("item 3 failed")
+                if key == 9:
+                    nine_failed.set()
+                    raise ProviderError("item 9 failed")
+                return super().embed(text, key=key)
+
+        provider = TwoFailures()
+        with pytest.raises(ProviderError, match="^item 3 failed$"):
+            warm_cache(provider, self.make_catalog(12), tmp_path / "c.cemb",
+                       max_inflight=12)
+        assert sorted(VectorCache.load(tmp_path / "c.cemb").vectors) == \
+            sorted(provider.keys)
 
     def test_matches_direct_calls(self, tmp_path):
         provider = MockContentProvider(dim=32)

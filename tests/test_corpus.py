@@ -24,7 +24,7 @@ from hypothesis.extra import numpy as hnp
 from coldsim.corpus import (PAIR_FIELDS, ColdWarmSplit, InteractionLog,
                             lexsorted, load_citeulike, load_movielens,
                             make_cold_split)
-from coldsim.synthetic import random_toy_log
+from coldsim.synthetic import make_two_cluster_dataset, random_toy_log
 
 from conftest import (as_tuples, pair_split, write_citeulike_fixture,
                       write_movielens_fixture)
@@ -165,7 +165,10 @@ class TestLoadCiteulike:
     @pytest.mark.parametrize("line,message", [
         ("5 no tab here", "items.tsv:2: malformed line, expected "
                           "id<TAB>title[<TAB>abstract]"),
-        ("x5\tT\tA", "items.tsv:2: non-integer item id 'x5'")])
+        ("x5\tT\tA", "items.tsv:2: non-integer item id 'x5'"),
+        # a blank line keeps its number
+        (" \t \n20", "items.tsv:3: malformed line, expected "
+                      "id<TAB>title[<TAB>abstract]")])
     def test_bad_items_line_named(self, tmp_path, line, message):
         root = write_citeulike_fixture(tmp_path / "cu", [[1]], [(1, "T", "A")])
         with open(root / "items.tsv", "a", encoding="utf-8") as fh:
@@ -291,7 +294,12 @@ class TestLoadMovielens:
          "ratings.dat:2: non-numeric field"),
         ("ratings.dat", "1::9::5::0\n",
          "ratings.dat:1: item 9 referenced without metadata"),
-        ("ratings.dat", "\n", "ratings.dat: no interactions")])
+        ("ratings.dat", "\n", "ratings.dat: no interactions"),
+        # a blank line keeps its number
+        ("movies.dat", "1::M::Drama\n \n2::B\n",
+         "movies.dat:3: malformed line, expected id::title::genres"),
+        ("ratings.dat", "\t\n1::1::5\n", "ratings.dat:2: malformed line, "
+                                          "expected user::item::rating::timestamp")])
     def test_bad_record_named(self, tmp_path, name, text, message):
         root = write_movielens_fixture(tmp_path / "ml", [(1, 1, 5, 0)],
                                        [(1, "M", "Drama")])
@@ -304,6 +312,68 @@ class TestLoadMovielens:
                                        [(1, "M", "Drama")])
         with pytest.raises(ValueError, match="ratings.dat: no interactions$"):
             load_movielens(root, min_rating=4)
+
+
+class TestRecordLines:
+    """The three record files share one reader: a line of only whitespace
+    is blank, CRLF ends a line as LF does, ``items.tsv`` is
+    strict UTF-8 and the MovieLens files replace what does not decode."""
+
+    BLANKS = ["\n", " \n", "\t\n", " \t \r\n", "\r\n"]
+
+    def citeulike(self, tmp_path, items: bytes):
+        root = write_citeulike_fixture(tmp_path / "cu", [[10, 20]],
+                                       [(10, "x", "x")])
+        (root / "items.tsv").write_bytes(items)
+        return load_citeulike(root)
+
+    def movielens(self, tmp_path, ratings: bytes, movies: bytes):
+        root = write_movielens_fixture(tmp_path / "ml", [(1, 1, 5, 0)],
+                                       [(1, "x", "x")])
+        (root / "ratings.dat").write_bytes(ratings)
+        (root / "movies.dat").write_bytes(movies)
+        return load_movielens(root)
+
+    @pytest.mark.parametrize("blank", BLANKS)
+    def test_items_tsv_blank_lines_skipped(self, tmp_path, blank):
+        _, catalog = self.citeulike(
+            tmp_path, f"{blank}10\tAlpha\tabout a\n{blank}20\tBeta\n"
+                      f"{blank}".encode())
+        assert catalog.content == {0: "Alpha. about a", 1: "Beta"}
+
+    @pytest.mark.parametrize("blank", BLANKS)
+    def test_movielens_blank_lines_skipped(self, tmp_path, blank):
+        log, catalog = self.movielens(
+            tmp_path, f"{blank}1::1::5::0\n{blank}2::2::4::0\n".encode(),
+            f"1::A::Drama\n{blank}2::B::\n{blank}".encode())
+        assert as_tuples(log.pairs) == [(0, 0), (1, 1)]
+        assert catalog.content == {0: "A Drama", 1: "B"}
+
+    def test_crlf_lines_parse_as_lf_lines(self, tmp_path):
+        _, catalog = self.citeulike(
+            tmp_path, b"10\tAlpha\tabout a\r\n20\tBeta\r\n")
+        assert catalog.content == {0: "Alpha. about a", 1: "Beta"}
+        assert catalog.titles == {0: "Alpha", 1: "Beta"}
+        log, catalog = self.movielens(tmp_path, b"1::1::5::0\r\n",
+                                      b"1::A::Drama|War\r\n")
+        assert as_tuples(log.pairs) == [(0, 0)]
+        assert catalog.content == {0: "A Drama War"}
+
+    def test_items_tsv_refuses_what_is_not_utf8(self, tmp_path):
+        with pytest.raises(UnicodeDecodeError):
+            self.citeulike(tmp_path, b"10\tAl\xffpha\n20\tBeta\n")
+
+    def test_movielens_replaces_what_is_not_utf8(self, tmp_path):
+        log, catalog = self.movielens(tmp_path, b"1::1::5::0\xff\n",
+                                      b"1::Al\xffpha::Drama\n")
+        assert as_tuples(log.pairs) == [(0, 0)]
+        assert catalog.titles == {0: "Al\ufffdpha"}
+
+
+class TestPlantedDataset:
+    def test_more_groups_than_words_rejected(self):
+        with pytest.raises(ValueError, match="^at most 8 groups per cluster$"):
+            make_two_cluster_dataset(groups_per_cluster=9)
 
 
 class TestMakeColdSplit:

@@ -54,6 +54,17 @@ class TestMetricClosedForms:
             1.0 / math.log2(4), abs=1e-15)
         assert ndcg_at_k([9, 8, 4, 7], {4}, 4) == pytest.approx(0.5, abs=1e-15)
 
+    @pytest.mark.parametrize("metric", [recall_at_k, ndcg_at_k])
+    def test_duplicates_in_a_ranking_rejected(self, metric):
+        with pytest.raises(ValueError,
+                           match="^ranked list contains duplicates$"):
+            metric([4, 2, 4], {4}, 3)
+
+    def test_csv_of_no_rows_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="^no rows to write$"):
+            reports_to_csv([], tmp_path / "rows.csv")
+        assert not (tmp_path / "rows.csv").exists()
+
     def test_empty_relevant_convention(self):
         assert ndcg_at_k([1, 2], set(), 2) == 0.0
         assert recall_at_k([1, 2], set(), 2) == 0.0

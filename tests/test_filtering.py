@@ -222,6 +222,17 @@ class TestFunnel:
         with pytest.raises(ValueError):
             funnel_filter(np.ones(5), 10)
 
+    @pytest.mark.parametrize("given,named", [
+        ({}, "L"), ({"users_l": "L"}, "B"), ({"users_b": "B"}, "L")])
+    def test_missing_user_vectors_named(self, given, named):
+        # L is checked first, so with both missing the message names L
+        filt_b, filt_l, users_b, users_l = self.build(4)
+        vectors = {"L": users_l, "B": users_b}
+        with pytest.raises(ValueError, match=f"^filter {named} supplied "
+                                             f"without its user vectors$"):
+            funnel_filter(np.ones(5), 10, filter_b=filt_b, filter_l=filt_l,
+                          **{k: vectors[v] for k, v in given.items()})
+
     def test_empty_block_gives_no_candidate_sets(self):
         filt_b, filt_l, users_b, users_l = self.build(3)
         assert funnel_filter(np.ones((0, 5)), 10, filter_b=filt_b,

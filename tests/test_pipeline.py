@@ -117,6 +117,13 @@ class TestAblations:
         with pytest.raises(ValueError, match="coupled filter"):
             pipeline.run_ablation("no-bf", stripped, cfg)
 
+    def test_missing_behavior_filter_rejected(self, small_pipe):
+        _, _, cfg, pipe = small_pipe
+        stripped = dataclasses.replace(pipe, filter_b=None)
+        with pytest.raises(ValueError, match="^variant 'no-lsf' needs the "
+                                             "behavior filter$"):
+            pipeline.run_ablation("no-lsf", stripped, cfg)
+
     def test_labeler_without_filters_rejected(self, small_pipe):
         _, _, cfg, pipe = small_pipe
         bare = dataclasses.replace(pipe, filter_b=None, filter_l=None)
@@ -275,6 +282,16 @@ class TestSweep:
         rows = pipeline.sweep("warmup-lr", [0.01, 0.1], pipe, cfg,
                               tasks=("cold",))
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("missing,named", [("filter_l", "coupled"),
+                                               ("filter_b", "behavior")])
+    def test_needs_both_filters(self, small_pipe, missing, named):
+        # a sweep runs the full variant: it never sweeps one filter alone
+        _, _, cfg, pipe = small_pipe
+        stripped = dataclasses.replace(pipe, **{missing: None})
+        with pytest.raises(ValueError, match=f"^variant 'full' needs the "
+                                             f"{named} filter$"):
+            pipeline.sweep("K", [4], stripped, cfg)
 
     def test_bad_param(self, small_pipe):
         _, _, cfg, pipe = small_pipe

@@ -1020,6 +1020,13 @@ class TestFinetuneExport:
         assert sum(1 for r in records if r.completion == "Yes") == 10
         assert sum(1 for r in records if r.completion == "No") == 10
 
+    def test_unknown_mode_rejected(self):
+        data, split, filt, content = self.setup_split()
+        with pytest.raises(ValueError, match="^mode must be 'offline' or "
+                                             "'online', got 'batch'$"):
+            prepare_finetune_data(split, data.catalog, filt, content,
+                                  mode="batch", n_users=data.log.n_users)
+
     def test_no_positives_error(self):
         data, split, filt, content = self.setup_split()
         split = dataclasses.replace(split, warm_train=[])
