@@ -208,31 +208,37 @@ def assert_draws_equal_scalar_loop(seed, bounds, rate, tries):
 @pytest.mark.parametrize("tries", [1, 3, 100, None])
 @pytest.mark.parametrize("seed", range(4))
 def test_draw_accepted_equals_scalar_loop(seed, tries):
-    # mixed bounds, so shifted rows sometimes fit and sometimes not, over
-    # one or more blocks; per-slot rejection rates up to always (exhausted
-    # slots) when tries are limited
+    # mixed bounds, so a rejection rewinds the block, then every slot's
+    # bounds equal, so a rejection shifts the block's later rows; over one
+    # or more blocks; per-slot rejection rates mixed, then all at one
+    # level, and up to always (exhausted slots) when tries are limited
     rng = np.random.default_rng(seed)
     n, width = int(rng.integers(0, 300)), int(rng.integers(1, 3))
-    bounds = rng.choice([2, 3, 7, 7, 7, 50], size=(n, width))
-    rate = rng.choice([0, 0, 10, 50, 90], size=n)
-    if tries and n:
-        rate[rng.choice(n, size=min(n, 4), replace=False)] = 100
-    assert_draws_equal_scalar_loop(seed, bounds, rate, tries)
+    mixed = rng.choice([2, 3, 7, 7, 7, 50], size=(n, width))
+    rates = [rng.choice([0, 0, 10, 50, 90], size=n)]
+    rates += [np.full(n, level) for level in (10, 50, 90)]
+    always = rng.choice(n, size=min(n, 4), replace=False) if tries and n else []
+    for rate in rates:
+        rate[always] = 100
+    for bounds in (mixed, np.repeat(mixed[:1], n, axis=0)):
+        for rate in rates:
+            assert_draws_equal_scalar_loop(seed, bounds, rate, tries)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=160, deadline=None, derandomize=True, database=None)
 @given(slots=st.lists(st.tuples(st.sampled_from([1, 2, 3, 7, 50]),
                                 st.sampled_from([1, 2, 3, 7, 50]),
                                 st.sampled_from([0, 10, 50, 90, 100])),
                       max_size=60),
        width=st.integers(1, 2), tries=st.sampled_from([1, 3, None]),
-       seed=st.integers(0, 2**32 - 1))
-@example(slots=[], width=1, tries=None, seed=27)
-@example(slots=[], width=2, tries=3, seed=27)
-def test_draw_accepted_equals_scalar_loop_property(slots, width, tries, seed):
-    # width 1 goes in as 1-D bounds; no limit on tries needs a slot that
-    # accepts something
-    bounds = np.array([s[:width] for s in slots],
+       equal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(slots=[], width=1, tries=None, equal=False, seed=27)
+@example(slots=[], width=2, tries=3, equal=True, seed=27)
+def test_draw_accepted_equals_scalar_loop_property(slots, width, tries, equal,
+                                                   seed):
+    # width 1 goes in as 1-D bounds; equal gives every slot the first
+    # slot's bounds; no limit on tries needs a slot that accepts something
+    bounds = np.array([(slots[0] if equal else s)[:width] for s in slots],
                       dtype=np.int64).reshape(len(slots), width)
     rate = [min(s[2], 90) if tries is None else s[2] for s in slots]
     assert_draws_equal_scalar_loop(seed, bounds[:, 0] if width == 1 else bounds,
