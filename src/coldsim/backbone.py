@@ -6,7 +6,6 @@ float32 binary table format in :mod:`coldsim.store`.
 
 from __future__ import annotations
 
-import bisect
 import logging
 import math
 from dataclasses import dataclass, field
@@ -22,8 +21,8 @@ logger = logging.getLogger(__name__)
 
 # Attempts a negative sampler makes for one positive before giving it up.
 MAX_REJECTS = 100
-# Attempts draw_accepted draws in one block, and tests in one call; a
-# rewind redraws up to this many.
+# Attempts draw_accepted draws as one block; a rejection re-tests the
+# rest of the block (equal bounds) or rewinds it, redrawing up to this many.
 DRAW_BLOCK = 256
 
 
@@ -168,62 +167,41 @@ def draw_accepted(rng: np.random.Generator, bounds, rejected,
     return an attempt to accept.  Returns each slot's attempt (2-D) and
     whether it was accepted; the final ``rng`` state is the scalar loop's.
 
-    Blocks of ``DRAW_BLOCK`` attempts are drawn as if all pass.  Under
-    equal bounds a rejection shifts the block's later rows onto the slots
-    before them; otherwise, and before ``exhausted``, the block is rewound
-    and its used rows are drawn again.  ``rejected`` is asked about rows
-    under several shifts at once, so it also sees attempts paired with
-    slots they do not serve; those answers are not used.
+    Blocks of ``DRAW_BLOCK`` attempts are drawn as if all pass, and the
+    rows left are tested in one ``rejected`` call.  After a rejection,
+    under equal bounds the later rows are tested again on the slots from
+    the rejected one on; otherwise, and before ``exhausted``, the block is
+    rewound and its used rows are drawn again.  ``rejected`` so also sees
+    rows paired with slots they do not serve; those answers are not used.
     """
     bounds = np.asarray(bounds, dtype=np.int64)
     if bounds.ndim == 1:
         bounds = bounds[:, None]
     draws, ok = np.zeros(bounds.shape, np.int64), np.zeros(len(bounds), bool)
-    uniform = None              # whether all bounds are equal, once needed
-    band = 1                    # shifts per table of rejections
-    slot = failed = shifts = 0  # next slot, its failed tries, recent shifts
+    uniform = bool((bounds == bounds[:1]).all())
+    slot = failed = 0           # next slot, its failed tries
     while slot < len(bounds):
         state, drawn = rng.bit_generator.state, bounds[slot:slot + DRAW_BLOCK]
-        block = rng.integers(0, drawn)
-        row = shift = last = top = 0    # row r serves slot slot + r - shift
-        gave_up = None
-        while row < len(block):
-            if row == last or shift == top:
-                # which rows first..last are rejected under the shifts
-                # top - band..top, keyed (shift - top + band) * (last - first)
-                # + row - first; the band follows the rate of rejections
-                band = 2 * band if shift == top > 0 else max(1, shifts)
-                first, top, shifts = row, shift + band, 0
-                last = min(len(block), row + max(1, DRAW_BLOCK // band))
-                serves = np.arange(slot + row - shift, slot + last - shift)
-                attempts = block[row:last]
-                if band > 1:
-                    serves = (serves - np.arange(band)[:, None]).ravel()
-                    np.maximum(serves, 0, out=serves)   # < 0: never served
-                    attempts = np.concatenate([attempts] * band)
-                keys = rejected(serves, attempts).nonzero()[0].tolist()
-            base = (shift - top + band) * (last - first) - first
-            k = bisect.bisect_left(keys, base + row)
-            end = min(keys[k] - base if k < len(keys) else last, last)
-            if end > row:
-                draws[slot + row - shift:slot + end - shift] = block[row:end]
-                ok[slot + row - shift:slot + end - shift] = True
-                failed, row = 0, end
-            if row == last:
-                continue
+        block, row, gave_up = rng.integers(0, drawn), 0, None
+        while row < len(block):     # block[row:] serves slot, slot + 1, ...
+            bad = rejected(np.arange(slot, slot + len(block) - row),
+                           block[row:]).nonzero()[0]
+            end = row + int(bad[0]) if len(bad) else len(block)
+            draws[slot:slot + end - row] = block[row:end]
+            ok[slot:slot + end - row] = True
+            failed = 0 if end > row else failed
+            slot, row = slot + end - row, end
+            if row == len(block):
+                break
             failed, row = failed + 1, row + 1
             if tries is None or failed < tries:
-                shift, shifts = shift + 1, shifts + 1
-                if uniform is None:
-                    uniform = bool((bounds == bounds[0]).all())
-                if not uniform:     # the shifted rows' bounds may differ
+                if not uniform:     # the later rows' bounds may differ
                     break
             elif exhausted is None:
-                failed = 0
+                failed, slot = 0, slot + 1
             else:
-                failed, gave_up = 0, slot + row - 1 - shift
+                failed, gave_up, slot = 0, slot, slot + 1
                 break
-        slot += row - shift
         if row < len(block):
             rng.bit_generator.state = state
             rng.integers(0, drawn[:row])
@@ -249,6 +227,17 @@ def _epoch_triples(rng, split: ColdWarmSplit, n_users: int) -> np.ndarray:
         logger.warning("epoch sampling skipped %d exhausted positives",
                        len(ok) - ok.sum())
     return np.column_stack([positives[ok], warm[draws[ok, 0]]])
+
+
+def check_trainable(split: ColdWarmSplit, section: str, eval_users: int) -> None:
+    """ValueError unless ``split`` has warm-train pairs to fit and
+    ``eval_users`` (the ``section``'s) asks for at least one validation
+    user."""
+    if len(split.warm_train) == 0:
+        raise ValueError("warm-train split is empty")
+    if eval_users < 1:
+        raise ValueError(f"{section}.eval_users must be at least 1, got "
+                         f"{eval_users}")
 
 
 def ordered_subsample(rng, seq, n: int | None):
@@ -335,9 +324,9 @@ def train_backbone(split: ColdWarmSplit, config: BackboneConfig,
     A batch whose loss is not finite is skipped and halves lr; an epoch
     that leaves a weight non-finite or a validation score NaN raises
     :class:`DivergenceError`.  Cold item rows keep their initialization.
+    An empty warm-train split or ``eval_users`` below 1 raises ValueError.
     """
-    if len(split.warm_train) == 0:
-        raise ValueError("warm-train split is empty")
+    check_trainable(split, "backbone", config.eval_users)
     model = BackboneModel(
         user_emb=init_embeddings(n_users, config.dim, config.seed),
         item_emb=init_embeddings(n_items, config.dim, config.seed + 1),

@@ -63,14 +63,15 @@ def _save_dataset(out: Path, log: InteractionLog, catalog: ItemCatalog) -> None:
 
 
 def _load_dataset(out: Path):
-    with open(_require(out / "dataset.json", "ingest"), encoding="utf-8") as fh:
-        doc = json.load(fh)
-    log = InteractionLog.from_pairs(doc["n_users"], doc["n_items"], doc["pairs"])
-    catalog = ItemCatalog(
-        content={int(i): t for i, t in doc["content"].items()},
-        titles=({int(i): t for i, t in doc["titles"].items()}
-                if doc.get("titles") else None))
-    return log, catalog
+    def parse(doc):
+        log = InteractionLog.from_pairs(doc["n_users"], doc["n_items"],
+                                        doc["pairs"])
+        catalog = ItemCatalog(
+            content={int(i): t for i, t in doc["content"].items()},
+            titles=({int(i): t for i, t in doc["titles"].items()}
+                    if doc.get("titles") else None))
+        return log, catalog
+    return store.load_json(_require(out / "dataset.json", "ingest"), parse)
 
 
 def _load_split(out: Path) -> ColdWarmSplit:
@@ -136,19 +137,21 @@ def _load_simulations(out: Path, n_users: int,
                       cold_items) -> dict[int, SimulationResult]:
     """``simulated.json``, its items cold and its users ints in [0, n_users)."""
     path = _require(out / "simulated.json", "simulate")
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
     cold = {str(i) for i in cold_items}
-    for key, body in doc.items():
-        bad = [u for u in body["users"]     # a bool is not a user id
-               if type(u) is not int or not 0 <= u < n_users]
-        if key not in cold or bad:
-            raise ValueError(f"{path}: item {key} " + (
-                "is not a cold item" if key not in cold else
-                f"has user {bad[0]!r}, not a user id in [0, {n_users})"))
-    return {int(item): SimulationResult(item=int(item), users=body["users"],
-                                        fallback_used=body["fallback_used"])
-            for item, body in doc.items()}
+
+    def parse(doc):
+        for key, body in doc.items():
+            bad = [u for u in body["users"]     # a bool is not a user id
+                   if type(u) is not int or not 0 <= u < n_users]
+            if key not in cold or bad:
+                raise ValueError(f"{path}: item {key} " + (
+                    "is not a cold item" if key not in cold else
+                    f"has user {bad[0]!r}, not a user id in [0, {n_users})"))
+        return {int(item): SimulationResult(
+                    item=int(item), users=body["users"],
+                    fallback_used=body["fallback_used"])
+                for item, body in doc.items()}
+    return store.load_json(path, parse)
 
 
 # ---------------------------------------------------------------- commands

@@ -373,14 +373,12 @@ class VectorCache:
     @classmethod
     def load(cls, path: str | Path) -> "VectorCache":
         path = Path(path)
-        with open(path.with_suffix(".json"), encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-        cache = cls(dim=int(sidecar["dim"]), provider_kind=sidecar["kind"],
-                    hash_seed=sidecar["hash_seed"])
-        items = sidecar["items"]
+        cache, items = store.load_json(path.with_suffix(".json"), lambda doc: (
+            cls(dim=int(doc["dim"]), provider_kind=doc["kind"],
+                hash_seed=doc["hash_seed"]), [int(i) for i in doc["items"]]))
         table = store.load_table(path, (len(items), cache.dim))
         for row, item in zip(table, items):
-            cache.vectors[int(item)] = row
+            cache.vectors[item] = row
         return cache
 
 

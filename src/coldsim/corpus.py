@@ -211,12 +211,11 @@ class ColdWarmSplit:
 
     @classmethod
     def load(cls, path: str | Path) -> "ColdWarmSplit":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return cls(warm_items=list(doc["warm_items"]),
-                   cold_items=list(doc["cold_items"]),
-                   **{name: doc[name] for name in PAIR_FIELDS},
-                   seed=int(doc["seed"]), cold_frac=float(doc["cold_frac"]))
+        return store.load_json(path, lambda doc: cls(
+            warm_items=list(doc["warm_items"]),
+            cold_items=list(doc["cold_items"]),
+            **{name: doc[name] for name in PAIR_FIELDS},
+            seed=int(doc["seed"]), cold_frac=float(doc["cold_frac"])))
 
 
 def _raw_ids(ids, path) -> np.ndarray:

@@ -72,10 +72,14 @@ def evaluate(model: BackboneModel, split: ColdWarmSplit, task: str = "overall",
     """Macro-averaged Recall@K and NDCG@K over a sampled user set.
 
     Samples up to ``n_users`` users having at least one test positive for
-    the task.  Scores are embedding dot products over the full catalog with
-    each user's warm-train positives excluded, ranked a chunk of users at a
-    time by :func:`~coldsim.metrics.rank_by_score`.
+    the task; ``n_users`` below 1 raises ValueError.  Scores are embedding
+    dot products over the full catalog with each user's warm-train
+    positives excluded, ranked a chunk of users at a time by
+    :func:`~coldsim.metrics.rank_by_score`.
     """
+    if n_users < 1:
+        raise ValueError(f"evaluation needs a user sample of at least 1, "
+                         f"got n_users={n_users}")
     index = split.index(model.n_users)
     relevant = index.relevant(task)
     eligible = np.flatnonzero(relevant.sizes(np.arange(model.n_users)))

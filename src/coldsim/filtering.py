@@ -23,8 +23,8 @@ import numpy as np
 
 from . import store
 from .backbone import (BackboneModel, DivergenceError, _epoch_triples,
-                       draw_accepted, expit, fit_epochs, ordered_subsample,
-                       ranked_validation_ndcg)
+                       check_trainable, draw_accepted, expit, fit_epochs,
+                       ordered_subsample, ranked_validation_ndcg)
 from .corpus import ColdWarmSplit
 from .metrics import rank_by_score, row_chunks
 
@@ -130,8 +130,9 @@ class TwoTowerFilter:
         ``backbone_dim`` and ``content_dim`` when both are given; a table
         that does not fit raises ValueError naming it."""
         out = Path(out_dir)
-        with open(out / "manifest.json", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        manifest = store.load_json(out / "manifest.json", lambda doc: {
+            key: doc[key]
+            for key in ("variant", "user_d_in", "item_d_in", "hidden", "out")})
         if content_dim is not None:
             manifest.update(user_d_in=backbone_dim + content_dim,
                             item_d_in=content_dim)
@@ -416,8 +417,7 @@ def train_behavior_filter(filt: TwoTowerFilter, backbone: BackboneModel,
     inputs; one fresh negative is sampled per positive per epoch.  Returns
     the filter (best validation-NDCG snapshot) and the epoch history.
     """
-    if len(split.warm_train) == 0:
-        raise ValueError("warm-train split is empty")
+    check_trainable(split, "filter", config.eval_users)
 
     def batches(rng, user_inputs):
         triples = _epoch_triples(rng, split, backbone.n_users)
@@ -473,8 +473,7 @@ def train_coupled_filter(filt: TwoTowerFilter, backbone: BackboneModel,
     """
     from .refiner import OracleError  # refiner imports this module
 
-    if len(split.warm_train) == 0:
-        raise ValueError("warm-train split is empty")
+    check_trainable(split, "filter", config.eval_users)
     pool = sample_label_pairs(split, backbone.n_users, config.label_pairs,
                               config.seed + 17)
 

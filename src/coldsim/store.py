@@ -1,4 +1,5 @@
-"""Artifact persistence: the one atomic file writer and embedding tables.
+"""Artifact persistence: the one atomic file writer, embedding tables and
+the one JSON artifact reader.
 
 Every file coldsim saves goes through :func:`write_atomic`.  Table layout:
 a 16-byte header (magic ``CEMB``, uint32 version, uint32 rows, uint32 dim,
@@ -8,6 +9,7 @@ order.  A TSV exporter is provided for eyeballing tables.
 
 from __future__ import annotations
 
+import json
 import os
 import secrets
 import struct
@@ -87,6 +89,21 @@ def load_table(path: str | Path, shape: tuple[int | None, int | None]) -> np.nda
     if len(payload) != rows * dim * 4:
         raise ValueError(f"{path}: truncated payload")
     return np.frombuffer(payload, dtype="<f4").reshape(rows, dim).copy()
+
+
+def load_json(path: str | Path, parse):
+    """``parse(doc)`` of the JSON document in ``path``: this is the one
+    place a JSON artifact is read.  A document that is not JSON, or that
+    ``parse`` cannot read (a missing key, a list where a mapping belongs),
+    raises ValueError naming ``path``; ValueErrors ``parse`` raises pass
+    through as they are."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse(json.load(fh))
+        except (json.JSONDecodeError, KeyError, TypeError, IndexError,
+                AttributeError) as exc:
+            raise ValueError(f"{path}: malformed ({type(exc).__name__}: "
+                             f"{exc})") from exc
 
 
 def export_tsv(path: str | Path, values: np.ndarray) -> None:

@@ -113,6 +113,33 @@ class TestSampleTriples:
             with pytest.raises(ValueError, match="warm-train split is empty"):
                 train()
 
+    def test_no_validation_users_refused(self, toy_log):
+        # validating on no users would score 0.0 and keep epoch 1 through
+        # early stopping; every trainer refuses it before any work, the
+        # coupled one before asking its labeler
+        split = make_cold_split(toy_log, 0.0, seed=0)
+        model = BackboneModel(user_emb=init_embeddings(6, 4, 0),
+                              item_emb=init_embeddings(5, 4, 1))
+        content, hist = np.ones((5, 3)), np.zeros((6, 3))
+        filt = TwoTowerFilter.init("B", 4, 3, hidden=2, out=2)
+        cfg = FilterTrainConfig(eval_users=0)
+
+        def labeler(users, items):
+            raise AssertionError("labeler called")
+        trainers = (
+            ("backbone", lambda: train_backbone(
+                split, BackboneConfig(dim=4, eval_users=0), n_users=6,
+                n_items=5)),
+            ("filter", lambda: train_behavior_filter(filt, model, content,
+                                                     hist, split, cfg)),
+            ("filter", lambda: train_coupled_filter(filt, model, content,
+                                                    hist, split, labeler,
+                                                    cfg)))
+        for section, train in trainers:
+            with pytest.raises(ValueError, match=f"^{section}.eval_users "
+                               f"must be at least 1, got 0$"):
+                train()
+
     def test_exhausted_user_skipped(self, caplog):
         # user 0 interacted with every warm item: no negative exists
         pairs = [(0, 0), (0, 1), (1, 0)]

@@ -228,6 +228,51 @@ class TestWarmupChecksSimulations:
         assert not (out / "warmed_item.cemb").exists()
 
 
+def without(key):
+    def edit(doc):
+        del doc[key]
+        return doc
+    return edit
+
+
+def first_body_a_list(doc):
+    doc[min(doc, key=int)] = [0]
+    return doc
+
+
+class TestMalformedJson:
+    """A JSON artifact that does not parse, or lacks what its reader reads,
+    exits 1 naming the file, before ``warmup`` writes anything."""
+
+    @pytest.mark.parametrize("name,edit,error", [
+        ("dataset.json", without("n_items"), "KeyError: 'n_items'"),
+        ("split.json", without("warm_items"), "KeyError: 'warm_items'"),
+        ("split.json", None, "JSONDecodeError: "),
+        ("content_cache.json", lambda doc: [1], "TypeError: "),
+        ("filter_B/manifest.json", without("hidden"), "KeyError: 'hidden'"),
+        ("simulated.json", first_body_a_list, "TypeError: "),
+    ], ids=["dataset", "split", "split-not-json", "content-sidecar",
+            "manifest", "simulated"])
+    def test_named(self, tmp_path, caplog, simulated_run, name, edit, error):
+        config, run = simulated_run
+        out = tmp_path / "run"
+        shutil.copytree(run, out)
+        path = out / name
+        if edit is None:
+            path.write_text(path.read_text(encoding="utf-8")[:-9],
+                            encoding="utf-8")
+        else:
+            doc = edit(json.loads(path.read_text(encoding="utf-8")))
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        before = sorted(p.name for p in out.rglob("*"))
+        caplog.clear()
+        assert main(["--config", str(config), "--seed", "7", "--out",
+                     str(out), "warmup"]) == 1
+        assert any(m.startswith(f"{path}: malformed ({error}")
+                   for m in caplog.messages), caplog.messages
+        assert sorted(p.name for p in out.rglob("*")) == before
+
+
 class TestChain:
     def test_full_chain_and_artifacts(self, tmp_path, capsys):
         corpus = write_corpus_from_planted(tmp_path / "corpus")
@@ -287,8 +332,17 @@ class TestCommandErrors:
          "unknown oracle kind 'crystal-ball'"),
         ({}, ["sweep", "--param", "K", "--values", "4,six"],
          "could not parse sweep values: '4,six'"),
+        ({"backbone": {"eval_users": 0}}, ["train-backbone"],
+         "backbone.eval_users must be at least 1, got 0"),
+        ({"filter": {"eval_users": 0}}, ["train-filter", "--variant", "B"],
+         "filter.eval_users must be at least 1, got 0"),
+        ({"filter": {"eval_users": 0}}, ["train-filter", "--variant", "L"],
+         "filter.eval_users must be at least 1, got 0"),
+        ({"eval": {"users": -1}}, ["evaluate", "--task", "cold"],
+         "evaluation needs a user sample of at least 1, got n_users=-1"),
     ], ids=["file-provider", "http-provider", "unknown-provider",
-            "unknown-oracle", "sweep-values"])
+            "unknown-oracle", "sweep-values", "backbone-eval-users",
+            "filter-b-eval-users", "filter-l-eval-users", "eval-users"])
     def test_config_and_argument_errors(self, tmp_path, caplog, simulated_run,
                                         sections, command, message):
         config, run = simulated_run

@@ -171,6 +171,14 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="no eligible users"):
             evaluate(model, split, task="cold")
 
+    @pytest.mark.parametrize("n_users", [0, -1])
+    def test_user_sample_below_one_refused(self, n_users):
+        # -1 would slice the last eligible user off, and 0 would find none
+        split = hand_split()
+        model = adjacency_model(split, task="cold")
+        with pytest.raises(ValueError, match=f"got n_users={n_users}$"):
+            evaluate(model, split, task="cold", n_users=n_users)
+
     def test_sample_bounded(self):
         split = hand_split()
         model = adjacency_model(split, task="overall")
